@@ -72,9 +72,9 @@ def measure_layout(inst, sources) -> dict[str, float]:
         lambda: dijkstra(g, s, queue="smart", with_parents=False), 3
     )
     out["bfs"] = time_ms(lambda: bfs(g, s, with_parents=False), 5)
-    eng_orig = inst.engine(reorder=False)
-    eng_re = inst.engine(reorder=True)
-    out["phast_original"] = time_ms(lambda: eng_orig.tree(s), 5)
+    original = inst.original_order()
+    eng_re = inst.engine()
+    out["phast_original"] = time_ms(lambda: original(s), 5)
     out["phast_reordered"] = time_ms(lambda: eng_re.tree(s), 5)
     out["phast_4cores"] = time_ms(
         lambda: tree_level_parallel(eng_re, s, num_threads=4), 5
@@ -205,8 +205,8 @@ def test_bench_phast_reordered(benchmark, europe_engine):
 
 
 def test_bench_phast_original_order(benchmark, europe):
-    engine = europe.engine(reorder=False)
-    benchmark(lambda: engine.tree(0))
+    original = europe.original_order()
+    benchmark(lambda: original(0))
 
 
 if __name__ == "__main__":

@@ -28,7 +28,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.ch import contract_graph
-from repro.core import PhastEngine
+from repro.core import PhastEngine, phast_original_order
 from repro.graph import StaticGraph, dfs_order, europe_like, usa_like
 from repro.simulator import WorkloadCounts
 
@@ -57,13 +57,20 @@ class Instance:
     build_seconds: float
     engines: dict = field(default_factory=dict)
 
-    def engine(self, *, reorder: bool = True, explicit_init: bool = False):
-        key = (reorder, explicit_init)
-        if key not in self.engines:
-            self.engines[key] = PhastEngine(
-                self.ch, reorder=reorder, explicit_init=explicit_init
+    def engine(self, *, explicit_init: bool = False):
+        if explicit_init not in self.engines:
+            self.engines[explicit_init] = PhastEngine(
+                self.ch, explicit_init=explicit_init
             )
-        return self.engines[key]
+        return self.engines[explicit_init]
+
+    def original_order(self):
+        """Table I's "original ordering" PHAST, as a tree function."""
+        if "original" not in self.engines:
+            self.engines["original"] = phast_original_order(
+                self.ch, sweep=self.engine().sweep
+            )
+        return self.engines["original"]
 
 
 def _apply_layout(g: StaticGraph, layout: str) -> StaticGraph:

@@ -8,7 +8,7 @@ from .parallel import (
     tree_level_parallel,
     trees_per_core,
 )
-from .phast import PhastEngine, phast_scalar
+from .phast import PhastEngine, phast_original_order, phast_scalar
 from .pool import (
     PhastPool,
     TaskContext,
@@ -25,7 +25,7 @@ from .supervisor import (
     WorkerSupervisor,
     parse_fault_plan,
 )
-from .sweep import SweepStructure
+from .sweep import LevelSweep, SweepStructure
 from .trees import (
     parents_in_original_graph,
     subtree_aggregate,
@@ -36,10 +36,12 @@ from .trees import (
 __all__ = [
     "PhastEngine",
     "phast_scalar",
+    "phast_original_order",
     "RPhastEngine",
     "SelectionCache",
     "many_to_many_buckets",
     "SweepStructure",
+    "LevelSweep",
     "GphastEngine",
     "GphastResult",
     "PhastPool",

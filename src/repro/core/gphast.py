@@ -50,7 +50,7 @@ class GphastEngine:
     """
 
     def __init__(self, ch: ContractionHierarchy, gpu: GpuSpec = GTX_580) -> None:
-        self.engine = PhastEngine(ch, reorder=True)
+        self.engine = PhastEngine(ch)
         self.model = GpuCostModel(gpu)
         sw = self.engine.sweep
         self._level_verts = sw.level_sizes()

@@ -14,8 +14,10 @@ Two orthogonal strategies, both reproduced here:
 * **Intra-tree level parallelism** — vertices of one level can be
   processed concurrently because downward arcs never connect vertices
   of equal level (Lemma 4.1).  Each level's position range is split
-  into blocks handed to a thread pool; NumPy kernels release the GIL,
-  so blocks genuinely overlap for large levels.  This mirrors the
+  into blocks whose relax steps (the engine's
+  :class:`~repro.core.sweep.LevelSweep`) go to a thread pool; NumPy
+  kernels release the GIL, so blocks genuinely overlap for large
+  levels.  This mirrors the
   paper's 4-core single-tree variant and is the scheduling model GPHAST
   inherits.
 """
@@ -28,7 +30,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
-from ..graph.csr import INF
 from ..utils.workers import DEFAULT_WORKER_CAP, resolve_workers
 from .phast import PhastEngine
 
@@ -125,50 +126,37 @@ def tree_level_parallel(
 ) -> np.ndarray:
     """One PHAST tree with intra-level block parallelism.
 
-    Levels are processed in descending order with a barrier between
-    them; inside a level, position blocks go to a thread pool.  Small
-    levels (fewer than ``min_block`` vertices) are processed inline —
-    exactly the regime where the paper notes parallelization stops
-    paying off (the topmost levels hold a handful of vertices).
+    Runs the engine's sweep kernel with a relax step that splits every
+    level of at least ``min_block`` vertices into position blocks and
+    relaxes them on a thread pool; the level's search entries are folded
+    after all its blocks finish (the barrier).  Smaller levels run
+    inline — exactly the regime where the paper notes parallelization
+    stops paying off (the topmost levels hold a handful of vertices).
 
     Returns distances indexed by original vertex ID.
     """
-    if not engine.reorder:
-        raise ValueError("level-parallel sweep requires a reordered engine")
-    sw = engine.sweep
-    dist = engine._dist
-    marked_pos, marked_val = engine._search_by_position(source)
-    mk = 0
-
-    def run_block(i: int, blo: int, bhi: int) -> None:
-        alo = int(sw.arc_first[blo])
-        ahi = int(sw.arc_first[bhi])
-        cand = dist[engine._tails[alo:ahi]] + sw.arc_len[alo:ahi]
-        boundaries = sw.arc_first[blo : bhi + 1] - alo
-        from ..utils.segments import segment_minimum
-
-        values = segment_minimum(cand, boundaries)
-        np.minimum(values, INF, out=values)
-        dist[blo:bhi] = values
+    kernel = engine.kernel
 
     with ThreadPoolExecutor(max_workers=num_threads) as pool:
-        for i in range(sw.num_levels):
-            lo, hi = sw.level_slice(i)
-            if hi - lo >= min_block and num_threads > 1:
-                blocks = block_boundaries(lo, hi, num_threads)
-                futures = [pool.submit(run_block, i, a, b) for a, b in blocks]
-                for f in futures:
-                    f.result()
-            else:
-                run_block(i, lo, hi)
-            # Fold the CH search space entries of this level.
-            mk_hi = mk
-            while mk_hi < marked_pos.size and marked_pos[mk_hi] < hi:
-                mk_hi += 1
-            if mk_hi > mk:
-                idx = marked_pos[mk:mk_hi]
-                np.minimum.at(dist, idx, marked_val[mk:mk_hi])
-            mk = mk_hi
-    out = np.empty(sw.n, dtype=np.int64)
-    out[sw.vertex_at] = dist
+
+        def relax(dist, plan, values, cand):
+            lo, hi, alo = plan[0], plan[1], plan[2]
+            if hi - lo < min_block or num_threads < 2:
+                kernel.relax(dist, plan, values, cand)
+                return
+            # Blocks of one level own disjoint slices of the level's
+            # label and candidate buffers.
+            futures = []
+            for a, b in block_boundaries(lo, hi, num_threads):
+                block = kernel.plan(a, b)
+                futures.append(pool.submit(
+                    kernel.relax, dist, block, values[a - lo : b - lo],
+                    cand[block[2] - alo :],
+                ))
+            for f in futures:
+                f.result()
+
+        dist = kernel.run(kernel.search(source), relax=relax)
+    out = np.empty(engine.sweep.n, dtype=np.int64)
+    out[engine.sweep.vertex_at] = dist
     return out

@@ -10,9 +10,11 @@ A query (Section III) is:
 Phase 2's scan order is source-independent, so
 :class:`~repro.core.sweep.SweepStructure` pre-sorts everything by level
 (Section IV-A) and the sweep becomes a handful of contiguous NumPy
-operations per level — the reproduction's stand-in for the paper's
-SSE-vectorized C++ loop.  A scalar reference implementation
-(:func:`phast_scalar`) keeps the fast path honest in tests.
+operations per level (:class:`~repro.core.sweep.LevelSweep`) — the
+reproduction's stand-in for the paper's SSE-vectorized C++ loop.  A
+scalar reference implementation (:func:`phast_scalar`) keeps the fast
+path honest in tests; :func:`phast_original_order` is Table I's
+"original ordering" baseline.
 
 Initialization is *implicit* (Section IV-C): the sweep writes every
 label exactly once per query (empty in-arc segments produce ∞, the CH
@@ -22,7 +24,7 @@ globally reset.
 
 from __future__ import annotations
 
-from collections import OrderedDict
+from typing import Callable
 
 import numpy as np
 
@@ -31,174 +33,67 @@ from ..ch.query import upward_search
 from ..graph.csr import INF, StaticGraph
 from ..sssp.result import ShortestPathTree
 from ..utils.segments import segment_minimum
-from .sweep import SweepStructure
+from .sweep import LevelSweep, SweepStructure
 
-__all__ = ["PhastEngine", "phast_scalar"]
+__all__ = ["PhastEngine", "phast_scalar", "phast_original_order"]
 
 
 class PhastEngine:
     """Reusable PHAST query engine over one contraction hierarchy.
 
+    Upward search + the full sweep structure + a scatter to original
+    IDs: the sweep itself is the shared :class:`~repro.core.sweep.LevelSweep`
+    kernel over level-contiguous positions (the paper's "reordered by
+    level" layout; the "original ordering" of Table I is the reference
+    :func:`phast_original_order`).
+
     Parameters
     ----------
     ch:
         Preprocessed hierarchy (see :func:`repro.ch.contract_graph`).
-    reorder:
-        ``True`` (default) sweeps over level-contiguous positions — the
-        paper's "reordered by level" variant with sequential output
-        writes.  ``False`` keeps original vertex IDs and uses
-        scatter/gather per level — the "original ordering" variant of
-        Table I, which does the same work with worse locality.
     explicit_init:
-        ``True`` re-fills the whole distance array with ∞ before every
+        ``True`` re-fills the whole label array with ∞ before every
         query instead of relying on implicit initialization; exists for
         the Section IV-C ablation.
     sweep:
         A prebuilt :class:`~repro.core.sweep.SweepStructure` for ``ch``
         (by default one is built here).  Pool workers pass the shared
         sweep arrays so every worker skips the O(n log n) rebuild.
+    search_cache:
+        Capacity of the LRU cache of upward CH search spaces (0, the
+        default, disables it).
 
     Notes
     -----
-    The engine owns a persistent distance buffer, so queries after the
+    The engine owns persistent label buffers, so queries after the
     first perform no O(n) initialization (implicit init).  Engines are
     not thread-safe; use one per worker.
     """
-
-    #: Levels with fewer incoming arcs than this are swept with plain
-    #: Python loops: the hierarchy's top levels hold a handful of
-    #: vertices each, and fixed NumPy call overhead would dominate
-    #: there (the small-kernel regime the paper notes for its GPU
-    #: kernels too).
-    SCALAR_ARC_THRESHOLD = 48
 
     def __init__(
         self,
         ch: ContractionHierarchy,
         *,
-        reorder: bool = True,
         explicit_init: bool = False,
         sweep: SweepStructure | None = None,
         search_cache: int = 0,
     ) -> None:
         self.ch = ch
-        self.sweep = SweepStructure(ch) if sweep is None else sweep
-        self.reorder = bool(reorder)
+        self.sweep = sw = SweepStructure(ch) if sweep is None else sweep
         self.explicit_init = bool(explicit_init)
-        # LRU of upward CH search spaces.  The space of a source is a
-        # pure function of the (read-only) hierarchy, and computing it
-        # is the only per-source scalar work of a sweep — a server
-        # answering repeat origins (depots, hubs, popular tiles) skips
-        # it entirely on a hit.  ~a few KB per entry.
-        self._search_cache_cap = int(search_cache)
-        self._search_cache: "OrderedDict[int, tuple]" = OrderedDict()
-        self.search_cache_hits = 0
-        self.search_cache_misses = 0
-        n = ch.n
-        if self.reorder:
-            self._tails = self.sweep.arc_tail_pos
-        else:
-            # Original-ID mode: translate sweep positions back to IDs.
-            self._tails = self.sweep.vertex_at[self.sweep.arc_tail_pos]
-        self._dist = np.empty(n, dtype=np.int64)
-        self._dist_multi: np.ndarray | None = None
+        self.kernel = LevelSweep(
+            ch, sw.pos_of, sw.level_first, sw.arc_first, sw.arc_tail_pos,
+            sw.arc_len, search_cache=search_cache,
+        )
         self.last_stats: dict = {}
-        self._prepare_scalar_prefix()
 
-    def _prepare_scalar_prefix(self) -> None:
-        """Precompute the leading small levels handled by scalar code.
+    @property
+    def search_cache_hits(self) -> int:
+        return self.kernel.search_cache_hits
 
-        Only meaningful for the reordered implicit-init fast path; the
-        prefix is contiguous because the sweep is level-descending and
-        every arc's tail position precedes its head position, so the
-        prefix is self-contained.
-        """
-        sw = self.sweep
-        scalar_levels = 0
-        if self.reorder and not self.explicit_init:
-            for i in range(sw.num_levels):
-                alo, ahi = sw.level_arc_slice(i)
-                if ahi - alo >= self.SCALAR_ARC_THRESHOLD:
-                    break
-                scalar_levels += 1
-        self._scalar_levels = scalar_levels
-        self._prefix_positions = int(sw.level_first[scalar_levels])
-        prefix_arcs = int(sw.arc_first[self._prefix_positions])
-        # Python-list shadows: scalar indexing of lists is several times
-        # faster than scalar indexing of NumPy arrays.
-        self._prefix_first = sw.arc_first[: self._prefix_positions + 1].tolist()
-        self._prefix_tails = sw.arc_tail_pos[:prefix_arcs].tolist()
-        self._prefix_lens = sw.arc_len[:prefix_arcs].tolist()
-        # Per-level reduceat plans (static across queries): slice
-        # bounds, the starts of non-empty head segments, and the mask
-        # of heads with any incoming arc.
-        self._level_plans: list[tuple[int, int, int, int, np.ndarray, np.ndarray]] = []
-        for i in range(sw.num_levels):
-            lo, hi = sw.level_slice(i)
-            alo, ahi = sw.level_arc_slice(i)
-            bounds = sw.arc_first[lo : hi + 1] - alo
-            nonempty = bounds[:-1] < bounds[1:]
-            starts = bounds[:-1][nonempty]
-            self._level_plans.append((lo, hi, alo, ahi, starts, nonempty))
-
-    # -- internals --------------------------------------------------------
-
-    def _search_by_position(
-        self, source: int
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """CH search space as (sorted sweep positions, labels)."""
-        if self._search_cache_cap:
-            cached = self._search_cache.get(source)
-            if cached is not None:
-                self._search_cache.move_to_end(source)
-                self.search_cache_hits += 1
-                self.last_stats["ch_search_size"] = cached[0].size
-                return cached
-            self.search_cache_misses += 1
-        space = upward_search(self.ch, source)
-        pos = self.sweep.pos_of[space.vertices]
-        order = np.argsort(pos)
-        self.last_stats["ch_search_size"] = space.size
-        result = (pos[order], space.dists[order])
-        if self._search_cache_cap:
-            for arr in result:
-                arr.flags.writeable = False
-            self._search_cache[source] = result
-            if len(self._search_cache) > self._search_cache_cap:
-                self._search_cache.popitem(last=False)
-        return result
-
-    def _level_values(
-        self,
-        i: int,
-        dist: np.ndarray,
-        marked_pos: np.ndarray,
-        marked_val: np.ndarray,
-        mk_lo: int,
-    ) -> tuple[np.ndarray, int, int, int]:
-        """Compute the labels of level block ``i``.
-
-        Returns ``(values, lo, hi, next_mk_lo)`` where ``values`` are
-        the final labels of sweep positions ``lo .. hi - 1`` and
-        ``next_mk_lo`` advances the pointer into the marked (CH search)
-        entries.
-        """
-        sw = self.sweep
-        lo, hi, alo, ahi, starts, nonempty = self._level_plans[i]
-        cand = dist[self._tails[alo:ahi]] + sw.arc_len[alo:ahi]
-        values = np.full(hi - lo, INF, dtype=np.int64)
-        if starts.size:
-            seg = np.minimum.reduceat(cand, starts)
-            np.minimum(seg, INF, out=seg)
-            values[nonempty] = seg
-        # Fold the CH search space entries that fall in this block.
-        mk_hi = mk_lo
-        while mk_hi < marked_pos.size and marked_pos[mk_hi] < hi:
-            mk_hi += 1
-        if mk_hi > mk_lo:
-            idx = marked_pos[mk_lo:mk_hi] - lo
-            np.minimum.at(values, idx, marked_val[mk_lo:mk_hi])
-        return values, lo, hi, mk_hi
+    @property
+    def search_cache_misses(self) -> int:
+        return self.kernel.search_cache_misses
 
     # -- single tree --------------------------------------------------------
 
@@ -219,155 +114,55 @@ class PhastEngine:
         shared output matrix so no per-query array is allocated.
         """
         sw = self.sweep
-        dist = self._dist
         if self.explicit_init:
-            dist.fill(INF)
-        marked_pos, marked_val = self._search_by_position(source)
-        if self.explicit_init:
-            # With a pre-filled array the search space can be scattered
-            # up front; the sweep then folds dist itself per level.
-            idx = marked_pos if self.reorder else sw.vertex_at[marked_pos]
-            dist[idx] = np.minimum(dist[idx], marked_val)
-        mk = 0
-        start_level = 0
-        if self._scalar_levels:
-            mk = self._scalar_prefix_sweep(dist, marked_pos, marked_val)
-            start_level = self._scalar_levels
-        for i in range(start_level, sw.num_levels):
-            if self.explicit_init:
-                lo, hi = sw.level_slice(i)
-                alo, ahi = sw.level_arc_slice(i)
-                cand = dist[self._tails[alo:ahi]] + sw.arc_len[alo:ahi]
-                boundaries = sw.arc_first[lo : hi + 1] - alo
-                block = dist[lo:hi] if self.reorder else dist[sw.vertex_at[lo:hi]]
-                values = segment_minimum(cand, boundaries, initial=block)
-                np.minimum(values, INF, out=values)
-            else:
-                values, lo, hi, mk = self._level_values(
-                    i, dist, marked_pos, marked_val, mk
-                )
-            if self.reorder:
-                dist[lo:hi] = values
-            else:
-                dist[sw.vertex_at[lo:hi]] = values
-        if self.reorder:
-            out = dist_out if dist_out is not None else np.empty(sw.n, dtype=np.int64)
-            out[sw.vertex_at] = dist
-        elif dist_out is not None:
-            np.copyto(dist_out, dist)
-            out = dist_out
-        else:
-            out = dist.copy()
+            self.kernel.dist.fill(INF)
+        marks = self.kernel.search(source)
+        self.last_stats["ch_search_size"] = marks[0].size
+        dist = self.kernel.run(marks)
+        out = dist_out if dist_out is not None else np.empty(sw.n, dtype=np.int64)
+        out[sw.vertex_at] = dist
         tree = ShortestPathTree(source=source, dist=out, scanned=sw.n)
         if with_parents:
             tree.parent = self._parents_gplus(source, out)
         return tree
 
     def tree_with_sweep_parents(self, source: int) -> ShortestPathTree:
-        """One query computing parents *during* the sweep (Section VII-A).
+        """One query that also returns the arc responsible for each label
+        (Section VII-A).
 
         "When scanning v during the linear sweep phase, it suffices to
-        remember the arc (u, v) responsible for d(v)" — per level, the
-        first arc achieving the segment minimum is recovered with one
-        vectorized comparison; vertices realized by the CH search take
-        their upward-search parent.  Parents are in ``G+`` (shortcuts
-        allowed).  Requires the reordered engine.
+        remember the arc (u, v) responsible for d(v)": after the sweep,
+        the first in-arc of each head whose candidate equals the head's
+        label is that arc (one vectorized comparison); vertices realized
+        by the CH search alone take their upward-search parent.  Parents
+        are in ``G+`` (shortcuts allowed).
         """
-        if not self.reorder:
-            raise ValueError("sweep parents require a reordered engine")
         sw = self.sweep
         n = sw.n
-        dist = self._dist
         space = upward_search(self.ch, source)
-        pos = sw.pos_of[space.vertices]
-        order = np.argsort(pos)
-        marked_pos = pos[order]
-        marked_val = space.dists[order]
-        marked_parent = space.parents[order]
+        pos, val, idx = self.kernel.project(space)
         self.last_stats["ch_search_size"] = space.size
+        dist = self.kernel.run((pos, val))
 
-        parent_pos = np.full(n, -1, dtype=np.int64)  # by sweep position
-        from_search = np.zeros(n, dtype=bool)
-        mk = 0
-        for i in range(sw.num_levels):
-            lo, hi, alo, ahi, starts, nonempty = self._level_plans[i]
-            cand = dist[self._tails[alo:ahi]] + sw.arc_len[alo:ahi]
-            values = np.full(hi - lo, INF, dtype=np.int64)
-            if starts.size:
-                seg = np.minimum.reduceat(cand, starts)
-                np.minimum(seg, INF, out=seg)
-                values[nonempty] = seg
-                # Arc responsible: first hit of the segment minimum.
-                owner = np.repeat(
-                    np.arange(hi - lo, dtype=np.int64),
-                    np.diff(sw.arc_first[lo : hi + 1]),
-                )
-                hits = np.flatnonzero(cand == values[owner])
-                if hits.size:
-                    heads, first_hit = np.unique(
-                        owner[hits], return_index=True
-                    )
-                    arc_idx = alo + hits[first_hit]
-                    parent_pos[lo + heads] = self._tails[arc_idx]
-            # CH search space entries of this block.
-            mk_hi = mk
-            while mk_hi < marked_pos.size and marked_pos[mk_hi] < hi:
-                mk_hi += 1
-            for j in range(mk, mk_hi):
-                p = int(marked_pos[j])
-                v = int(marked_val[j])
-                if v < values[p - lo]:
-                    values[p - lo] = v
-                    from_search[p] = True
-                    parent_pos[p] = marked_parent[j]  # original-ID parent!
-            mk = mk_hi
-            dist[lo:hi] = values
+        head = np.repeat(np.arange(n, dtype=np.int64), np.diff(sw.arc_first))
+        hits = np.flatnonzero(dist[sw.arc_tail_pos] + sw.arc_len == dist[head])
+        heads, first_hit = np.unique(head[hits], return_index=True)
+        parent_pos = np.full(n, -1, dtype=np.int64)
+        parent_pos[heads] = sw.arc_tail_pos[hits[first_hit]]
 
-        # Translate: sweep positions -> original IDs.  Entries set from
-        # the CH search already hold original IDs (flagged).
         out = np.empty(n, dtype=np.int64)
         out[sw.vertex_at] = dist
         parent = np.full(n, -1, dtype=np.int64)
-        swept = (parent_pos >= 0) & ~from_search
+        swept = parent_pos >= 0
         parent[sw.vertex_at[swept]] = sw.vertex_at[parent_pos[swept]]
-        searched = (parent_pos >= 0) & from_search
-        parent[sw.vertex_at[searched]] = parent_pos[searched]
+        # No in-arc reaches a searched label that beat every arc: those
+        # vertices keep their upward-search parent (an original ID).
+        searched = parent_pos[pos] < 0
+        parent[sw.vertex_at[pos[searched]]] = space.parents[idx[searched]]
         parent[source] = -1
         return ShortestPathTree(
             source=source, dist=out, parent=parent, scanned=n
         )
-
-    def _scalar_prefix_sweep(
-        self, dist: np.ndarray, marked_pos: np.ndarray, marked_val: np.ndarray
-    ) -> int:
-        """Sweep the leading small levels with plain Python loops.
-
-        Returns the advanced pointer into the marked (CH search)
-        entries.  Writes the computed prefix into ``dist`` in one shot.
-        """
-        P = self._prefix_positions
-        first = self._prefix_first
-        tails = self._prefix_tails
-        lens = self._prefix_lens
-        inf = int(INF)
-        mpos = marked_pos
-        mval = marked_val
-        mk = 0
-        out = [0] * P
-        for pos in range(P):
-            best = inf
-            for i in range(first[pos], first[pos + 1]):
-                c = out[tails[i]] + lens[i]
-                if c < best:
-                    best = c
-            while mk < mpos.size and mpos[mk] == pos:
-                v = int(mval[mk])
-                if v < best:
-                    best = v
-                mk += 1
-            out[pos] = best if best < inf else inf
-        dist[:P] = out
-        return mk
 
     # -- multiple trees -------------------------------------------------------
 
@@ -376,57 +171,17 @@ class PhastEngine:
     ) -> np.ndarray:
         """Compute ``k`` trees in one sweep (Section IV-B).
 
-        The ``k`` labels of one vertex are adjacent in memory (a
-        ``(n, k)`` row-major array), so each arc relaxation updates a
-        contiguous lane vector — NumPy's analogue of the paper's SSE
-        lanes.
-
         Returns an ``(k, n)`` array of distances indexed by original
         vertex ID; ``out`` of that shape receives the result in place
         (pool workers pass slices of a shared output matrix).
         """
         sources = np.asarray(sources, dtype=np.int64)
-        k = sources.size
-        sw = self.sweep
-        if self._dist_multi is None or self._dist_multi.shape[1] != k:
-            self._dist_multi = np.empty((sw.n, k), dtype=np.int64)
-        dist = self._dist_multi
-        spaces = [self._search_by_position(int(s)) for s in sources]
-        # Merge the k upward search spaces into one position-sorted
-        # (pos, lane, value) stream so each level applies its marked
-        # entries with a single fancy-indexed minimum — the per-lane
-        # Python loop this replaces was a measurable slice of wide
-        # sweeps.
-        mpos = np.concatenate([sp[0] for sp in spaces])
-        mlane = np.concatenate(
-            [np.full(sp[0].size, j, dtype=np.int64) for j, sp in enumerate(spaces)]
-        )
-        mval = np.concatenate([sp[1] for sp in spaces])
-        order = np.argsort(mpos, kind="stable")
-        mpos, mlane, mval = mpos[order], mlane[order], mval[order]
-        mk = 0
-        for i in range(sw.num_levels):
-            lo, hi, alo, ahi, starts, nonempty = self._level_plans[i]
-            cand = dist[self._tails[alo:ahi], :] + sw.arc_len[alo:ahi, None]
-            values = np.full((hi - lo, k), INF, dtype=np.int64)
-            if starts.size:
-                seg = np.minimum.reduceat(cand, starts, axis=0)
-                np.minimum(seg, INF, out=seg)
-                values[nonempty] = seg
-            mk_hi = int(np.searchsorted(mpos, hi, side="left"))
-            if mk_hi > mk:
-                np.minimum.at(
-                    values,
-                    (mpos[mk:mk_hi] - lo, mlane[mk:mk_hi]),
-                    mval[mk:mk_hi],
-                )
-                mk = mk_hi
-            dist[lo:hi, :] = values
+        shape = (sources.size, self.sweep.n)
         if out is None:
-            out = np.empty((k, sw.n), dtype=np.int64)
-        elif out.shape != (k, sw.n):
-            raise ValueError(f"out must have shape ({k}, {sw.n})")
-        out[:, sw.vertex_at] = dist.T
+            out = np.empty(shape, dtype=np.int64)
+        elif out.shape != shape:
+            raise ValueError(f"out must have shape {shape}")
+        out[:, self.sweep.vertex_at] = self.kernel.run_lanes(sources).T
         return out
 
     # -- parents ---------------------------------------------------------------
@@ -514,3 +269,41 @@ def phast_scalar(
     if parent is not None:
         parent[source] = -1
     return ShortestPathTree(source=source, dist=dist, parent=parent, scanned=n)
+
+
+def phast_original_order(
+    ch: ContractionHierarchy, *, sweep: SweepStructure | None = None
+) -> Callable[[int], ShortestPathTree]:
+    """Table I's "original ordering" PHAST, as a reusable tree function.
+
+    Same level blocks and arcs as the engine, but labels stay indexed
+    by original vertex ID, so every level gathers its tails and
+    scatters its heads through ``vertex_at`` — the same work with worse
+    locality.  A paper-reproduction baseline for the benchmarks, not a
+    serving path.
+    """
+    sw = SweepStructure(ch) if sweep is None else sweep
+    tails = sw.vertex_at[sw.arc_tail_pos]
+    dist = np.empty(sw.n, dtype=np.int64)
+
+    def tree(source: int) -> ShortestPathTree:
+        space = upward_search(ch, source)
+        pos = sw.pos_of[space.vertices]
+        order = np.argsort(pos)
+        mpos, mval = pos[order], space.dists[order]
+        mk = 0
+        for i in range(sw.num_levels):
+            lo, hi = sw.level_slice(i)
+            alo, ahi = sw.level_arc_slice(i)
+            values = segment_minimum(
+                dist[tails[alo:ahi]] + sw.arc_len[alo:ahi],
+                sw.arc_first[lo : hi + 1] - alo,
+            )
+            np.minimum(values, INF, out=values)
+            mk_hi = int(np.searchsorted(mpos, hi))
+            np.minimum.at(values, mpos[mk:mk_hi] - lo, mval[mk:mk_hi])
+            mk = mk_hi
+            dist[sw.vertex_at[lo:hi]] = values
+        return ShortestPathTree(source=source, dist=dist.copy(), scanned=sw.n)
+
+    return tree

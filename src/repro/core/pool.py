@@ -444,8 +444,7 @@ def _build_worker_state(views: dict[str, np.ndarray], meta: dict):
     )
     ch = _WorkerHierarchy(n, upward)
     engine = PhastEngine(
-        ch, reorder=meta["reorder"], sweep=sweep,
-        search_cache=meta.get("search_cache", 0),
+        ch, sweep=sweep, search_cache=meta.get("search_cache", 0)
     )
     graph_arrays = {
         name: (
@@ -1394,8 +1393,6 @@ class PhastPool(_BasePool):
     arrays:
         Named auxiliary NumPy arrays to publish (e.g. a partition's
         cell assignment).
-    reorder:
-        Passed through to every worker's engine.
     search_cache:
         Capacity of each engine's LRU cache of upward CH search
         spaces (0 disables, the default).  Worth enabling for serving
@@ -1437,7 +1434,6 @@ class PhastPool(_BasePool):
         force_pool: bool = False,
         graphs: Mapping[str, StaticGraph] | None = None,
         arrays: Mapping[str, np.ndarray] | None = None,
-        reorder: bool = True,
         chunk_size: int | None = None,
         search_cache: int = 0,
         heartbeat_interval: float = 0.2,
@@ -1450,7 +1446,6 @@ class PhastPool(_BasePool):
             raise ValueError("sources_per_sweep must be >= 1")
         self.ch = ch
         self.n = ch.n
-        self.reorder = bool(reorder)
         self.search_cache = int(search_cache)
         self._graphs = dict(graphs or {})
         self._arrays = {
@@ -1470,11 +1465,9 @@ class PhastPool(_BasePool):
 
         # Parent-side engine: the serial path runs on it, and the
         # process path publishes its sweep arrays (built exactly once).
-        self._engine = PhastEngine(
-            ch, reorder=self.reorder, search_cache=self.search_cache
-        )
-        # Serial-path twin of the workers' restricted-engine cache.
-        self._restricted_local: OrderedDict[str, RPhastEngine] = OrderedDict()
+        self._engine = PhastEngine(ch, search_cache=self.search_cache)
+        # The serial path's stand-in for a worker's TaskContext.
+        self._serial_ctx = TaskContext({}, local_segments=self._local_segments)
         self._metric_generation = 0
         if not self._serial:
             self._start_workers(context)
@@ -1501,7 +1494,6 @@ class PhastPool(_BasePool):
             "kind": "sweep",
             "n": self.n,
             "num_levels": self._engine.sweep.num_levels,
-            "reorder": self.reorder,
             "k": self.k,
             "search_cache": self.search_cache,
             "graphs": list(self._graphs),
@@ -1565,9 +1557,7 @@ class PhastPool(_BasePool):
                     "differs); hot swap needs a customize() over the same "
                     "topology, not a fresh contraction"
                 )
-        engine = PhastEngine(
-            new_ch, reorder=self.reorder, search_cache=self.search_cache
-        )
+        engine = PhastEngine(new_ch, search_cache=self.search_cache)
         # The sweep permutation is a pure function of structure; with
         # the structure checks above this can only fire on a bug, but
         # a mixed layout would silently corrupt distances, so verify.
@@ -1599,7 +1589,7 @@ class PhastPool(_BasePool):
         self.ch = new_ch
         self._engine = engine
         # Serial-path restricted engines were built over old weights.
-        self._restricted_local.clear()
+        self._serial_ctx.state.pop("rphast:engines", None)
         self._metric_generation = gen
         return gen
 
@@ -1731,59 +1721,15 @@ class PhastPool(_BasePool):
         return np.stack([merged[i] for i in range(len(sources))])
 
     def retire_publication(self, name: str) -> None:
-        self._restricted_local.pop(name, None)
+        self._serial_ctx.state.get("rphast:engines", {}).pop(name, None)
         super().retire_publication(name)
 
-    def _restricted_serial(self, batch: dict) -> RPhastEngine:
-        name = batch["sel_name"]
-        eng = self._restricted_local.get(name)
-        if eng is None:
-            views = self._local_segments[name]
-            eng = RPhastEngine.from_arrays(
-                self.ch, views, search_cache=batch.get("search_cache", 0)
-            )
-            self._restricted_local[name] = eng
-            while len(self._restricted_local) > _MATRIX_ENGINE_CACHE:
-                self._restricted_local.popitem(last=False)
-        else:
-            self._restricted_local.move_to_end(name)
-        return eng
-
     def _execute_serial(self, batch: dict, sources: list[int], out=None):
-        if batch["mode"] == "matrix":
-            return [
-                _matrix_rows(self._restricted_serial(batch), self.k, 0, sources)
-            ]
+        # The workers' chunk function, run in process over one chunk.
         ctx = WorkerContext(self.n, {}, self._arrays, graphs=self._graphs)
-        engine = self._engine
-        k = self.k
-        mode = batch["mode"]
-        reducer = batch.get("reducer")
-        fn = batch.get("fn")
-        state = reducer.make_state(ctx) if mode == "reduce" else None
-        results: dict[int, object] = {}
-        for i in range(0, len(sources), k):
-            sub = sources[i : i + k]
-            if mode == "dist":
-                if len(sub) == 1:
-                    engine.tree(sub[0], dist_out=out[i])
-                else:
-                    engine.trees(sub, out=out[i : i + len(sub)])
-                continue
-            if len(sub) == 1:
-                rows = engine.tree(sub[0]).dist[None, :]
-            else:
-                rows = engine.trees(sub)
-            for j, (s, row) in enumerate(zip(sub, rows)):
-                if mode == "reduce":
-                    state = reducer.fold(ctx, state, i + j, s, row)
-                else:
-                    results[i + j] = fn(s, row)
-        if mode == "dist":
-            return None
-        if mode == "reduce":
-            return [reducer.finish(ctx, state)]
-        return [results]
+        part = _run_chunk(self._engine, ctx, self.k, batch, 0, sources, out,
+                          self._serial_ctx)
+        return None if batch["mode"] == "dist" else [part]
 
 
 class TaskPool(_BasePool):

@@ -43,9 +43,8 @@ from typing import Callable
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
-from ..ch.query import upward_search
-from ..graph.csr import INF
 from ..utils.segments import gather_ranges
+from .sweep import LevelSweep
 
 __all__ = ["RPhastEngine", "SelectionCache"]
 
@@ -84,14 +83,11 @@ class RPhastEngine:
     sources (the asymmetry mirrors PHAST's own preprocessing/query
     split, one level down).
 
-    Engines keep reusable sweep buffers, so a single instance is not
-    safe for concurrent queries from multiple threads.
+    Queries run the shared :class:`~repro.core.sweep.LevelSweep`
+    kernel over the restricted arrays.  Engines keep its reusable sweep
+    buffers, so a single instance is not safe for concurrent queries
+    from multiple threads.
     """
-
-    #: Same cutover as ``PhastEngine.SCALAR_ARC_THRESHOLD``: leading
-    #: levels with fewer arcs than this are swept with plain Python
-    #: scalars, where the NumPy call overhead dwarfs the work.
-    SCALAR_ARC_THRESHOLD = 48
 
     #: Default lane width of :meth:`many_to_many`; matches the pool's
     #: default ``sources_per_sweep``.
@@ -165,55 +161,17 @@ class RPhastEngine:
         )
 
     def _prepare_query_state(self, search_cache: int) -> None:
-        """Derive sweep plans and buffers from the selection arrays.
+        """Build the sweep kernel over the selection arrays.
 
-        Everything here is a pure function of the arrays in
-        :data:`SELECTION_KEYS`, so :meth:`from_arrays` can rebuild an
-        engine from a published selection without redoing the
-        traversal.
+        Everything it needs is a pure function of the arrays in
+        :data:`SELECTION_KEYS` (plus ``_pos_of``), so :meth:`from_arrays`
+        can rebuild an engine from a published selection without
+        redoing the traversal.
         """
-        # Restricted selections are dominated by small levels, so the
-        # same scalar-prefix trick PhastEngine uses matters even more
-        # here (see PhastEngine.SCALAR_ARC_THRESHOLD).
-        threshold = self.SCALAR_ARC_THRESHOLD
-        scalar_levels = 0
-        for i in range(self.level_first.size - 1):
-            lo, hi = int(self.level_first[i]), int(self.level_first[i + 1])
-            if int(self.arc_first[hi] - self.arc_first[lo]) >= threshold:
-                break
-            scalar_levels += 1
-        self._scalar_levels = scalar_levels
-        self._prefix_positions = int(self.level_first[scalar_levels])
-        prefix_arcs = int(self.arc_first[self._prefix_positions])
-        self._prefix_first = self.arc_first[: self._prefix_positions + 1].tolist()
-        self._prefix_tails = self.arc_tail_pos[:prefix_arcs].tolist()
-        self._prefix_lens = self.arc_len[:prefix_arcs].tolist()
-
-        # Per-level reduceat plans, precomputed once: slice bounds plus
-        # segment starts/occupancy, so the per-query loop allocates no
-        # boundary arrays.
-        self._level_plans = []
-        max_arcs = 0
-        max_width = 0
-        for i in range(self.level_first.size - 1):
-            lo, hi = int(self.level_first[i]), int(self.level_first[i + 1])
-            alo, ahi = int(self.arc_first[lo]), int(self.arc_first[hi])
-            bounds = self.arc_first[lo : hi + 1] - alo
-            nonempty = bounds[:-1] < bounds[1:]
-            starts = np.ascontiguousarray(bounds[:-1][nonempty])
-            self._level_plans.append((lo, hi, alo, ahi, starts, nonempty))
-            max_arcs = max(max_arcs, ahi - alo)
-            max_width = max(max_width, hi - lo)
-
-        self._dist = np.empty(self.size, dtype=np.int64)
-        self._dist_multi: np.ndarray | None = None
-        self._cand = np.empty(max_arcs, dtype=np.int64)
-        self._values = np.empty(max_width, dtype=np.int64)
-
-        self._search_cache_cap = int(search_cache)
-        self._search_cache: OrderedDict[int, tuple] = OrderedDict()
-        self.search_cache_hits = 0
-        self.search_cache_misses = 0
+        self.kernel = LevelSweep(
+            self.ch, self._pos_of, self.level_first, self.arc_first,
+            self.arc_tail_pos, self.arc_len, search_cache=search_cache,
+        )
 
     # ------------------------------------------------------------------
     # Sharing a selection across processes
@@ -269,59 +227,6 @@ class RPhastEngine:
         """Downward arcs the restricted sweep scans."""
         return int(self.arc_len.size)
 
-    def _search_by_position(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """Upward search from ``source``, projected onto restricted positions.
-
-        Returns ``(marked_pos, marked_val)`` sorted by position;
-        LRU-cached when the engine was built with ``search_cache``.
-        """
-        cap = self._search_cache_cap
-        if cap:
-            cached = self._search_cache.get(source)
-            if cached is not None:
-                self._search_cache.move_to_end(source)
-                self.search_cache_hits += 1
-                return cached
-            self.search_cache_misses += 1
-        space = upward_search(self.ch, source)
-        pos = self._pos_of[space.vertices]
-        keep = pos >= 0
-        pos, vals = pos[keep], space.dists[keep]
-        order = np.argsort(pos)
-        result = (pos[order], vals[order])
-        if cap:
-            for arr in result:
-                arr.flags.writeable = False
-            self._search_cache[source] = result
-            if len(self._search_cache) > cap:
-                self._search_cache.popitem(last=False)
-        return result
-
-    def _scalar_prefix_sweep(
-        self, dist: np.ndarray, marked_pos: np.ndarray, marked_val: np.ndarray
-    ) -> int:
-        P = self._prefix_positions
-        first = self._prefix_first
-        tails = self._prefix_tails
-        lens = self._prefix_lens
-        inf = int(INF)
-        mk = 0
-        out = [0] * P
-        for p in range(P):
-            best = inf
-            for i in range(first[p], first[p + 1]):
-                c = out[tails[i]] + lens[i]
-                if c < best:
-                    best = c
-            while mk < marked_pos.size and marked_pos[mk] == p:
-                v = int(marked_val[mk])
-                if v < best:
-                    best = v
-                mk += 1
-            out[p] = best if best < inf else inf
-        dist[:P] = out
-        return mk
-
     def distances(self, source: int, *, all_selected: bool = False) -> np.ndarray:
         """Distances from ``source`` to the targets (one restricted sweep).
 
@@ -329,88 +234,19 @@ class RPhastEngine:
         ``self.targets``; with ``all_selected=True``, labels for every
         selected vertex instead, aligned with ``self.vertex_at``.
         """
-        marked_pos, marked_val = self._search_by_position(int(source))
-
-        dist = self._dist
-        mk = 0
-        if self._prefix_positions:
-            mk = self._scalar_prefix_sweep(dist, marked_pos, marked_val)
-        arc_tail_pos = self.arc_tail_pos
-        arc_len = self.arc_len
-        for lo, hi, alo, ahi, starts, nonempty in self._level_plans[
-            self._scalar_levels :
-        ]:
-            values = self._values[: hi - lo]
-            values.fill(INF)
-            if ahi > alo:
-                cand = self._cand[: ahi - alo]
-                # dist never exceeds INF and INF + max arc length still
-                # fits in int64 (see graph.csr.INF), so the clamp below
-                # is exact, not a truncation.
-                np.add(dist[arc_tail_pos[alo:ahi]], arc_len[alo:ahi], out=cand)
-                seg = np.minimum.reduceat(cand, starts)
-                np.minimum(seg, INF, out=seg)
-                values[nonempty] = seg
-            mk_hi = int(np.searchsorted(marked_pos, hi, side="left"))
-            if mk_hi > mk:
-                np.minimum.at(
-                    values, marked_pos[mk:mk_hi] - lo, marked_val[mk:mk_hi]
-                )
-                mk = mk_hi
-            dist[lo:hi] = values
+        dist = self.kernel.run(self.kernel.search(int(source)))
         if all_selected:
             return dist.copy()
-        return dist[self.target_pos].copy()
+        return dist[self.target_pos]
 
     def sweep_lanes(self, sources) -> np.ndarray:
         """Distances for a lane group in ONE restricted sweep.
 
-        Same multi-lane trick as ``PhastEngine.trees``: the distance
-        matrix is ``(positions, k)`` row-major, each arc relaxation is
-        a width-``k`` vector op, and all upward-search entry points are
-        merged into a single position-sorted stream.  Returns
+        Same multi-lane sweep as ``PhastEngine.trees``.  Returns
         ``(len(sources), len(targets))``.
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        k = int(sources.size)
-        if k == 0:
-            return np.empty((0, self.targets.size), dtype=np.int64)
-        if self._dist_multi is None or self._dist_multi.shape[1] != k:
-            self._dist_multi = np.empty((self.size, k), dtype=np.int64)
-        dist = self._dist_multi
-
-        searches = [self._search_by_position(int(s)) for s in sources]
-        mpos = np.concatenate([p for p, _ in searches])
-        mlane = np.concatenate(
-            [
-                np.full(p.size, lane, dtype=np.int64)
-                for lane, (p, _) in enumerate(searches)
-            ]
-        )
-        mval = np.concatenate([v for _, v in searches])
-        order = np.argsort(mpos, kind="stable")
-        mpos, mlane, mval = mpos[order], mlane[order], mval[order]
-
-        arc_tail_pos = self.arc_tail_pos
-        arc_len = self.arc_len
-        mk = 0
-        for lo, hi, alo, ahi, starts, nonempty in self._level_plans:
-            values = np.full((hi - lo, k), INF, dtype=np.int64)
-            if ahi > alo:
-                cand = dist[arc_tail_pos[alo:ahi], :] + arc_len[alo:ahi, None]
-                seg = np.minimum.reduceat(cand, starts, axis=0)
-                np.minimum(seg, INF, out=seg)
-                values[nonempty] = seg
-            mk_hi = int(np.searchsorted(mpos, hi, side="left"))
-            if mk_hi > mk:
-                np.minimum.at(
-                    values,
-                    (mpos[mk:mk_hi] - lo, mlane[mk:mk_hi]),
-                    mval[mk:mk_hi],
-                )
-                mk = mk_hi
-            dist[lo:hi, :] = values
-        return np.ascontiguousarray(dist[self.target_pos, :].T)
+        dist = self.kernel.run_lanes(np.asarray(sources, dtype=np.int64))
+        return np.ascontiguousarray(dist[self.target_pos].T)
 
     def many_to_many(self, sources, *, lanes: int | None = None) -> np.ndarray:
         """Distance matrix ``(len(sources), len(targets))``.
@@ -435,12 +271,7 @@ class RPhastEngine:
 
     def cache_info(self) -> dict[str, int]:
         """Upward ``search_cache`` occupancy and hit counters."""
-        return {
-            "capacity": self._search_cache_cap,
-            "entries": len(self._search_cache),
-            "hits": self.search_cache_hits,
-            "misses": self.search_cache_misses,
-        }
+        return self.kernel.cache_info()
 
 
 class SelectionCache:

@@ -1,4 +1,4 @@
-"""The PHAST sweep data structure.
+"""The PHAST sweep data structure and the one kernel that sweeps it.
 
 :class:`SweepStructure` freezes everything the linear sweep needs into
 flat arrays ordered for locality, following Section IV-A:
@@ -15,15 +15,27 @@ flat arrays ordered for locality, following Section IV-A:
 
 The structure is source-independent — built once per hierarchy, reused
 by every query, which is the asymmetry PHAST exploits.
+
+:class:`LevelSweep` is the second phase itself: one level-by-level
+relaxation over four of those arrays (``level_first``, ``arc_first``,
+``arc_tail_pos``, ``arc_len``).  PHAST runs it over the full structure,
+RPHAST over a restricted copy of the same four arrays, and the
+level-parallel driver over position blocks of each level — one kernel,
+in the spirit of GPHAST's single per-level kernel.
 """
 
 from __future__ import annotations
 
+from collections import OrderedDict
+from typing import Callable
+
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
+from ..ch.query import UpwardSearchSpace, upward_search
+from ..graph.csr import INF
 
-__all__ = ["SweepStructure"]
+__all__ = ["SweepStructure", "LevelSweep"]
 
 
 class SweepStructure:
@@ -185,3 +197,278 @@ class SweepStructure:
             + self.arc_len.nbytes
             + self.level_first.nbytes
         )
+
+
+class LevelSweep:
+    """The linear sweep over level-ordered arrays, for 1 or ``k`` lanes.
+
+    Parameters
+    ----------
+    ch:
+        Hierarchy whose upward graph :meth:`search` runs on (only
+        ``n`` and ``upward`` are touched).
+    pos_of:
+        Sweep position of every original vertex, ``-1`` for vertices
+        outside the swept set (an RPHAST restriction).
+    level_first, arc_first, arc_tail_pos, arc_len:
+        The sweep arrays, as in :class:`SweepStructure`.
+    search_cache:
+        When positive, LRU-cache up to this many projected upward
+        searches (see :meth:`search`).
+
+    Notes
+    -----
+    Everything source-independent is prepared here once: the scalar
+    prefix, per-level reduceat plans and reusable candidate/label
+    buffers.  :meth:`run` and :meth:`run_lanes` return views of those
+    buffers, valid until the next sweep, so a kernel is not safe for
+    concurrent sweeps from several threads.
+    """
+
+    #: Leading levels with fewer incoming arcs than this are swept with
+    #: plain Python loops: the hierarchy's top levels hold a handful of
+    #: vertices each, and fixed NumPy call overhead would dominate
+    #: there (the small-kernel regime the paper notes for its GPU
+    #: kernels too).
+    SCALAR_ARC_THRESHOLD = 48
+
+    def __init__(
+        self,
+        ch: ContractionHierarchy,
+        pos_of: np.ndarray,
+        level_first: np.ndarray,
+        arc_first: np.ndarray,
+        arc_tail_pos: np.ndarray,
+        arc_len: np.ndarray,
+        *,
+        search_cache: int = 0,
+    ) -> None:
+        self.ch = ch
+        self.pos_of = pos_of
+        self.arc_first = arc_first
+        self.arc_tail_pos = arc_tail_pos
+        self.arc_len = arc_len
+        self.size = int(arc_first.size) - 1
+
+        # The prefix is self-contained: levels are scanned in
+        # descending order and every arc's tail precedes its head.
+        level_arcs = np.diff(arc_first[level_first])
+        big = np.flatnonzero(level_arcs >= self.SCALAR_ARC_THRESHOLD)
+        self._scalar_levels = int(big[0]) if big.size else int(level_arcs.size)
+        P = int(level_first[self._scalar_levels])
+        # Python-list shadows: scalar indexing of lists is several times
+        # faster than scalar indexing of NumPy arrays.
+        self._prefix_first = arc_first[: P + 1].tolist()
+        self._prefix_tails = arc_tail_pos[: int(arc_first[P])].tolist()
+        self._prefix_lens = arc_len[: int(arc_first[P])].tolist()
+
+        bounds = level_first.tolist()
+        self._plans = [self.plan(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        widest = max((p[1] - p[0] for p in self._plans), default=0)
+        most = max((p[3] - p[2] for p in self._plans), default=0)
+        self.dist = np.empty(self.size, dtype=np.int64)
+        self._cand = np.empty(most, dtype=np.int64)
+        self._values = np.empty(widest, dtype=np.int64)
+        self._lanes = 0
+        self._lane_store: list[np.ndarray] = []
+
+        self._cache_cap = int(search_cache)
+        self._cache: OrderedDict[int, tuple] = OrderedDict()
+        self.search_cache_hits = 0
+        self.search_cache_misses = 0
+
+    def plan(self, lo: int, hi: int) -> tuple:
+        """The plan of positions ``lo .. hi - 1`` (a level or a block).
+
+        ``(lo, hi, alo, ahi, starts, nonempty)``: the position range,
+        its arc range, the reduceat starts of its non-empty head
+        segments (relative to ``alo``) and the mask of heads that have
+        any incoming arc.
+        """
+        alo, ahi = int(self.arc_first[lo]), int(self.arc_first[hi])
+        bounds = self.arc_first[lo : hi + 1] - alo
+        nonempty = bounds[:-1] < bounds[1:]
+        starts = np.ascontiguousarray(bounds[:-1][nonempty])
+        return lo, hi, alo, ahi, starts, nonempty
+
+    # -- upward search -----------------------------------------------------
+
+    def project(
+        self, space: UpwardSearchSpace
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """An upward search space as position-sorted sweep entries.
+
+        Returns ``(pos, val, idx)``: the swept positions reached, their
+        labels, and the indices into ``space`` they came from (vertices
+        outside the swept set are dropped).
+        """
+        pos = self.pos_of[space.vertices]
+        idx = np.flatnonzero(pos >= 0)
+        idx = idx[np.argsort(pos[idx])]
+        return pos[idx], space.dists[idx], idx
+
+    def search(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(pos, val)`` of the upward search from ``source``.
+
+        The space is a pure function of the (read-only) hierarchy and
+        the only per-source scalar work of a sweep, so a server
+        answering repeat origins (depots, hubs, popular tiles) skips it
+        on a hit of the ``search_cache`` LRU (~a few KB per entry).
+        """
+        cap = self._cache_cap
+        if cap:
+            cached = self._cache.get(source)
+            if cached is not None:
+                self._cache.move_to_end(source)
+                self.search_cache_hits += 1
+                return cached
+            self.search_cache_misses += 1
+        pos, val, _ = self.project(upward_search(self.ch, source))
+        if cap:
+            pos.flags.writeable = False
+            val.flags.writeable = False
+            self._cache[source] = (pos, val)
+            if len(self._cache) > cap:
+                self._cache.popitem(last=False)
+        return pos, val
+
+    def cache_info(self) -> dict[str, int]:
+        """Upward ``search_cache`` occupancy and hit counters."""
+        return {
+            "capacity": self._cache_cap,
+            "entries": len(self._cache),
+            "hits": self.search_cache_hits,
+            "misses": self.search_cache_misses,
+        }
+
+    # -- sweeps --------------------------------------------------------------
+
+    def run(
+        self,
+        marks: tuple[np.ndarray, np.ndarray],
+        *,
+        relax: Callable | None = None,
+    ) -> np.ndarray:
+        """One-lane sweep from the search entries ``marks = (pos, val)``.
+
+        Returns the labels by sweep position (the kernel's buffer).
+        ``relax`` replaces :meth:`relax` for the vectorized levels with
+        the same signature — the level-parallel driver passes one that
+        splits large levels into blocks.
+        """
+        pos, val = marks
+        dist = self.dist
+        mk = self._scalar_prefix(dist, pos, val)
+        return self._levels(
+            dist, self._cand, self._values, pos, None, val, mk,
+            self._scalar_levels, relax or self.relax,
+        )
+
+    def run_lanes(self, sources) -> np.ndarray:
+        """``k = len(sources)`` trees in one sweep (Section IV-B).
+
+        The ``k`` labels of one position are adjacent in memory (a
+        ``(size, k)`` row-major array), so each arc relaxation updates
+        a contiguous lane vector — NumPy's analogue of the paper's SSE
+        lanes.  Returns a view of the kernel's lane buffer.
+        """
+        k = len(sources)
+        if k == 0:
+            return np.empty((self.size, 0), dtype=np.int64)
+        # Flat buffers sized for the widest k so far; narrower sweeps
+        # reshape a prefix, which keeps every lane row contiguous.
+        rows = (self.size, self._cand.size, self._values.size)
+        if k > self._lanes:
+            self._lanes = k
+            self._lane_store = [np.empty(r * k, dtype=np.int64) for r in rows]
+        dist, cand, values = (
+            buf[: r * k].reshape(r, k) for buf, r in zip(self._lane_store, rows)
+        )
+        pos, lane, val = _merge_lanes([self.search(int(s)) for s in sources])
+        return self._levels(dist, cand, values, pos, lane, val, 0, 0, self.relax)
+
+    def relax(
+        self, dist: np.ndarray, plan: tuple, values: np.ndarray, cand: np.ndarray
+    ) -> None:
+        """Write the best downward-arc label of each head of ``plan``
+        into ``values`` (∞ for heads without arcs); ``cand`` is scratch
+        of at least the plan's arc count.  ``dist`` is 1-D or
+        ``(size, k)``."""
+        lo, hi, alo, ahi, starts, nonempty = plan
+        values.fill(INF)
+        if ahi > alo:
+            lens = self.arc_len[alo:ahi]
+            cand = cand[: ahi - alo]
+            np.add(
+                dist[self.arc_tail_pos[alo:ahi]],
+                lens if dist.ndim == 1 else lens[:, None],
+                out=cand,
+            )
+            seg = np.minimum.reduceat(cand, starts)
+            # dist never exceeds INF and INF + max arc length still fits
+            # in int64 (see graph.csr.INF), so the clamp is exact.
+            np.minimum(seg, INF, out=seg)
+            values[nonempty] = seg
+
+    def _levels(self, dist, cand, values_buf, pos, lane, val, mk, first, relax):
+        """Relax levels ``first ..`` in order, folding the search entries
+        ``pos[mk:]`` (per ``lane`` when sweeping lanes) into each."""
+        for plan in self._plans[first:]:
+            lo, hi = plan[0], plan[1]
+            values = values_buf[: hi - lo]
+            relax(dist, plan, values, cand)
+            mk_hi = int(np.searchsorted(pos, hi))
+            if mk_hi > mk:
+                rows = pos[mk:mk_hi] - lo
+                at = rows if lane is None else (rows, lane[mk:mk_hi])
+                np.minimum.at(values, at, val[mk:mk_hi])
+                mk = mk_hi
+            dist[lo:hi] = values
+        return dist
+
+    def _scalar_prefix(
+        self, dist: np.ndarray, pos: np.ndarray, val: np.ndarray
+    ) -> int:
+        """Sweep the leading small levels with plain Python loops.
+
+        Writes the prefix into ``dist`` in one shot and returns the
+        advanced pointer into the search entries.
+        """
+        first = self._prefix_first
+        tails = self._prefix_tails
+        lens = self._prefix_lens
+        P = len(first) - 1
+        inf = int(INF)
+        mk = 0
+        out = [0] * P
+        for p in range(P):
+            best = inf
+            for i in range(first[p], first[p + 1]):
+                c = out[tails[i]] + lens[i]
+                if c < best:
+                    best = c
+            while mk < pos.size and pos[mk] == p:
+                v = int(val[mk])
+                if v < best:
+                    best = v
+                mk += 1
+            out[p] = best
+        dist[:P] = out
+        return mk
+
+
+def _merge_lanes(
+    marks: list[tuple[np.ndarray, np.ndarray]],
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Merge per-lane ``(pos, val)`` search entries into one stream.
+
+    Returns position-sorted ``(pos, lane, val)``, so each level folds
+    the entries of all lanes with a single fancy-indexed minimum.
+    """
+    pos = np.concatenate([p for p, _ in marks])
+    lane = np.repeat(
+        np.arange(len(marks), dtype=np.int64), [p.size for p, _ in marks]
+    )
+    val = np.concatenate([v for _, v in marks])
+    order = np.argsort(pos, kind="stable")
+    return pos[order], lane[order], val[order]

@@ -8,11 +8,13 @@ it as read-only.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 import pytest
 
 from repro.ch import contract_graph
-from repro.core import PhastEngine
+from repro.core import LevelSweep, PhastEngine
 from repro.graph import RoadNetworkParams, road_network, random_graph
 
 
@@ -30,7 +32,7 @@ def road_ch(road):
 
 @pytest.fixture(scope="session")
 def road_engine(road_ch):
-    """A reordered PHAST engine over :func:`road_ch`."""
+    """A PHAST engine over :func:`road_ch`."""
     return PhastEngine(road_ch)
 
 
@@ -54,6 +56,26 @@ def sparse_random():
 @pytest.fixture(scope="session")
 def sparse_random_ch(sparse_random):
     return contract_graph(sparse_random)
+
+
+@pytest.fixture(scope="session")
+def scalar_threshold():
+    """Context manager: engines built inside use this scalar-prefix cutover.
+
+    ``scalar_threshold(0)`` sends every level through the vectorized
+    path, so small random graphs exercise it too.
+    """
+
+    @contextmanager
+    def use(value: int):
+        saved = LevelSweep.SCALAR_ARC_THRESHOLD
+        LevelSweep.SCALAR_ARC_THRESHOLD = value
+        try:
+            yield
+        finally:
+            LevelSweep.SCALAR_ARC_THRESHOLD = saved
+
+    return use
 
 
 @pytest.fixture()

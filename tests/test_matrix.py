@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro.ch import contract_graph
 from repro.core import (
+    LevelSweep,
     PhastEngine,
     PhastPool,
     RPhastEngine,
@@ -155,14 +156,17 @@ def graphs(draw, max_n=12, max_m=30):
     targets=st.lists(st.integers(0, 11), min_size=1, max_size=4),
 )
 @settings(max_examples=30, deadline=None)
-def test_matrix_parity_on_random_graphs(g, sources, targets):
+def test_matrix_parity_on_random_graphs(scalar_threshold, g, sources, targets):
     """RPHAST lanes == buckets == Dijkstra on adversarial random graphs."""
     S = [s % g.n for s in sources]
     T = np.unique([t % g.n for t in targets])
     ch = contract_graph(g)
     ref = np.stack([dijkstra(g, s, with_parents=False).dist[T] for s in S])
-    eng = RPhastEngine(ch, T, search_cache=4)
-    assert np.array_equal(eng.many_to_many(S, lanes=2), ref)
+    # Default scalar-prefix cutover, then every level vectorized.
+    for threshold in (LevelSweep.SCALAR_ARC_THRESHOLD, 0):
+        with scalar_threshold(threshold):
+            eng = RPhastEngine(ch, T, search_cache=4)
+        assert np.array_equal(eng.many_to_many(S, lanes=2), ref)
     assert np.array_equal(many_to_many_buckets(ch, S, T), ref)
 
 
@@ -263,7 +267,7 @@ def test_pool_matrix_serial_retirement(road_ch, reference):
         assert np.array_equal(pool.matrix(SOURCES, selection=pub), reference)
         pool.retire_publication(pub[0])
         assert pub[0] not in pool._local_segments
-        assert pub[0] not in pool._restricted_local
+        assert pub[0] not in pool._serial_ctx.state["rphast:engines"]
 
 
 def test_pool_matrix_bitidentical_across_injected_crash(road_ch, reference):

@@ -38,12 +38,6 @@ def test_level_parallel_matches(road, road_ch, threads):
     assert np.array_equal(out, ref)
 
 
-def test_level_parallel_requires_reorder(road_ch):
-    engine = PhastEngine(road_ch, reorder=False)
-    with pytest.raises(ValueError):
-        tree_level_parallel(engine, 0)
-
-
 def test_trees_per_core_single_worker(road, road_ch):
     sources = [0, 3, 9]
     out = trees_per_core(road_ch, sources, num_workers=1)

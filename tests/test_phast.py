@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from repro.core import PhastEngine, SweepStructure, phast_scalar
+from repro.core import (
+    PhastEngine,
+    RPhastEngine,
+    SweepStructure,
+    phast_original_order,
+    phast_scalar,
+)
 from repro.graph import INF, StaticGraph
 from repro.sssp import dijkstra
 
@@ -76,21 +82,16 @@ def test_phast_matches_dijkstra(road, road_ch, road_engine, source):
 
 
 def test_phast_no_reorder_matches(road, road_ch):
-    engine = PhastEngine(road_ch, reorder=False)
-    ref = dijkstra(road, 42, with_parents=False).dist
-    assert np.array_equal(engine.tree(42).dist, ref)
+    tree = phast_original_order(road_ch)
+    for s in (42, 7):
+        ref = dijkstra(road, s, with_parents=False).dist
+        assert np.array_equal(tree(s).dist, ref)
 
 
 def test_phast_explicit_init_matches(road, road_ch):
     engine = PhastEngine(road_ch, explicit_init=True)
     ref = dijkstra(road, 42, with_parents=False).dist
     assert np.array_equal(engine.tree(42).dist, ref)
-
-
-def test_phast_explicit_init_no_reorder(road, road_ch):
-    engine = PhastEngine(road_ch, explicit_init=True, reorder=False)
-    ref = dijkstra(road, 7, with_parents=False).dist
-    assert np.array_equal(engine.tree(7).dist, ref)
 
 
 def test_phast_scalar_reference(road, road_ch):
@@ -177,6 +178,33 @@ def test_multi_tree_k_change_reallocates(road_engine):
     assert a.shape[0] == 2 and b.shape[0] == 3
 
 
+def test_lane_buffers_reused_across_widths(road, road_ch):
+    """One engine serving k = 3, 1, 5 lanes in turn stays exact."""
+    engine = PhastEngine(road_ch)
+    restricted = RPhastEngine(road_ch, [0, 57, 399])
+    for sources in ([11, 200, 399], [42], [0, 5, 77, 150, 321]):
+        refs = [dijkstra(road, s, with_parents=False).dist for s in sources]
+        multi = engine.trees(sources)
+        lanes = restricted.sweep_lanes(sources)
+        for i, ref in enumerate(refs):
+            assert np.array_equal(multi[i], ref)
+            assert np.array_equal(lanes[i], ref[restricted.targets])
+
+
+def test_multi_tree_no_sources(road, road_ch):
+    engine = PhastEngine(road_ch)
+    assert engine.trees([]).shape == (0, road.n)
+    assert engine.trees(np.array([], dtype=np.int64)).shape == (0, road.n)
+    assert RPhastEngine(road_ch, [1, 2]).sweep_lanes([]).shape == (0, 2)
+
+
+def test_multi_tree_out_shape_checked_before_sweep(road_ch):
+    engine = PhastEngine(road_ch, search_cache=4)
+    with pytest.raises(ValueError):
+        engine.trees([1, 2], out=np.empty((3, road_ch.n), dtype=np.int64))
+    assert engine.search_cache_misses == 0  # rejected before any search
+
+
 def test_engine_stats_recorded(road_engine):
     road_engine.tree(0)
     assert road_engine.last_stats["ch_search_size"] > 0
@@ -205,10 +233,10 @@ def test_search_cache_counters_and_eviction(road_ch):
         cached.tree(s)
     assert cached.search_cache_misses == 6
     assert cached.search_cache_hits == 0
-    assert len(cached._search_cache) == 4
+    assert cached.kernel.cache_info()["entries"] == 4
     cached.tree(5)  # most recent entry: a hit, no new insertion
     assert cached.search_cache_hits == 1
-    assert len(cached._search_cache) == 4
+    assert cached.kernel.cache_info()["entries"] == 4
     cached.tree(0)  # LRU-evicted earlier: a miss again
     assert cached.search_cache_misses == 7
 
@@ -218,4 +246,4 @@ def test_search_cache_disabled_by_default(road_ch):
     engine.tree(1)
     engine.tree(1)
     assert engine.search_cache_hits == 0
-    assert len(engine._search_cache) == 0
+    assert engine.kernel.cache_info()["entries"] == 0

@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.ch import ch_query, contract_graph
-from repro.core import PhastEngine, phast_scalar
+from repro.core import LevelSweep, PhastEngine, phast_scalar
 from repro.graph import StaticGraph
 from repro.sssp import dijkstra
 
@@ -34,13 +34,17 @@ def graphs(draw, max_n=14, max_m=40):
 
 @given(g=graphs(), source=st.integers(0, 13))
 @settings(max_examples=60, deadline=None)
-def test_phast_equals_dijkstra_on_random_graphs(g, source):
+def test_phast_equals_dijkstra_on_random_graphs(scalar_threshold, g, source):
     source %= g.n
     ch = contract_graph(g)
     ch.validate()
     ref = dijkstra(g, source, with_parents=False).dist
-    engine = PhastEngine(ch)
-    assert np.array_equal(engine.tree(source).dist, ref)
+    # Default cutover, then every level vectorized: these graphs never
+    # reach the default's arc count, so 0 is what tests that path.
+    for threshold in (LevelSweep.SCALAR_ARC_THRESHOLD, 0):
+        with scalar_threshold(threshold):
+            engine = PhastEngine(ch)
+        assert np.array_equal(engine.tree(source).dist, ref)
     assert np.array_equal(phast_scalar(ch, source).dist, ref)
 
 

@@ -43,12 +43,6 @@ def test_sweep_parents_form_valid_gplus_tree(road, road_ch, road_engine):
         assert tree.dist[int(tree.parent[v])] <= tree.dist[v]
 
 
-def test_sweep_parents_requires_reorder(road_ch):
-    engine = PhastEngine(road_ch, reorder=False)
-    with pytest.raises(ValueError):
-        engine.tree_with_sweep_parents(0)
-
-
 def test_sweep_parents_source_is_root(road_engine):
     tree = road_engine.tree_with_sweep_parents(7)
     assert tree.parent[7] == -1
