@@ -978,7 +978,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--batch-max", type=int, default=16,
                     help="max sources coalesced into one sweep")
     sv.add_argument("--max-wait-ms", type=float, default=2.0,
-                    help="micro-batch window in milliseconds")
+                    help="cap on the micro-batch window, ms")
     sv.add_argument("--no-batching", action="store_true",
                     help="dispatch one request per sweep (ablation)")
     sv.add_argument("--max-pending", type=int, default=256,

@@ -18,7 +18,8 @@ Modules
     Bounded-queue admission control with load shedding and drain mode.
 :mod:`~repro.server.scheduler`
     The dynamic micro-batching scheduler: coalesce up to ``batch_max``
-    sweep requests or ``max_wait_ms``, dispatch one multi-source sweep,
+    sweep requests while each event-loop turn brings more (capped at
+    ``max_wait_ms``), dispatch one multi-source sweep,
     fan results back out to per-request futures.
 :mod:`~repro.server.metrics`
     Request counters plus batch-size / wait / latency histograms.

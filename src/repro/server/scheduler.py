@@ -13,10 +13,12 @@ policy fits:
 * everything queued behind it joins immediately — dispatches are
   serialized, so requests arriving during the previous sweep have
   already piled up (continuous batching);
-* the window then stays open only while sweep-shaped requests (tree /
-  one-to-many / isochrone — anything needing one source's distance
-  row) keep arriving: it closes on an idle gap of ``max_wait_ms / 8``,
-  at ``batch_max`` lanes, or after ``max_wait_ms`` total, whichever
+* the window then yields one event-loop turn at a time, so frames
+  the connection handlers already decoded can reach ``submit``, and
+  stays open only while each turn brings more sweep-shaped requests
+  (tree / one-to-many / isochrone — anything needing one source's
+  distance row): it closes on the first turn that brings nothing, at
+  ``batch_max`` lanes, or after ``max_wait_ms`` total, whichever
   comes first;
 * the batch runs as one multi-source sweep on the pool, off the event
   loop — requests sharing a source share one lane (singleflight-style
@@ -24,11 +26,13 @@ policy fits:
   response payload while still on the executor thread;
 * results fan back out to per-request futures.
 
-Under light load the window adds at most one idle gap of latency to a
-lone request.  Under heavy load batches form during the previous
-sweep, ride toward ``batch_max`` lanes, and throughput approaches the
-``C(k)/k`` bound.  ``batching=False`` degenerates to strict
-dispatch-one — the ablation the server benchmark compares against.
+No turn of the window waits on a timer (the poller rounds a timed
+wait up to whole milliseconds), so a lone request pays one loop turn
+of window, not a timed idle gap.  Under heavy load batches
+form during the previous sweep, ride toward ``batch_max`` lanes, and
+throughput approaches the ``C(k)/k`` bound.  ``batching=False``
+degenerates to strict dispatch-one — the ablation the server
+benchmark compares against.
 """
 
 from __future__ import annotations
@@ -120,8 +124,8 @@ class MicroBatcher:
     batch_max:
         Lane cap per dispatch.
     max_wait_ms:
-        Batch window: how long the first request of a batch may wait
-        for company.
+        Cap on the batch window: the longest the first request of a
+        batch may wait for company; ``0`` means no window.
     batching:
         ``False`` dispatches every request alone (the ablation mode).
     metrics:
@@ -211,37 +215,29 @@ class MicroBatcher:
         Everything already queued joins immediately (requests pile up
         in the queue while the previous sweep runs, so under steady
         load batches form for free — continuous batching).  In
-        batching mode the window then stays open while arrivals keep
-        coming: each new request buys the next one ``max_wait_ms / 8``
-        of grace, up to ``max_wait_ms`` total.  An idle gap closes the
-        window early — with closed-loop clients, whoever is going to
-        join a batch arrives in a burst right after the previous
-        responses flush, and waiting out a fixed window past that
-        burst would only stall lanes that are already full.
+        batching mode the window then yields one event-loop turn and
+        drains again, for as long as each turn brings new arrivals:
+        every frame runs in its own task, so a turn lets frames that
+        are already decoded reach ``submit``.  The first turn that
+        brings nothing closes the window, as do ``batch_max`` lanes
+        and ``max_wait_ms`` total.  No turn waits on a timer, so a
+        lone request is not held back waiting for company that is not
+        on its way.
         """
         if not self.batching:
             return False  # dispatch-one: the ablation coalesces nothing
-        while len(batch) < self.batch_max and not self._queue.empty():
-            item = self._queue.get_nowait()
-            if item is _CLOSE:
-                return True
-            batch.append(item)
-        if self.batch_max == 1 or self.max_wait_ms == 0:
-            return False
         deadline = time.monotonic() + self.max_wait_ms / 1e3
-        gap = self.max_wait_ms / 1e3 / 8
-        while len(batch) < self.batch_max:
-            timeout = min(gap, deadline - time.monotonic())
-            if timeout <= 0:
-                break
-            try:
-                item = await asyncio.wait_for(self._queue.get(), timeout)
-            except asyncio.TimeoutError:
-                break  # idle gap: nobody else is coming right now
-            if item is _CLOSE:
-                return True
-            batch.append(item)
-        return False
+        while True:
+            while len(batch) < self.batch_max and not self._queue.empty():
+                item = self._queue.get_nowait()
+                if item is _CLOSE:
+                    return True
+                batch.append(item)
+            if len(batch) >= self.batch_max or time.monotonic() >= deadline:
+                return False
+            await asyncio.sleep(0)
+            if self._queue.empty():
+                return False  # the turn brought nobody: dispatch now
 
     async def _dispatch(self, loop, batch: list) -> None:
         now = time.monotonic()

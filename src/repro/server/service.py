@@ -83,7 +83,7 @@ class ServerConfig:
     #: Lane cap per dispatched sweep (and, unless overridden, the
     #: pool's ``sources_per_sweep``).
     batch_max: int = 16
-    #: Batch window in milliseconds (0 disables waiting).
+    #: Cap on the batch window in milliseconds (0 disables the window).
     max_wait_ms: float = 2.0
     #: ``False`` dispatches one request per sweep (the ablation mode).
     batching: bool = True

@@ -1,0 +1,200 @@
+"""Tests for the micro-batching window (`repro.server.scheduler`).
+
+A :class:`MicroBatcher` is driven directly with a stub ``sweep_fn`` that
+records every dispatch, so each test sees exactly which requests shared
+a batch and when it left.  The window closes on the first event-loop
+turn that brings no new request, at ``batch_max`` lanes, or at the
+``max_wait_ms`` cap; ``stop()`` ends the loop from inside an open
+window.
+"""
+
+from __future__ import annotations
+
+import asyncio
+import threading
+import time
+from concurrent.futures import ThreadPoolExecutor
+
+import pytest
+
+from repro.server.scheduler import MicroBatcher, SchedulerStopped, SweepRequest
+
+
+class _Recorder:
+    """Stub ``sweep_fn``: one row ``("row", source)`` per lane, logged."""
+
+    def __init__(self) -> None:
+        self.calls: list[tuple[float, list[int]]] = []
+        self._lock = threading.Lock()
+
+    def __call__(self, sources):
+        with self._lock:
+            self.calls.append((time.monotonic(), list(sources)))
+        return [("row", s) for s in sources]
+
+    @property
+    def batches(self) -> list[list[int]]:
+        with self._lock:
+            return [sources for _, sources in self.calls]
+
+
+def _request(source: int) -> SweepRequest:
+    return SweepRequest("tree", source, lambda row: row)
+
+
+def _run(coro_fn, **kwargs):
+    """Run ``coro_fn(batcher, recorder)`` on a fresh loop and batcher."""
+    recorder = _Recorder()
+
+    async def main():
+        with ThreadPoolExecutor(max_workers=1) as executor:
+            batcher = MicroBatcher(recorder, executor=executor, **kwargs)
+            batcher.start()
+            try:
+                return await asyncio.wait_for(coro_fn(batcher, recorder), 30)
+            finally:
+                await batcher.stop()
+
+    return asyncio.run(main()), recorder
+
+
+def test_lone_request_is_dispatched_without_waiting():
+    """A lone request must not sit out a timed window (old gap: 125 ms)."""
+
+    async def scenario(batcher, recorder):
+        req = _request(3)
+        t0 = time.monotonic()
+        batcher.submit(req)
+        row = await req.future
+        return row, time.monotonic() - t0
+
+    (row, elapsed), recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    assert row == ("row", 3)
+    assert recorder.batches == [[3]]
+    assert elapsed < 0.050, f"lone request took {1e3 * elapsed:.1f} ms"
+
+
+@pytest.mark.parametrize("n", [3, 4, 7])
+def test_burst_joins_one_batch(n):
+    """Frames decoded in one loop iteration share one dispatch."""
+    batch_max = 4
+
+    async def scenario(batcher, recorder):
+        async def respond(source):
+            # One task per frame, as the connection handler does.
+            req = _request(source)
+            batcher.submit(req)
+            return await req.future
+
+        loop = asyncio.get_running_loop()
+        tasks = [loop.create_task(respond(s)) for s in range(n)]
+        return await asyncio.gather(*tasks)
+
+    rows, recorder = _run(scenario, batch_max=batch_max, max_wait_ms=1000)
+    assert rows == [("row", s) for s in range(n)]
+    sizes = [len(b) for b in recorder.batches]
+    assert sizes[0] == min(n, batch_max)
+    assert sum(sizes) == n
+    if n > batch_max:
+        assert sizes == [batch_max, n - batch_max]
+
+
+def test_staggered_arrivals_keep_the_window_open():
+    """Each turn that brings a request extends the window by a turn."""
+
+    async def scenario(batcher, recorder):
+        async def respond(source, turns):
+            for _ in range(turns):
+                await asyncio.sleep(0)
+            req = _request(source)
+            batcher.submit(req)
+            return await req.future
+
+        loop = asyncio.get_running_loop()
+        tasks = [loop.create_task(respond(s, s)) for s in range(5)]
+        return await asyncio.gather(*tasks)
+
+    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    assert rows == [("row", s) for s in range(5)]
+    assert recorder.batches == [[0, 1, 2, 3, 4]]
+
+
+def test_same_source_requests_share_one_lane():
+    sources = [5, 5, 7, 5, 7, 9]
+
+    async def scenario(batcher, recorder):
+        reqs = [_request(s) for s in sources]
+        for req in reqs:
+            batcher.submit(req)
+        return await asyncio.gather(*(r.future for r in reqs))
+
+    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    assert rows == [("row", s) for s in sources]
+    assert recorder.batches == [[5, 7, 9]]
+
+
+async def _trickle(batcher, reqs: list, until) -> None:
+    """Submit one request per loop turn until ``until()`` or stop."""
+    source = 0
+    while not until():
+        req = _request(source)
+        try:
+            batcher.submit(req)
+        except SchedulerStopped:
+            return
+        reqs.append(req)
+        source += 1
+        await asyncio.sleep(0)
+
+
+@pytest.mark.parametrize("batch_max,max_wait_ms", [(8, 10_000), (100_000, 30)])
+def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
+    """Arrivals on every turn cannot hold a window past its caps."""
+
+    async def scenario(batcher, recorder):
+        reqs: list[SweepRequest] = []
+        t0 = time.monotonic()
+        await _trickle(batcher, reqs, lambda: bool(recorder.calls)
+                       or time.monotonic() - t0 > 10)
+        assert recorder.calls, "window never closed under a steady trickle"
+        first_at = recorder.calls[0][0]
+        await asyncio.gather(*(r.future for r in reqs))
+        return first_at - reqs[0].enqueued_at
+
+    waited, recorder = _run(scenario, batch_max=batch_max,
+                            max_wait_ms=max_wait_ms)
+    first = recorder.batches[0]
+    if batch_max == 8:
+        assert first == list(range(8))
+    else:
+        assert 1 < len(first) < batch_max
+        assert waited >= max_wait_ms / 1e3
+        assert waited < max_wait_ms / 1e3 + 1.0
+
+
+def test_stop_during_open_window_ends_the_loop():
+    """stop() closes an open window; later requests fail fast."""
+
+    async def scenario(batcher, recorder):
+        reqs: list[SweepRequest] = []
+        loop = asyncio.get_running_loop()
+        producer = loop.create_task(_trickle(batcher, reqs, lambda: False))
+        while len(reqs) < 20:
+            await asyncio.sleep(0)
+        assert not recorder.calls  # the window is still open
+        stopper = loop.create_task(batcher.stop())
+        await asyncio.sleep(0)  # stop() has queued its close sentinel
+        late = _request(-1)
+        batcher._queue.put_nowait(late)  # slipped in behind the close
+        await asyncio.wait_for(stopper, 10)
+        await producer
+        with pytest.raises(SchedulerStopped):
+            await late.future
+        with pytest.raises(SchedulerStopped):
+            batcher.submit(_request(0))
+        return await asyncio.gather(*(r.future for r in reqs))
+
+    rows, recorder = _run(scenario, batch_max=100_000, max_wait_ms=60_000)
+    n = len(rows)
+    assert rows == [("row", s) for s in range(n)]
+    assert recorder.batches == [list(range(n))]
