@@ -18,9 +18,10 @@ from a fixed set of ``REPRO_BENCH_SERVER_DEPOTS`` depots.
 
 This bench measures it end to end, over the wire: a closed-loop load
 generator sweeps the number of client threads against two
-otherwise-identical in-process servers, one with ``batching=True``
-and one with ``batching=False`` (strict dispatch-one, the ablation —
-it also gets the search cache, so the comparison isolates batching).
+otherwise-identical in-process servers, one micro-batching and one
+with ``batch_max=1, max_wait_ms=0`` (strict dispatch-one, the
+ablation — it keeps the search cache and the pool's lane width, so
+the comparison isolates batching).
 The workload is one-to-many dominated — the request shape the
 batching exists for.  Client-side latency histograms give p50/p99 per
 load level; server metrics give realized batch sizes and lanes.
@@ -209,8 +210,9 @@ def _drive(handle, n: int, depots: list[int], threads: int, seconds: float,
 def _sweep_mode(ch, graph, *, batching: bool, loads: list[int],
                 seconds: float, pipeline: int, depots: list[int]) -> dict:
     config = ServerConfig(
-        batch_max=BATCH_MAX, max_wait_ms=MAX_WAIT_MS, batching=batching,
-        max_pending=4096,
+        batch_max=BATCH_MAX if batching else 1,
+        max_wait_ms=MAX_WAIT_MS if batching else 0.0,
+        sources_per_sweep=BATCH_MAX, max_pending=4096,
     )
     service = PhastService(ch, graph=graph, config=config)
     points = []
@@ -229,8 +231,8 @@ def _sweep_mode(ch, graph, *, batching: bool, loads: list[int],
         raise RuntimeError(f"bench overloaded admission: {rejected} rejects")
     return {
         "batching": batching,
-        "batch_max": BATCH_MAX if batching else 1,
-        "max_wait_ms": MAX_WAIT_MS if batching else 0.0,
+        "batch_max": config.batch_max,
+        "max_wait_ms": config.max_wait_ms,
         "points": points,
         "mean_batch_size": metrics["batches"]["mean_size"],
         "mean_lanes_per_sweep": metrics["batches"]["mean_lanes"],

@@ -347,7 +347,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
-    import signal
 
     from .core.pool import install_signal_guard
     from .graph import load_hierarchy, load_metric, load_topology
@@ -390,7 +389,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         port=args.port,
         batch_max=args.batch_max,
         max_wait_ms=args.max_wait_ms,
-        batching=not args.no_batching,
         max_pending=args.max_pending,
         default_timeout_ms=args.timeout_ms if args.timeout_ms > 0 else None,
         num_workers=args.workers,
@@ -416,23 +414,15 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await service.start()
-        mode = "micro-batching" if config.batching else "batching off"
         print(
             f"serving {served} (n={n}, m={m}) on "
-            f"{service.host}:{service.port} — {mode}, "
+            f"{service.host}:{service.port} — "
             f"batch_max={config.batch_max}, wait={config.max_wait_ms}ms, "
             f"{service.pool.num_workers} worker(s)"
             f"{' [serial pool]' if service.pool.serial else ''}",
             flush=True,
         )
-        loop = asyncio.get_running_loop()
-        for sig in (signal.SIGINT, signal.SIGTERM):
-            try:
-                loop.add_signal_handler(
-                    sig, lambda: asyncio.ensure_future(service.drain())
-                )
-            except (NotImplementedError, RuntimeError):
-                pass
+        service.drain_on_signals()
         await service.wait_drained()
         snap = service.admission.snapshot()
         print(
@@ -544,7 +534,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 raise ValueError(
                     "--sources and --targets are required for --op matrix"
                 )
-            mat = client.matrix(sources, targets, backend=args.backend)
+            mat = client.matrix(sources, targets)
             print("        " + " ".join(f"{t:>8}" for t in targets))
             for s, row in zip(sources, mat):
                 print(f"{s:>8}" + " ".join(f"{int(d):>8}" for d in row))
@@ -573,7 +563,7 @@ def _cmd_route(args: argparse.Namespace) -> int:
     import signal
     import threading
 
-    from .router import PhastRouter, ReplicaManager, RouterConfig
+    from .router import PhastRouter, ReplicaManager, RouterConfig, RouterHandle
 
     attach = [s.strip() for s in (args.attach or "").split(",") if s.strip()]
     if args.replicas < 1 and not attach:
@@ -616,37 +606,17 @@ def _cmd_route(args: argparse.Namespace) -> int:
                 f"{', '.join(router.replicas)}",
                 flush=True,
             )
+            router.drain_on_signals()
             loop = asyncio.get_running_loop()
-            for sig in (signal.SIGINT, signal.SIGTERM):
-                try:
-                    loop.add_signal_handler(
-                        sig, lambda: asyncio.ensure_future(router.drain())
-                    )
-                except (NotImplementedError, RuntimeError):
-                    pass
-
-            class _Ctl:
-                """Blocking rotation control from the restart thread."""
-
-                @staticmethod
-                def hold_out(name: str) -> None:
-                    asyncio.run_coroutine_threadsafe(
-                        router.hold_out(name), loop
-                    ).result(300)
-
-                @staticmethod
-                def readmit(name: str) -> None:
-                    asyncio.run_coroutine_threadsafe(
-                        router.readmit(name), loop
-                    ).result(300)
-
+            # Blocking rotation control for the restart thread.
+            ctl = RouterHandle(router, threading.current_thread(), loop)
             restart_gate = threading.Lock()
 
             def _rolling() -> None:
                 if not restart_gate.acquire(blocking=False):
                     return  # one rolling restart at a time
                 try:
-                    restarted = manager.rolling_restart(_Ctl())
+                    restarted = manager.rolling_restart(ctl)
                     print(f"rolling restart done: {', '.join(restarted)}",
                           flush=True)
                 except Exception as exc:
@@ -979,8 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="max sources coalesced into one sweep")
     sv.add_argument("--max-wait-ms", type=float, default=2.0,
                     help="cap on the micro-batch window, ms")
-    sv.add_argument("--no-batching", action="store_true",
-                    help="dispatch one request per sweep (ablation)")
     sv.add_argument("--max-pending", type=int, default=256,
                     help="admission bound on in-flight work requests")
     sv.add_argument("--timeout-ms", type=float, default=30_000.0,
@@ -1052,8 +1020,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="single-vertex alias for --sources")
     cl.add_argument("--target", type=int,
                     help="single-vertex alias for --targets")
-    cl.add_argument("--backend", choices=("rphast", "buckets"),
-                    help="matrix algorithm (default: server-side rphast)")
     cl.add_argument("--budget", type=int, help="isochrone time budget")
     cl.add_argument("--stall", action="store_true", help="stall-on-demand")
     cl.add_argument("-o", "--output", help="write tree labels (.npz)")

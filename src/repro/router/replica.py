@@ -365,8 +365,7 @@ class ReplicaManager:
     thread, tests, and benchmark harnesses — never from the router's
     event loop.  The router is informed of topology through the
     control object passed to :meth:`rolling_restart` (a
-    :class:`~repro.router.service.RouterHandle` or the router's own
-    loop-threadsafe wrappers).
+    :class:`~repro.router.service.RouterHandle`).
     """
 
     def __init__(self, *, python: str | None = None) -> None:

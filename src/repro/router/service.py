@@ -30,17 +30,18 @@ Admin ops are answered at the router: ``ping`` locally, ``health`` /
 ``metrics`` with router-level aggregates (per-replica state and rps,
 affinity hit rate, spill rate, transitions), ``info`` proxied from a
 live replica and annotated with the topology — so ``ServerClient``
-and ``repro client`` work unmodified.
+and ``repro client`` work unmodified.  Connections, frames and the
+drain are the shared :class:`~repro.server.listener.FrameServer`.
 """
 
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from dataclasses import dataclass
 
 from ..server import protocol
+from ..server.listener import FrameHandle, FrameServer, run_in_thread
 from .metrics import RouterMetrics
 from .replica import ACTIVE, DRAINING, WARMING, Replica
 from .ring import HashRing
@@ -104,23 +105,13 @@ class RouterConfig:
             raise ValueError("vnodes must be >= 1")
 
 
-class PhastRouter:
+class PhastRouter(FrameServer):
     """A front door fanning one public port out to N replicas."""
 
     def __init__(self, config: RouterConfig | None = None) -> None:
-        self.config = config or RouterConfig()
-        self.metrics = RouterMetrics()
+        super().__init__(config or RouterConfig(), RouterMetrics())
         self.ring = HashRing(vnodes=self.config.vnodes)
         self.replicas: dict[str, Replica] = {}
-        self._server: asyncio.base_events.Server | None = None
-        self._probe_task: asyncio.Task | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._draining = False
-        self._drained: asyncio.Event | None = None
-        self._drain_task: asyncio.Task | None = None
-        self.host = self.config.host
-        self.port = self.config.port
 
     # -- topology ----------------------------------------------------------
 
@@ -170,63 +161,22 @@ class PhastRouter:
         rep.readmit()
         await self._probe_one(rep)
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle (the FrameServer steps) ---------------------------------
 
-    async def start(self, *, host: str | None = None,
-                    port: int | None = None) -> None:
-        """Probe every replica once, then bind and serve."""
+    async def _prepare(self) -> None:
+        """Probe every replica once before binding."""
         if not self.replicas:
             raise RuntimeError("router has no replicas to route to")
-        self._drained = asyncio.Event()
         await self._probe_all()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host if host is not None else self.config.host,
-            port if port is not None else self.config.port,
-        )
-        sock = self._server.sockets[0].getsockname()
-        self.host, self.port = sock[0], sock[1]
-        self._probe_task = asyncio.get_running_loop().create_task(
-            self._probe_loop()
-        )
 
-    async def drain(self) -> None:
-        """Stop accepting, finish in-flight forwards, close links."""
-        if self._drain_task is None:
-            self._drain_task = asyncio.get_running_loop().create_task(
-                self._drain_impl()
-            )
-        await asyncio.shield(self._drain_task)
-
-    async def _drain_impl(self) -> None:
-        self._draining = True
-        if self._probe_task is not None:
-            self._probe_task.cancel()
-            try:
-                await self._probe_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+    async def _release(self) -> None:
         for rep in self.replicas.values():
             await rep.link.close()
-        for writer in list(self._writers):
-            writer.close()
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        await self._drained.wait()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # -- health probing ----------------------------------------------------
 
-    async def _probe_loop(self) -> None:
+    async def _monitor(self) -> None:
+        """Re-probe every replica each ``probe_interval_ms``."""
         period = self.config.probe_interval_ms / 1e3
         while True:
             await asyncio.sleep(period)
@@ -249,56 +199,9 @@ class PhastRouter:
             health = None
         rep.apply_probe(health)
 
-    # -- connection handling (same discipline as PhastService) -------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        conn_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    msg = await protocol.read_message(reader)
-                except (protocol.ProtocolError, ConnectionError):
-                    break
-                if msg is None:
-                    break
-                task = asyncio.get_running_loop().create_task(
-                    self._respond(msg, writer, write_lock)
-                )
-                for registry in (conn_tasks, self._tasks):
-                    registry.add(task)
-                    task.add_done_callback(registry.discard)
-        finally:
-            for task in list(conn_tasks):
-                task.cancel()
-            if conn_tasks:
-                await asyncio.gather(*conn_tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(self, msg: dict, writer: asyncio.StreamWriter,
-                       write_lock: asyncio.Lock) -> None:
-        response = await self._process(msg)
-        try:
-            async with write_lock:
-                await protocol.write_message(writer, response)
-        except (ConnectionError, RuntimeError, OSError):
-            pass
-
     # -- request processing ------------------------------------------------
 
-    async def _process(self, msg: dict) -> dict:
-        req_id = msg.get("id")
-        op = msg.get("op")
-        if not isinstance(op, str):
-            return self._error(req_id, protocol.BAD_REQUEST, "missing 'op'")
-        self.metrics.record_request(op)
+    async def _process(self, req_id, op: str, msg: dict) -> dict:
         if op == "ping":
             return protocol.ok_response(req_id, pong=True)
         if op == "health":
@@ -327,10 +230,6 @@ class PhastRouter:
         except Exception as exc:  # router bug — never kill the connection
             return self._error(req_id, protocol.INTERNAL,
                                f"router error: {type(exc).__name__}: {exc}")
-
-    def _error(self, req_id, code: int, message: str) -> dict:
-        self.metrics.record_error(code)
-        return protocol.error_response(req_id, code, message)
 
     def _health(self) -> dict:
         replicas = {n: r.snapshot() for n, r in self.replicas.items()}
@@ -533,54 +432,29 @@ class PhastRouter:
 # Thread-hosted routing (tests, benchmarks, notebooks)
 
 
-class RouterHandle:
-    """A router running on a private event loop in a daemon thread.
+class RouterHandle(FrameHandle):
+    """A router running on an event loop in another thread.
 
-    Besides the lifecycle of :class:`ServerHandle`, it exposes
-    blocking ``hold_out`` / ``readmit`` wrappers so synchronous code
-    (a :class:`ReplicaManager` doing a rolling restart, a test) can
-    drive the router's rotation from outside its loop.
+    Besides the lifecycle of :class:`~repro.server.listener.FrameHandle`,
+    it exposes blocking ``hold_out`` / ``readmit`` wrappers so
+    synchronous code (a :class:`ReplicaManager` doing a rolling
+    restart, a test) can drive the router's rotation from outside its
+    loop.
     """
 
-    def __init__(self, router: PhastRouter, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop) -> None:
-        self.router = router
-        self.thread = thread
-        self.loop = loop
-
     @property
-    def host(self) -> str:
-        return self.router.host
-
-    @property
-    def port(self) -> int:
-        return self.router.port
+    def router(self) -> PhastRouter:
+        return self.server
 
     def hold_out(self, name: str, *, timeout: float = 60.0) -> None:
         asyncio.run_coroutine_threadsafe(
-            self.router.hold_out(name, timeout=timeout), self.loop
+            self.server.hold_out(name, timeout=timeout), self.loop
         ).result(timeout + 10.0)
 
     def readmit(self, name: str, *, timeout: float = 60.0) -> None:
         asyncio.run_coroutine_threadsafe(
-            self.router.readmit(name), self.loop
+            self.server.readmit(name), self.loop
         ).result(timeout)
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Drain the router and join its thread (idempotent)."""
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.router.drain())
-            )
-        self.thread.join(timeout)
-        if self.thread.is_alive():
-            raise RuntimeError("router thread did not drain in time")
-
-    def __enter__(self) -> "RouterHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
 
 
 def route_in_thread(
@@ -592,36 +466,5 @@ def route_in_thread(
     ``port=0`` binds an ephemeral port; read it back from
     ``handle.port``.  The thread exits once the router has drained.
     """
-    started = threading.Event()
-    holder: dict = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-
-        async def main() -> None:
-            try:
-                await router.start(host=host, port=port)
-            except BaseException as exc:
-                holder["error"] = exc
-                raise
-            finally:
-                started.set()
-            await router.wait_drained()
-
-        try:
-            loop.run_until_complete(main())
-        except BaseException as exc:
-            holder.setdefault("error", exc)
-            started.set()
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="phast-router", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise RuntimeError("router failed to start in time")
-    if "error" in holder:
-        raise RuntimeError(f"router failed to start: {holder['error']}")
-    return RouterHandle(router, thread, holder["loop"])
+    return run_in_thread(router, RouterHandle, host=host, port=port,
+                         start_timeout=start_timeout, name="phast-router")

@@ -23,6 +23,8 @@ Modules
     fan results back out to per-request futures.
 :mod:`~repro.server.metrics`
     Request counters plus batch-size / wait / latency histograms.
+:mod:`~repro.server.listener`
+    The connection loop, drain and thread harness shared with the router.
 :mod:`~repro.server.service`
     The asyncio TCP service tying it together: five query types
     (point-to-point, one-to-many, full tree, isochrone, travel-time

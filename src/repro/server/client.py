@@ -37,7 +37,6 @@ from __future__ import annotations
 import random
 import socket
 import time
-import warnings
 
 import numpy as np
 
@@ -48,29 +47,6 @@ __all__ = ["ServerClient", "ServerError"]
 #: Default for optional wire fields: "the caller said nothing", as
 #: distinct from an explicit ``None`` (which travels as JSON null).
 _UNSET = "unset"
-
-
-def _shim(op: str, old_name: str, old_val, new_name: str, new_val):
-    """Accept a deprecated keyword alongside its replacement.
-
-    The typed wrappers moved to the unified plural keywords
-    (``sources``/``targets``); the singular forms still work so
-    existing callers don't break, but warn.  Exactly one of the two
-    must be given.
-    """
-    if old_val is not None:
-        if new_val is not None:
-            raise TypeError(
-                f"{op}() got both {new_name!r} and deprecated {old_name!r}"
-            )
-        warnings.warn(
-            f"{op}(..., {old_name}=) is deprecated; use {new_name}=",
-            DeprecationWarning, stacklevel=3,
-        )
-        return old_val
-    if new_val is None:
-        raise TypeError(f"{op}() missing required argument: {new_name!r}")
-    return new_val
 
 
 class ServerError(RuntimeError):
@@ -289,57 +265,40 @@ class ServerClient:
 
     # -- the query types ---------------------------------------------------
 
-    def query(self, sources=None, targets=None, *, stall: bool = False,
-              timeout_ms: float | None = _UNSET,
-              source=None, target=None) -> dict:
+    def query(self, sources, targets, *, stall: bool = False,
+              timeout_ms: float | None = _UNSET) -> dict:
         """Point-to-point distance: ``{"distance", "reachable", "settled"}``.
 
         ``sources``/``targets`` each take one vertex (scalar or
-        length-1 sequence).  The old ``source=``/``target=`` keywords
-        still work but are deprecated.
+        length-1 sequence).
         """
-        sources = _shim("query", "source", source, "sources", sources)
-        targets = _shim("query", "target", target, "targets", targets)
         return self._call("query", sources=sources, targets=targets,
                           stall=stall, timeout_ms=timeout_ms)
 
-    def tree(self, sources=None, *, timeout_ms: float | None = _UNSET,
-             source=None) -> np.ndarray:
+    def tree(self, sources, *,
+             timeout_ms: float | None = _UNSET) -> np.ndarray:
         """Full distance array from one source (int64, INF = unreachable)."""
-        sources = _shim("tree", "source", source, "sources", sources)
         resp = self._call("tree", sources=sources, timeout_ms=timeout_ms)
         return np.asarray(resp["dist"], dtype=np.int64)
 
-    def one_to_many(self, sources=None, targets=None, *,
-                    timeout_ms: float | None = _UNSET,
-                    source=None) -> np.ndarray:
+    def one_to_many(self, sources, targets, *,
+                    timeout_ms: float | None = _UNSET) -> np.ndarray:
         """Distances from one source to each of ``targets`` (int64)."""
-        sources = _shim("one_to_many", "source", source, "sources", sources)
         resp = self._call("one_to_many", sources=sources, targets=targets,
                           timeout_ms=timeout_ms)
         return np.asarray(resp["dist"], dtype=np.int64)
 
-    def matrix(self, sources, targets, *, backend: str | None = None,
+    def matrix(self, sources, targets, *,
                timeout_ms: float | None = _UNSET) -> np.ndarray:
         """Travel-time matrix: row ``i`` = distances from ``sources[i]``
-        to each of ``targets`` (int64, INF = unreachable).
-
-        ``backend`` selects the server-side algorithm: ``"rphast"``
-        (cached restricted sweeps, the default) or ``"buckets"`` (the
-        Knopp-style ablation baseline).
-        """
-        resp = self._call(
-            "matrix", sources=sources, targets=targets,
-            backend=backend if backend is not None else _UNSET,
-            timeout_ms=timeout_ms,
-        )
+        to each of ``targets`` (int64, INF = unreachable)."""
+        resp = self._call("matrix", sources=sources, targets=targets,
+                          timeout_ms=timeout_ms)
         return np.asarray(resp["matrix"], dtype=np.int64)
 
-    def isochrone(self, sources=None, budget: int | None = None, *,
-                  timeout_ms: float | None = _UNSET,
-                  source=None) -> np.ndarray:
+    def isochrone(self, sources, budget: int, *,
+                  timeout_ms: float | None = _UNSET) -> np.ndarray:
         """Sorted vertex ids within ``budget`` of one source (int64)."""
-        sources = _shim("isochrone", "source", source, "sources", sources)
         resp = self._call("isochrone", sources=sources, budget=budget,
                           timeout_ms=timeout_ms)
         return np.asarray(resp["vertices"], dtype=np.int64)

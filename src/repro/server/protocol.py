@@ -215,7 +215,7 @@ class Param:
     ``bool``
         A JSON boolean.
     ``str``
-        A string; constrain with ``choices``.
+        A string.
     ``number_or_null``
         A number or ``null`` (deadlines).
     """
@@ -224,9 +224,8 @@ class Param:
     type: str
     required: bool = True
     default: object = None
-    choices: tuple = ()
-    #: Deprecated singular/plural spellings normalized onto this
-    #: field by clients (`sources`/`targets` unification).
+    #: Other spellings clients normalize onto this field (the unified
+    #: plural `sources`/`targets`).
     aliases: tuple = ()
 
 
@@ -301,8 +300,6 @@ OPS: tuple[OpSpec, ...] = (
         params=(
             Param("sources", "vertex_list"),
             Param("targets", "vertex_list"),
-            Param("backend", "str", required=False, default="rphast",
-                  choices=("rphast", "buckets")),
             _TIMEOUT,
         ),
     ),
@@ -369,10 +366,6 @@ def _validate_param(param: Param, value, n: int):
     if kind == "str":
         if not isinstance(value, str):
             raise RequestValidationError(f"{name!r} must be a string")
-        if param.choices and value not in param.choices:
-            raise RequestValidationError(
-                f"unknown {name} {value!r}; known: {param.choices}"
-            )
         return value
     if kind == "number_or_null":
         if value is None:

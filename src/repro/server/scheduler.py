@@ -30,9 +30,9 @@ No turn of the window waits on a timer (the poller rounds a timed
 wait up to whole milliseconds), so a lone request pays one loop turn
 of window, not a timed idle gap.  Under heavy load batches
 form during the previous sweep, ride toward ``batch_max`` lanes, and
-throughput approaches the ``C(k)/k`` bound.  ``batching=False``
-degenerates to strict dispatch-one — the ablation the server
-benchmark compares against.
+throughput approaches the ``C(k)/k`` bound.  ``batch_max=1`` is
+strict dispatch-one — the ablation the server benchmark compares
+against.
 """
 
 from __future__ import annotations
@@ -126,8 +126,6 @@ class MicroBatcher:
     max_wait_ms:
         Cap on the batch window: the longest the first request of a
         batch may wait for company; ``0`` means no window.
-    batching:
-        ``False`` dispatches every request alone (the ablation mode).
     metrics:
         Optional :class:`~repro.server.metrics.ServerMetrics`.
     """
@@ -139,7 +137,6 @@ class MicroBatcher:
         executor,
         batch_max: int = 16,
         max_wait_ms: float = 2.0,
-        batching: bool = True,
         metrics=None,
     ) -> None:
         if batch_max < 1:
@@ -150,7 +147,6 @@ class MicroBatcher:
         self.executor = executor
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
-        self.batching = bool(batching)
         self.metrics = metrics
         self._queue: asyncio.Queue = asyncio.Queue()
         self._task: asyncio.Task | None = None
@@ -214,18 +210,16 @@ class MicroBatcher:
 
         Everything already queued joins immediately (requests pile up
         in the queue while the previous sweep runs, so under steady
-        load batches form for free — continuous batching).  In
-        batching mode the window then yields one event-loop turn and
-        drains again, for as long as each turn brings new arrivals:
-        every frame runs in its own task, so a turn lets frames that
-        are already decoded reach ``submit``.  The first turn that
+        load batches form for free — continuous batching).  The
+        window then yields one event-loop turn and drains again, for
+        as long as each turn brings new arrivals: every frame runs in
+        its own task, so a turn lets frames that are already decoded
+        reach ``submit``.  The first turn that
         brings nothing closes the window, as do ``batch_max`` lanes
         and ``max_wait_ms`` total.  No turn waits on a timer, so a
         lone request is not held back waiting for company that is not
         on its way.
         """
-        if not self.batching:
-            return False  # dispatch-one: the ablation coalesces nothing
         deadline = time.monotonic() + self.max_wait_ms / 1e3
         while True:
             while len(batch) < self.batch_max and not self._queue.empty():

@@ -17,9 +17,7 @@ One process, one preprocessed hierarchy, four query types:
     hash, published to the pool workers as a retireable shared-memory
     segment, and swept in multi-source lane groups chunked over the
     workers.  Rides the batcher as an *exclusive* request so all pool
-    access stays on the single dispatch thread.  A ``backend:
-    "buckets"`` override answers with the Knopp-style bucket algorithm
-    instead (ablation/cross-check path).
+    access stays on the single dispatch thread.
 ``ping`` / ``info`` / ``metrics`` / ``health``
     Liveness, instance facts, serving statistics, and readiness (pool
     live-worker count, restart/retry/quarantine counters, queue depth).
@@ -29,17 +27,16 @@ NumPy work happens on a small thread pool.  Sweeps are serialized by
 the batcher (`PhastPool` is single-caller), point-to-point queries run
 concurrently — they touch only their own heaps and dicts.
 
-Shutdown follows the drain discipline: stop accepting connections,
-refuse new work with 503, let admitted requests finish, stop the
-scheduler, close the pool (unlinking its shared memory), then close
-lingering connections.
+Connections and shutdown follow the shared
+:class:`~repro.server.listener.FrameServer`: the drain refuses new work
+with 503, lets admitted requests finish, stops the scheduler and closes
+the pool (unlinking its shared memory) before the last connections.
 """
 
 from __future__ import annotations
 
 import asyncio
 import os
-import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -47,13 +44,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ch.query import ch_query
-from ..core.many_to_many import many_to_many_buckets
 from ..core.pool import PhastPool
 from ..core.rphast import RPhastEngine, SelectionCache
 from ..core.supervisor import ChunkQuarantined, PoolBroken
 from ..graph.csr import INF
 from . import protocol
 from .admission import AdmissionController
+from .listener import FrameHandle, FrameServer, run_in_thread
 from .metrics import ServerMetrics
 from .scheduler import (
     DeadlineExceeded,
@@ -70,8 +67,6 @@ __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 WORK_OPS = protocol.WORK_OPS
 ADMIN_OPS = protocol.ADMIN_OPS
 CONTROL_OPS = protocol.CONTROL_OPS
-#: Matrix backends: restricted sweeps (default) vs Knopp buckets.
-MATRIX_BACKENDS = ("rphast", "buckets")
 
 
 @dataclass
@@ -85,8 +80,6 @@ class ServerConfig:
     batch_max: int = 16
     #: Cap on the batch window in milliseconds (0 disables the window).
     max_wait_ms: float = 2.0
-    #: ``False`` dispatches one request per sweep (the ablation mode).
-    batching: bool = True
     #: Admission bound on in-flight work requests.
     max_pending: int = 256
     #: Default per-request deadline; ``None`` disables deadlines.
@@ -145,7 +138,7 @@ class _BadRequest(Exception):
     pass
 
 
-class PhastService:
+class PhastService(FrameServer):
     """A resident hierarchy answering a stream of concurrent queries.
 
     Parameters
@@ -170,7 +163,7 @@ class PhastService:
 
     def __init__(self, ch=None, *, topology=None, metric=None, graph=None,
                  config: ServerConfig | None = None) -> None:
-        self.config = config or ServerConfig()
+        super().__init__(config or ServerConfig(), ServerMetrics())
         self.topology = topology
         if ch is None:
             if topology is None or metric is None:
@@ -182,7 +175,6 @@ class PhastService:
         self.ch = ch
         self.n = int(ch.n)
         self.graph = graph
-        self.metrics = ServerMetrics()
         self.admission = AdmissionController(self.config.max_pending)
         lanes = self.config.sources_per_sweep or self.config.batch_max
         self.pool = PhastPool(
@@ -214,39 +206,20 @@ class PhastService:
             executor=self._executor,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
-            batching=self.config.batching,
             metrics=self.metrics,
         )
-        self._server: asyncio.base_events.Server | None = None
-        self._tasks: set[asyncio.Task] = set()
-        self._writers: set[asyncio.StreamWriter] = set()
-        self._draining = False
-        self._drained: asyncio.Event | None = None
-        self._drain_task: asyncio.Task | None = None
-        self._capacity_task: asyncio.Task | None = None
-        self.host = self.config.host
-        self.port = self.config.port
 
-    # -- lifecycle ---------------------------------------------------------
+    # -- lifecycle (the FrameServer steps) ---------------------------------
 
-    async def start(self, *, host: str | None = None, port: int | None = None) -> None:
-        """Bind and start serving (returns once listening)."""
-        loop = asyncio.get_running_loop()
-        self._drained = asyncio.Event()
+    async def _prepare(self) -> None:
         # Warm the sweep path so the first client doesn't pay for lazy
         # buffer allocation.
-        await loop.run_in_executor(self._executor, self.pool.trees, [0])
-        self._server = await asyncio.start_server(
-            self._handle_connection,
-            host if host is not None else self.config.host,
-            port if port is not None else self.config.port,
+        await asyncio.get_running_loop().run_in_executor(
+            self._executor, self.pool.trees, [0]
         )
-        sock = self._server.sockets[0].getsockname()
-        self.host, self.port = sock[0], sock[1]
         self.batcher.start()
-        self._capacity_task = loop.create_task(self._capacity_loop())
 
-    async def _capacity_loop(self) -> None:
+    async def _monitor(self) -> None:
         """Feed pool liveness into admission (degraded mode)."""
         period = self.config.health_poll_ms / 1e3
         while True:
@@ -256,46 +229,16 @@ class PhastService:
                 pass  # never let a glitch kill the feedback loop
             await asyncio.sleep(period)
 
-    async def drain(self) -> None:
-        """Graceful shutdown: finish admitted work, refuse the rest."""
-        if self._drain_task is None:
-            self._drain_task = asyncio.get_running_loop().create_task(
-                self._drain_impl()
-            )
-        await asyncio.shield(self._drain_task)
-
-    async def _drain_impl(self) -> None:
-        self._draining = True
+    def _begin_drain(self) -> None:
+        # Refused at admission from here on, so the drain's wait for
+        # in-flight requests terminates.
         self.admission.start_draining()
-        if self._capacity_task is not None:
-            self._capacity_task.cancel()
-            try:
-                await self._capacity_task
-            except (asyncio.CancelledError, Exception):
-                pass
-        if self._server is not None:
-            self._server.close()
-            await self._server.wait_closed()
-        # In-flight request tasks resolve through the batcher; new ones
-        # can still appear briefly from open connections, but they are
-        # refused at admission, so this loop terminates.
-        while self._tasks:
-            await asyncio.gather(*list(self._tasks), return_exceptions=True)
+
+    async def _release(self) -> None:
         await self.batcher.stop()
         self._executor.shutdown(wait=True)
         self.selections.clear()
         self.pool.close()
-        for writer in list(self._writers):
-            writer.close()
-        self._drained.set()
-
-    async def wait_drained(self) -> None:
-        """Block until :meth:`drain` has completed."""
-        await self._drained.wait()
-
-    @property
-    def draining(self) -> bool:
-        return self._draining
 
     # -- sweep plumbing ----------------------------------------------------
 
@@ -329,89 +272,33 @@ class PhastService:
             self.selections.put(key, entry)
         return entry
 
-    def _matrix_payload(self, sources: list[int], targets: list[int],
-                        backend: str) -> dict:
+    def _matrix_payload(self, sources: list[int], targets: list[int]) -> dict:
         """Compute one k×m matrix (executor thread, exclusive dispatch)."""
         hits_before = self.selections.hits
-        if backend == "buckets":
-            mat = many_to_many_buckets(self.ch, sources, targets)
-            cached = False
-        else:
-            t_arr = np.asarray(targets, dtype=np.int64)
-            engine, publication = self._selection(t_arr)
-            cached = self.selections.hits > hits_before
-            rows = self.pool.matrix(
-                sources,
-                selection=publication,
-                search_cache=self.config.matrix_search_cache,
-            )
-            # Rows come back aligned to the engine's deduplicated,
-            # sorted target set; re-map to the request's column order.
-            cols = np.searchsorted(engine.targets, t_arr)
-            mat = rows[:, cols]
+        t_arr = np.asarray(targets, dtype=np.int64)
+        engine, publication = self._selection(t_arr)
+        cached = self.selections.hits > hits_before
+        rows = self.pool.matrix(
+            sources,
+            selection=publication,
+            search_cache=self.config.matrix_search_cache,
+        )
+        # Rows come back aligned to the engine's deduplicated, sorted
+        # target set; re-map to the request's column order.
+        cols = np.searchsorted(engine.targets, t_arr)
+        mat = rows[:, cols]
         self.metrics.record_matrix(mat.size)
         return {
             "matrix": mat.tolist(),
             "rows": int(mat.shape[0]),
             "cols": int(mat.shape[1]),
-            "backend": backend,
             "selection_cached": cached,
         }
 
-    # -- connection handling -----------------------------------------------
-
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        write_lock = asyncio.Lock()
-        conn_tasks: set[asyncio.Task] = set()
-        try:
-            while True:
-                try:
-                    msg = await protocol.read_message(reader)
-                except (protocol.ProtocolError, ConnectionError):
-                    break
-                if msg is None:
-                    break
-                task = asyncio.get_running_loop().create_task(
-                    self._respond(msg, writer, write_lock)
-                )
-                for registry in (conn_tasks, self._tasks):
-                    registry.add(task)
-                    task.add_done_callback(registry.discard)
-        finally:
-            # A dropped connection cancels its pending requests, so
-            # their batch lanes are freed instead of computed for
-            # nobody.
-            for task in list(conn_tasks):
-                task.cancel()
-            if conn_tasks:
-                await asyncio.gather(*conn_tasks, return_exceptions=True)
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
-
-    async def _respond(self, msg: dict, writer: asyncio.StreamWriter,
-                       write_lock: asyncio.Lock) -> None:
-        response = await self._process(msg)
-        try:
-            async with write_lock:
-                await protocol.write_message(writer, response)
-        except (ConnectionError, RuntimeError, OSError):
-            pass  # peer went away; nothing to tell it
-
     # -- request processing ------------------------------------------------
 
-    async def _process(self, msg: dict) -> dict:
-        req_id = msg.get("id")
-        op = msg.get("op")
+    async def _process(self, req_id, op: str, msg: dict) -> dict:
         t0 = time.monotonic()
-        if not isinstance(op, str):
-            return self._error(req_id, protocol.BAD_REQUEST, "missing 'op'")
-        self.metrics.record_request(op)
         spec = protocol.OPS_BY_NAME.get(op)
         if spec is None:
             return self._error(
@@ -462,10 +349,6 @@ class PhastService:
         self.metrics.record_latency(op, time.monotonic() - t0)
         return response
 
-    def _error(self, req_id, code: int, message: str) -> dict:
-        self.metrics.record_error(code)
-        return protocol.error_response(req_id, code, message)
-
     # -- admin handlers (bound via the op registry) ------------------------
 
     def _admin_ping(self, req_id) -> dict:
@@ -481,7 +364,6 @@ class PhastService:
                      + protocol.ADMIN_OPS),
             metric_generation=self.pool.metric_generation,
             topology_resident=self.topology is not None,
-            batching=self.config.batching,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
             workers=self.pool.num_workers,
@@ -579,10 +461,9 @@ class PhastService:
                           fields: dict) -> dict:
         deadline = self._deadline(msg)
         sources, targets = fields["sources"], fields["targets"]
-        backend = fields["backend"]
         request = SweepRequest(
             "matrix", -1, None, deadline=deadline,
-            execute=lambda: self._matrix_payload(sources, targets, backend),
+            execute=lambda: self._matrix_payload(sources, targets),
         )
         self.batcher.submit(request)
         payload = await request.future
@@ -693,38 +574,12 @@ def _finalize_isochrone(row: np.ndarray, budget: int) -> dict:
 # Thread-hosted serving (tests, benchmarks, notebooks)
 
 
-class ServerHandle:
+class ServerHandle(FrameHandle):
     """A service running on a private event loop in a daemon thread."""
 
-    def __init__(self, service: PhastService, thread: threading.Thread,
-                 loop: asyncio.AbstractEventLoop) -> None:
-        self.service = service
-        self.thread = thread
-        self.loop = loop
-
     @property
-    def host(self) -> str:
-        return self.service.host
-
-    @property
-    def port(self) -> int:
-        return self.service.port
-
-    def stop(self, timeout: float = 60.0) -> None:
-        """Drain the service and join its thread (idempotent)."""
-        if self.thread.is_alive():
-            self.loop.call_soon_threadsafe(
-                lambda: asyncio.ensure_future(self.service.drain())
-            )
-        self.thread.join(timeout)
-        if self.thread.is_alive():
-            raise RuntimeError("server thread did not drain in time")
-
-    def __enter__(self) -> "ServerHandle":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.stop()
+    def service(self) -> PhastService:
+        return self.server
 
 
 def serve_in_thread(
@@ -736,36 +591,5 @@ def serve_in_thread(
     ``port=0`` binds an ephemeral port; read it back from
     ``handle.port``.  The thread exits once the service has drained.
     """
-    started = threading.Event()
-    holder: dict = {}
-
-    def runner() -> None:
-        loop = asyncio.new_event_loop()
-        asyncio.set_event_loop(loop)
-        holder["loop"] = loop
-
-        async def main() -> None:
-            try:
-                await service.start(host=host, port=port)
-            except BaseException as exc:
-                holder["error"] = exc
-                raise
-            finally:
-                started.set()
-            await service.wait_drained()
-
-        try:
-            loop.run_until_complete(main())
-        except BaseException as exc:
-            holder.setdefault("error", exc)
-            started.set()
-        finally:
-            loop.close()
-
-    thread = threading.Thread(target=runner, name="phast-server", daemon=True)
-    thread.start()
-    if not started.wait(start_timeout):
-        raise RuntimeError("server failed to start in time")
-    if "error" in holder:
-        raise RuntimeError(f"server failed to start: {holder['error']}")
-    return ServerHandle(service, thread, holder["loop"])
+    return run_in_thread(service, ServerHandle, host=host, port=port,
+                         start_timeout=start_timeout, name="phast-server")

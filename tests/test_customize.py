@@ -409,10 +409,9 @@ def test_client_plural_keywords_and_deprecation(swap_server):
     with ServerClient(swap_server.host, swap_server.port) as c:
         a = c.tree(sources=17)
         b = c.tree(sources=[17])
-        with pytest.warns(DeprecationWarning):
-            legacy = c.tree(source=17)
         assert np.array_equal(a, b)
-        assert np.array_equal(a, legacy)
+        with pytest.raises(TypeError):
+            c.tree(source=17)
         with pytest.raises(TypeError):
             c.tree(sources=17, source=17)
         with pytest.raises(ValueError):

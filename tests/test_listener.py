@@ -1,0 +1,92 @@
+"""Tests for the shared frame server (`repro.server.listener`).
+
+`PhastService` and `PhastRouter` run one connection loop and one drain,
+so every case here runs against both: a thread-hosted service, and a
+router in front of one thread-hosted replica.  The frames are written
+and read on raw sockets, so pipelining and hostile input reach the
+loop exactly as sent.
+"""
+
+from __future__ import annotations
+
+import socket
+import struct
+
+import numpy as np
+import pytest
+
+from repro.core import PhastEngine
+from repro.router import PhastRouter, RouterConfig, route_in_thread
+from repro.server import PhastService, ServerConfig, serve_in_thread
+from repro.server import protocol
+
+
+@pytest.fixture(scope="module")
+def reference(road, road_ch):
+    engine = PhastEngine(road_ch)
+    return {s: engine.tree(s).dist for s in (0, 7, 33, 150, 211, 399)}
+
+
+@pytest.fixture(params=["service", "router"])
+def front(request, road_ch):
+    """The handle clients talk to; every server is stopped afterwards."""
+    service = PhastService(
+        road_ch, config=ServerConfig(batch_max=4, max_wait_ms=1.0,
+                                     max_pending=64),
+    )
+    handles = [serve_in_thread(service)]
+    try:
+        if request.param == "router":
+            router = PhastRouter(RouterConfig(probe_interval_ms=100.0))
+            router.add_replica(handles[0].host, handles[0].port)
+            handles.insert(0, route_in_thread(router))
+        yield handles[0]
+    finally:
+        for handle in handles:
+            handle.stop()
+
+
+def _connect(handle) -> socket.socket:
+    sock = socket.create_connection((handle.host, handle.port), timeout=10)
+    sock.settimeout(10)
+    return sock
+
+
+def test_oversized_frame_drops_only_its_connection(front):
+    with _connect(front) as good, _connect(front) as bad:
+        protocol.send_message(good, {"id": 1, "op": "ping"})
+        assert protocol.recv_message(good)["pong"] is True
+        bad.sendall(struct.pack(">I", protocol.MAX_MESSAGE_BYTES + 1))
+        assert bad.recv(1) == b""
+        protocol.send_message(good, {"id": 2, "op": "ping"})
+        resp = protocol.recv_message(good)
+        assert resp["id"] == 2 and resp["pong"] is True
+
+
+def test_pipelined_frames_are_each_answered_under_their_id(front, reference):
+    sources = list(reference)
+    frames = [{"id": f"t{s}", "op": "tree", "source": s} for s in sources]
+    frames.append({"id": "p", "op": "ping"})
+    with _connect(front) as sock:
+        sock.sendall(b"".join(protocol.encode_message(f) for f in frames))
+        answers = {}
+        for _ in frames:
+            resp = protocol.recv_message(sock)
+            assert resp["ok"], resp
+            answers[resp["id"]] = resp
+    assert sorted(answers) == sorted(f["id"] for f in frames)
+    assert answers["p"]["pong"] is True
+    for s in sources:
+        assert np.array_equal(answers[f"t{s}"]["dist"], reference[s])
+
+
+def test_client_gone_mid_request_does_not_stall_stop(front):
+    sock = _connect(front)
+    frames = [{"id": i, "op": "tree", "source": i} for i in range(16)]
+    sock.sendall(b"".join(protocol.encode_message(f) for f in frames))
+    # One answer back means the frames were decoded; the rest of the
+    # batches are still in flight when the client goes away.
+    assert protocol.recv_message(sock)["ok"]
+    sock.close()
+    front.stop(timeout=20.0)
+    assert not front.thread.is_alive()

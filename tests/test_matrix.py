@@ -342,9 +342,12 @@ def test_server_matrix_request_order_columns(matrix_client, road_ch):
     assert np.array_equal(matrix_client.matrix(S, T), expected)
 
 
-def test_server_matrix_buckets_backend(matrix_client, reference):
-    mat = matrix_client.matrix(SOURCES, TARGETS, backend="buckets")
-    assert np.array_equal(mat, reference)
+def test_server_matrix_buckets_backend(matrix_client, road_ch, reference):
+    """Served rphast == in-process buckets == full PHAST."""
+    mat = matrix_client.matrix(SOURCES, TARGETS)
+    buckets = many_to_many_buckets(road_ch, SOURCES, TARGETS)
+    assert np.array_equal(mat, buckets)
+    assert np.array_equal(buckets, reference)
 
 
 def test_server_matrix_bad_requests(matrix_client):
@@ -352,8 +355,6 @@ def test_server_matrix_bad_requests(matrix_client):
         {"targets": list(TARGETS)},  # missing sources
         {"sources": [], "targets": list(TARGETS)},
         {"sources": list(SOURCES), "targets": [10**9]},
-        {"sources": list(SOURCES), "targets": list(TARGETS),
-         "backend": "magic"},
     ):
         with pytest.raises(ServerError) as exc_info:
             matrix_client.call("matrix", **params)
@@ -366,7 +367,8 @@ def test_server_matrix_deadline(matrix_client):
     assert exc_info.value.code == 504
 
 
-def test_server_matrix_degraded_admission(matrix_server, matrix_client):
+def test_server_matrix_degraded_admission(matrix_server, matrix_client,
+                                          road_ch):
     """Matrix requests shed like any work op when capacity collapses."""
     admission = matrix_server.service.admission
     # Degraded capacity shrinks the effective bound to 1; occupy that
@@ -382,7 +384,7 @@ def test_server_matrix_degraded_admission(matrix_server, matrix_client):
         admission.set_capacity(1.0)
     assert np.array_equal(
         matrix_client.matrix(SOURCES[:2], TARGETS),
-        matrix_client.matrix(SOURCES[:2], TARGETS, backend="buckets"),
+        many_to_many_buckets(road_ch, SOURCES[:2], TARGETS),
     )
 
 

@@ -147,9 +147,13 @@ async def _trickle(batcher, reqs: list, until) -> None:
         await asyncio.sleep(0)
 
 
-@pytest.mark.parametrize("batch_max,max_wait_ms", [(8, 10_000), (100_000, 30)])
+@pytest.mark.parametrize("batch_max,max_wait_ms",
+                         [(1, 10_000), (8, 10_000), (100_000, 30)])
 def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
-    """Arrivals on every turn cannot hold a window past its caps."""
+    """Arrivals on every turn cannot hold a window past its caps.
+
+    ``batch_max=1`` is strict dispatch-one: every dispatch has one lane.
+    """
 
     async def scenario(batcher, recorder):
         reqs: list[SweepRequest] = []
@@ -164,7 +168,9 @@ def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
     waited, recorder = _run(scenario, batch_max=batch_max,
                             max_wait_ms=max_wait_ms)
     first = recorder.batches[0]
-    if batch_max == 8:
+    if batch_max == 1:
+        assert recorder.batches == [[s] for s in range(len(recorder.batches))]
+    elif batch_max == 8:
         assert first == list(range(8))
     else:
         assert 1 < len(first) < batch_max

@@ -93,7 +93,6 @@ def test_ping_info(client, road):
     info = client.info()
     assert info["n"] == road.n
     assert info["m"] == road.m
-    assert info["batching"] is True
 
 
 def test_tree_bit_identical(client, reference):
@@ -400,11 +399,11 @@ def test_graceful_drain_completes_inflight_and_unlinks_shm(road_ch, reference):
 
 def test_batching_off_mode_still_correct(road_ch, reference):
     service = PhastService(
-        road_ch, config=ServerConfig(batching=False, batch_max=8)
+        road_ch, config=ServerConfig(batch_max=1, max_wait_ms=0.0)
     )
     with serve_in_thread(service) as handle:
         with ServerClient(handle.host, handle.port) as c:
-            assert c.info()["batching"] is False
+            assert c.info()["batch_max"] == 1
             for s in (1, 2, 3):
                 assert np.array_equal(c.tree(s), reference[s])
 
