@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
-from ..core.pool import PhastPool, TreeReducer, WorkerContext
+from ..core.pool import PhastPool, TaskContext, TreeReducer
 from ..graph.csr import INF, StaticGraph
 from ..sssp.dijkstra import dijkstra
 
@@ -53,7 +53,7 @@ def _ecc_of_tree(source: int, dist: np.ndarray) -> int:
 class DiameterReducer(TreeReducer):
     """Keeps the single best ``(value, source, target)`` per worker."""
 
-    def make_state(self, ctx: WorkerContext):
+    def make_state(self, ctx: TaskContext):
         return (-1, -1, -1)
 
     def fold(self, ctx, state, index, source, dist):

@@ -206,37 +206,31 @@ def _shard_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 # Worker-side task handler (module-level: travels by name through pickle)
 
 
-def _attach_replica(ctx, common) -> DynamicAdjacency:
-    """The round's snapshot replica, rebuilt only when a segment changes.
+def _replica(ctx, common) -> DynamicAdjacency:
+    """The round's snapshot replica, built once per segment pair.
 
-    Cached in the worker's persistent ``ctx.state`` keyed by the
-    (epoch segment, round segment) names; a new round republishes the
-    overlay segment, a rebuild additionally republishes the base, and
-    either changes the key.  Old views (including the cached replica
-    built over them) are dropped *before* the superseded segments are
-    closed, so the retired mappings actually unmap.
+    Memoized by the (epoch segment, round segment) names: a new round
+    republishes the overlay segment, a rebuild additionally republishes
+    the base, and either changes the key.  Retiring a segment drops
+    the replicas built over it.
     """
-    key = (common["epoch_seg"][0], common["round_seg"][0])
-    cached = ctx.state.get("replica")
-    if cached is not None and cached[0] == key:
-        return cached[1]
-    ctx.state.pop("replica", None)
-    ctx.release(keep=key)
-    base = ctx.attach(*common["epoch_seg"])
-    over = ctx.attach(*common["round_seg"])
-    overlay = {
-        k: over[k] for k in ("ov:tails", "ov:heads", "ov:lens", "ov:hops")
-    }
-    dyn = DynamicAdjacency.from_snapshot(
-        common["n"], base, overlay, over["retired"]
+
+    def build(base, over):
+        overlay = {
+            k: over[k] for k in ("ov:tails", "ov:heads", "ov:lens", "ov:hops")
+        }
+        return DynamicAdjacency.from_snapshot(
+            common["n"], base, overlay, over["retired"]
+        )
+
+    return ctx.memo(
+        "replica", (common["epoch_seg"], common["round_seg"]), build
     )
-    ctx.state["replica"] = (key, dyn)
-    return dyn
 
 
 def _preprocessing_task(ctx, common, item) -> dict:
     """One shard of a round's phase-1 or phase-3 witness work."""
-    dyn = _attach_replica(ctx, common)
+    dyn = _replica(ctx, common)
     if item["kind"] == "priorities":
         return _shard_priorities(
             dyn,

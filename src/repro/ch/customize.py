@@ -676,22 +676,12 @@ def _customize_task(ctx, common, item) -> CHMetric:
     """TaskPool worker body: customize one weight vector.
 
     The topology travels once as a shared-memory publication; each
-    worker attaches it and caches the rebuilt :class:`CHTopology` in
-    its persistent state, so a scenario family of k metrics costs one
-    topology transfer + k cheap weight pickles.
+    worker memoizes the rebuilt :class:`CHTopology` by its name, so a
+    scenario family of k metrics costs one topology transfer + k cheap
+    weight pickles.
     """
-    seg_name, specs = common["topology_seg"]
-    cached = ctx.state.get("customize:topology")
-    if cached is not None and cached[0] == seg_name:
-        topo = cached[1]
-    else:
-        ctx.state.pop("customize:topology", None)
-        ctx.release(keep=(seg_name,))
-        views = ctx.attach(seg_name, specs)
-        topo = CHTopology.from_arrays(
-            views, num_base_arcs=common["num_base_arcs"]
-        )
-        ctx.state["customize:topology"] = (seg_name, topo)
+    topo = ctx.memo("topology", (common["topology_seg"],), lambda views: (
+        CHTopology.from_arrays(views, num_base_arcs=common["num_base_arcs"])))
     return customize(topo, item["weights"], with_vias=common["with_vias"])
 
 

@@ -14,7 +14,6 @@ from .pool import (
     TaskContext,
     TaskPool,
     TreeReducer,
-    WorkerContext,
     install_signal_guard,
 )
 from .rphast import RPhastEngine, SelectionCache
@@ -48,7 +47,6 @@ __all__ = [
     "TaskPool",
     "TaskContext",
     "TreeReducer",
-    "WorkerContext",
     "install_signal_guard",
     "WorkerSupervisor",
     "FaultPlan",

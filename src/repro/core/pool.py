@@ -10,22 +10,29 @@ n-length ``int64`` array per source back through a pipe.
 
 :class:`PhastPool` keeps the whole apparatus resident instead:
 
-* **Publish once** — the hierarchy's flat arrays (sweep structure,
-  upward graph, plus any application CSR graphs and auxiliary arrays)
-  are copied into one ``multiprocessing.shared_memory`` segment at
-  pool construction.  Workers attach by name and wrap zero-copy NumPy
-  views, so the scheme works identically under ``fork`` and ``spawn``
-  and never duplicates the hierarchy through copy-on-write page
-  faults.
+* **Named publications** — every array a chunk reads or writes is a
+  publication: one ``multiprocessing.shared_memory`` segment per
+  hierarchy generation (the sweep structure plus the upward graph),
+  per RPHAST selection, per output matrix and per caller
+  :meth:`~_BasePool.publish_arrays`, plus the application graphs and
+  arrays published at construction.  Workers attach by name and wrap
+  zero-copy NumPy views, so the scheme works identically under
+  ``fork`` and ``spawn``.  The serial path resolves the same names
+  from in-process arrays.
+* **One memo** — everything derived from publications (the warm
+  engine of a generation, a restricted engine, a preprocessing
+  replica) is built through :meth:`TaskContext.memo`, an LRU keyed by
+  the publication names it was built from.  A retired or superseded
+  name drops its entries and unmaps its segment at the next chunk.
 * **Write in place** — full-distance batches land in a shared output
   matrix (one row per source) written directly by the workers; no
   per-source pickling.
-* **Warm engines, balanced dispatch** — each worker builds its engine
-  once at boot and keeps it across batches, sweeping ``k`` sources per
-  pass (the Section IV-B lanes).  The parent hands chunks out over
-  per-worker pipes with a small prefetch, topping workers up as
-  results return — the load balance of a shared queue without shared
-  locks a dying worker could wedge.
+* **Warm engines, balanced dispatch** — each worker keeps its engine
+  across batches, sweeping ``k`` sources per pass (the Section IV-B
+  lanes).  The parent hands chunks out over per-worker pipes with a
+  small prefetch, topping workers up as results return — the load
+  balance of a shared queue without shared locks a dying worker could
+  wedge.
 * **In-worker reducers** — a :class:`TreeReducer` folds every tree
   into a small per-worker state (max for diameter, flag ORs for arc
   flags, partial sums for betweenness) that is merged in the parent,
@@ -52,6 +59,7 @@ The pool is the batch layer the applications
 from __future__ import annotations
 
 import atexit
+import itertools
 import os
 import pickle
 import signal
@@ -87,7 +95,6 @@ __all__ = [
     "TaskPool",
     "TaskContext",
     "TreeReducer",
-    "WorkerContext",
     "install_signal_guard",
     "ChunkQuarantined",
     "PoolBroken",
@@ -175,70 +182,27 @@ class TreeReducer:
     travels to the workers once per batch.
 
     ``make_state``/``fold``/``finish`` run in the worker; ``merge``
-    runs in the parent over the per-worker results.  ``ctx`` is a
-    :class:`WorkerContext` giving access to any CSR graphs and
-    auxiliary arrays published at pool construction.
+    runs in the parent over the per-worker results.  ``ctx`` is the
+    worker's :class:`TaskContext`, giving access to ``n`` and to any
+    CSR graphs and auxiliary arrays published at pool construction.
     """
 
-    def make_state(self, ctx: "WorkerContext"):
+    def make_state(self, ctx: "TaskContext"):
         """Fresh per-worker accumulator for one batch."""
         raise NotImplementedError
 
-    def fold(self, ctx: "WorkerContext", state, index: int, source: int,
+    def fold(self, ctx: "TaskContext", state, index: int, source: int,
              dist: np.ndarray):
         """Fold one tree (``dist`` indexed by original ID); return state."""
         raise NotImplementedError
 
-    def finish(self, ctx: "WorkerContext", state):
+    def finish(self, ctx: "TaskContext", state):
         """Last in-worker step; the return value is pickled to the parent."""
         return state
 
     def merge(self, states: list):
         """Combine the per-worker results (parent side)."""
         raise NotImplementedError
-
-
-class WorkerContext:
-    """Read-only resources a :class:`TreeReducer` sees inside a worker.
-
-    Attributes
-    ----------
-    n:
-        Vertex count of the hierarchy.
-    """
-
-    def __init__(
-        self,
-        n: int,
-        graph_arrays: Mapping[str, tuple],
-        extra_arrays: Mapping[str, np.ndarray],
-        graphs: Mapping[str, StaticGraph] | None = None,
-    ) -> None:
-        self.n = n
-        self._graph_arrays = dict(graph_arrays)
-        self._graphs: dict[str, StaticGraph] = dict(graphs or {})
-        self._arrays = dict(extra_arrays)
-
-    def graph(self, name: str) -> StaticGraph:
-        """A CSR graph published at pool construction (zero-copy view)."""
-        if name not in self._graphs:
-            if name not in self._graph_arrays:
-                raise KeyError(
-                    f"graph {name!r} was not published to this pool; pass it "
-                    "via PhastPool(..., graphs={...})"
-                )
-            first, head, lens = self._graph_arrays[name]
-            self._graphs[name] = StaticGraph.from_csr(first, head, lens)
-        return self._graphs[name]
-
-    def array(self, name: str) -> np.ndarray:
-        """An auxiliary array published at pool construction."""
-        if name not in self._arrays:
-            raise KeyError(
-                f"array {name!r} was not published to this pool; pass it "
-                "via PhastPool(..., arrays={...})"
-            )
-        return self._arrays[name]
 
 
 # ---------------------------------------------------------------------------
@@ -274,9 +238,14 @@ def _create_segment(size: int, tag: str | None = None) -> shared_memory.SharedMe
 
 
 def _publish(
-    arrays: dict[str, np.ndarray], tag: str | None = None
+    arrays: Mapping[str, np.ndarray], tag: str | None = None
 ) -> tuple[shared_memory.SharedMemory, list[_ArraySpec]]:
-    """Copy ``arrays`` into one fresh shared-memory segment."""
+    """Copy ``arrays`` into one fresh segment, then unmap it here.
+
+    The creator keeps no mapping: readers attach by name, and a forked
+    worker must not inherit a view that would pin the segment after
+    it is retired.  ``unlink`` still works on the closed handle.
+    """
     specs: list[_ArraySpec] = []
     offset = 0
     normalized = {k: np.ascontiguousarray(a) for k, a in arrays.items()}
@@ -285,12 +254,9 @@ def _publish(
         specs.append(_ArraySpec(key, a.dtype.str, a.shape, offset))
         offset += a.nbytes
     shm = _create_segment(offset, tag)
-    for spec in specs:
-        src = normalized[spec.key]
-        view = np.ndarray(
-            spec.shape, dtype=spec.dtype, buffer=shm.buf, offset=spec.offset
-        )
-        view[...] = src
+    for spec in specs:  # temporary views: none outlives the loop
+        _views(shm, [spec])[spec.key][...] = normalized[spec.key]
+    shm.close()
     return shm, specs
 
 
@@ -326,79 +292,163 @@ def _views(shm: shared_memory.SharedMemory, specs: Sequence[_ArraySpec]) -> dict
     }
 
 
+def _unmapped(shm: shared_memory.SharedMemory) -> bool:
+    """Unmap ``shm``; False while a view still exports its buffer."""
+    try:
+        shm.close()
+    except BufferError:
+        return False
+    return True
+
+
+#: Entries a :class:`TaskContext` memo keeps: room for one generation's
+#: engine, the output matrix and four restricted engines.
+_MEMO_CAP = 6
+
+
 class TaskContext:
-    """What a task-mode worker holds between chunks (see :class:`TaskPool`).
+    """What a pool worker holds between chunks.
+
+    A publication is named by the ``(name, specs)`` handle that
+    :meth:`~_BasePool.publish_arrays` returns.  Workers attach it by
+    name; on the serial path (``specs is None``) the name resolves to
+    the pool's in-process arrays.
 
     Attributes
     ----------
+    n:
+        Vertex count of the pool's hierarchy (0 for a :class:`TaskPool`).
     boot:
         Zero-copy views of the arrays published at pool construction.
     state:
         Scratch dict that persists for the worker process's lifetime.
-        Handlers memoize expensive derived state here (e.g. the
-        preprocessing workers' replica adjacency), keyed by the
-        segment names it was built from, so a re-publication
-        invalidates it naturally.
+        State derived from publications belongs in :meth:`memo`
+        instead, which drops it when a publication is retired.
     """
 
-    def __init__(
-        self,
-        boot_views: Mapping[str, np.ndarray],
-        local_segments: dict | None = None,
-    ) -> None:
-        self.boot = dict(boot_views)
+    def __init__(self, n: int = 0, boot: tuple | None = None,
+                 local: Mapping[str, dict] | None = None) -> None:
+        self.n = n
         self.state: dict = {}
+        self._local = local
         self._attached: dict[str, tuple] = {}
-        self._local = local_segments
+        self._lingering: list[shared_memory.SharedMemory] = []
+        self._memo: OrderedDict = OrderedDict()
+        self._boot = boot
+        self.boot = self.attach(*boot) if boot else {}
 
     def attach(self, name: str, specs) -> Mapping[str, np.ndarray]:
-        """Views of a :meth:`TaskPool.publish_arrays` segment, cached by name.
+        """Views of the publication ``name``.
 
-        On the serial path (``specs is None``) the "segment" is the
-        parent's in-process array dict, returned as-is.
+        A worker maps the segment once and keeps it until a
+        :meth:`sync` finds no memo entry built from it.
         """
-        if self._local is not None and name in self._local:
+        if self._local is not None:
+            if name not in self._local:
+                raise KeyError(f"publication {name!r} is retired or was "
+                               "never published to this pool")
             return self._local[name]
         entry = self._attached.get(name)
         if entry is None:
             shm = _attach(name)
-            entry = (shm, _views(shm, specs))
-            self._attached[name] = entry
+            entry = self._attached[name] = (shm, _views(shm, specs))
         return entry[1]
 
-    def release(self, keep: Sequence[str] = ()) -> None:
-        """Close attached segments whose names are not in ``keep``.
+    def memo(self, kind: str, handles: Sequence[tuple], build: Callable):
+        """``build(*views)`` over the publications ``handles``, memoized.
 
-        Callers must drop their own views (including anything in
-        :attr:`state` built over them) first; a still-exported buffer
-        keeps the mapping open until the worker exits — harmless once
-        the parent unlinked the name, but it holds memory.
+        Keyed by ``kind`` and the publication names: a republished
+        array set has a fresh name, so it can never hit a stale entry.
+        The least recently used entry beyond :data:`_MEMO_CAP` is
+        evicted; its segments are unmapped at the next :meth:`sync`
+        unless another entry uses them.
         """
-        keep_set = set(keep)
-        for name in [n for n in self._attached if n not in keep_set]:
-            shm, views = self._attached.pop(name)
-            views.clear()
-            try:
-                shm.close()
-            except BufferError:
-                pass
+        key = (kind, *[name for name, _ in handles])
+        memo = self._memo
+        if key in memo:
+            memo.move_to_end(key)
+            return memo[key]
+        value = memo[key] = build(*(self.attach(*h) for h in handles))
+        if len(memo) > _MEMO_CAP:
+            memo.popitem(last=False)
+        return value
+
+    def sync(self, live: frozenset) -> None:
+        """Drop entries over publications not in ``live``; unmap the unused.
+
+        Runs between chunks, so no view the running chunk holds is
+        ever unmapped under it.  A segment stays mapped while any
+        remaining memo entry was built from it.
+        """
+        for key in [k for k in self._memo if not live.issuperset(k[1:])]:
+            del self._memo[key]
+        if not (self._attached or self._lingering):
+            return  # the serial path maps nothing
+        used = {n for key in self._memo for n in key[1:]}
+        if self._boot:
+            used.add(self._boot[0])
+        for name in [n for n in self._attached if n not in used]:
+            self._lingering.append(self._attached.pop(name)[0])
+        self._lingering = [s for s in self._lingering if not _unmapped(s)]
+
+    def graph(self, name: str) -> StaticGraph:
+        """A CSR graph published at pool construction (zero-copy view)."""
+        if f"g:{name}:first" not in self.boot:
+            raise KeyError(
+                f"graph {name!r} was not published to this pool; pass it "
+                "via PhastPool(..., graphs={...})"
+            )
+        return self.memo(f"graph:{name}", (self._boot,), lambda v: (
+            StaticGraph.from_csr(v[f"g:{name}:first"], v[f"g:{name}:arc_head"],
+                                 v[f"g:{name}:arc_len"])))
+
+    def array(self, name: str) -> np.ndarray:
+        """An auxiliary array published at pool construction."""
+        if f"a:{name}" not in self.boot:
+            raise KeyError(
+                f"array {name!r} was not published to this pool; pass it "
+                "via PhastPool(..., arrays={...})"
+            )
+        return self.boot[f"a:{name}"]
 
     def close(self) -> None:
         self.state.clear()
-        self.release()
+        self.boot = {}
+        self._boot = None
+        self.sync(frozenset())
 
 
-class _WorkerHierarchy:
+# ---------------------------------------------------------------------------
+# Hierarchy generations
+
+
+_SWEEP_KEYS = ("pos_of", "vertex_at", "level_first", "arc_first",
+               "arc_tail_pos", "arc_len", "arc_via", "level_of_pos")
+
+
+def _hierarchy_arrays(ch: ContractionHierarchy) -> dict[str, np.ndarray]:
+    """One hierarchy generation as a publication: sweep structure + ``G↑``."""
+    sw = SweepStructure(ch)
+    arrays = {f"sw:{key}": getattr(sw, key) for key in _SWEEP_KEYS}
+    arrays["up:first"] = ch.upward.first
+    arrays["up:arc_head"] = ch.upward.arc_head
+    arrays["up:arc_len"] = ch.upward.arc_len
+    return arrays
+
+
+class _PublishedHierarchy:
     """The slice of a hierarchy a pooled engine needs (``n`` + ``G↑``).
 
-    The sweep structure is rebuilt from shared arrays separately, so
-    the downward graph and preprocessing metadata never travel to the
-    workers; touching them raises instead of silently lying.
+    The downward graph and preprocessing metadata are not part of a
+    generation's publication; touching them raises instead of
+    silently lying.
     """
 
-    def __init__(self, n: int, upward: StaticGraph) -> None:
-        self.n = n
-        self.upward = upward
+    def __init__(self, views: Mapping[str, np.ndarray]) -> None:
+        self.n = int(views["sw:pos_of"].size)
+        self.upward = StaticGraph.from_csr(
+            views["up:first"], views["up:arc_head"], views["up:arc_len"]
+        )
 
     def __getattr__(self, name: str):
         raise AttributeError(
@@ -407,87 +457,28 @@ class _WorkerHierarchy:
         )
 
 
+def _phast_engine(ctx: TaskContext, hier: tuple, search_cache: int) -> PhastEngine:
+    """The warm engine of the generation ``hier``, from ``ctx``'s memo."""
+
+    def build(views):
+        sweep = SweepStructure.from_arrays(
+            n=views["sw:pos_of"].size,
+            num_levels=views["sw:level_first"].size - 1,
+            **{key: views[f"sw:{key}"] for key in _SWEEP_KEYS},
+        )
+        return PhastEngine(_PublishedHierarchy(views), sweep=sweep,
+                           search_cache=search_cache)
+
+    return ctx.memo("phast", (hier,), build)
+
+
+def _output(ctx: TaskContext, out: tuple) -> np.ndarray:
+    """The ``(rows, n)`` output matrix of the publication ``out``."""
+    return ctx.memo("out", (out,), lambda v: v["out"])
+
+
 # ---------------------------------------------------------------------------
-# Worker process
-
-
-def _sweep_keys(sweep: SweepStructure) -> dict[str, np.ndarray]:
-    return {
-        "sw:pos_of": sweep.pos_of,
-        "sw:vertex_at": sweep.vertex_at,
-        "sw:level_first": sweep.level_first,
-        "sw:arc_first": sweep.arc_first,
-        "sw:arc_tail_pos": sweep.arc_tail_pos,
-        "sw:arc_len": sweep.arc_len,
-        "sw:arc_via": sweep.arc_via,
-        "sw:level_of_pos": sweep.level_of_pos,
-    }
-
-
-def _build_worker_state(views: dict[str, np.ndarray], meta: dict):
-    """Reconstruct the engine + context from shared-memory views."""
-    n = meta["n"]
-    sweep = SweepStructure.from_arrays(
-        n=n,
-        num_levels=meta["num_levels"],
-        pos_of=views["sw:pos_of"],
-        vertex_at=views["sw:vertex_at"],
-        level_first=views["sw:level_first"],
-        arc_first=views["sw:arc_first"],
-        arc_tail_pos=views["sw:arc_tail_pos"],
-        arc_len=views["sw:arc_len"],
-        arc_via=views["sw:arc_via"],
-        level_of_pos=views["sw:level_of_pos"],
-    )
-    upward = StaticGraph.from_csr(
-        views["up:first"], views["up:arc_head"], views["up:arc_len"]
-    )
-    ch = _WorkerHierarchy(n, upward)
-    engine = PhastEngine(
-        ch, sweep=sweep, search_cache=meta.get("search_cache", 0)
-    )
-    graph_arrays = {
-        name: (
-            views[f"g:{name}:first"],
-            views[f"g:{name}:arc_head"],
-            views[f"g:{name}:arc_len"],
-        )
-        for name in meta["graphs"]
-    }
-    extra = {name: views[f"a:{name}"] for name in meta["arrays"]}
-    ctx = WorkerContext(n, graph_arrays, extra)
-    return engine, ctx
-
-
-#: Per-process LRU cap on rebuilt restricted (RPHAST) engines; bounds
-#: how many retired-but-still-attached selection segments a worker pins.
-_MATRIX_ENGINE_CACHE = 4
-
-
-def _restricted_engine(ch, task_ctx: TaskContext, batch: dict) -> RPhastEngine:
-    """The restricted engine for a published selection, LRU-cached.
-
-    Cached in ``task_ctx.state`` keyed by segment name: a republished
-    target set gets a fresh segment name, so stale engines age out
-    naturally, and eviction releases the underlying attachment.
-    """
-    name = batch["sel_name"]
-    cache: OrderedDict = task_ctx.state.setdefault(
-        "rphast:engines", OrderedDict()
-    )
-    eng = cache.get(name)
-    if eng is None:
-        views = task_ctx.attach(name, batch["sel_specs"])
-        eng = RPhastEngine.from_arrays(
-            ch, views, search_cache=batch.get("search_cache", 0)
-        )
-        cache[name] = eng
-        while len(cache) > _MATRIX_ENGINE_CACHE:
-            cache.popitem(last=False)
-        task_ctx.release(keep=cache.keys())
-    else:
-        cache.move_to_end(name)
-    return eng
+# Chunk execution (worker processes and the serial path alike)
 
 
 def _matrix_rows(reng: RPhastEngine, k: int, start: int,
@@ -512,26 +503,35 @@ def _matrix_rows(reng: RPhastEngine, k: int, start: int,
     return results
 
 
-def _run_chunk(engine: PhastEngine, ctx: WorkerContext, k: int, batch: dict,
-               start: int, chunk: list, out: np.ndarray | None,
-               task_ctx: TaskContext | None = None):
+def _run_chunk(ctx: TaskContext, k: int, batch: dict, start: int,
+               chunk: list):
     """Process one chunk; every chunk is self-contained and restartable.
+
+    The batch names every publication it reads or writes: ``hier`` (the
+    hierarchy generation snapshotted at submission, so a batch never
+    mixes metrics), ``out`` and ``sel``; ``live`` lists the pool's
+    publications, and everything derived from any other is dropped
+    first.
 
     Reduce-mode chunks return a *per-chunk* finished state (the app
     reducers' ``merge`` is associative, and the parent merges chunk
     states in chunk order, so the result is deterministic no matter
     which worker ran which chunk or how often one was re-dispatched).
     """
+    ctx.sync(batch["live"])
     mode = batch["mode"]
-    if mode == "matrix":
-        reng = _restricted_engine(engine.ch, task_ctx, batch)
-        return _matrix_rows(reng, k, start, chunk)
     if mode == "task":
-        fn = batch["fn"]
-        common = batch["common"]
+        fn, common = batch["fn"], batch["common"]
         return {
             start + j: fn(ctx, common, item) for j, item in enumerate(chunk)
         }
+    if mode == "matrix":
+        reng = ctx.memo("rphast", (batch["hier"], batch["sel"]), lambda h, s: (
+            RPhastEngine.from_arrays(_PublishedHierarchy(h), s,
+                                     search_cache=batch["search_cache"])))
+        return _matrix_rows(reng, k, start, chunk)
+    engine = _phast_engine(ctx, batch["hier"], batch["search_cache"])
+    out = _output(ctx, batch["out"]) if mode == "dist" else None
     reducer: TreeReducer | None = batch.get("reducer")
     fn: Callable | None = batch.get("fn")
     state = reducer.make_state(ctx) if mode == "reduce" else None
@@ -588,8 +588,8 @@ def _heartbeat_loop(hb, idx: int, interval: float, stop: threading.Event) -> Non
 _WORKER_POLL_S = 0.1
 
 
-def _pool_worker(slot, incarnation, shm_name, specs, meta, work_conn,
-                 result_conn, hb, claims, fault, fault_budget):
+def _pool_worker(slot, incarnation, meta, work_conn, result_conn, hb,
+                 claims, fault, fault_budget):
     # Transport is a pair of simplex pipes private to this worker: a
     # single reader and single writer per pipe means no shared locks,
     # so a SIGKILL at any instant cannot wedge the pool (unlike a
@@ -604,20 +604,8 @@ def _pool_worker(slot, incarnation, shm_name, specs, meta, work_conn,
         daemon=True,
         name=f"phast-worker-{slot}-heartbeat",
     ).start()
-    shm = None
-    out_shm: shared_memory.SharedMemory | None = None
-    out_name: str | None = None
     try:
-        shm = _attach(shm_name)
-        views = _views(shm, specs)
-        if meta.get("kind") == "task":
-            engine, ctx = None, TaskContext(views)
-            task_ctx = ctx
-        else:
-            engine, ctx = _build_worker_state(views, meta)
-            # Sweep workers still need a TaskContext: matrix-mode
-            # chunks attach published RPHAST selections through it.
-            task_ctx = TaskContext(views)
+        ctx = TaskContext(meta["n"], meta["boot"])
     except BaseException:
         try:
             result_conn.send((None, None, slot, "boot_error",
@@ -626,9 +614,6 @@ def _pool_worker(slot, incarnation, shm_name, specs, meta, work_conn,
             pass
         return
     k = meta["k"]
-    n = meta["n"]
-    metric_gen = 0  # boot segment carries generation-0 weights
-    metric_shm: shared_memory.SharedMemory | None = None
     try:
         while True:
             if not work_conn.poll(_WORKER_POLL_S):
@@ -648,48 +633,7 @@ def _pool_worker(slot, incarnation, shm_name, specs, meta, work_conn,
             hb[2 * slot + 1] = time.monotonic()
             try:
                 apply_fault(fault, fault_budget, slot, chunk_id)
-                metric = batch.get("metric")
-                if metric is not None and metric[0] != metric_gen:
-                    # The batch names a newer metric generation: attach
-                    # its weight segment, overlay the metric-dependent
-                    # views, and rebuild the engine over them.  This
-                    # runs BEFORE any tree of the chunk, and a respawned
-                    # worker (booted on generation-0 weights) passes
-                    # through here on its first post-swap chunk, so no
-                    # chunk is ever computed on a stale metric.
-                    gen, mname, mspecs = metric
-                    new_mshm = _attach(mname)
-                    mviews = _views(new_mshm, mspecs)
-                    views.update(mviews)
-                    task_ctx.boot.update(mviews)
-                    # Restricted engines were built over old weights
-                    # (selections embed copied arc lengths): drop them
-                    # and their attachments; fresh selections arrive
-                    # under new segment names.
-                    task_ctx.state.pop("rphast:engines", None)
-                    task_ctx.release()
-                    if engine is not None:
-                        engine, ctx = _build_worker_state(views, meta)
-                    if metric_shm is not None:
-                        try:
-                            metric_shm.close()
-                        except BufferError:
-                            pass  # a lingering view; freed on exit
-                    metric_shm = new_mshm
-                    metric_gen = gen
-                out = None
-                if batch["mode"] == "dist":
-                    if batch["out_name"] != out_name:
-                        if out_shm is not None:
-                            out_shm.close()
-                        out_shm = _attach(batch["out_name"])
-                        out_name = batch["out_name"]
-                    out = np.ndarray(
-                        (batch["out_rows"], n), dtype=np.int64,
-                        buffer=out_shm.buf,
-                    )
-                payload = _run_chunk(engine, ctx, k, batch, start, chunk,
-                                     out, task_ctx)
+                payload = _run_chunk(ctx, k, batch, start, chunk)
                 result_conn.send((batch["id"], chunk_id, slot, "ok", payload))
             except (OSError, ValueError, BrokenPipeError):
                 break  # parent is gone; nobody to report to
@@ -703,25 +647,7 @@ def _pool_worker(slot, incarnation, shm_name, specs, meta, work_conn,
                 hb[2 * slot + 1] = 0.0
     finally:
         beat_stop.set()
-        try:
-            task_ctx.close()
-        except Exception:
-            pass
-        try:
-            if out_shm is not None:
-                out_shm.close()
-        except BufferError:
-            pass
-        try:
-            if metric_shm is not None:
-                metric_shm.close()
-        except BufferError:
-            pass
-        try:
-            if shm is not None:
-                shm.close()
-        except BufferError:
-            pass
+        ctx.close()
 
 
 # ---------------------------------------------------------------------------
@@ -750,27 +676,33 @@ class _Channel:
                 pass
 
 
+#: Serial-path publication names, unique across the process so that a
+#: handle from another pool never resolves here.
+_LOCAL_IDS = itertools.count(1)
+
+
 class _BasePool:
     """Worker-pool machinery shared by the pool flavours.
 
     Owns everything that is independent of *what* the workers compute:
-    shared-memory publication (boot segment plus retireable
-    :meth:`publish_arrays` segments), per-worker simplex pipe pairs,
-    the :class:`~repro.core.supervisor.WorkerSupervisor` (heartbeats,
-    chunk deadlines, respawn, quarantine), supervised dispatch with
-    deterministic re-dispatch of a dead worker's chunks, and teardown
-    that can never leak ``/dev/shm`` segments.
-
-    Subclasses supply the boot payload (:meth:`_published_arrays`),
-    the worker-side interpretation (:meth:`_worker_meta`, keyed by
-    ``meta["kind"]``) and the in-process fallback
-    (:meth:`_execute_serial`).
+    the pool's publications (named segments, retireable one by one),
+    per-worker simplex pipe pairs, the
+    :class:`~repro.core.supervisor.WorkerSupervisor` (heartbeats, chunk
+    deadlines, respawn, quarantine), supervised dispatch with
+    deterministic re-dispatch of a dead worker's chunks, the serial
+    in-process path, and teardown that can never leak ``/dev/shm``
+    segments.  Workers and the serial path run the same
+    :func:`_run_chunk` over a :class:`TaskContext`; subclasses only
+    build batches.
     """
 
     def _init_base(
         self,
         *,
+        n: int,
+        boot: Mapping[str, np.ndarray],
         num_workers: int | None,
+        context: str,
         force_pool: bool,
         chunk_size: int | None,
         heartbeat_interval: float,
@@ -782,6 +714,7 @@ class _BasePool:
     ) -> None:
         if max_chunk_retries < 1:
             raise ValueError("max_chunk_retries must be >= 1")
+        self.n = n
         self.k = int(sources_per_sweep)
         self.chunk_size = chunk_size
         self.batches_run = 0
@@ -818,34 +751,44 @@ class _BasePool:
         self.num_workers = num_workers
         self._serial = num_workers <= 1 and not force_pool
 
-        self._shm: shared_memory.SharedMemory | None = None
-        self._out_shm: shared_memory.SharedMemory | None = None
-        self._retired: list[shared_memory.SharedMemory] = []
-        self._out_rows = 0
-        #: Dynamically published segments, by name (publish_arrays).
-        self._dynamic: dict[str, shared_memory.SharedMemory] = {}
-        #: Serial-path stand-in for dynamic segments: name -> array dict.
-        self._local_segments: dict[str, dict[str, np.ndarray]] = {}
-        self._local_counter = 0
-        #: ``(generation, segment_name, specs)`` of the current metric
-        #: overlay, or ``None`` before the first :meth:`swap_metric`.
-        #: Rides along in every batch so workers re-point lazily.
-        self._metric_handle: tuple[int, str, list] | None = None
+        #: Live publications by name: the segment to unlink, or on the
+        #: serial path the in-process arrays the name resolves to.
+        self._segments: dict[str, shared_memory.SharedMemory | dict] = {}
+        #: Handle of the output matrix publication (see alloc_output).
+        self._out: tuple | None = None
+        self._boot = self._publish(boot, copy=False) if boot else None
+        # The parent's own context: the serial path runs chunks in it;
+        # the process path only maps its output matrix through it.
+        if self._serial:
+            self._ctx = TaskContext(n, self._boot, local=self._segments)
+        else:
+            self._ctx = TaskContext(n)
+            self._start_workers(context)
+        _LIVE_POOLS.add(self)
 
-    # -- subclass hooks ----------------------------------------------------
+    # -- publications ------------------------------------------------------
 
-    def _published_arrays(self) -> dict[str, np.ndarray]:
-        """Arrays to copy into the boot segment workers attach to."""
-        raise NotImplementedError
+    def _publish(self, arrays: Mapping[str, np.ndarray], *,
+                 tag: str | None = None, copy: bool = True) -> tuple:
+        """Make ``arrays`` a publication; returns its ``(name, specs)``.
 
-    def _worker_meta(self) -> dict:
-        """Picklable worker boot metadata; must carry ``kind``/``k``/``n``."""
-        raise NotImplementedError
-
-    def _execute_serial(self, batch: dict, items: list, out=None):
-        raise NotImplementedError
-
-    # -- dynamic publications ----------------------------------------------
+        Worker processes read a shared-memory copy.  The serial path
+        keeps the arrays in-process under a synthetic name: a copy
+        (``copy=True``) when the caller may mutate them afterwards,
+        otherwise the arrays themselves.
+        """
+        if self._closed:
+            raise RuntimeError("pool is closed")
+        if self._serial:
+            name = f"local-{next(_LOCAL_IDS)}"
+            self._segments[name] = {
+                k: np.array(a, order="C") if copy else a
+                for k, a in arrays.items()
+            }
+            return name, None
+        shm, specs = _publish(arrays, tag)
+        self._segments[shm.name] = shm
+        return shm.name, specs
 
     def publish_arrays(
         self, arrays: Mapping[str, np.ndarray], *, tag: str | None = None
@@ -854,36 +797,29 @@ class _BasePool:
 
         Returns a ``(name, specs)`` handle that travels to task
         handlers (inside ``common``/items) so they can attach by name
-        via :meth:`TaskContext.attach`.  On the serial path the arrays
-        are kept in-process under a synthetic name — same handle
-        shape, no shared memory, ``specs`` is ``None``.  ``tag``
-        embeds a classification token in the segment name
+        via :meth:`TaskContext.attach` or build derived state through
+        :meth:`TaskContext.memo`.  On the serial path the arrays are
+        copied in-process under a synthetic name — same handle shape,
+        no shared memory, ``specs`` is ``None``.  ``tag`` embeds a
+        classification token in the segment name
         (``repro-<pid>-<tag>-<hex>``) so ``repro doctor`` can tell
         what a leaked segment was.
         """
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._serial:
-            self._local_counter += 1
-            name = f"local-{self._local_counter}"
-            # Copy like the shm path does: a publication is a snapshot,
-            # and callers mutate their arrays after publishing.
-            self._local_segments[name] = {
-                k: np.array(a, order="C") for k, a in arrays.items()
-            }
-            return name, None
-        shm, specs = _publish(dict(arrays), tag)
-        self._dynamic[shm.name] = shm
-        return shm.name, specs
+        return self._publish(arrays, tag=tag)
 
     def retire_publication(self, name: str) -> None:
-        """Unlink a :meth:`publish_arrays` segment (live views stay valid)."""
-        if self._serial:
-            self._local_segments.pop(name, None)
-            return
-        shm = self._dynamic.pop(name, None)
-        if shm is not None:
-            self._retire(shm)
+        """Unlink a publication; state derived from it is dropped.
+
+        Views a caller already holds stay valid; workers unmap the
+        segment before their next chunk.
+        """
+        seg = self._segments.pop(name, None)
+        if isinstance(seg, shared_memory.SharedMemory):
+            try:
+                seg.unlink()
+            except FileNotFoundError:
+                pass
+        self._ctx.sync(frozenset(self._segments))
 
     # -- lifecycle ---------------------------------------------------------
 
@@ -892,9 +828,8 @@ class _BasePool:
 
         ctx = mp.get_context(context)
         self._channels = [None] * self.num_workers
-        self._shm, specs = _publish(self._published_arrays())
-        meta = self._worker_meta()
-        meta["hb_interval"] = self.heartbeat_interval
+        meta = {"n": self.n, "k": self.k, "boot": self._boot,
+                "hb_interval": self.heartbeat_interval}
         if self._fault_plan is not None and self._fault_plan.times is not None:
             # Shared trigger budget: respawned workers see the same
             # counter, so "times=1" means one crash pool-wide, ever.
@@ -906,7 +841,6 @@ class _BasePool:
             chunk_timeout=self.chunk_timeout,
             max_respawns=self.max_respawns,
         )
-        shm_name = self._shm.name
         sup = self._supervisor
         fault, fault_budget = self._fault_plan, self._fault_budget
         channels = self._channels
@@ -923,8 +857,8 @@ class _BasePool:
             p = ctx.Process(
                 target=_pool_worker,
                 args=(
-                    slot, incarnation, shm_name, specs, meta, work_r,
-                    result_w, sup.hb, sup.claims, fault, fault_budget,
+                    slot, incarnation, meta, work_r, result_w, sup.hb,
+                    sup.claims, fault, fault_budget,
                 ),
                 daemon=True,
                 name=f"phast-pool-worker-{slot}.{incarnation}",
@@ -1000,38 +934,10 @@ class _BasePool:
         self._unlink_segments()
 
     def _unlink_segments(self) -> None:
-        for shm in (self._shm, self._out_shm, *self._dynamic.values()):
-            if shm is not None:
-                try:
-                    shm.unlink()
-                except FileNotFoundError:
-                    pass
-                try:
-                    shm.close()
-                except BufferError:
-                    # A caller still holds a view; the name is already
-                    # unlinked, the mapping dies with the last view.
-                    pass
-        self._dynamic = {}
-        self._local_segments = {}
-        for shm in self._retired:
-            try:
-                shm.close()
-            except BufferError:
-                pass
-        self._shm = self._out_shm = None
-        self._retired = []
-
-    def _retire(self, shm: shared_memory.SharedMemory) -> None:
-        """Unlink a superseded segment, deferring close past live views."""
-        try:
-            shm.unlink()
-        except FileNotFoundError:
-            pass
-        try:
-            shm.close()
-        except BufferError:
-            self._retired.append(shm)
+        for name in list(self._segments):
+            self.retire_publication(name)
+        self._out = None
+        self._ctx.close()
 
     def __enter__(self) -> "_BasePool":
         return self
@@ -1067,29 +973,22 @@ class _BasePool:
             (i, sources[i : i + size]) for i in range(0, len(sources), size)
         ]
 
-    def _execute(self, batch: dict, sources: list[int], out=None):
+    def _execute(self, batch: dict, items: list) -> list:
+        """Run ``batch`` over ``items``; one payload per chunk, in order."""
         if self._closed:
             raise RuntimeError("pool is closed")
         self.batches_run += 1
-        self.trees_computed += len(sources)
+        self.trees_computed += len(items)
+        batch["live"] = frozenset(self._segments)
         if self._serial:
-            return self._execute_serial(batch, sources, out)
+            return self._execute_serial(batch, items)
         self._batch_counter += 1
-        batch = dict(batch)
         batch["id"] = self._batch_counter
-        if self._metric_handle is not None:
-            # Snapshot the handle into the batch: every chunk of this
-            # batch names the same metric generation, so a batch can
-            # never mix metrics no matter how chunks are re-dispatched
-            # across worker deaths or an interleaved swap.
-            batch["metric"] = self._metric_handle
-        if batch["mode"] == "dist":
-            batch["out_name"] = self._out_shm.name
-            batch["out_rows"] = self._out_rows
-        payloads = self._run_supervised(batch, self._chunks(sources))
-        if batch["mode"] == "dist":
-            return None
-        return payloads
+        return self._run_supervised(batch, self._chunks(items))
+
+    def _execute_serial(self, batch: dict, items: list) -> list:
+        """The workers' chunk function, run in process as one chunk."""
+        return [_run_chunk(self._ctx, self.k, batch, 0, items)]
 
     def _run_supervised(self, batch: dict, chunks: list) -> list:
         """Dispatch chunks over per-worker pipes; collect under supervision.
@@ -1113,8 +1012,6 @@ class _BasePool:
         held by a surviving worker, because those write into the
         shared output segment the next batch will reuse.
         """
-        from multiprocessing import connection as _mpconn
-
         sup = self._supervisor
         sup.pop_events()  # discard deaths that predate this batch
         outstanding: dict[int, tuple[int, list]] = {
@@ -1150,48 +1047,14 @@ class _BasePool:
         try:
             while outstanding:
                 fill()
-                # Wait only on live workers' pipes: a dead
-                # incarnation's result conn sits at EOF — permanently
-                # "ready" — so including it would busy-spin the parent
-                # for as long as the slot stays dead (the whole batch,
-                # once the respawn budget is exhausted).  Dead workers
-                # hand their chunks back through DeathEvents instead.
-                conns = [
-                    ch.result for ch in self._channels
-                    if ch is not None and ch.alive()
-                ]
-                if conns:
-                    try:
-                        ready = _mpconn.wait(conns, timeout=poll)
-                    except OSError:
-                        ready = []
-                else:
-                    time.sleep(poll)  # nothing alive yet: await respawn
-                    ready = []
-                for conn in ready:
-                    while True:
-                        try:
-                            if not conn.poll(0):
-                                break
-                            msg = conn.recv()
-                        except (EOFError, OSError):
-                            break  # dead worker; its DeathEvent follows
-                        batch_id, cid, _slot, status, payload = msg
-                        if status == "boot_error":
-                            self._last_boot_error = payload
-                        elif batch_id != batch["id"]:
-                            pass  # stale: a superseded earlier batch
-                        elif status == "error":
-                            raise RuntimeError(
-                                "pool worker failed:\n" + payload
-                            )
-                        elif cid in outstanding:
-                            payloads[cid] = payload
-                            del outstanding[cid]
-                            self._inflight = len(outstanding)
-                            key = assigned.pop(cid, None)
-                            if key is not None:
-                                load.get(key, set()).discard(cid)
+                for cid, status, payload in self._drain_results(
+                        batch["id"], assigned, load, poll):
+                    if status == "error":
+                        raise RuntimeError("pool worker failed:\n" + payload)
+                    if cid in outstanding:  # first result wins
+                        payloads[cid] = payload
+                        del outstanding[cid]
+                        self._inflight = len(outstanding)
                 for ev in sup.pop_events():
                     # Requeue everything the dead incarnation held —
                     # the claimed chunk plus any stranded in its pipe —
@@ -1241,6 +1104,54 @@ class _BasePool:
             self._inflight = 0
         return [payloads[cid] for cid in sorted(payloads)]
 
+    def _drain_results(self, batch_id: int, assigned: dict, load: dict,
+                       poll: float):
+        """Yield ``(cid, status, payload)`` for this batch's arrived results.
+
+        Waits at most ``poll`` on the live workers' result pipes, then
+        reads every ready pipe dry.  Each yielded chunk is first dropped
+        from ``assigned`` and its holder's ``load``: a worker sends
+        only once the chunk is done, writes included.  Messages of
+        superseded batches are skipped; boot failures are recorded.
+
+        Only live workers' pipes are waited on: a dead incarnation's
+        result conn sits at EOF — permanently "ready" — so including it
+        would busy-spin the parent for as long as the slot stays dead.
+        Dead workers hand their chunks back through DeathEvents instead.
+        """
+        from multiprocessing import connection as _mpconn
+
+        conns = [
+            ch.result for ch in self._channels
+            if ch is not None and ch.alive()
+        ]
+        if not conns:
+            time.sleep(poll)  # nothing alive yet: await respawn
+            return
+        try:
+            ready = _mpconn.wait(conns, timeout=poll)
+        except OSError:
+            ready = []
+        for conn in ready:
+            while True:
+                try:
+                    if not conn.poll(0):
+                        break
+                    msg = conn.recv()
+                except (EOFError, OSError):
+                    break  # dead worker; its DeathEvent follows
+                msg_batch, cid, slot, status, payload = msg
+                if status == "boot_error":
+                    self._last_boot_error = payload
+                    continue
+                if msg_batch != batch_id:
+                    continue  # stale: a superseded earlier batch
+                key = assigned.get(cid)
+                if key is not None and key[0] == slot:
+                    del assigned[cid]
+                    load.get(key, set()).discard(cid)
+                yield cid, status, payload
+
     def _retire_channel(self, slot: int, incarnation: int) -> None:
         """Drop a dead incarnation's channel (close fds, free the slot).
 
@@ -1273,8 +1184,6 @@ class _BasePool:
         orphaned mapping rather than the buffer the next
         :meth:`alloc_output` hands back.
         """
-        from multiprocessing import connection as _mpconn
-
         sup = self._supervisor
         if self.chunk_timeout is not None:
             # A worker holds at most 1 + prefetch stale chunks, each
@@ -1290,38 +1199,14 @@ class _BasePool:
                 for cid in load.pop((ev.slot, ev.incarnation), set()):
                     assigned.pop(cid, None)
                 self._retire_channel(ev.slot, ev.incarnation)
-            conns = [
-                ch.result for ch in self._channels
-                if ch is not None and ch.alive()
-            ]
-            if not conns:
-                time.sleep(poll)
-                continue
-            try:
-                ready = _mpconn.wait(conns, timeout=poll)
-            except OSError:
-                ready = []
-            for conn in ready:
-                while True:
-                    try:
-                        if not conn.poll(0):
-                            break
-                        msg = conn.recv()
-                    except (EOFError, OSError):
-                        break  # death; its DeathEvent resolves the load
-                    batch_id, cid, _slot, status, _payload = msg
-                    if batch_id != batch["id"]:
-                        continue
-                    key = assigned.pop(cid, None)
-                    if key is not None:
-                        load.get(key, set()).discard(cid)
-        if assigned and self._out_shm is not None:
+            for _ in self._drain_results(batch["id"], assigned, load, poll):
+                pass
+        if assigned and self._out is not None:
             # Stale writers survived the grace period (wedged worker,
             # no chunk deadline configured): abandon the live output
             # segment so they can never touch a future batch's rows.
-            self._retire(self._out_shm)
-            self._out_shm = None
-            self._out_rows = 0
+            self.retire_publication(self._out[0])
+            self._out = None
 
     # -- health ------------------------------------------------------------
 
@@ -1445,14 +1330,20 @@ class PhastPool(_BasePool):
         if sources_per_sweep < 1:
             raise ValueError("sources_per_sweep must be >= 1")
         self.ch = ch
-        self.n = ch.n
         self.search_cache = int(search_cache)
-        self._graphs = dict(graphs or {})
-        self._arrays = {
-            name: np.ascontiguousarray(a) for name, a in (arrays or {}).items()
-        }
+        boot: dict[str, np.ndarray] = {}
+        for name, g in (graphs or {}).items():
+            boot[f"g:{name}:first"] = g.first
+            boot[f"g:{name}:arc_head"] = g.arc_head
+            boot[f"g:{name}:arc_len"] = g.arc_len
+        for name, a in (arrays or {}).items():
+            boot[f"a:{name}"] = np.ascontiguousarray(a)
+        hierarchy = _hierarchy_arrays(ch)
         self._init_base(
+            n=ch.n,
+            boot=boot,
             num_workers=num_workers,
+            context=context,
             force_pool=force_pool,
             chunk_size=chunk_size,
             heartbeat_interval=heartbeat_interval,
@@ -1462,45 +1353,28 @@ class PhastPool(_BasePool):
             fault_plan=fault_plan,
             sources_per_sweep=sources_per_sweep,
         )
-
-        # Parent-side engine: the serial path runs on it, and the
-        # process path publishes its sweep arrays (built exactly once).
-        self._engine = PhastEngine(ch, search_cache=self.search_cache)
-        # The serial path's stand-in for a worker's TaskContext.
-        self._serial_ctx = TaskContext({}, local_segments=self._local_segments)
         self._metric_generation = 0
-        if not self._serial:
-            self._start_workers(context)
-        _LIVE_POOLS.add(self)
-
-    # -- boot payload ------------------------------------------------------
-
-    def _published_arrays(self) -> dict[str, np.ndarray]:
-        published: dict[str, np.ndarray] = {}
-        published.update(_sweep_keys(self._engine.sweep))
-        published["up:first"] = self.ch.upward.first
-        published["up:arc_head"] = self.ch.upward.arc_head
-        published["up:arc_len"] = self.ch.upward.arc_len
-        for name, g in self._graphs.items():
-            published[f"g:{name}:first"] = g.first
-            published[f"g:{name}:arc_head"] = g.arc_head
-            published[f"g:{name}:arc_len"] = g.arc_len
-        for name, a in self._arrays.items():
-            published[f"a:{name}"] = a
-        return published
-
-    def _worker_meta(self) -> dict:
-        return {
-            "kind": "sweep",
-            "n": self.n,
-            "num_levels": self._engine.sweep.num_levels,
-            "k": self.k,
-            "search_cache": self.search_cache,
-            "graphs": list(self._graphs),
-            "arrays": list(self._arrays),
-        }
+        self._hier: tuple | None = None
+        self._publish_generation(hierarchy)
 
     # -- metric hot swap ---------------------------------------------------
+
+    def _publish_generation(self, hierarchy: dict[str, np.ndarray]) -> None:
+        """Make ``hierarchy`` the generation every later batch names.
+
+        Pool-owned, so the serial path references the arrays.  The
+        superseded generation is retired.  The serial path builds the
+        new engine here rather than on the next request; workers build
+        theirs on their next chunk.
+        """
+        old = self._hier
+        self._hier = self._publish(
+            hierarchy, tag=f"m{self._metric_generation}", copy=False
+        )
+        if old is not None:
+            self.retire_publication(old[0])
+        if self._serial:
+            _phast_engine(self._ctx, self._hier, self.search_cache)
 
     @property
     def metric_generation(self) -> int:
@@ -1514,20 +1388,20 @@ class PhastPool(_BasePool):
         vertex ranks and the exact same upward/downward arc sets — and
         differ only in weights (and vias), i.e. it came from
         ``customize()`` over the same :class:`~repro.ch.CHTopology`
-        (or a re-contraction that reproduced the structure).  Only the
-        metric-dependent arrays (``sw:arc_len``, ``sw:arc_via``,
-        ``up:arc_len``) are published, as a generation-tagged segment
-        ``repro-<pid>-m<gen>-<hex>``; workers re-point lazily on their
-        next chunk, guided by the generation each batch carries, and
-        the superseded segment is retired immediately (attached
-        mappings survive the unlink).
+        (or a re-contraction that reproduced the structure).  It is
+        published the way pool construction published generation 0:
+        one full publication of the sweep structure plus the upward
+        graph, tagged ``repro-<pid>-m<gen>-<hex>``.  Every later batch
+        names it, so workers re-point on their next chunk and a batch
+        never mixes metrics; the superseded generation is retired
+        immediately, and everything derived from it (engines,
+        restricted engines) is dropped.
 
         Must be called with no batch in flight — the caller provides
         the quiesce point (the server does it between micro-batches).
         Restricted-selection publications embed copied arc lengths, so
         callers holding :meth:`publish_arrays` selection handles must
-        retire and republish them after a swap; the workers' cached
-        restricted engines are dropped automatically.
+        retire and republish them after a swap.
 
         Returns the new metric generation.
         """
@@ -1557,77 +1431,59 @@ class PhastPool(_BasePool):
                     "differs); hot swap needs a customize() over the same "
                     "topology, not a fresh contraction"
                 )
-        engine = PhastEngine(new_ch, search_cache=self.search_cache)
+        hierarchy = _hierarchy_arrays(new_ch)
         # The sweep permutation is a pure function of structure; with
         # the structure checks above this can only fire on a bug, but
         # a mixed layout would silently corrupt distances, so verify.
-        old_sw, new_sw = self._engine.sweep, engine.sweep
-        if not (
-            np.array_equal(old_sw.pos_of, new_sw.pos_of)
-            and np.array_equal(old_sw.arc_first, new_sw.arc_first)
-            and np.array_equal(old_sw.arc_tail_pos, new_sw.arc_tail_pos)
-        ):
+        current = self._ctx.attach(*self._hier)
+        same_layout = all(
+            np.array_equal(current[key], hierarchy[key])
+            for key in ("sw:pos_of", "sw:arc_first", "sw:arc_tail_pos")
+        )
+        del current
+        if not same_layout:
             raise ValueError(
                 "metric swap produced a different sweep layout; refusing"
             )
-        gen = self._metric_generation + 1
-        if not self._serial:
-            name, specs = self.publish_arrays(
-                {
-                    "sw:arc_len": new_sw.arc_len,
-                    "sw:arc_via": new_sw.arc_via,
-                    "up:arc_len": new_ch.upward.arc_len,
-                },
-                tag=f"m{gen}",
-            )
-            old_name = (
-                self._metric_handle[1] if self._metric_handle else None
-            )
-            self._metric_handle = (gen, name, specs)
-            if old_name is not None:
-                self.retire_publication(old_name)
+        self._metric_generation += 1
+        self._publish_generation(hierarchy)
         self.ch = new_ch
-        self._engine = engine
-        # Serial-path restricted engines were built over old weights.
-        self._serial_ctx.state.pop("rphast:engines", None)
-        self._metric_generation = gen
-        return gen
+        return self._metric_generation
 
     # -- output buffers ----------------------------------------------------
 
     def alloc_output(self, rows: int) -> np.ndarray:
         """A ``(rows, n)`` int64 matrix workers can write in place.
 
-        The pool owns one reusable output segment; a second call (or a
-        larger :meth:`trees` batch) may remap it, invalidating earlier
-        views — treat the returned array as valid until the next batch.
+        The pool owns one reusable output publication; a second call
+        (or a larger :meth:`trees` batch) may replace it, invalidating
+        earlier views — treat the returned array as valid until the
+        next batch.
         """
         if rows < 1:
             raise ValueError("rows must be >= 1")
-        if self._serial:
-            return np.empty((rows, self.n), dtype=np.int64)
-        nbytes = rows * self.n * 8
-        if self._out_shm is None or self._out_rows < rows:
-            if self._out_shm is not None:
-                self._retire(self._out_shm)
-            self._out_shm = _create_segment(nbytes)
-            self._out_rows = rows
-        full = np.ndarray(
-            (self._out_rows, self.n), dtype=np.int64, buffer=self._out_shm.buf
-        )
+        full = None if self._out is None else _output(self._ctx, self._out)
+        if full is None or full.shape[0] < rows:
+            if self._out is not None:
+                self.retire_publication(self._out[0])
+            self._out = self._publish(
+                {"out": np.zeros((rows, self.n), dtype=np.int64)},
+                tag="out", copy=False,
+            )
+            full = _output(self._ctx, self._out)
         return full[:rows]
 
-    def _own_output(self, out: np.ndarray, rows: int) -> bool:
-        if self._serial:
-            return True
-        if self._out_shm is None:
-            return False
-        full = np.ndarray(
-            (self._out_rows, self.n), dtype=np.int64, buffer=self._out_shm.buf
+    def _own_output(self, out: np.ndarray) -> bool:
+        return self._out is not None and bool(
+            np.shares_memory(out, _output(self._ctx, self._out))
         )
-        return bool(np.shares_memory(out, full))
 
     # -- execution ---------------------------------------------------------
+
+    def _batch(self, mode: str, **fields) -> dict:
+        """A batch over the current generation, snapshotted by name."""
+        return {"mode": mode, "hier": self._hier,
+                "search_cache": self.search_cache, **fields}
 
     def trees(
         self, sources: Sequence[int], *, out: np.ndarray | None = None
@@ -1651,12 +1507,12 @@ class PhastPool(_BasePool):
                 raise ValueError(
                     f"out must be a ({rows}, {self.n}) int64 matrix"
                 )
-            if not self._own_output(out, rows):
+            if not self._own_output(out):
                 raise ValueError(
                     "out must come from this pool's alloc_output() so "
                     "workers can reach it"
                 )
-        self._execute({"mode": "dist"}, sources, out)
+        self._execute(self._batch("dist", out=self._out), sources)
         return out
 
     def reduce(self, sources: Sequence[int], reducer: TreeReducer):
@@ -1664,7 +1520,7 @@ class PhastPool(_BasePool):
         sources = [int(s) for s in sources]
         if not sources:
             return reducer.merge([])
-        states = self._execute({"mode": "reduce", "reducer": reducer}, sources)
+        states = self._execute(self._batch("reduce", reducer=reducer), sources)
         return reducer.merge(states)
 
     def map(self, sources: Sequence[int], fn: Callable[[int, np.ndarray], object]) -> list:
@@ -1676,11 +1532,8 @@ class PhastPool(_BasePool):
         sources = [int(s) for s in sources]
         if not sources:
             return []
-        parts = self._execute({"mode": "map", "fn": fn}, sources)
-        merged: dict[int, object] = {}
-        for part in parts:
-            merged.update(part)
-        return [merged[i] for i in range(len(sources))]
+        parts = self._execute(self._batch("map", fn=fn), sources)
+        return _in_order(parts, len(sources))
 
     def matrix(
         self,
@@ -1693,10 +1546,12 @@ class PhastPool(_BasePool):
 
         ``selection`` is the ``(name, specs)`` handle returned by
         :meth:`publish_arrays` for an ``RPhastEngine``'s
-        ``selection_arrays()``.  Sources are chunked over the workers,
-        each sweeping ``sources_per_sweep`` lanes per restricted pass;
-        the result is ``(len(sources), |targets|)`` with columns
-        aligned to the engine's (deduplicated, sorted) target set.
+        ``selection_arrays()``; a handle this pool never published or
+        already retired raises ``ValueError``.  Sources are chunked
+        over the workers, each sweeping ``sources_per_sweep`` lanes
+        per restricted pass; the result is ``(len(sources),
+        |targets|)`` with columns aligned to the engine's
+        (deduplicated, sorted) target set.
 
         Rows travel back through the result pipes rather than the
         shared dist segment — they are |targets|-sized, so the pickle
@@ -1704,32 +1559,25 @@ class PhastPool(_BasePool):
         behind.  Restricted sweeps are deterministic, so the matrix is
         bit-identical for every worker count and across worker deaths.
         """
+        if selection[0] not in self._segments:
+            raise ValueError(
+                f"selection {selection[0]!r} is not a live publication of "
+                "this pool (retired, or never published here)"
+            )
         sources = [int(s) for s in sources]
         if not sources:
             return np.empty((0, 0), dtype=np.int64)
-        name, specs = selection
-        batch = {
-            "mode": "matrix",
-            "sel_name": name,
-            "sel_specs": specs,
-            "search_cache": int(search_cache),
-        }
-        parts = self._execute(batch, sources)
-        merged: dict[int, np.ndarray] = {}
-        for part in parts:
-            merged.update(part)
-        return np.stack([merged[i] for i in range(len(sources))])
+        batch = self._batch("matrix", sel=selection,
+                            search_cache=int(search_cache))
+        return np.stack(_in_order(self._execute(batch, sources), len(sources)))
 
-    def retire_publication(self, name: str) -> None:
-        self._serial_ctx.state.get("rphast:engines", {}).pop(name, None)
-        super().retire_publication(name)
 
-    def _execute_serial(self, batch: dict, sources: list[int], out=None):
-        # The workers' chunk function, run in process over one chunk.
-        ctx = WorkerContext(self.n, {}, self._arrays, graphs=self._graphs)
-        part = _run_chunk(self._engine, ctx, self.k, batch, 0, sources, out,
-                          self._serial_ctx)
-        return None if batch["mode"] == "dist" else [part]
+def _in_order(parts: list[dict], count: int) -> list:
+    """Merge per-chunk ``{index: value}`` payloads into one ordered list."""
+    merged: dict[int, object] = {}
+    for part in parts:
+        merged.update(part)
+    return [merged[i] for i in range(count)]
 
 
 class TaskPool(_BasePool):
@@ -1750,7 +1598,8 @@ class TaskPool(_BasePool):
     State that evolves between submissions (e.g. the parallel
     preprocessing coordinator's per-epoch graph snapshots) goes
     through :meth:`publish_arrays` / :meth:`retire_publication`;
-    handlers attach by name via :meth:`TaskContext.attach`.
+    handlers build what they derive from a publication through
+    :meth:`TaskContext.memo`, which drops it once the name is retired.
 
     Items are dispatched one per chunk with no prefetch — task items
     are coarse (a shard of vertices, not a single tree), so spreading
@@ -1772,11 +1621,12 @@ class TaskPool(_BasePool):
         max_respawns: int | None = None,
         fault_plan: FaultPlan | str | None = None,
     ) -> None:
-        self._boot_arrays = {
-            name: np.ascontiguousarray(a) for name, a in (arrays or {}).items()
-        }
         self._init_base(
+            n=0,
+            boot={name: np.ascontiguousarray(a)
+                  for name, a in (arrays or {}).items()},
             num_workers=num_workers,
+            context=context,
             force_pool=force_pool,
             chunk_size=chunk_size,
             heartbeat_interval=heartbeat_interval,
@@ -1786,16 +1636,6 @@ class TaskPool(_BasePool):
             fault_plan=fault_plan,
         )
         self._prefetch = 0
-        self._serial_ctx: TaskContext | None = None
-        if not self._serial:
-            self._start_workers(context)
-        _LIVE_POOLS.add(self)
-
-    def _published_arrays(self) -> dict[str, np.ndarray]:
-        return dict(self._boot_arrays)
-
-    def _worker_meta(self) -> dict:
-        return {"kind": "task", "k": 1, "n": 0}
 
     def submit(self, fn: Callable, items: Sequence, common=None) -> list:
         """Run ``fn(ctx, common, item)`` for every item; results in order.
@@ -1810,21 +1650,7 @@ class TaskPool(_BasePool):
         parts = self._execute(
             {"mode": "task", "fn": fn, "common": common}, items
         )
-        merged: dict[int, object] = {}
-        for part in parts:
-            merged.update(part)
-        return [merged[i] for i in range(len(items))]
-
-    def _execute_serial(self, batch: dict, items: list, out=None):
-        if self._serial_ctx is None:
-            self._serial_ctx = TaskContext(
-                dict(self._boot_arrays), local_segments=self._local_segments
-            )
-        fn, common = batch["fn"], batch["common"]
-        return [
-            {i: fn(self._serial_ctx, common, item)
-             for i, item in enumerate(items)}
-        ]
+        return _in_order(parts, len(items))
 
 
 def picklable(obj) -> bool:

@@ -196,9 +196,9 @@ class RPhastEngine:
     ) -> "RPhastEngine":
         """Rebuild an engine from :meth:`selection_arrays` output.
 
-        ``ch`` only needs ``n`` and the upward graph (a worker-side
-        ``_WorkerHierarchy`` qualifies); the downward traversal is not
-        repeated.
+        ``ch`` only needs ``n`` and the upward graph: pool chunks pass
+        the hierarchy generation's publication, which carries exactly
+        those.  The downward traversal is not repeated.
         """
         eng = cls.__new__(cls)
         eng.ch = ch

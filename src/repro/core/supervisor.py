@@ -509,9 +509,9 @@ def segment_name(tag: str | None = None) -> str:
     """A fresh pool segment name carrying the creator's pid.
 
     ``tag`` inserts a classification token between the pid and the
-    random suffix (``repro-<pid>-<tag>-<hex>``); metric-swap segments
-    use ``m<generation>`` so ``repro doctor`` can attribute a weight
-    segment stranded by a failed swap.  Tags must be alphanumeric —
+    random suffix (``repro-<pid>-<tag>-<hex>``); hierarchy generations
+    use ``m<generation>`` so ``repro doctor`` can attribute a
+    generation segment stranded by a failed swap.  Tags must be alphanumeric —
     a dash would break the pid/tag/suffix split.
     """
     if tag is not None and (not tag or not tag.isalnum()):
@@ -529,8 +529,8 @@ class SegmentInfo:
     size_bytes: int
     pid: int | None
     owner_alive: bool
-    #: ``"pool"`` (boot/output/selection), ``"metric"`` (a
-    #: ``swap_metric`` weight segment), or ``"unknown"``.
+    #: ``"pool"`` (boot/output/selection), ``"metric"`` (a hierarchy
+    #: generation segment), or ``"unknown"``.
     kind: str = "pool"
     #: Metric generation parsed from an ``m<gen>`` tag, else ``None``.
     generation: int | None = None

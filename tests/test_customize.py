@@ -258,6 +258,80 @@ def test_pool_swap_after_worker_kill_recovers(road, topo, weights, custom_ch):
     assert _shm_names() <= leaked
 
 
+def _mapped_segments(pid: int) -> set:
+    """Names of the ``repro-`` segments process ``pid`` has mapped."""
+    names = set()
+    with open(f"/proc/{pid}/maps") as fh:
+        for line in fh:
+            fields = line.split(maxsplit=5)
+            if len(fields) == 6 and "/dev/shm/repro-" in fields[5]:
+                path = fields[5].strip().removesuffix(" (deleted)")
+                names.add(os.path.basename(path))
+    return names
+
+
+@pytest.mark.parametrize(
+    "pool_kwargs",
+    [{"num_workers": 1}, {"num_workers": 2, "force_pool": True}],
+)
+def test_pool_memo_eviction_is_exact(road, topo, custom_ch, pool_kwargs):
+    """6 swaps interleaved with 8 selection publish/matrix/retire cycles.
+
+    Each cycle publishes more selections than the memo holds, so
+    entries are evicted while others still use the same generation.
+    Every answer stays bit-identical to in-process engines over the
+    live hierarchy; workers map only the live generation, the output
+    and at most the memo cap of selections; the serial pool holds one
+    generation.
+    """
+    from repro.core import RPhastEngine
+    from repro.core.pool import _MEMO_CAP
+
+    rng = np.random.default_rng(11)
+    sources = list(range(0, road.n, 13))
+    leaked = _shm_names()
+    inherited = _mapped_segments(os.getpid())
+    ch = custom_ch
+    with PhastPool(ch, **pool_kwargs) as pool:
+
+        def check_held(live: set) -> None:
+            for proc in (pool.supervisor.processes() if pool.supervisor
+                         else []):
+                mapped = _mapped_segments(proc.pid) - inherited
+                assert mapped <= live, (cycle, mapped - live)
+                assert len(mapped - {pool._hier[0], pool._out[0]}) \
+                    <= _MEMO_CAP
+            if pool.serial:
+                generations = [name for name, arrays in pool._segments.items()
+                               if "sw:pos_of" in arrays]
+                assert generations == [pool._hier[0]]
+                assert [k for k in pool._ctx._memo if k[0] == "phast"] == [
+                    ("phast", pool._hier[0])]
+
+        for cycle in range(8):
+            if 1 <= cycle <= 6:
+                ch = topo.instantiate(customize(
+                    topo, rng.integers(1, 5_000, size=road.m, dtype=np.int64)))
+                assert pool.swap_metric(ch) == cycle
+            reference = PhastEngine(ch).trees(sources)
+            assert np.array_equal(pool.trees(sources), reference)
+            check_held({pool._hier[0], pool._out[0]})
+            engines = [
+                RPhastEngine(ch, rng.choice(road.n, size=9, replace=False))
+                for _ in range(_MEMO_CAP)
+            ]
+            pubs = [pool.publish_arrays(e.selection_arrays()) for e in engines]
+            for eng, pub in zip(engines * 2, pubs * 2):
+                assert np.array_equal(pool.matrix(sources, selection=pub),
+                                      eng.many_to_many(sources))
+            assert np.array_equal(pool.trees(sources), reference)
+            check_held({pool._hier[0], pool._out[0],
+                        *(name for name, _ in pubs)})
+            for name, _ in pubs:
+                pool.retire_publication(name)
+    assert _shm_names() <= leaked
+
+
 # ---------------------------------------------------------------------------
 # Service-level swap: atomicity under load, cache invalidation
 

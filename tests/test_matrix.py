@@ -262,12 +262,41 @@ def test_pool_matrix_selection_retirement(road_ch, reference):
 
 
 def test_pool_matrix_serial_retirement(road_ch, reference):
+    """Retiring a selection drops the restricted engine memoized over it."""
+    def memo_names(pool):
+        return {name for key in pool._ctx._memo for name in key[1:]}
+
     with PhastPool(road_ch, num_workers=1) as pool:
         pub = pool.publish_arrays(RPhastEngine(road_ch, TARGETS).selection_arrays())
         assert np.array_equal(pool.matrix(SOURCES, selection=pub), reference)
+        assert pub[0] in memo_names(pool)
         pool.retire_publication(pub[0])
-        assert pub[0] not in pool._local_segments
-        assert pub[0] not in pool._serial_ctx.state["rphast:engines"]
+        assert pub[0] not in pool._segments
+        assert pub[0] not in memo_names(pool)
+
+
+@pytest.mark.parametrize(
+    "pool_kwargs",
+    [{"num_workers": 1}, {"num_workers": 2, "force_pool": True}],
+)
+def test_pool_matrix_refuses_dead_selection_handles(road_ch, reference,
+                                                    pool_kwargs):
+    """A retired or foreign handle is refused in the parent, the same
+    way on both paths, instead of failing or answering from a cache."""
+    eng = RPhastEngine(road_ch, TARGETS)
+    with PhastPool(road_ch, **pool_kwargs) as pool, \
+            PhastPool(road_ch, num_workers=1) as other:
+        pub = pool.publish_arrays(eng.selection_arrays())
+        assert np.array_equal(pool.matrix(SOURCES, selection=pub), reference)
+        pool.retire_publication(pub[0])
+        with pytest.raises(ValueError, match=f"{pub[0]!r} is not a live"):
+            pool.matrix(SOURCES, selection=pub)
+        foreign = other.publish_arrays(eng.selection_arrays())
+        with pytest.raises(ValueError, match=f"{foreign[0]!r} is not a live"):
+            pool.matrix(SOURCES, selection=foreign)
+        # The pool itself is unharmed: a fresh publication answers.
+        fresh = pool.publish_arrays(eng.selection_arrays())
+        assert np.array_equal(pool.matrix(SOURCES, selection=fresh), reference)
 
 
 def test_pool_matrix_bitidentical_across_injected_crash(road_ch, reference):

@@ -32,7 +32,7 @@ class MaxLabelReducer(TreeReducer):
 
 
 class GraphUsingReducer(TreeReducer):
-    """Touches a published graph + array to exercise WorkerContext."""
+    """Touches a published graph + array to exercise TaskContext."""
 
     def make_state(self, ctx):
         return np.zeros(ctx.n, dtype=np.int64)
@@ -357,7 +357,7 @@ def test_task_pool_closed_rejects_work():
 
 
 _GUARD_SCRIPT = r"""
-import signal, sys, time
+import glob, os, signal, sys, time
 
 from repro.ch import contract_graph
 from repro.core import PhastPool, install_signal_guard
@@ -367,7 +367,9 @@ graph = road_network(RoadNetworkParams(rows=6, cols=6, seed=1))
 pool = PhastPool(contract_graph(graph), num_workers=2, force_pool=True)
 pool.trees([0])  # materialize the output segment too
 install_signal_guard()
-print(pool._shm.name, pool._out_shm.name, "READY", flush=True)
+# Every segment this process created: the generation and the output.
+names = glob.glob(f"/dev/shm/repro-{os.getpid()}-*")
+print(*(os.path.basename(p) for p in names), "READY", flush=True)
 while True:  # keep sweeping until the parent kills us
     pool.trees([1, 2])
 """
@@ -390,7 +392,8 @@ def test_signal_guard_unlinks_shm_on_sigterm(tmp_path):
     try:
         line = proc.stdout.readline().split()
         assert line[-1] == "READY", line
-        shm_names = line[:2]
+        shm_names = line[:-1]
+        assert len(shm_names) >= 2, line
         proc.send_signal(signal.SIGTERM)
         rc = proc.wait(timeout=120)
     finally:

@@ -354,7 +354,7 @@ def test_graceful_drain_completes_inflight_and_unlinks_shm(road_ch, reference):
             batch_max=4, max_wait_ms=10.0, num_workers=2, force_pool=True
         ),
     )
-    shm_name = service.pool._shm.name
+    shm_name = service.pool._hier[0]  # the hierarchy generation segment
     handle = serve_in_thread(service)
     outcomes: list[str] = []
     lock = threading.Lock()
