@@ -144,7 +144,7 @@ def run(quiet: bool = False) -> dict:
 
     # Seed per-call driver: pays fork + engine rebuild + row pickling
     # on every call (k=1, its default and how the apps drove it).
-    from repro.core.parallel import resolve_workers
+    from repro.utils.workers import resolve_workers
 
     pool_workers = workers or resolve_workers(None)[0]
     legacy_trees_per_call(ch, sources[:2], num_workers=pool_workers)  # warm

@@ -2,13 +2,7 @@
 
 from .batched import contract_graph_batched
 from .contraction import CHParams, contract_graph
-from .customize import (
-    CHMetric,
-    CHTopology,
-    build_topology,
-    customize,
-    customize_many,
-)
+from .customize import CHMetric, CHTopology, build_topology, customize
 from .hierarchy import (
     ContractionHierarchy,
     assemble_hierarchy,
@@ -30,7 +24,6 @@ __all__ = [
     "CHTopology",
     "build_topology",
     "customize",
-    "customize_many",
     "ContractionHierarchy",
     "assemble_hierarchy",
     "build_csr_with_payload",

@@ -25,18 +25,19 @@ Rank order inside a round is by vertex ID; since round members are
 pairwise non-adjacent no arc connects them, so any order yields the
 same upward/downward split.
 
-**Parallel mode** (``num_workers > 1`` or
-``CHParams.preprocess_workers``) fans the two witness phases of each
-round out over a :class:`~repro.core.pool.TaskPool`: the coordinator
-publishes the evolving adjacency as shared-memory snapshots (the base
+The two witness phases of each round run as shards on a
+:class:`~repro.core.pool.TaskPool`, for every worker count: the
+coordinator publishes the evolving adjacency as snapshots (the base
 CSR once per :attr:`~repro.graph.dynamic.DynamicAdjacency.epoch`, the
-overlay + retired mask once per round) and workers rebuild a read-only
-replica to run their shard of priority evaluations or witness
-instances.  Everything order-sensitive — independent-set selection,
-shortcut dedup, graph surgery — stays in the coordinator, and witness
-instances are mutually independent, so the parallel hierarchy is
-**bit-identical** to the serial one for any worker count (and across
-worker crashes: a re-dispatched shard recomputes the same arrays).
+overlay + retired mask once per round) and each shard runs its
+priority evaluations or witness instances on a read-only replica
+rebuilt from them.  With one worker the pool runs the shards in
+process; with more, in worker processes over shared memory.
+Everything order-sensitive — independent-set selection, shortcut
+dedup, graph surgery — stays in the coordinator, and witness instances
+are mutually independent, so the hierarchy is **bit-identical** for
+any worker count (and across worker crashes: a re-dispatched shard
+recomputes the same arrays).
 """
 
 from __future__ import annotations
@@ -48,7 +49,6 @@ import numpy as np
 from ..graph.csr import StaticGraph
 from ..graph.dynamic import DynamicAdjacency
 from ..utils.hotloop import bulk_compute
-from ..utils.workers import resolve_workers
 from .hierarchy import ContractionHierarchy, assemble_hierarchy
 from .witness_batch import batched_witness_search, witness_shard
 
@@ -133,10 +133,9 @@ def _shard_priorities(
 ) -> dict:
     """Phase-1 priority components for ``verts`` (one witness sweep).
 
-    Pure function of the adjacency and ``verts``: the serial engine
-    calls it once with every dirty vertex, the parallel coordinator
-    ships contiguous slices to workers and concatenates the component
-    arrays.  All outputs are indexed like ``verts`` (or sorted by the
+    Pure function of the adjacency and ``verts``: the coordinator
+    ships contiguous slices of the dirty vertices as pool shards and
+    concatenates the component arrays.  All outputs are indexed like ``verts`` (or sorted by the
     packed pair key for the fresh-pair cache, which is monotone in the
     owner vertex — so per-slice sorted caches concatenate sorted).
     """
@@ -203,7 +202,7 @@ def _shard_bounds(total: int, parts: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Worker-side task handler (module-level: travels by name through pickle)
+# Shard task handler (module-level: travels by name through pickle)
 
 
 def _replica(ctx, common) -> DynamicAdjacency:
@@ -259,11 +258,28 @@ def _preprocessing_task(ctx, common, item) -> dict:
 # Coordinator
 
 
-class _BatchContractor:
-    """Mutable state of one batched preprocessing run."""
+class _PoolContractor:
+    """Mutable state of one batched preprocessing run over a TaskPool.
 
-    def __init__(self, graph: StaticGraph, params) -> None:
+    Only the two embarrassingly parallel phases leave the coordinator:
+    priority refresh shards (contiguous slices of the dirty-vertex
+    list) and phase-3 witness shards (contiguous instance ranges).
+    Selection, shortcut dedup and surgery run here, on the same arrays
+    and in the same order for every worker count — which is what makes
+    the output hierarchy bit-identical across worker counts.  A serial
+    pool runs the shards in process through the same chunk function.
+
+    Publication protocol: the base CSR is (re)published only when
+    :attr:`DynamicAdjacency.epoch` changes (a rebuild), the overlay +
+    retired mask every round.  Round segments are retired as soon as
+    the round's submits complete; the epoch segment outlives its
+    rounds so a crashed worker's re-dispatched shard (or a respawned
+    worker) can always re-attach mid-round.
+    """
+
+    def __init__(self, graph: StaticGraph, params, pool) -> None:
         self.params = params
+        self.pool = pool
         self.n = graph.n
         self.dyn = DynamicAdjacency(
             graph, rebuild_every=params.rebuild_every
@@ -282,64 +298,108 @@ class _BatchContractor:
         self.witness_searches = 0
         self.priority_evaluations = 0
         self.round_log: list[dict] = []
-        self.workers = 1
         self.publish_seconds = 0.0
+        self._cache_pairs = self.n < _FRESH_CACHE_MAX_N
         # Per-round cache of the priority pass's witness distances
         # (avoiding only the simulated vertex), keyed (v, u, w).  Valid
         # for the round they were computed in: same graph state.
         self._fresh_keys = np.zeros(0, dtype=np.int64)
         self._fresh_wd = np.zeros(0, dtype=np.int64)
         self._fresh_mask = np.zeros(self.n, dtype=bool)
+        self._epoch_seg: tuple | None = None
+        self._epoch_num = -1
+        self._round_seg: tuple | None = None
 
-    def _pair_key(self, v, u, w) -> np.ndarray:
-        return _pair_key(self.n, v, u, w)
+    def run(self) -> None:
+        """Contract every vertex, one independent-set round at a time."""
+        dyn = self.dyn
+        # The round loop is pure acyclic NumPy churn: pause the cyclic
+        # GC and keep malloc's big-block pages hot (multi-second stalls
+        # on virtualized hosts otherwise).
+        with bulk_compute():
+            while dyn.live_vertices:
+                round_start = time.perf_counter()
+                hop_limit = _hop_limit(self.params, dyn.avg_degree)
+                self._publish_round()
+                dirty_verts = np.flatnonzero(self.dirty & ~dyn.retired)
+                if dirty_verts.size:
+                    prio_info = self.refresh_priorities(dirty_verts, hop_limit)
+                else:
+                    # The cached per-pair witness distances are from an
+                    # older graph — not valid for this round's phase 3.
+                    self._fresh_keys = np.zeros(0, dtype=np.int64)
+                    self._fresh_mask[:] = False
+                    prio_info = {"instances": 0, "labels": 0, "pairs": 0}
+                batch = self.select_batch()
+                contract_info = self.contract_batch(batch, hop_limit)
+                self.pool.retire_publication(self._round_seg[0])
+                self.round_log.append({
+                    "round": len(self.round_log),
+                    "batch": int(batch.size),
+                    "dirty": int(dirty_verts.size),
+                    "hop_limit": hop_limit,
+                    "witness_instances": prio_info["instances"],
+                    "witness_labels": prio_info["labels"],
+                    "shortcuts": contract_info["shortcuts"],
+                    "seconds": time.perf_counter() - round_start,
+                })
 
-    @property
-    def _cache_pairs(self) -> bool:
-        return self.n < _FRESH_CACHE_MAX_N
+    # -- publication --------------------------------------------------------
 
-    # -- round hooks (parallel coordinator overrides) -----------------------
+    def _publish_round(self) -> None:
+        t0 = time.perf_counter()
+        dyn = self.dyn
+        if dyn.epoch != self._epoch_num:
+            if self._epoch_seg is not None:
+                self.pool.retire_publication(self._epoch_seg[0])
+            self._epoch_seg = self.pool.publish_arrays(dyn.base_arrays())
+            self._epoch_num = dyn.epoch
+        self._round_seg = self.pool.publish_arrays(
+            {**dyn.overlay_arrays(), "retired": dyn.retired}
+        )
+        self.publish_seconds += time.perf_counter() - t0
 
-    def begin_round(self) -> None:
-        """Publish round state to workers (no-op for the serial engine)."""
+    def _submit(self, items: list, hop_limit, **extra) -> list:
+        common = {
+            "n": self.n,
+            "epoch_seg": self._epoch_seg,
+            "round_seg": self._round_seg,
+            "hop_limit": hop_limit,
+            "witness_max_settled": self.params.witness_max_settled,
+            **extra,
+        }
+        return self.pool.submit(_preprocessing_task, items, common)
 
-    def end_round_cleanup(self) -> None:
-        """Retire per-round publications (no-op for the serial engine)."""
-
-    def close(self) -> None:
-        """Release pooled resources (no-op for the serial engine)."""
-
-    def pool_health(self) -> dict | None:
-        return None
+    def _shards(self, total: int) -> list[tuple[int, int]]:
+        # ~2 shards per worker process: enough slack for the supervisor
+        # to rebalance around a slow or dying worker without making the
+        # per-shard gather overhead dominate.  In process there is
+        # nothing to rebalance, and one shard runs each witness sweep
+        # in the fewest, widest iterations.
+        if self.pool.serial:
+            return [(0, total)]
+        return _shard_bounds(total, self.pool.num_workers * 2)
 
     # -- phase 1: priorities ------------------------------------------------
 
-    def _gather_pairs(self, verts: np.ndarray):
-        return _gather_pairs(self.dyn, verts)
-
     def refresh_priorities(self, verts: np.ndarray, hop_limit) -> dict:
-        """Recompute the paper's priority for ``verts`` in one sweep."""
-        p = self.params
-        comps = _shard_priorities(
-            self.dyn,
-            verts,
-            hop_limit,
-            h_arc_cap=p.h_arc_cap,
-            witness_max_settled=p.witness_max_settled,
-            cache_pairs=self._cache_pairs,
-        )
-        return self._apply_priorities(verts, [comps])
+        """Recompute the paper's priority for ``verts``, shard by shard.
 
-    def _apply_priorities(self, verts: np.ndarray, shards: list[dict]) -> dict:
-        """Fold per-shard phase-1 components into priorities + caches.
-
-        ``shards`` hold the components of consecutive slices of
+        The shards hold the components of consecutive slices of
         ``verts`` in order, so plain concatenation realigns every
         per-vertex array with ``verts`` — and the fresh-pair caches,
         each sorted by a key monotone in the owner vertex, concatenate
         into one globally sorted cache.
         """
         p = self.params
+        items = [
+            {"kind": "priorities", "verts": verts[lo:hi]}
+            for lo, hi in self._shards(int(verts.size))
+        ]
+        shards = self._submit(
+            items, hop_limit, h_arc_cap=p.h_arc_cap,
+            cache_pairs=self._cache_pairs,
+        )
         sc_count = np.concatenate([s["sc_count"] for s in shards])
         h_term = np.concatenate([s["h_term"] for s in shards])
         removed = np.concatenate([s["removed"] for s in shards])
@@ -385,34 +445,32 @@ class _BatchContractor:
     # -- phase 3 + 4: witness + surgery -------------------------------------
 
     def _phase3_witness(
-        self,
-        srcs: np.ndarray,
-        budgets: np.ndarray,
-        inst: np.ndarray,
-        targets: np.ndarray,
-        batch: np.ndarray,
-        in_batch: np.ndarray,
-        hop_limit,
+        self, srcs, budgets, inst, targets, batch, hop_limit
     ) -> np.ndarray:
         """Witness distance per (instance, target) query for phase 3."""
-        result = batched_witness_search(
-            self.dyn,
-            srcs,
-            budgets,
-            excluded_mask=in_batch,
-            hop_limit=hop_limit,
-            label_cap=self.params.witness_max_settled,
-        )
-        return result.lookup(inst, targets)
+        items, sels = [], []
+        for lo, hi in self._shards(int(srcs.size)):
+            sel = np.flatnonzero((inst >= lo) & (inst < hi))
+            sels.append(sel)
+            items.append({
+                "kind": "phase3",
+                "srcs": srcs[lo:hi],
+                "budgets": budgets[lo:hi],
+                "q_inst": inst[sel] - lo,
+                "q_vert": targets[sel],
+            })
+        results = self._submit(items, hop_limit, batch=batch)
+        wd = np.empty(inst.size, dtype=np.int64)
+        for sel, res in zip(sels, results):
+            wd[sel] = res["wd"]
+        return wd
 
     def contract_batch(self, batch: np.ndarray, hop_limit) -> dict:
         """Decide shortcuts for ``batch`` and apply the bulk surgery."""
         dyn = self.dyn
         (own_i, u, lu, hu), (own_o, w, lw, hw), (
             pair_owner, in_idx, out_idx
-        ) = self._gather_pairs(batch)
-        in_batch = np.zeros(self.n, dtype=bool)
-        in_batch[batch] = True
+        ) = _gather_pairs(dyn, batch)
 
         shortcuts = 0
         if pair_owner.size:
@@ -424,7 +482,7 @@ class _BatchContractor:
             inst = src_of_arc[in_idx]
             np.maximum.at(budgets, inst, cand)
             wd = self._phase3_witness(
-                srcs, budgets, inst, w[out_idx], batch, in_batch, hop_limit
+                srcs, budgets, inst, w[out_idx], batch, hop_limit
             )
             self.witness_searches += int(srcs.size)
             needed = (wd < 0) | (wd > cand)
@@ -441,7 +499,8 @@ class _BatchContractor:
             if needed.any() and self._fresh_keys.size:
                 fresh = self._fresh_mask[batch[pair_owner]] & needed
                 if fresh.any():
-                    keys = self._pair_key(
+                    keys = _pair_key(
+                        self.n,
                         batch[pair_owner[fresh]],
                         u[in_idx[fresh]],
                         w[out_idx[fresh]],
@@ -508,158 +567,11 @@ class _BatchContractor:
         return {"shortcuts": shortcuts, "neighbours": int(nbr.size)}
 
 
-class _PoolContractor(_BatchContractor):
-    """Coordinator that fans each round's witness phases over a TaskPool.
-
-    Only the two embarrassingly parallel phases leave the coordinator:
-    priority refresh shards (contiguous slices of the dirty-vertex
-    list) and phase-3 witness shards (contiguous instance ranges).
-    Selection, shortcut dedup and surgery run here, on the same arrays
-    and in the same order as the serial engine — which is what makes
-    the output hierarchy bit-identical for any worker count.
-
-    Publication protocol: the base CSR is (re)published only when
-    :attr:`DynamicAdjacency.epoch` changes (a rebuild), the overlay +
-    retired mask every round.  Round segments are retired as soon as
-    the round's submits complete; the epoch segment outlives its
-    rounds so a crashed worker's re-dispatched shard (or a respawned
-    worker) can always re-attach mid-round.
-    """
-
-    def __init__(
-        self, graph: StaticGraph, params, *, num_workers: int,
-        force_pool: bool = False,
-    ) -> None:
-        super().__init__(graph, params)
-        from ..core.pool import TaskPool
-
-        self.pool = TaskPool(
-            num_workers=num_workers, force_pool=force_pool
-        )
-        self.workers = self.pool.num_workers
-        self._epoch_seg: tuple | None = None
-        self._epoch_num = -1
-        self._round_seg: tuple | None = None
-
-    def close(self) -> None:
-        self.pool.close()
-
-    def pool_health(self) -> dict | None:
-        return self.pool.health()
-
-    # -- publication --------------------------------------------------------
-
-    def begin_round(self) -> None:
-        t0 = time.perf_counter()
-        dyn = self.dyn
-        if dyn.epoch != self._epoch_num:
-            if self._epoch_seg is not None:
-                self.pool.retire_publication(self._epoch_seg[0])
-            self._epoch_seg = self.pool.publish_arrays(dyn.base_arrays())
-            self._epoch_num = dyn.epoch
-        self._round_seg = self.pool.publish_arrays(
-            {**dyn.overlay_arrays(), "retired": dyn.retired}
-        )
-        self.publish_seconds += time.perf_counter() - t0
-
-    def end_round_cleanup(self) -> None:
-        if self._round_seg is not None:
-            self.pool.retire_publication(self._round_seg[0])
-            self._round_seg = None
-
-    def _common(self, hop_limit, **extra) -> dict:
-        common = {
-            "n": self.n,
-            "epoch_seg": self._epoch_seg,
-            "round_seg": self._round_seg,
-            "hop_limit": hop_limit,
-            "witness_max_settled": self.params.witness_max_settled,
-        }
-        common.update(extra)
-        return common
-
-    # -- parallel phases ----------------------------------------------------
-
-    def refresh_priorities(self, verts: np.ndarray, hop_limit) -> dict:
-        p = self.params
-        # ~2 shards per worker: enough slack for the supervisor to
-        # rebalance around a slow or dying worker without making the
-        # per-shard gather overhead dominate.
-        bounds = _shard_bounds(int(verts.size), self.workers * 2)
-        items = [
-            {"kind": "priorities", "verts": verts[lo:hi]} for lo, hi in bounds
-        ]
-        common = self._common(
-            hop_limit,
-            h_arc_cap=p.h_arc_cap,
-            cache_pairs=self._cache_pairs,
-        )
-        shards = self.pool.submit(_preprocessing_task, items, common)
-        return self._apply_priorities(verts, shards)
-
-    def _phase3_witness(
-        self, srcs, budgets, inst, targets, batch, in_batch, hop_limit
-    ) -> np.ndarray:
-        bounds = _shard_bounds(int(srcs.size), self.workers * 2)
-        items, sels = [], []
-        for lo, hi in bounds:
-            sel = np.flatnonzero((inst >= lo) & (inst < hi))
-            sels.append(sel)
-            items.append({
-                "kind": "phase3",
-                "srcs": srcs[lo:hi],
-                "budgets": budgets[lo:hi],
-                "q_inst": inst[sel] - lo,
-                "q_vert": targets[sel],
-            })
-        common = self._common(hop_limit, batch=batch)
-        results = self.pool.submit(_preprocessing_task, items, common)
-        wd = np.empty(inst.size, dtype=np.int64)
-        for sel, res in zip(sels, results):
-            wd[sel] = res["wd"]
-        return wd
-
-
-def _run_rounds(state: _BatchContractor, params) -> None:
-    """The round loop, shared by the serial and parallel coordinators."""
-    dyn = state.dyn
-    # The round loop is pure acyclic NumPy churn: pause the cyclic GC
-    # and keep malloc's big-block pages hot (multi-second stalls on
-    # virtualized hosts otherwise).
-    with bulk_compute():
-        while dyn.live_vertices:
-            round_start = time.perf_counter()
-            hop_limit = _hop_limit(params, dyn.avg_degree)
-            state.begin_round()
-            dirty_verts = np.flatnonzero(state.dirty & ~dyn.retired)
-            if dirty_verts.size:
-                prio_info = state.refresh_priorities(dirty_verts, hop_limit)
-            else:
-                # The cached per-pair witness distances are from an
-                # older graph — not valid for this round's phase 3.
-                state._fresh_keys = np.zeros(0, dtype=np.int64)
-                state._fresh_mask[:] = False
-                prio_info = {"instances": 0, "labels": 0, "pairs": 0}
-            batch = state.select_batch()
-            contract_info = state.contract_batch(batch, hop_limit)
-            state.end_round_cleanup()
-            state.round_log.append({
-                "round": len(state.round_log),
-                "batch": int(batch.size),
-                "dirty": int(dirty_verts.size),
-                "hop_limit": hop_limit,
-                "witness_instances": prio_info["instances"],
-                "witness_labels": prio_info["labels"],
-                "shortcuts": contract_info["shortcuts"],
-                "seconds": time.perf_counter() - round_start,
-            })
-
-
 def contract_graph_batched(
     graph: StaticGraph,
     params,
     *,
-    num_workers: int | None = None,
+    num_workers: int | None = 1,
     force_pool: bool = False,
 ) -> ContractionHierarchy:
     """Run batched independent-set CH preprocessing on ``graph``.
@@ -672,47 +584,23 @@ def contract_graph_batched(
 
     Parameters
     ----------
-    num_workers:
-        Worker processes for the per-round witness phases (default:
-        ``params.preprocess_workers``; ``None`` keeps everything in
-        one process).  Resolution goes through
-        :func:`~repro.utils.workers.resolve_workers`, so the shared
-        ``REPRO_MAX_WORKERS`` cap applies and single-CPU hosts fall
-        back to the serial engine.  The hierarchy is bit-identical
-        for every worker count.
-    force_pool:
-        Spin up worker processes even on a single-CPU host (the
-        multiprocessing path stays testable everywhere).
+    num_workers, force_pool:
+        Passed straight to the :class:`~repro.core.pool.TaskPool` that
+        runs the per-round witness phases.  The default, one worker,
+        runs them in process; ``None`` takes the
+        :func:`~repro.utils.workers.resolve_workers` default (capped by
+        ``REPRO_MAX_WORKERS``), and a multi-worker request on a
+        single-CPU host falls back to in-process unless ``force_pool``
+        is set.  The hierarchy is bit-identical for every worker count.
     """
+    from ..core.pool import TaskPool
+
     start = time.perf_counter()
-    requested = num_workers
-    if requested is None:
-        requested = getattr(params, "preprocess_workers", None)
-    if requested is None and not force_pool:
-        workers, fell_back = 1, False
-    elif force_pool:
-        # Mirror the pool's own force semantics: the requested count is
-        # honoured as-is even on a single-CPU host.
-        if requested is None:
-            requested, _ = resolve_workers(None)
-        workers, fell_back = max(1, int(requested)), False
-    else:
-        workers, fell_back = resolve_workers(requested)
-    use_pool = force_pool or workers > 1
-
-    if use_pool:
-        state: _BatchContractor = _PoolContractor(
-            graph, params, num_workers=workers, force_pool=force_pool
-        )
-    else:
-        state = _BatchContractor(graph, params)
+    with TaskPool(num_workers=num_workers, force_pool=force_pool) as pool:
+        state = _PoolContractor(graph, params, pool)
+        state.run()
+        health = pool.health()
     dyn = state.dyn
-    try:
-        _run_rounds(state, params)
-        health = state.pool_health()
-    finally:
-        state.close()
-
     empty = np.zeros(0, dtype=np.int64)
     sc_tails = np.concatenate(state.sc_tails) if state.sc_tails else empty
     sc_heads = np.concatenate(state.sc_heads) if state.sc_heads else empty
@@ -731,14 +619,13 @@ def contract_graph_batched(
         "mean_batch": float(np.mean(batches)) if batches else 0.0,
         "rebuilds": dyn.rebuilds,
         "rebuild_seconds": dyn.rebuild_seconds,
-        "workers": state.workers,
-        "parallel": use_pool,
-        "fell_back": fell_back,
+        "workers": pool.num_workers,
+        "parallel": not pool.serial,
+        "fell_back": pool.fell_back,
         "publish_seconds": state.publish_seconds,
         "round_log": state.round_log,
+        "pool_health": health,
     }
-    if health is not None:
-        stats["pool_health"] = health
     return assemble_hierarchy(
         graph,
         state.rank,

@@ -64,12 +64,6 @@ class CHParams:
     rebuild_every:
         Batched strategy only: recompact the dynamic adjacency for
         locality every this many rounds.
-    preprocess_workers:
-        Batched strategy only: fan each round's witness phases over
-        this many :class:`~repro.core.pool.TaskPool` worker processes
-        (``None`` = single-process, the default).  The hierarchy is
-        bit-identical for every worker count; see
-        :func:`~repro.ch.batched.contract_graph_batched`.
     """
 
     ed_weight: int = 2
@@ -86,7 +80,6 @@ class CHParams:
     neighbor_updates: bool = True
     strategy: str = "lazy"
     rebuild_every: int = 4
-    preprocess_workers: int | None = None
 
 
 @dataclass

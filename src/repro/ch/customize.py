@@ -68,7 +68,6 @@ __all__ = [
     "CHMetric",
     "build_topology",
     "customize",
-    "customize_many",
 ]
 
 
@@ -142,7 +141,7 @@ class CHTopology:
     def num_triangles(self) -> int:
         return int(self.tri_target.size)
 
-    # -- (de)materialization (shared by serialization and TaskPool) -------
+    # -- (de)materialization (save_topology / load_topology) -------------
 
     _ARRAY_KEYS = (
         "rank", "level", "arc_tail", "arc_head", "base_map",
@@ -666,60 +665,3 @@ def customize(topology: CHTopology, weights, *,
     return CHMetric(
         topology_key=topology.key, weights=w, via=via, stats=stats
     )
-
-
-# ---------------------------------------------------------------------------
-# Optional fan-out: many metrics over one topology
-
-
-def _customize_task(ctx, common, item) -> CHMetric:
-    """TaskPool worker body: customize one weight vector.
-
-    The topology travels once as a shared-memory publication; each
-    worker memoizes the rebuilt :class:`CHTopology` by its name, so a
-    scenario family of k metrics costs one topology transfer + k cheap
-    weight pickles.
-    """
-    topo = ctx.memo("topology", (common["topology_seg"],), lambda views: (
-        CHTopology.from_arrays(views, num_base_arcs=common["num_base_arcs"])))
-    return customize(topo, item["weights"], with_vias=common["with_vias"])
-
-
-def customize_many(
-    topology: CHTopology,
-    weight_sets,
-    *,
-    with_vias: bool = True,
-    num_workers: int | None = None,
-    force_pool: bool = False,
-) -> list[CHMetric]:
-    """Customize several weight vectors over one topology.
-
-    Scenario families — time-of-day metrics, incident closures,
-    per-vehicle profiles — are embarrassingly parallel in the metric
-    dimension; this fans whole :func:`customize` calls over a
-    :class:`~repro.core.pool.TaskPool`.  Falls back to a serial loop
-    when no pool is warranted.
-    """
-    weight_sets = list(weight_sets)
-    if not weight_sets:
-        return []
-    from ..core.pool import TaskPool
-    from ..utils.workers import resolve_workers
-
-    workers, _ = resolve_workers(num_workers)
-    if len(weight_sets) == 1 or (workers <= 1 and not force_pool):
-        return [customize(topology, ws, with_vias=with_vias)
-                for ws in weight_sets]
-    pool = TaskPool(num_workers=workers, force_pool=force_pool)
-    try:
-        seg = pool.publish_arrays(topology.arrays())
-        common = {
-            "topology_seg": seg,
-            "num_base_arcs": topology.num_base_arcs,
-            "with_vias": with_vias,
-        }
-        items = [{"weights": _as_int64(ws)} for ws in weight_sets]
-        return pool.submit(_customize_task, items, common)
-    finally:
-        pool.close()

@@ -80,19 +80,16 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    from .ch import CHParams, contract_graph
+    from .ch import CHParams, contract_graph, contract_graph_batched
     from .graph import save_hierarchy
 
-    workers = args.preprocess_workers
-    force_pool = getattr(args, "force_pool", False)
-    if args.strategy != "batched" and (workers is not None or force_pool):
+    workers, force_pool = args.preprocess_workers, args.force_pool
+    if args.strategy != "batched" and (workers != 1 or force_pool):
         print("--preprocess-workers/--force-pool require --strategy batched")
         return 2
     graph = _load_graph(args.graph)
     start = time.perf_counter()
-    if args.strategy == "batched" and (workers is not None or force_pool):
-        from .ch import contract_graph_batched
-
+    if args.strategy == "batched":
         ch = contract_graph_batched(
             graph,
             CHParams(strategy="batched"),
@@ -841,11 +838,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--preprocess-workers",
         type=int,
-        default=None,
+        default=1,
         metavar="N",
         help="parallelize the batched strategy's witness phases over N "
-        "worker processes (default: single-process; capped by "
-        "REPRO_MAX_WORKERS when omitted — see resolve_workers)",
+        "worker processes (default: 1, in process; a single-CPU host "
+        "falls back to in process unless --force-pool)",
     )
     p.add_argument(
         "--force-pool",

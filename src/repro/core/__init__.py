@@ -2,12 +2,8 @@
 
 from .gphast import GphastEngine, GphastResult
 from .many_to_many import many_to_many_buckets
-from .parallel import (
-    block_boundaries,
-    resolve_workers,
-    tree_level_parallel,
-    trees_per_core,
-)
+from ..utils.workers import resolve_workers
+from .parallel import block_boundaries, tree_level_parallel, trees_per_core
 from .phast import PhastEngine, phast_original_order, phast_scalar
 from .pool import (
     PhastPool,

@@ -60,14 +60,6 @@ class GphastEngine:
     def sweep(self):
         return self.engine.sweep
 
-    def check_memory(self, k: int) -> bool:
-        """Does the graph plus ``k`` label arrays fit on the card?"""
-        sw = self.engine.sweep
-        return (
-            self.model.device_memory_mb(sw.n, sw.num_arcs, k)
-            <= self.model.spec.mem_gb * 1024
-        )
-
     def trees(self, sources) -> GphastResult:
         """Compute ``k = len(sources)`` trees in one modeled sweep."""
         sources = np.atleast_1d(np.asarray(sources, dtype=np.int64))

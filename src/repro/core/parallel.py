@@ -30,15 +30,12 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
-from ..utils.workers import DEFAULT_WORKER_CAP, resolve_workers
 from .phast import PhastEngine
 
 __all__ = [
     "trees_per_core",
     "tree_level_parallel",
     "block_boundaries",
-    "resolve_workers",
-    "DEFAULT_WORKER_CAP",
 ]
 
 def trees_per_core(
@@ -67,9 +64,9 @@ def trees_per_core(
         order.
     num_workers:
         Worker processes (default: CPU count, capped per
-        :func:`resolve_workers`).  On a single-CPU machine multi-worker
-        requests fall back to the serial engine unless ``force_pool``
-        is set.
+        :func:`~repro.utils.workers.resolve_workers`).  On a
+        single-CPU machine multi-worker requests fall back to the
+        serial engine unless ``force_pool`` is set.
     sources_per_sweep:
         The ``k`` of Section IV-B applied inside each worker.
     reduce:

@@ -76,7 +76,7 @@ import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
 from ..graph.csr import StaticGraph
-from .parallel import resolve_workers
+from ..utils.workers import resolve_workers
 from .phast import PhastEngine
 from .rphast import RPhastEngine
 from .supervisor import (

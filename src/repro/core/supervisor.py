@@ -471,15 +471,6 @@ class WorkerSupervisor:
         """False only when nothing is alive and nothing can come back."""
         return self.alive_count() > 0 or self.can_respawn()
 
-    def all_idle(self) -> bool:
-        """No live worker currently holds a chunk."""
-        with self._lock:
-            return all(
-                self.hb[2 * s + 1] == 0
-                for s in range(self.num_slots)
-                if self._workers[s] is not None
-            )
-
     def processes(self) -> list:
         with self._lock:
             return [h.process for h in self._workers if h is not None]

@@ -149,12 +149,6 @@ class StaticGraph:
         """Lengths of the arcs stored at ``v`` (a view)."""
         return self.arc_len[self.first[v] : self.first[v + 1]]
 
-    def out_arcs(self, v: int) -> Iterator[tuple[int, int]]:
-        """Iterate ``(head, length)`` pairs for the arcs stored at ``v``."""
-        lo, hi = self.first[v], self.first[v + 1]
-        for i in range(lo, hi):
-            yield int(self.arc_head[i]), int(self.arc_len[i])
-
     def arc_tails(self) -> np.ndarray:
         """Expand the CSR structure back into a per-arc tail array.
 

@@ -68,6 +68,11 @@ WORK_OPS = protocol.WORK_OPS
 ADMIN_OPS = protocol.ADMIN_OPS
 CONTROL_OPS = protocol.CONTROL_OPS
 
+#: Threads for sweeps + point-to-point queries.
+EXECUTOR_THREADS = 4
+#: Per-engine upward search cache for matrix sources (entries).
+MATRIX_SEARCH_CACHE = 256
+
 
 @dataclass
 class ServerConfig:
@@ -90,8 +95,6 @@ class ServerConfig:
     sources_per_sweep: int = 0
     #: Spawn pool worker processes even on a single-CPU host.
     force_pool: bool = False
-    #: Threads for sweeps + point-to-point queries.
-    executor_threads: int = 4
     #: Engine-side LRU of upward search spaces (entries; 0 disables).
     #: Repeat origins — depots, hubs, popular tiles — skip the
     #: per-source CH search entirely on a hit.
@@ -110,16 +113,12 @@ class ServerConfig:
     #: LRU capacity of the RPHAST selection cache (distinct target
     #: sets with warm restricted structures + live pool publications).
     selection_cache: int = 32
-    #: Per-engine upward search cache for matrix sources (entries).
-    matrix_search_cache: int = 256
 
     def __post_init__(self) -> None:
         if self.batch_max < 1:
             raise ValueError("batch_max must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if self.executor_threads < 1:
-            raise ValueError("executor_threads must be >= 1")
         if self.search_cache < 0:
             raise ValueError("search_cache must be >= 0")
         if self.heartbeat_interval_ms <= 0:
@@ -130,8 +129,6 @@ class ServerConfig:
             raise ValueError("health_poll_ms must be > 0")
         if self.selection_cache < 1:
             raise ValueError("selection_cache must be >= 1")
-        if self.matrix_search_cache < 0:
-            raise ValueError("matrix_search_cache must be >= 0")
 
 
 class _BadRequest(Exception):
@@ -198,7 +195,7 @@ class PhastService(FrameServer):
             self.config.selection_cache, on_evict=self._retire_selection
         )
         self._executor = ThreadPoolExecutor(
-            max_workers=self.config.executor_threads,
+            max_workers=EXECUTOR_THREADS,
             thread_name_prefix="phast-serve",
         )
         self.batcher = MicroBatcher(
@@ -281,7 +278,7 @@ class PhastService(FrameServer):
         rows = self.pool.matrix(
             sources,
             selection=publication,
-            search_cache=self.config.matrix_search_cache,
+            search_cache=MATRIX_SEARCH_CACHE,
         )
         # Rows come back aligned to the engine's deduplicated, sorted
         # target set; re-map to the request's column order.

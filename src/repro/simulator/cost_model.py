@@ -104,15 +104,6 @@ class WorkloadCounts:
     arcs: int
     levels: int = 1
 
-    @property
-    def sweep_bytes(self) -> int:
-        """Sequential bytes of one PHAST sweep (arcs, first, writes)."""
-        return (
-            self.arcs * ARC_BYTES
-            + self.n * FIRST_BYTES
-            + self.n * LABEL_BYTES
-        )
-
 
 def phast_counts(sweep: SweepStructure) -> WorkloadCounts:
     """Counts of one PHAST sweep over ``sweep``'s downward graph."""

@@ -1,12 +1,12 @@
 """Worker-count resolution shared by every parallel driver.
 
-All process-pool entry points — the batch pool
-(:class:`~repro.core.pool.PhastPool`), the preprocessing task pool
-(:class:`~repro.core.pool.TaskPool` via
-:func:`~repro.ch.batched.contract_graph_batched`) and the one-shot
-``trees_per_core`` driver — resolve their worker count through
-:func:`resolve_workers`, so one ``REPRO_MAX_WORKERS`` setting caps the
-whole process tree.
+Every process-pool entry point resolves its worker count inside the
+pool (:class:`~repro.core.pool.PhastPool` and
+:class:`~repro.core.pool.TaskPool`) through :func:`resolve_workers`,
+so one ``REPRO_MAX_WORKERS`` setting caps the whole process tree.  The
+drivers — ``repro serve --workers``, the one-shot ``trees_per_core``
+and :func:`~repro.ch.batched.contract_graph_batched` — pass their
+request straight through.
 
 Precedence (highest wins):
 

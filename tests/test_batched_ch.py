@@ -10,6 +10,8 @@ slightly less information than the strictly sequential order).
 
 from __future__ import annotations
 
+import glob
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -152,6 +154,10 @@ def test_unknown_strategy_rejected(road):
 # -- parallel preprocessing determinism ---------------------------------------
 
 
+def _repro_segments() -> set:
+    return set(glob.glob("/dev/shm/repro-*"))
+
+
 def _assert_hierarchies_identical(a, b):
     """Every array that defines the hierarchy must match bit for bit."""
     assert np.array_equal(a.rank, b.rank)
@@ -169,7 +175,13 @@ def _assert_hierarchies_identical(a, b):
 def test_parallel_preprocessing_bit_identical_to_serial(road):
     from repro.ch import contract_graph_batched
 
+    before = _repro_segments()
     serial = contract_graph_batched(road, BATCHED)
+    # The serial run uses the same coordinator over an in-process pool:
+    # no worker processes, no shared-memory segments.
+    assert serial.preprocessing_stats["parallel"] is False
+    assert serial.preprocessing_stats["workers"] == 1
+    assert _repro_segments() <= before
     par = contract_graph_batched(
         road, BATCHED, num_workers=2, force_pool=True
     )
@@ -203,16 +215,15 @@ def test_parallel_preprocessing_worker_count_invariance():
 
 
 def test_preprocess_workers_param_falls_back_serially(road, monkeypatch):
-    """CHParams.preprocess_workers flows through contract_graph; on a
-    single-CPU host (forced here) it degrades to the serial engine with
-    the fallback flagged, and the result is the serial result."""
+    """A multi-worker request on a single-CPU host (forced here)
+    degrades to the in-process pool with the fallback flagged, and the
+    result is the serial result."""
+    from repro.ch import contract_graph_batched
     import repro.utils.workers as workers_mod
 
     monkeypatch.setattr(workers_mod.os, "cpu_count", lambda: 1)
     ref = contract_graph(road, BATCHED)
-    ch = contract_graph(
-        road, CHParams(strategy="batched", preprocess_workers=4)
-    )
+    ch = contract_graph_batched(road, BATCHED, num_workers=4)
     stats = ch.preprocessing_stats
     assert stats["parallel"] is False
     assert stats["fell_back"] is True

@@ -21,7 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ch import build_topology, contract_graph, customize, customize_many
+from repro.ch import build_topology, contract_graph, customize
 from repro.ch.customize import CHTopology, INF
 from repro.core import PhastEngine, PhastPool
 from repro.graph import (
@@ -114,17 +114,6 @@ def test_customize_random_multigraph():
     reweighed = _reweigh(g, w)
     for s in range(0, g.n, 17):
         assert np.array_equal(engine.tree(s).dist, dijkstra(reweighed, s).dist)
-
-
-def test_customize_many_matches_single(topo, weights):
-    rng = np.random.default_rng(7)
-    vectors = [weights,
-               rng.integers(1, 100, size=weights.size, dtype=np.int64)]
-    many = customize_many(topo, vectors)
-    for metric, w in zip(many, vectors):
-        single = customize(topo, w)
-        assert np.array_equal(metric.weights, single.weights)
-        assert metric.topology_key == single.topology_key
 
 
 def test_customize_rejects_wrong_length(topo, weights):
