@@ -42,6 +42,7 @@ from common import fmt, print_table
 from repro.ch import CHParams, build_topology, contract_graph_batched, customize
 from repro.core import PhastEngine
 from repro.graph import europe_like, load_topology, save_topology
+from repro.graph.serialize import ArtifactFormatError
 from repro.server import (
     PhastService,
     ServerClient,
@@ -76,8 +77,12 @@ def _cached_topology(graph, scale: int, seed: int):
     CACHE_DIR.mkdir(exist_ok=True)
     path = CACHE_DIR / f"topology-europe-{scale}-{seed}.npz"
     if path.exists():
-        topo = load_topology(path)
-        return topo, float(topo.stats.get("seconds", 0.0))
+        try:
+            topo = load_topology(path)
+        except ArtifactFormatError:
+            pass  # written in an older format: rebuild it below
+        else:
+            return topo, float(topo.stats.get("seconds", 0.0))
     start = time.perf_counter()
     topo = build_topology(graph)
     build_s = time.perf_counter() - start
@@ -94,10 +99,9 @@ def bench_customize(quiet: bool = False) -> dict:
 
     timings: dict[str, float] = {}
     native_used = None
-    for label, kwargs, env in [
-        ("customize_novia_s", {"with_vias": False}, None),
-        ("customize_vias_s", {"with_vias": True}, None),
-        ("customize_novia_numpy_s", {"with_vias": False}, "1"),
+    for label, env in [
+        ("customize_s", None),
+        ("customize_numpy_s", "1"),
     ]:
         if env is not None:
             os.environ["REPRO_NO_NATIVE"] = env
@@ -107,7 +111,7 @@ def bench_customize(quiet: bool = False) -> dict:
         best = None
         for _ in range(_reps()):
             start = time.perf_counter()
-            metric = customize(topo, base_w, **kwargs)
+            metric = customize(topo, base_w)
             elapsed = time.perf_counter() - start
             best = elapsed if best is None else min(best, elapsed)
         timings[label] = best
@@ -123,7 +127,7 @@ def bench_customize(quiet: bool = False) -> dict:
 
     # Bit-identity: the customized hierarchy's distances == the witness
     # hierarchy's, source by source, exactly.
-    metric = customize(topo, base_w, with_vias=False)
+    metric = customize(topo, base_w)
     custom_engine = PhastEngine(topo.instantiate(metric))
     witness_engine = PhastEngine(witness_ch)
     rng = np.random.default_rng(17)
@@ -146,15 +150,11 @@ def bench_customize(quiet: bool = False) -> dict:
         **{k: round(v, 4) for k, v in timings.items()},
         "recontraction_s": round(contraction_s, 3),
         "speedup_vs_recontraction": round(
-            contraction_s / timings["customize_novia_s"], 2),
-        "speedup_vs_recontraction_with_vias": round(
-            contraction_s / timings["customize_vias_s"], 2),
+            contraction_s / timings["customize_s"], 2),
         "speedup_vs_pipeline_rebuild": round(
-            (build_s + timings["customize_novia_s"])
-            / timings["customize_novia_s"], 2),
+            (build_s + timings["customize_s"]) / timings["customize_s"], 2),
         "native_kernel_speedup": round(
-            timings["customize_novia_numpy_s"]
-            / timings["customize_novia_s"], 2),
+            timings["customize_numpy_s"] / timings["customize_s"], 2),
         "bit_identical_distances": bool(bit_identical),
         "checked_sources": int(sample.size),
     }
@@ -164,19 +164,16 @@ def bench_customize(quiet: bool = False) -> dict:
             ["step", "seconds"],
             [
                 ["build_topology (once per structure)", fmt(build_s, 1)],
-                ["customize, no vias (native kernel)",
-                 fmt(timings["customize_novia_s"], 3)],
-                ["customize, with vias",
-                 fmt(timings["customize_vias_s"], 3)],
-                ["customize, no vias (NumPy fallback)",
-                 fmt(timings["customize_novia_numpy_s"], 3)],
+                ["customize (native kernels)",
+                 fmt(timings["customize_s"], 3)],
+                ["customize (NumPy fallback)",
+                 fmt(timings["customize_numpy_s"], 3)],
                 ["witness re-contraction", fmt(contraction_s, 1)],
             ],
         )
         print(
             f"customize beats re-contraction "
-            f"{record['speedup_vs_recontraction']}x "
-            f"({record['speedup_vs_recontraction_with_vias']}x with vias); "
+            f"{record['speedup_vs_recontraction']}x; "
             f"bit-identical on {sample.size} sources: {bit_identical}"
         )
     return record

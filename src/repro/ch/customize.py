@@ -12,20 +12,28 @@ CCH; Delling et al.'s CRP) keeps separate:
   the CSR instantiation plans for the upward/downward graphs.  A pure
   function of the graph *structure*; built once, reused for every
   metric.
-* a **metric artifact** (:class:`CHMetric`) — one weight + unpack-via
-  value per closure arc, produced by :func:`customize` in a single
-  bottom-up vectorized pass.
+* a **metric artifact** (:class:`CHMetric`) — per closure arc an exact
+  distance, a kept flag and an unpack via, produced by
+  :func:`customize` in two vectorized passes over the triangles.
 
 The closure is witness-free on purpose.  A witness-pruned shortcut set
 is only valid for the weights it was pruned against; the closure —
-every ``(u, w)`` pair that shares a lower-ranked neighbour somewhere
-along the order, exactly the fill-in of the elimination game — is
-valid for *any* weight assignment: repeatedly replacing the highest
-interior vertex of a shortest path by the corresponding triangle turns
-it into an up-down path of equal length.  The price is a larger arc
-set (and correspondingly slower queries — the usual CCH trade); the
-payoff is that :func:`customize` is a handful of vectorized
-scatter-min sweeps instead of minutes of witness Dijkstras.
+every ``{u, w}`` pair that shares a lower-ranked neighbour somewhere
+along the order, exactly the fill-in of the elimination game over the
+undirected neighbour relation — is valid for *any* weight assignment:
+repeatedly replacing the highest interior vertex of a shortest path by
+the corresponding triangle turns it into an up-down path of equal
+length.  Both directions of every closure edge are arcs (a direction
+with no base arc starts at ``INF``), which the perfect pass needs.
+
+The price of the closure is its size; each metric pays it back by
+pruning.  Perfect customization (CCH) makes every closure weight the
+exact distance between its endpoints, after which an arc that an
+upper or intermediate triangle matches is never needed by a query:
+:meth:`CHTopology.instantiate` serves only the kept arcs, with levels
+recomputed over them — a per-metric hierarchy not much larger than
+the witness one, at the cost of a handful of triangle sweeps instead
+of minutes of witness Dijkstras.
 
 Ordering.  Without witness pruning the contraction order *is* the
 preprocessing intelligence: fill-in explodes under a bad order.  The
@@ -37,17 +45,18 @@ heuristic, which lands within a small constant of the sparse-
 elimination lower bound on grid-like road networks.  An explicit
 ``rank`` is still accepted.
 
-Correctness of the level-ordered sweep: every closure arc joins two
+Correctness of the level-ordered sweeps: every closure arc joins two
 different levels (contracting the lower-ranked endpoint bumps the
-other's level above it, and levels only grow), a triangle with middle
-``v`` *reads* the two arcs whose lower-ranked endpoint is ``v`` and
-*writes* an arc whose endpoints both sit above ``v``'s level — so
-processing triangles grouped by middle-vertex level, ascending, sees
-every read arc final before any triangle reads it.  Closure arcs are
-numbered by ``(level of lower endpoint, tail, head)``, which makes the
-two weight gathers of a level's triangle slice land in one contiguous
-block of the weight array — the sweep is memory-bound, and that
-locality is most of its speed.
+other's level above it, and levels only grow), and a triangle with
+middle ``v`` touches the two arcs whose lower-ranked endpoint is ``v``
+and one arc whose endpoints both sit above ``v``'s level.  Bottom-up,
+triangles grouped by middle-vertex level, ascending, read every arc
+final; top-down, descending, the upper arc is final before the two
+lower ones are relaxed through it.  Closure arcs are numbered by
+``(level of lower endpoint, tail, head)``, which makes the weight
+gathers of a level's triangle slice land in one contiguous block of
+the weight array — the sweeps are memory-bound, and that locality is
+most of their speed.
 """
 
 from __future__ import annotations
@@ -75,24 +84,26 @@ def _as_int64(a) -> np.ndarray:
     return np.ascontiguousarray(a, dtype=np.int64)
 
 
-def _as_int32(a) -> np.ndarray:
-    return np.ascontiguousarray(a, dtype=np.int32)
-
-
 @dataclass
 class CHMetric:
     """One metric over a fixed :class:`CHTopology`.
 
-    ``weights[i]`` / ``via[i]`` describe closure arc ``i``; ``via`` is
-    the middle vertex of the best triangle (-1 where the base arc
-    itself is shortest, or where vias were skipped).  ``topology_key``
-    pins the topology these arrays were customized against —
-    :meth:`CHTopology.instantiate` refuses a mismatch.
+    ``weights[i]`` is closure arc ``i``'s exact distance (perfect
+    customization), ``keep[i]`` whether the served hierarchy needs the
+    arc, and ``via[i]`` the middle vertex of the lower triangle that
+    unpacks a kept arc (-1 where the base arc itself is shortest, and
+    on pruned arcs).  ``unreachable_base_arcs`` counts base arcs the
+    bottom-up pass left at ``INF``; :meth:`CHTopology.instantiate`
+    refuses such a metric.  ``topology_key`` pins the topology these
+    arrays were customized against — :meth:`CHTopology.instantiate`
+    refuses a mismatch.
     """
 
     topology_key: str
     weights: np.ndarray
     via: np.ndarray
+    keep: np.ndarray
+    unreachable_base_arcs: int = 0
     stats: dict = field(default_factory=dict)
 
 
@@ -118,10 +129,10 @@ class CHTopology:
     tri_out: np.ndarray       # (T,) int32: read arc (v, w)
     tri_target: np.ndarray    # (T,) int32: written arc (u, w)
     tri_level_first: np.ndarray   # (L + 1,) triangle slice per mid level
+    rev: np.ndarray           # (M,) int32: closure id of the reversed arc
+    arc_level_first: np.ndarray   # (L + 1,) arc block per lower-endpoint level
     up_sel: np.ndarray        # closure arcs of G-up, CSR order by tail
-    up_first: np.ndarray      # (n + 1,)
-    down_sel: np.ndarray      # closure arcs of G-down, reversed CSR order
-    down_first: np.ndarray    # (n + 1,) indexed by the lower-ranked head
+    down_sel: np.ndarray      # closure arcs of G-down, CSR order by head
     key: str = ""
     stats: dict = field(default_factory=dict)
 
@@ -134,10 +145,6 @@ class CHTopology:
         return int(self.arc_tail.size)
 
     @property
-    def num_shortcuts(self) -> int:
-        return self.num_arcs - self.num_base_arcs
-
-    @property
     def num_triangles(self) -> int:
         return int(self.tri_target.size)
 
@@ -146,7 +153,7 @@ class CHTopology:
     _ARRAY_KEYS = (
         "rank", "level", "arc_tail", "arc_head", "base_map",
         "tri_in", "tri_out", "tri_target", "tri_level_first",
-        "up_sel", "up_first", "down_sel", "down_first",
+        "rev", "arc_level_first", "up_sel", "down_sel",
     )
 
     def arrays(self) -> dict:
@@ -156,49 +163,99 @@ class CHTopology:
     @classmethod
     def from_arrays(cls, arrays: dict, *, num_base_arcs: int,
                     stats: dict | None = None) -> "CHTopology":
-        """Rebuild (zero-copy) from :meth:`arrays` output."""
+        """Rebuild (zero-copy) from :meth:`arrays` output.
+
+        The customization kernels index raw memory through these
+        arrays, so every index is bounds-checked first (``ValueError``
+        names the first bad array).
+        """
         fields = {k: arrays[k] for k in cls._ARRAY_KEYS}
-        return cls(
+        topo = cls(
             n=int(arrays["rank"].size),
             num_base_arcs=int(num_base_arcs),
             stats=dict(stats or {}),
             **fields,
         )
+        n, m, t = topo.n, topo.num_arcs, topo.num_triangles
+        bounds = {"level": n, "arc_tail": n, "arc_head": n, "rev": m,
+                  "tri_in": m, "tri_out": m, "tri_target": m,
+                  "up_sel": m, "down_sel": m}
+        for key, size in (("level", n), ("arc_head", m), ("rev", m),
+                          ("tri_in", t), ("tri_out", t)):
+            if getattr(topo, key).size != size:
+                raise ValueError(f"corrupt topology: {key} has wrong size")
+        for key, bound in bounds.items():
+            a = getattr(topo, key)
+            if a.size and (a.min() < 0 or a.max() >= bound):
+                raise ValueError(f"corrupt topology: {key} out of range")
+        if topo.base_map.size and (topo.base_map.min() < -1
+                                   or topo.base_map.max() >= m):
+            raise ValueError("corrupt topology: base_map out of range")
+        for key, total in (("tri_level_first", t), ("arc_level_first", m)):
+            f = getattr(topo, key)
+            if f.size == 0 or f[0] != 0 or f[-1] != total \
+                    or np.any(np.diff(f) < 0):
+                raise ValueError(f"corrupt topology: {key} is not a "
+                                 "partition")
+        return topo
 
     # -- instantiation ----------------------------------------------------
 
     def instantiate(self, metric: CHMetric) -> ContractionHierarchy:
-        """Materialize a :class:`ContractionHierarchy` for ``metric``.
+        """Materialize the pruned :class:`ContractionHierarchy` of ``metric``.
 
-        Pure gathers through the precomputed CSR plans — no sorting,
-        no dedup — so a hot swap can rebuild the serving hierarchy in
-        milliseconds.  Every metric over one topology yields the same
-        CSR *structure* (identical ``first`` / head arrays, only
-        weights differ), which is what lets a serving pool swap
-        weights in place.
+        Emits only the kept arcs, gathered through the precomputed CSR
+        plans (no sorting, no dedup), and recomputes the levels over
+        the kept downward arcs — so each metric gets its own arc set
+        and sweep layout over the topology's fixed ``rank``.  A serving
+        pool republishes the whole structure on every swap, so nothing
+        else has to match.  Takes milliseconds, which keeps hot swaps
+        cheap.
         """
         if metric.topology_key != self.key:
             raise ValueError(
                 f"metric was customized for topology {metric.topology_key!r}, "
                 f"not {self.key!r}"
             )
-        if metric.weights.size and int(metric.weights.max()) >= INF:
-            # The sweep engines add labels and arc lengths in plain
-            # int64 (and may narrow sweep arcs), so an INF arc weight
-            # would overflow mid-sweep.  Closures must be expressed as
-            # a large *finite* penalty instead.
+        shape = (self.num_arcs,)
+        if not (metric.weights.shape == metric.via.shape
+                == metric.keep.shape == shape) \
+                or metric.keep.dtype != bool:
+            raise ValueError("metric arrays do not match the closure")
+        keep = metric.keep
+        kept = metric.weights[keep]
+        if metric.unreachable_base_arcs or (
+                kept.size and (kept.max() >= INF or kept.min() < 0)):
+            # An INF input weight is refused as before: closures are
+            # expressed as a large *finite* penalty, which the sweeps
+            # add in plain int64.  The kept weights are checked too,
+            # since a loaded metric's count and marks are not trusted.
             raise ValueError(
-                "metric contains INF arc weights; model closures as a "
-                "large finite penalty before instantiating"
+                "metric contains INF or negative arc weights; model "
+                "closures as a large finite penalty before instantiating"
             )
+        up = self.up_sel[keep[self.up_sel]]
+        down = self.down_sel[keep[self.down_sel]]
         upward = StaticGraph.from_csr(
-            self.up_first, np.ascontiguousarray(self.arc_head[self.up_sel]),
-            metric.weights[self.up_sel],
+            _csr_first(self.arc_tail[up], self.n),
+            np.ascontiguousarray(self.arc_head[up]), metric.weights[up],
         )
         downward_rev = StaticGraph.from_csr(
-            self.down_first, np.ascontiguousarray(self.arc_tail[self.down_sel]),
-            metric.weights[self.down_sel],
+            _csr_first(self.arc_head[down], self.n),
+            np.ascontiguousarray(self.arc_tail[down]), metric.weights[down],
         )
+        # Longest-path levels over the kept downward arcs.  Closure
+        # order groups them by the topology level of their lower
+        # endpoint, so each block reads only final levels.
+        by_level = np.sort(down)
+        upper, lower = self.arc_tail[by_level], self.arc_head[by_level]
+        block = np.searchsorted(by_level, self.arc_level_first).tolist()
+        level = np.zeros(self.n, dtype=np.int64)
+        for lo, hi in zip(block[:-1], block[1:]):
+            if hi > lo:
+                np.maximum.at(level, upper[lo:hi], level[lower[lo:hi]] + 1)
+        shortcuts = keep.copy()
+        shortcuts[self.base_map[self.base_map >= 0]] = False
         stats = {
             "strategy": "customized",
             "topology_key": self.key,
@@ -209,14 +266,21 @@ class CHTopology:
         return ContractionHierarchy(
             n=self.n,
             rank=self.rank,
-            level=self.level,
+            level=level,
             upward=upward,
-            upward_via=np.ascontiguousarray(metric.via[self.up_sel]),
+            upward_via=np.ascontiguousarray(metric.via[up]),
             downward_rev=downward_rev,
-            downward_via=np.ascontiguousarray(metric.via[self.down_sel]),
-            num_shortcuts=self.num_shortcuts,
+            downward_via=np.ascontiguousarray(metric.via[down]),
+            num_shortcuts=int(np.count_nonzero(shortcuts)),
             preprocessing_stats=stats,
         )
+
+
+def _csr_first(tails: np.ndarray, n: int) -> np.ndarray:
+    """CSR offsets of arcs already grouped by ``tails``."""
+    first = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=n), out=first[1:])
+    return first
 
 
 def topology_key(rank: np.ndarray, arc_tail: np.ndarray,
@@ -242,9 +306,10 @@ def _undirected_keys(tail: np.ndarray, head: np.ndarray, n: int) -> np.ndarray:
 def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopology:
     """Build the triangle closure of ``graph`` along an elimination order.
 
-    Runs the contraction as a pure *elimination game* — vertices
-    retire in order, every (in-neighbour, out-neighbour) pair of the
-    retiring vertex becomes a closure arc, no witness searches —
+    Runs the contraction as a pure *elimination game* over the
+    undirected neighbour relation — vertices retire in order, every
+    ordered pair of the retiring vertex's live neighbours becomes a
+    closure arc, no witness searches —
     batched over independent sets of order-local minima exactly like
     :func:`~repro.ch.batched.contract_graph_batched` (fill-in is
     schedule-independent, so the batched closure equals the sequential
@@ -284,17 +349,29 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
     base_map[np.flatnonzero(proper)] = inv
     num_base = int(ukeys.size)
 
-    closure_tail = [ukeys // n]
-    closure_head = [ukeys % n]
-    num_arcs = num_base
+    # The elimination runs over the undirected neighbour relation, as
+    # in CCH: every base arc's reverse joins the closure (with no base
+    # weight), so the closure holds both directions of each edge — the
+    # perfect pass relaxes an arc through its triangle's reversed legs.
+    # A symmetric graph gains nothing here.
+    rev_keys = (ukeys % n) * n + ukeys // n
+    rev_only = np.setdiff1d(rev_keys, ukeys)
+    closure_tail = [ukeys // n, rev_only // n]
+    closure_head = [ukeys % n, rev_only % n]
+    num_arcs = num_base + int(rev_only.size)
 
     # Live working set: arcs between not-yet-retired vertices, kept
     # sorted by packed (tail, head) key so the new-vs-known lookup is
     # a plain searchsorted and fresh arcs merge in without re-sorting.
-    cur_key = ukeys
-    cur_tail = ukeys // n
-    cur_head = ukeys % n
-    cur_id = np.arange(num_base, dtype=np.int64)
+    # A symmetric arc set stays symmetric: a retiring vertex's in- and
+    # out-neighbours coincide, so every fill pair arrives both ways.
+    cur_key = np.concatenate([ukeys, rev_only])
+    cur_id = np.arange(num_arcs, dtype=np.int64)
+    key_order = np.argsort(cur_key, kind="stable")
+    cur_key = cur_key[key_order]
+    cur_id = cur_id[key_order]
+    cur_tail = cur_key // n
+    cur_head = cur_key % n
     alive = np.ones(n, dtype=bool)
     level = np.zeros(n, dtype=np.int64)
     vidx = np.full(n, -1, dtype=np.int64)
@@ -490,8 +567,9 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
     # Renumber closure arcs by (level of lower-ranked endpoint, tail,
     # head): the two read-gathers of a level's triangle slice then hit
     # one contiguous block of the weight array.
-    low = np.where(rank[arc_tail] < rank[arc_head], arc_tail, arc_head)
-    order = np.lexsort((arc_head, arc_tail, level[low]))
+    low_level = level[np.where(rank[arc_tail] < rank[arc_head],
+                               arc_tail, arc_head)]
+    order = np.lexsort((arc_head, arc_tail, low_level))
     arc_tail = np.ascontiguousarray(arc_tail[order])
     arc_head = np.ascontiguousarray(arc_head[order])
     remap = np.empty(order.size, dtype=np.int64)
@@ -525,18 +603,22 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
         tri_out = np.zeros(0, dtype=np.int32)
         tri_target = np.zeros(0, dtype=np.int32)
 
+    # Reverse of each closure arc (the closure is symmetric), and the
+    # arc block of each level of the lower-ranked endpoint.
+    keys = arc_tail * n + arc_head
+    by_key = np.argsort(keys)
+    rev = by_key[np.searchsorted(keys[by_key], arc_head * n + arc_tail)]
+    if not np.array_equal(arc_tail[rev], arc_head):
+        raise AssertionError("closure is not symmetric")
+    arc_level_first = np.searchsorted(low_level[order],
+                                      np.arange(num_levels + 1))
+
     # Instantiation plans: G-up CSR by tail, reversed G-down CSR by head.
     up_mask = rank[arc_tail] < rank[arc_head]
     up_arcs = np.flatnonzero(up_mask)
     up_sel = up_arcs[np.lexsort((arc_head[up_arcs], arc_tail[up_arcs]))]
-    up_first = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(up_first, arc_tail[up_sel] + 1, 1)
-    np.cumsum(up_first, out=up_first)
     down_arcs = np.flatnonzero(~up_mask)
     down_sel = down_arcs[np.lexsort((arc_tail[down_arcs], arc_head[down_arcs]))]
-    down_first = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(down_first, arc_head[down_sel] + 1, 1)
-    np.cumsum(down_first, out=down_first)
 
     stats = {
         "strategy": "topology",
@@ -561,10 +643,10 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
         tri_out=tri_out,
         tri_target=tri_target,
         tri_level_first=tri_level_first,
+        rev=rev.astype(np.int32),
+        arc_level_first=arc_level_first,
         up_sel=up_sel,
-        up_first=up_first,
         down_sel=down_sel,
-        down_first=down_first,
         stats=stats,
     )
 
@@ -573,21 +655,33 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
 # Customization
 
 
-def customize(topology: CHTopology, weights, *,
-              with_vias: bool = True) -> CHMetric:
-    """Recompute every closure-arc weight for ``weights``.
+def customize(topology: CHTopology, weights) -> CHMetric:
+    """Perfect weights, kept-arc mask and unpack vias of every closure arc.
 
     ``weights`` is aligned with the arc order of the graph the
     topology was built from (one entry per original arc; ``INF``
-    allowed — that is how closures are expressed).  One bottom-up pass
-    over the triangle levels: per level, two block-local gathers, one
-    add, one ``np.minimum.at`` scatter.  Deterministic: the base arc
-    wins ties (``via = -1``), and among equal triangles the lowest
-    enumeration index — (mid level, creation order) — wins.
+    allowed — that is how closures are expressed).  Labels are
+    lexicographic ``(weight, hops)`` pairs, hops counting original
+    arcs.  Two passes over the triangle levels, each compiled or a
+    per-level NumPy loop (:mod:`repro.utils.native`):
 
-    ``with_vias=False`` skips the second sweep that recovers unpack
-    middles; distances are unaffected (a serving stack that never
-    unpacks paths can halve its customization time).
+    1. bottom-up: each lower triangle ``(u->v, v->w)``, ``v`` lowest,
+       relaxes ``u->w``; now every arc is shortest among paths through
+       lower-ranked vertices only.  The pass also records each arc's
+       winning triangle of the highest middle level;
+    2. top-down (perfect): the same triangle relaxes ``v->w`` through
+       ``v->u->w`` and ``u->v`` through ``u->w->v``; afterwards every
+       label is the exact distance between its endpoints, and an arc
+       that a walk through a higher vertex matches is marked unneeded:
+       a query can take the two legs instead.  The hop count breaks
+       weight ties, so the legs are strictly smaller and a zero-weight
+       cycle can never lose all its arcs.
+
+    A kept arc's label is its bottom-up label, and the middle vertex of
+    its winning triangle is its via.  That triangle's legs are kept: a
+    leg some higher vertex ``z`` replaces would make the triangle
+    through ``z`` a winner of a higher middle level.  So unpacking never
+    leaves the instantiated hierarchy.
     """
     t0 = time.perf_counter()
     weights = _as_int64(weights)
@@ -598,70 +692,41 @@ def customize(topology: CHTopology, weights, *,
         )
     if weights.size and weights.min() < 0:
         raise ValueError("arc weights must be non-negative")
-    weights = np.minimum(weights, INF)
 
     m = topology.num_arcs
+    inf = int(INF)
     w = np.full(m, INF, dtype=np.int64)
+    hops = np.zeros(m, dtype=np.int32)
     valid = topology.base_map >= 0
-    np.minimum.at(w, topology.base_map[valid], weights[valid])
-    w_base = w.copy() if with_vias else None
+    base = topology.base_map[valid]
+    np.minimum.at(w, base, np.minimum(weights[valid], INF))
+    hops[base] = 1
 
-    tri_in = topology.tri_in
-    tri_out = topology.tri_out
-    tri_target = topology.tri_target
+    tri = (topology.tri_in, topology.tri_out, topology.tri_target)
     lvl_first = topology.tri_level_first
+    win = np.full(m, -1, dtype=np.int32)
+    used_native = native.customize_pass(w, hops, win, *tri, lvl_first, inf)
+    # What instantiate refuses: a base arc still INF after the
+    # bottom-up pass (the perfect pass may route around it later).
+    unreachable = int(np.count_nonzero(w[base] >= INF))
 
-    # The fused C kernel and the per-level NumPy loop are bit-identical:
-    # a level's read arcs live in its own arc block while its written
-    # arcs lie strictly higher, so per-triangle processing in stored
-    # order cannot observe a same-level write.
-    used_native = native.customize_pass(
-        w, tri_in, tri_out, tri_target, int(INF)
-    )
-    if not used_native:
-        for lo, hi in zip(lvl_first[:-1], lvl_first[1:]):
-            if hi == lo:
-                continue
-            # Weights are clipped to INF, so a sum involving INF lands
-            # in [INF, 2^63 - 2] — no overflow — and clamps back to
-            # INF; no separate unreachable mask is needed.
-            cand = w[tri_in[lo:hi]]
-            cand += w[tri_out[lo:hi]]
-            np.minimum(cand, INF, out=cand)
-            np.minimum.at(w, tri_target[lo:hi], cand)
+    keep = np.ones(m, dtype=bool)
+    native.perfect_pass(w, hops, topology.rev, *tri, lvl_first, keep, inf)
+    keep &= w < INF
 
+    # Base arcs (one hop) unpack to themselves.
     via = np.full(m, -1, dtype=np.int64)
-    if with_vias:
-        # Second sweep: every read arc is final when its level is
-        # processed (same invariant as the first sweep), so the winning
-        # triangle's candidate reproduces exactly and the lowest
-        # matching enumeration index is the canonical via.  Only arcs a
-        # triangle strictly improved over the base metric get one.
-        no_win = np.iinfo(np.int32).max
-        win = np.full(m, no_win, dtype=np.int32)
-        if not native.via_pass(w, tri_in, tri_out, tri_target, win,
-                               int(INF)):
-            for lo, hi in zip(lvl_first[:-1], lvl_first[1:]):
-                if hi == lo:
-                    continue
-                cand = w[tri_in[lo:hi]]
-                cand += w[tri_out[lo:hi]]
-                np.minimum(cand, INF, out=cand)
-                tgt = tri_target[lo:hi]
-                eq = np.flatnonzero(cand == w[tgt])
-                np.minimum.at(
-                    win, tgt[eq], _as_int32(lo + eq)
-                )
-        improved = np.flatnonzero((w < w_base) & (win != no_win))
-        via[improved] = topology.arc_head[tri_in[win[improved]]]
+    won = np.flatnonzero(keep & (hops > 1))
+    via[won] = topology.arc_head[topology.tri_in[win[won]]]
 
     stats = {
         "customize_seconds": time.perf_counter() - t0,
         "native": bool(used_native),
-        "triangles_relaxed": int(tri_target.size),
+        "triangles_relaxed": int(topology.num_triangles),
         "levels": int(lvl_first.size - 1),
-        "with_vias": bool(with_vias),
+        "kept_arcs": int(np.count_nonzero(keep)),
     }
     return CHMetric(
-        topology_key=topology.key, weights=w, via=via, stats=stats
+        topology_key=topology.key, weights=w, via=via, keep=keep,
+        unreachable_base_arcs=unreachable, stats=stats,
     )

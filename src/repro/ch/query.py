@@ -20,6 +20,8 @@ from .hierarchy import ContractionHierarchy
 
 __all__ = ["UpwardSearchSpace", "CHQueryResult", "upward_search", "ch_query"]
 
+_INF = int(INF)
+
 
 @dataclass
 class UpwardSearchSpace:
@@ -63,13 +65,16 @@ def _relax_from(
     millions), so sparse dictionaries plus a lazy-deletion ``heapq``
     beat anything with per-query O(n) state — this runs thousands of
     times per second inside PHAST engines (the paper measures the
-    forward search below 0.05 ms).
+    forward search below 0.05 ms).  The CSR arrays are read through
+    zero-copy ``memoryview``s, whose items are plain Python ints.
     """
     dist: dict[int, int] = {source: 0}
     parent: dict[int, int] = {source: -1}
     settled: list[int] = []
     heap: list[tuple[int, int]] = [(0, source)]
-    first, arc_head, arc_len = graph.first, graph.arc_head, graph.arc_len
+    first = memoryview(np.ascontiguousarray(graph.first))
+    arc_head = memoryview(np.ascontiguousarray(graph.arc_head))
+    arc_len = memoryview(np.ascontiguousarray(graph.arc_len))
     done: set[int] = set()
     while heap:
         dv, v = heapq.heappop(heap)
@@ -78,11 +83,11 @@ def _relax_from(
         done.add(v)
         settled.append(v)
         for i in range(first[v], first[v + 1]):
-            w = int(arc_head[i])
+            w = arc_head[i]
             if w in done:
                 continue
-            nd = dv + int(arc_len[i])
-            if nd < dist.get(w, INF):
+            nd = dv + arc_len[i]
+            if nd < dist.get(w, _INF):
                 dist[w] = nd
                 parent[w] = v
                 heapq.heappush(heap, (nd, w))

@@ -1382,20 +1382,21 @@ class PhastPool(_BasePool):
         return self._metric_generation
 
     def swap_metric(self, new_ch: ContractionHierarchy) -> int:
-        """Re-point the pool at a structurally identical hierarchy.
+        """Re-point the pool at another metric of the same contraction.
 
-        The new hierarchy must share the old one's *topology* — same
-        vertex ranks and the exact same upward/downward arc sets — and
-        differ only in weights (and vias), i.e. it came from
-        ``customize()`` over the same :class:`~repro.ch.CHTopology`
-        (or a re-contraction that reproduced the structure).  It is
-        published the way pool construction published generation 0:
-        one full publication of the sweep structure plus the upward
-        graph, tagged ``repro-<pid>-m<gen>-<hex>``.  Every later batch
-        names it, so workers re-point on their next chunk and a batch
-        never mixes metrics; the superseded generation is retired
-        immediately, and everything derived from it (engines,
-        restricted engines) is dropped.
+        The new hierarchy must share the old one's vertex count and
+        contraction order (``rank``); its arc sets, weights, vias and
+        levels may all differ, as they do between two ``customize()``
+        runs over one :class:`~repro.ch.CHTopology` (each keeps only
+        the arcs its metric needs).  It is published the way pool
+        construction published generation 0: one full publication of
+        the sweep structure plus the upward graph, tagged
+        ``repro-<pid>-m<gen>-<hex>``, so nothing of the old generation's
+        layout is reused.  Every later batch names it, so workers
+        re-point on their next chunk and a batch never mixes metrics;
+        the superseded generation is retired immediately, and
+        everything derived from it (engines, restricted engines) is
+        dropped.
 
         Must be called with no batch in flight — the caller provides
         the quiesce point (the server does it between micro-batches).
@@ -1416,37 +1417,14 @@ class PhastPool(_BasePool):
             raise ValueError(
                 f"metric swap changed vertex count: {old.n} -> {new_ch.n}"
             )
-        for field_name, a, b in (
-            ("rank", old.rank, new_ch.rank),
-            ("upward.first", old.upward.first, new_ch.upward.first),
-            ("upward.arc_head", old.upward.arc_head, new_ch.upward.arc_head),
-            ("downward_rev.first", old.downward_rev.first,
-             new_ch.downward_rev.first),
-            ("downward_rev.arc_head", old.downward_rev.arc_head,
-             new_ch.downward_rev.arc_head),
-        ):
-            if not np.array_equal(a, b):
-                raise ValueError(
-                    f"metric swap changed hierarchy structure ({field_name} "
-                    "differs); hot swap needs a customize() over the same "
-                    "topology, not a fresh contraction"
-                )
-        hierarchy = _hierarchy_arrays(new_ch)
-        # The sweep permutation is a pure function of structure; with
-        # the structure checks above this can only fire on a bug, but
-        # a mixed layout would silently corrupt distances, so verify.
-        current = self._ctx.attach(*self._hier)
-        same_layout = all(
-            np.array_equal(current[key], hierarchy[key])
-            for key in ("sw:pos_of", "sw:arc_first", "sw:arc_tail_pos")
-        )
-        del current
-        if not same_layout:
+        if not np.array_equal(old.rank, new_ch.rank):
             raise ValueError(
-                "metric swap produced a different sweep layout; refusing"
+                "metric swap changed hierarchy structure (rank differs); "
+                "hot swap needs a customize() over the same topology, not "
+                "a fresh contraction"
             )
         self._metric_generation += 1
-        self._publish_generation(hierarchy)
+        self._publish_generation(_hierarchy_arrays(new_ch))
         self.ch = new_ch
         return self._metric_generation
 

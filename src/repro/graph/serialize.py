@@ -32,8 +32,11 @@ _TOPO_MAGIC_PREFIX = "repro-topo-v"
 _METRIC_MAGIC_PREFIX = "repro-metric-v"
 _GRAPH_MAGIC = _GRAPH_MAGIC_PREFIX + "1"
 _CH_MAGIC = _CH_MAGIC_PREFIX + "1"
-_TOPO_MAGIC = _TOPO_MAGIC_PREFIX + "1"
-_METRIC_MAGIC = _METRIC_MAGIC_PREFIX + "1"
+# v2 topologies hold a symmetric closure with reverse-arc ids; v2
+# metrics hold perfect weights and the kept-arc mask.  A v1 metric's
+# weights are not perfect, so pruning it would serve wrong distances.
+_TOPO_MAGIC = _TOPO_MAGIC_PREFIX + "2"
+_METRIC_MAGIC = _METRIC_MAGIC_PREFIX + "2"
 
 
 class ArtifactFormatError(ValueError):
@@ -162,11 +165,14 @@ def load_topology(path: str | Path):
             kind="topology",
         )
         arrays = {k: data[k] for k in CHTopology._ARRAY_KEYS}
-        topo = CHTopology.from_arrays(
-            arrays,
-            num_base_arcs=int(data["num_base_arcs"]),
-            stats={"loaded_from": str(path)},
-        )
+        try:
+            topo = CHTopology.from_arrays(
+                arrays,
+                num_base_arcs=int(data["num_base_arcs"]),
+                stats={"loaded_from": str(path)},
+            )
+        except ValueError as exc:
+            raise ArtifactFormatError(f"{path}: {exc}") from None
         stored = str(data["key"])
         if topo.key != stored:
             raise ArtifactFormatError(
@@ -184,6 +190,8 @@ def save_metric(metric, path: str | Path) -> None:
         topology_key=np.array(metric.topology_key),
         weights=metric.weights,
         via=metric.via,
+        keep=metric.keep,
+        unreachable_base_arcs=np.array(metric.unreachable_base_arcs),
     )
 
 
@@ -206,6 +214,8 @@ def load_metric(path: str | Path, *, topology=None):
             topology_key=str(data["topology_key"]),
             weights=data["weights"],
             via=data["via"],
+            keep=data["keep"],
+            unreachable_base_arcs=int(data["unreachable_base_arcs"]),
             stats={"loaded_from": str(path)},
         )
     if topology is not None and metric.topology_key != topology.key:
