@@ -211,8 +211,7 @@ def _sweep_mode(ch, graph, *, batching: bool, loads: list[int],
                 seconds: float, pipeline: int, depots: list[int]) -> dict:
     config = ServerConfig(
         batch_max=BATCH_MAX if batching else 1,
-        max_wait_ms=MAX_WAIT_MS if batching else 0.0,
-        sources_per_sweep=BATCH_MAX, max_pending=4096,
+        max_wait_ms=MAX_WAIT_MS if batching else 0.0, max_pending=4096,
     )
     service = PhastService(ch, graph=graph, config=config)
     points = []

@@ -379,8 +379,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                 f"graph has {graph.n} vertices but hierarchy has {ch.n}; "
                 "the artifacts do not belong together"
             )
-    if args.sweep_k < 0:
-        raise ValueError(f"--sweep-k must be >= 0 (got {args.sweep_k})")
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -389,7 +387,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_pending=args.max_pending,
         default_timeout_ms=args.timeout_ms if args.timeout_ms > 0 else None,
         num_workers=args.workers,
-        sources_per_sweep=args.sweep_k,
         force_pool=args.force_pool,
         chunk_timeout_ms=(
             args.chunk_timeout_ms if args.chunk_timeout_ms > 0 else None
@@ -952,8 +949,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="default per-request deadline (<= 0 disables)")
     sv.add_argument("--workers", type=int, default=1,
                     help="pool worker processes (1 = in-process)")
-    sv.add_argument("--sweep-k", type=int, default=0,
-                    help="pool lanes per sweep pass (default: batch-max)")
     sv.add_argument("--force-pool", action="store_true",
                     help="spawn workers even on a single-CPU host")
     sv.add_argument("--chunk-timeout-ms", type=float, default=0.0,

@@ -81,10 +81,7 @@ class PhastEngine:
         self.ch = ch
         self.sweep = sw = SweepStructure(ch) if sweep is None else sweep
         self.explicit_init = bool(explicit_init)
-        self.kernel = LevelSweep(
-            ch, sw.pos_of, sw.level_first, sw.arc_first, sw.arc_tail_pos,
-            sw.arc_len, search_cache=search_cache,
-        )
+        self.kernel = LevelSweep(ch, sw, search_cache=search_cache)
         self.last_stats: dict = {}
 
     @property
@@ -102,16 +99,13 @@ class PhastEngine:
         source: int,
         *,
         with_parents: bool = False,
-        dist_out: np.ndarray | None = None,
     ) -> ShortestPathTree:
         """Compute all distances from ``source`` (one PHAST query).
 
         Distances are returned indexed by *original* vertex IDs.  With
         ``with_parents=True`` the parents are recovered in ``G+``
         (shortcut arcs allowed; see :mod:`repro.core.trees` for
-        original-graph trees).  ``dist_out`` (length-``n`` int64)
-        receives the labels in place — pool workers pass rows of a
-        shared output matrix so no per-query array is allocated.
+        original-graph trees).
         """
         sw = self.sweep
         if self.explicit_init:
@@ -119,7 +113,7 @@ class PhastEngine:
         marks = self.kernel.search(source)
         self.last_stats["ch_search_size"] = marks[0].size
         dist = self.kernel.run(marks)
-        out = dist_out if dist_out is not None else np.empty(sw.n, dtype=np.int64)
+        out = np.empty(sw.n, dtype=np.int64)
         out[sw.vertex_at] = dist
         tree = ShortestPathTree(source=source, dist=out, scanned=sw.n)
         if with_parents:

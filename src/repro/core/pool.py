@@ -422,18 +422,14 @@ class TaskContext:
 # Hierarchy generations
 
 
-_SWEEP_KEYS = ("pos_of", "vertex_at", "level_first", "arc_first",
-               "arc_tail_pos", "arc_len", "arc_via", "level_of_pos")
-
-
 def _hierarchy_arrays(ch: ContractionHierarchy) -> dict[str, np.ndarray]:
     """One hierarchy generation as a publication: sweep structure + ``G↑``."""
-    sw = SweepStructure(ch)
-    arrays = {f"sw:{key}": getattr(sw, key) for key in _SWEEP_KEYS}
-    arrays["up:first"] = ch.upward.first
-    arrays["up:arc_head"] = ch.upward.arc_head
-    arrays["up:arc_len"] = ch.upward.arc_len
-    return arrays
+    return {
+        **SweepStructure(ch).arrays(),
+        "up:first": ch.upward.first,
+        "up:arc_head": ch.upward.arc_head,
+        "up:arc_len": ch.upward.arc_len,
+    }
 
 
 class _PublishedHierarchy:
@@ -445,10 +441,10 @@ class _PublishedHierarchy:
     """
 
     def __init__(self, views: Mapping[str, np.ndarray]) -> None:
-        self.n = int(views["sw:pos_of"].size)
         self.upward = StaticGraph.from_csr(
             views["up:first"], views["up:arc_head"], views["up:arc_len"]
         )
+        self.n = self.upward.n
 
     def __getattr__(self, name: str):
         raise AttributeError(
@@ -457,19 +453,25 @@ class _PublishedHierarchy:
         )
 
 
-def _phast_engine(ctx: TaskContext, hier: tuple, search_cache: int) -> PhastEngine:
-    """The warm engine of the generation ``hier``, from ``ctx``'s memo."""
+def _engine(ctx: TaskContext, hier: tuple, search_cache: int,
+            sel: tuple | None = None) -> PhastEngine | RPhastEngine:
+    """The warm engine of the generation ``hier``, from ``ctx``'s memo:
+    PHAST over its full sweep structure, or RPHAST over the published
+    selection ``sel``.  Both re-wrap the published arrays through
+    :meth:`SweepStructure.from_arrays`; nothing is re-sorted."""
 
-    def build(views):
-        sweep = SweepStructure.from_arrays(
-            n=views["sw:pos_of"].size,
-            num_levels=views["sw:level_first"].size - 1,
-            **{key: views[f"sw:{key}"] for key in _SWEEP_KEYS},
-        )
-        return PhastEngine(_PublishedHierarchy(views), sweep=sweep,
+    def phast(h):
+        ch = _PublishedHierarchy(h)
+        return PhastEngine(ch, sweep=SweepStructure.from_arrays(h, ch.n),
                            search_cache=search_cache)
 
-    return ctx.memo("phast", (hier,), build)
+    def rphast(h, s):
+        return RPhastEngine.from_arrays(_PublishedHierarchy(h), s,
+                                        search_cache=search_cache)
+
+    if sel is None:
+        return ctx.memo("phast", (hier,), phast)
+    return ctx.memo("rphast", (hier, sel), rphast)
 
 
 def _output(ctx: TaskContext, out: tuple) -> np.ndarray:
@@ -479,28 +481,6 @@ def _output(ctx: TaskContext, out: tuple) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Chunk execution (worker processes and the serial path alike)
-
-
-def _matrix_rows(reng: RPhastEngine, k: int, start: int,
-                 chunk: list) -> dict[int, np.ndarray]:
-    """Restricted lane sweeps for one chunk of matrix sources.
-
-    Returns per-source target rows keyed by global row index.  Rows are
-    |T|-sized and travel back through the result pipe (no shared output
-    segment), so a re-dispatched chunk is trivially bit-identical and a
-    failed matrix batch needs no writer fencing.
-    """
-    results: dict[int, np.ndarray] = {}
-    for i in range(0, len(chunk), k):
-        sub = chunk[i : i + k]
-        base = start + i
-        if len(sub) == 1:
-            results[base] = reng.distances(int(sub[0]))
-        else:
-            rows = reng.sweep_lanes(sub)
-            for j in range(len(sub)):
-                results[base + j] = rows[j]
-    return results
 
 
 def _run_chunk(ctx: TaskContext, k: int, batch: dict, start: int,
@@ -525,43 +505,34 @@ def _run_chunk(ctx: TaskContext, k: int, batch: dict, start: int,
         return {
             start + j: fn(ctx, common, item) for j, item in enumerate(chunk)
         }
-    if mode == "matrix":
-        reng = ctx.memo("rphast", (batch["hier"], batch["sel"]), lambda h, s: (
-            RPhastEngine.from_arrays(_PublishedHierarchy(h), s,
-                                     search_cache=batch["search_cache"])))
-        return _matrix_rows(reng, k, start, chunk)
-    engine = _phast_engine(ctx, batch["hier"], batch["search_cache"])
+    engine = _engine(ctx, batch["hier"], batch["search_cache"],
+                     batch.get("sel"))
     out = _output(ctx, batch["out"]) if mode == "dist" else None
     reducer: TreeReducer | None = batch.get("reducer")
     fn: Callable | None = batch.get("fn")
     state = reducer.make_state(ctx) if mode == "reduce" else None
     results: dict[int, object] = {}
-    count = 0
     for i in range(0, len(chunk), k):
         sub = chunk[i : i + k]
         base = start + i
-        if mode == "dist" and len(sub) > 1:
+        if mode == "dist":
             # Lanes scatter straight into the shared rows: no
             # intermediate per-source array at all.
             engine.trees(sub, out=out[base : base + len(sub)])
-            count += len(sub)
-            continue
-        if len(sub) == 1:
-            if mode == "dist":
-                engine.tree(sub[0], dist_out=out[base])
-                count += 1
-                continue
-            rows = engine.tree(sub[0]).dist[None, :]
+        elif mode == "matrix":
+            # |T|-sized rows travel back through the result pipe (no
+            # shared output segment), so a re-dispatched chunk is
+            # trivially bit-identical and a failed matrix batch needs
+            # no writer fencing.
+            results.update(enumerate(engine.sweep_lanes(sub), base))
         else:
-            rows = engine.trees(sub)
-        for j, (s, row) in enumerate(zip(sub, rows)):
-            if mode == "reduce":
-                state = reducer.fold(ctx, state, base + j, s, row)
-            else:
-                results[base + j] = fn(s, row)
-            count += 1
+            for j, (s, row) in enumerate(zip(sub, engine.trees(sub)), base):
+                if mode == "reduce":
+                    state = reducer.fold(ctx, state, j, s, row)
+                else:
+                    results[j] = fn(s, row)
     if mode == "dist":
-        return count
+        return len(chunk)
     if mode == "reduce":
         return reducer.finish(ctx, state)
     return results
@@ -1374,7 +1345,7 @@ class PhastPool(_BasePool):
         if old is not None:
             self.retire_publication(old[0])
         if self._serial:
-            _phast_engine(self._ctx, self._hier, self.search_cache)
+            _engine(self._ctx, self._hier, self.search_cache)
 
     @property
     def metric_generation(self) -> int:

@@ -10,8 +10,8 @@ reach ``T``:
 
 * **selection** (target-dependent, source-independent): collect every
   vertex that reaches some target through downward arcs, by a reverse
-  traversal over ``G↓`` from ``T``; freeze the induced sub-sweep in
-  level order.
+  traversal over ``G↓`` from ``T``; freeze PHAST's own
+  :class:`~repro.core.sweep.SweepStructure` over the selected vertices.
 * **query** (per source): the usual upward CH search, then the linear
   sweep over the restricted structure only.
 
@@ -38,28 +38,15 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
 from ..utils.segments import gather_ranges
-from .sweep import LevelSweep
+from .sweep import LevelSweep, SweepStructure
 
 __all__ = ["RPhastEngine", "SelectionCache"]
-
-#: Arrays that fully describe a selection (see
-#: :meth:`RPhastEngine.selection_arrays`); everything else an engine
-#: needs is derived from these plus the hierarchy's upward graph.
-SELECTION_KEYS = (
-    "targets",
-    "vertex_at",
-    "target_pos",
-    "arc_tail_pos",
-    "arc_len",
-    "arc_first",
-    "level_first",
-)
 
 
 class RPhastEngine:
@@ -75,6 +62,10 @@ class RPhastEngine:
         When positive, LRU-cache the per-source upward searches (in
         restricted-position form) for up to this many distinct
         sources — the same pattern as ``PhastEngine(search_cache=…)``.
+    sweep:
+        A prebuilt restricted :class:`~repro.core.sweep.SweepStructure`
+        for ``targets`` (by default the selection runs here); see
+        :meth:`from_arrays`.
 
     Notes
     -----
@@ -83,14 +74,16 @@ class RPhastEngine:
     sources (the asymmetry mirrors PHAST's own preprocessing/query
     split, one level down).
 
-    Queries run the shared :class:`~repro.core.sweep.LevelSweep`
-    kernel over the restricted arrays.  Engines keep its reusable sweep
-    buffers, so a single instance is not safe for concurrent queries
-    from multiple threads.
+    The restricted structure is PHAST's own
+    :class:`~repro.core.sweep.SweepStructure` over the selected
+    vertices, and queries run the shared
+    :class:`~repro.core.sweep.LevelSweep` kernel over it.  Engines keep
+    its reusable sweep buffers, so a single instance is not safe for
+    concurrent queries from multiple threads.
     """
 
-    #: Default lane width of :meth:`many_to_many`; matches the pool's
-    #: default ``sources_per_sweep``.
+    #: Default lane width of :meth:`many_to_many`; matches the default
+    #: ``ServerConfig.batch_max``, the lanes a server's pool sweeps.
     DEFAULT_LANES = 16
 
     def __init__(
@@ -99,6 +92,7 @@ class RPhastEngine:
         targets,
         *,
         search_cache: int = 0,
+        sweep: SweepStructure | None = None,
     ) -> None:
         self.ch = ch
         targets = np.unique(np.asarray(targets, dtype=np.int64))
@@ -107,71 +101,26 @@ class RPhastEngine:
         if targets.min() < 0 or targets.max() >= ch.n:
             raise ValueError("target out of range")
         self.targets = targets
-        self._build(ch, targets)
-        self._prepare_query_state(search_cache)
+        if sweep is None:
+            sweep = SweepStructure(ch, _select(ch, targets))
+        self.sweep = sweep
+        self.target_pos = sweep.pos_of[targets]
+        self.kernel = LevelSweep(ch, sweep, search_cache=search_cache)
 
-    # ------------------------------------------------------------------
-    # Selection
+    @property
+    def size(self) -> int:
+        """Selected vertices (sweep positions of the restricted sweep)."""
+        return self.sweep.n
 
-    def _build(self, ch: ContractionHierarchy, targets: np.ndarray) -> None:
-        down = ch.downward_rev
-        # Reverse traversal over G-down from the targets: the stored
-        # adjacency lists exactly the higher-ranked tails of each
-        # vertex's incoming downward arcs, i.e. its "parents" here.
-        # Frontier-at-a-time: one gather over the CSR ranges of the
-        # whole frontier per round instead of a Python stack.
-        in_set = np.zeros(ch.n, dtype=bool)
-        in_set[targets] = True
-        frontier = targets
-        while frontier.size:
-            arc_idx, _ = gather_ranges(down.first, frontier)
-            parents = down.arc_head[arc_idx]
-            frontier = np.unique(parents[~in_set[parents]])
-            in_set[frontier] = True
-        selected = np.flatnonzero(in_set)
+    @property
+    def vertex_at(self) -> np.ndarray:
+        """Original ID of each selected vertex, in sweep order."""
+        return self.sweep.vertex_at
 
-        # Order the selected vertices by descending level (ties by ID),
-        # and renumber them 0..s-1 in sweep order.
-        levels = ch.level[selected]
-        order = np.lexsort((selected, -levels))
-        self.vertex_at = selected[order]
-        self.size = int(selected.size)
-        self._pos_of = np.full(ch.n, -1, dtype=np.int64)
-        self._pos_of[self.vertex_at] = np.arange(self.size, dtype=np.int64)
-        self.target_pos = self._pos_of[self.targets]
-
-        # Restricted arc arrays: all incoming downward arcs of selected
-        # vertices (their tails are selected by construction), grouped
-        # by head sweep position.
-        arc_idx, _ = gather_ranges(down.first, self.vertex_at)
-        if arc_idx.size:
-            self.arc_tail_pos = self._pos_of[down.arc_head[arc_idx]]
-            self.arc_len = np.ascontiguousarray(down.arc_len[arc_idx])
-        else:
-            self.arc_tail_pos = np.zeros(0, dtype=np.int64)
-            self.arc_len = np.zeros(0, dtype=np.int64)
-        counts = down.first[self.vertex_at + 1] - down.first[self.vertex_at]
-        self.arc_first = np.concatenate(([0], np.cumsum(counts))).astype(np.int64)
-
-        # Level blocks over the restricted positions.
-        lv = ch.level[self.vertex_at]
-        cuts = np.flatnonzero(lv[1:] != lv[:-1]) + 1
-        self.level_first = np.concatenate(([0], cuts, [self.size])).astype(
-            np.int64
-        )
-
-    def _prepare_query_state(self, search_cache: int) -> None:
-        """Build the sweep kernel over the selection arrays.
-
-        Everything it needs is a pure function of the arrays in
-        :data:`SELECTION_KEYS` (plus ``_pos_of``), so :meth:`from_arrays`
-        can rebuild an engine from a published selection without
-        redoing the traversal.
-        """
-        self.kernel = LevelSweep(
-            self.ch, self._pos_of, self.level_first, self.arc_first,
-            self.arc_tail_pos, self.arc_len, search_cache=search_cache,
-        )
+    @property
+    def num_arcs(self) -> int:
+        """Downward arcs the restricted sweep scans."""
+        return self.sweep.num_arcs
 
     # ------------------------------------------------------------------
     # Sharing a selection across processes
@@ -179,18 +128,20 @@ class RPhastEngine:
     def selection_arrays(self) -> dict[str, np.ndarray]:
         """The arrays that define this selection, keyed for publication.
 
-        Compact by design — ``_pos_of`` (full ``n``) is rebuilt on the
-        far side — so a published selection costs O(selected), not
-        O(n).  Feed the result to ``PhastPool.publish_arrays`` and
-        rebuild with :meth:`from_arrays`.
+        The restricted structure's ``sw:`` arrays — the same keys a
+        ``PhastPool`` hierarchy generation publishes — plus
+        ``targets``.  ``pos_of`` (full ``n``) is rebuilt on the far
+        side, so a published selection costs O(selected), not O(n).
+        Feed the result to ``PhastPool.publish_arrays`` and rebuild with
+        :meth:`from_arrays`.
         """
-        return {key: getattr(self, key) for key in SELECTION_KEYS}
+        return {**self.sweep.arrays(), "targets": self.targets}
 
     @classmethod
     def from_arrays(
         cls,
         ch: ContractionHierarchy,
-        views: dict[str, np.ndarray],
+        views: Mapping[str, np.ndarray],
         *,
         search_cache: int = 0,
     ) -> "RPhastEngine":
@@ -200,32 +151,19 @@ class RPhastEngine:
         the hierarchy generation's publication, which carries exactly
         those.  The downward traversal is not repeated.
         """
-        eng = cls.__new__(cls)
-        eng.ch = ch
-        for key in SELECTION_KEYS:
-            setattr(eng, key, np.asarray(views[key]))
-        eng.size = int(eng.vertex_at.size)
-        eng._pos_of = np.full(ch.n, -1, dtype=np.int64)
-        eng._pos_of[eng.vertex_at] = np.arange(eng.size, dtype=np.int64)
-        eng._prepare_query_state(search_cache)
-        return eng
+        return cls(ch, views["targets"], search_cache=search_cache,
+                   sweep=SweepStructure.from_arrays(views, ch.n))
 
     def freeze(self) -> "RPhastEngine":
         """Mark the selection arrays read-only (cache-safety) and return self."""
-        for key in SELECTION_KEYS:
-            arr = getattr(self, key)
+        for arr in (*self.selection_arrays().values(), self.sweep.pos_of,
+                    self.target_pos):
             if arr.flags.owndata:
                 arr.flags.writeable = False
-        self._pos_of.flags.writeable = False
         return self
 
     # ------------------------------------------------------------------
     # Queries
-
-    @property
-    def num_arcs(self) -> int:
-        """Downward arcs the restricted sweep scans."""
-        return int(self.arc_len.size)
 
     def distances(self, source: int, *, all_selected: bool = False) -> np.ndarray:
         """Distances from ``source`` to the targets (one restricted sweep).
@@ -263,15 +201,33 @@ class RPhastEngine:
         out = np.empty((sources.size, self.targets.size), dtype=np.int64)
         for i in range(0, int(sources.size), lanes):
             group = sources[i : i + lanes]
-            if group.size == 1:
-                out[i] = self.distances(int(group[0]))
-            else:
-                out[i : i + group.size] = self.sweep_lanes(group)
+            out[i : i + group.size] = self.sweep_lanes(group)
         return out
 
     def cache_info(self) -> dict[str, int]:
         """Upward ``search_cache`` occupancy and hit counters."""
         return self.kernel.cache_info()
+
+
+def _select(ch: ContractionHierarchy, targets: np.ndarray) -> np.ndarray:
+    """Every vertex that reaches a target through downward arcs (sorted).
+
+    A reverse traversal over ``G↓`` from the targets: the stored
+    adjacency lists exactly the higher-ranked tails of each vertex's
+    incoming downward arcs, i.e. its "parents" here.  Frontier at a
+    time: one gather over the CSR ranges of the whole frontier per
+    round instead of a Python stack.
+    """
+    down = ch.downward_rev
+    in_set = np.zeros(ch.n, dtype=bool)
+    in_set[targets] = True
+    frontier = targets
+    while frontier.size:
+        arc_idx, _ = gather_ranges(down.first, frontier)
+        parents = down.arc_head[arc_idx]
+        frontier = np.unique(parents[~in_set[parents]])
+        in_set[frontier] = True
+    return np.flatnonzero(in_set)
 
 
 class SelectionCache:

@@ -14,26 +14,28 @@ flat arrays ordered for locality, following Section IV-A:
   time with pure slice arithmetic.
 
 The structure is source-independent — built once per hierarchy, reused
-by every query, which is the asymmetry PHAST exploits.
+by every query, which is the asymmetry PHAST exploits.  RPHAST builds
+the same structure over its selected vertices only.
 
 :class:`LevelSweep` is the second phase itself: one level-by-level
 relaxation over four of those arrays (``level_first``, ``arc_first``,
 ``arc_tail_pos``, ``arc_len``).  PHAST runs it over the full structure,
-RPHAST over a restricted copy of the same four arrays, and the
-level-parallel driver over position blocks of each level — one kernel,
-in the spirit of GPHAST's single per-level kernel.
+RPHAST over a restricted one, and the level-parallel driver over
+position blocks of each level — one kernel, in the spirit of GPHAST's
+single per-level kernel.
 """
 
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Callable
+from typing import Callable, Mapping
 
 import numpy as np
 
 from ..ch.hierarchy import ContractionHierarchy
 from ..ch.query import UpwardSearchSpace, upward_search
 from ..graph.csr import INF
+from ..utils.segments import gather_ranges
 
 __all__ = ["SweepStructure", "LevelSweep"]
 
@@ -41,16 +43,23 @@ __all__ = ["SweepStructure", "LevelSweep"]
 class SweepStructure:
     """Level-ordered downward graph, frozen for linear sweeps.
 
+    Built over all of a hierarchy's vertices for PHAST, or over a
+    selected subset for RPHAST's restricted sweep.  A subset must be
+    closed under downward predecessors: every tail of a selected
+    vertex's incoming downward arcs is selected too.
+
     Attributes
     ----------
     n:
-        Vertex count.
+        Swept vertex count (the hierarchy's ``n`` for a full structure).
     pos_of:
-        ``pos_of[v]`` is the sweep position of original vertex ``v``.
+        ``pos_of[v]`` is the sweep position of original vertex ``v``,
+        ``-1`` for vertices outside the swept set (length ``ch.n``).
     vertex_at:
         Inverse permutation: original ID at each sweep position.
     num_levels:
-        Number of CH levels.
+        Number of level blocks: the CH levels present among the swept
+        vertices.
     level_first:
         Array of length ``num_levels + 1``; level block ``i`` (the
         ``i``-th *scanned*, i.e. the ``i``-th highest level) covers
@@ -62,9 +71,6 @@ class SweepStructure:
         Sweep position of each downward arc's tail.
     arc_len:
         Length of each downward arc.
-    arc_via:
-        Shortcut middle vertex (original ID) per arc, -1 for original
-        arcs; used when reconstructing parent pointers in ``G+``.
 
     Notes
     -----
@@ -77,97 +83,75 @@ class SweepStructure:
     ``int64`` distance array promotes, so consumers are unaffected.
     """
 
-    __slots__ = (
-        "n",
-        "pos_of",
-        "vertex_at",
-        "num_levels",
-        "level_first",
-        "arc_first",
-        "arc_tail_pos",
-        "arc_len",
-        "arc_via",
-        "level_of_pos",
-    )
+    #: The arrays a publication carries (see :meth:`arrays`); ``pos_of``
+    #: is rebuilt from ``vertex_at`` on the far side.
+    KEYS = ("vertex_at", "level_first", "arc_first", "arc_tail_pos", "arc_len")
 
-    def __init__(self, ch: ContractionHierarchy) -> None:
-        n = ch.n
-        self.n = n
-        levels = ch.level
-        order = np.lexsort((np.arange(n), -levels))  # by (-level, id)
-        self.vertex_at = order.astype(np.int64)
-        self.pos_of = np.empty(n, dtype=np.int64)
-        self.pos_of[order] = np.arange(n, dtype=np.int64)
-        self.level_of_pos = levels[order]
-        self.num_levels = int(levels.max()) + 1 if n else 0
+    __slots__ = ("n", "pos_of", "num_levels", *KEYS)
 
-        # Level boundaries over sweep positions (descending level).
-        # level_first[i] = first position whose level <= max_level - i.
-        counts = np.bincount(levels, minlength=self.num_levels)[::-1]
+    def __init__(
+        self, ch: ContractionHierarchy, vertices: np.ndarray | None = None
+    ) -> None:
+        vertices = (np.arange(ch.n, dtype=np.int64) if vertices is None
+                    else np.asarray(vertices, dtype=np.int64))
+        levels = ch.level[vertices]
+        order = np.lexsort((vertices, -levels))  # by (-level, id)
+        self.vertex_at = vertices[order]
+        levels = levels[order]
+        cuts = np.flatnonzero(levels[1:] != levels[:-1]) + 1
         self.level_first = np.concatenate(
-            ([0], np.cumsum(counts))
+            ([0], cuts, [self.vertex_at.size])
         ).astype(np.int64)
+        self._index(ch.n)
 
         # Downward arcs: ch.downward_rev stores, per head v, the tails u
-        # (rank[u] > rank[v]).  Re-group by head *sweep position*.
+        # (rank[u] > rank[v]); gathering the heads' ranges in sweep
+        # order groups the arcs by head sweep position.
         down = ch.downward_rev
-        heads_orig = down.arc_tails()  # head of the downward arc
-        tails_orig = down.arc_head  # tail (higher-ranked endpoint)
-        head_pos = self.pos_of[heads_orig]
-        arc_order = np.argsort(head_pos, kind="stable")
-        head_pos = head_pos[arc_order]
-        self.arc_tail_pos = self.pos_of[tails_orig[arc_order]]
-        self.arc_len = down.arc_len[arc_order].astype(np.int64)
-        self.arc_via = ch.downward_via[arc_order].astype(np.int64)
-        self.arc_first = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(self.arc_first, head_pos + 1, 1)
-        np.cumsum(self.arc_first, out=self.arc_first)
+        first = down.first
+        arc_idx, _ = gather_ranges(first, self.vertex_at)
+        arc_len = down.arc_len[arc_idx]
 
         # Narrow to the GPU layout's 32-bit entries when they fit.
-        m = int(self.arc_len.size)
-        max_len = int(self.arc_len.max()) if m else 0
-        if n <= np.iinfo(np.int32).max and max_len <= np.iinfo(np.int32).max:
-            self.arc_tail_pos = self.arc_tail_pos.astype(np.int32)
-            self.arc_len = self.arc_len.astype(np.int32)
         # int32 rather than uint32: unsigned offsets promote through
         # cumsum/concatenate to uint64 and then float64 downstream.
-        if m <= np.iinfo(np.int32).max:
-            self.arc_first = self.arc_first.astype(np.int32)
+        i32 = np.iinfo(np.int32).max
+        narrow = self.n <= i32 and arc_len.max(initial=0) <= i32
+        arc_type = np.int32 if narrow else np.int64
+        self.arc_tail_pos = self.pos_of[down.arc_head[arc_idx]].astype(arc_type)
+        self.arc_len = arc_len.astype(arc_type)
+        self.arc_first = np.zeros(self.n + 1, dtype=(
+            np.int32 if arc_idx.size <= i32 else np.int64))
+        np.cumsum(first[self.vertex_at + 1] - first[self.vertex_at],
+                  out=self.arc_first[1:])
+
+    def _index(self, num_vertices: int) -> None:
+        """Derive ``n``, ``num_levels`` and ``pos_of`` from the arrays."""
+        self.n = int(self.vertex_at.size)
+        self.num_levels = int(self.level_first.size) - 1
+        self.pos_of = np.full(num_vertices, -1, dtype=np.int64)
+        self.pos_of[self.vertex_at] = np.arange(self.n, dtype=np.int64)
+
+    def arrays(self) -> dict[str, np.ndarray]:
+        """The structure as a publication: its :data:`KEYS` under ``sw:``."""
+        return {f"sw:{key}": getattr(self, key) for key in self.KEYS}
 
     @classmethod
     def from_arrays(
-        cls,
-        *,
-        n: int,
-        num_levels: int,
-        pos_of: np.ndarray,
-        vertex_at: np.ndarray,
-        level_first: np.ndarray,
-        arc_first: np.ndarray,
-        arc_tail_pos: np.ndarray,
-        arc_len: np.ndarray,
-        arc_via: np.ndarray,
-        level_of_pos: np.ndarray,
+        cls, views: Mapping[str, np.ndarray], num_vertices: int
     ) -> "SweepStructure":
-        """Wrap prebuilt sweep arrays without re-sorting anything.
+        """Wrap published :meth:`arrays` without re-sorting anything.
 
         Used by :class:`~repro.core.pool.PhastPool` workers, which
         receive the arrays as zero-copy shared-memory views: the
         structure is built once in the parent and merely re-wrapped
-        here, so attaching costs O(1) instead of an O(n log n) rebuild
-        per worker.
+        here.  Only ``pos_of`` (length ``num_vertices``, the
+        hierarchy's vertex count) is rebuilt, in O(n).
         """
         self = cls.__new__(cls)
-        self.n = int(n)
-        self.num_levels = int(num_levels)
-        self.pos_of = pos_of
-        self.vertex_at = vertex_at
-        self.level_first = level_first
-        self.arc_first = arc_first
-        self.arc_tail_pos = arc_tail_pos
-        self.arc_len = arc_len
-        self.arc_via = arc_via
-        self.level_of_pos = level_of_pos
+        for key in cls.KEYS:
+            setattr(self, key, views[f"sw:{key}"])
+        self._index(num_vertices)
         return self
 
     @property
@@ -207,11 +191,8 @@ class LevelSweep:
     ch:
         Hierarchy whose upward graph :meth:`search` runs on (only
         ``n`` and ``upward`` are touched).
-    pos_of:
-        Sweep position of every original vertex, ``-1`` for vertices
-        outside the swept set (an RPHAST restriction).
-    level_first, arc_first, arc_tail_pos, arc_len:
-        The sweep arrays, as in :class:`SweepStructure`.
+    sweep:
+        The :class:`SweepStructure` to sweep, full or restricted.
     search_cache:
         When positive, LRU-cache up to this many projected upward
         searches (see :meth:`search`).
@@ -235,20 +216,17 @@ class LevelSweep:
     def __init__(
         self,
         ch: ContractionHierarchy,
-        pos_of: np.ndarray,
-        level_first: np.ndarray,
-        arc_first: np.ndarray,
-        arc_tail_pos: np.ndarray,
-        arc_len: np.ndarray,
+        sweep: SweepStructure,
         *,
         search_cache: int = 0,
     ) -> None:
         self.ch = ch
-        self.pos_of = pos_of
-        self.arc_first = arc_first
-        self.arc_tail_pos = arc_tail_pos
-        self.arc_len = arc_len
-        self.size = int(arc_first.size) - 1
+        self.pos_of = sweep.pos_of
+        self.arc_first = arc_first = sweep.arc_first
+        self.arc_tail_pos = arc_tail_pos = sweep.arc_tail_pos
+        self.arc_len = arc_len = sweep.arc_len
+        self.size = sweep.n
+        level_first = sweep.level_first
 
         # The prefix is self-contained: levels are scanned in
         # descending order and every arc's tail precedes its head.
@@ -370,11 +348,15 @@ class LevelSweep:
         The ``k`` labels of one position are adjacent in memory (a
         ``(size, k)`` row-major array), so each arc relaxation updates
         a contiguous lane vector — NumPy's analogue of the paper's SSE
-        lanes.  Returns a view of the kernel's lane buffer.
+        lanes.  Returns a view of the kernel's lane buffer.  One source
+        takes :meth:`run`'s path, whose scalar prefix beats a 1-lane
+        vectorized sweep.
         """
         k = len(sources)
         if k == 0:
             return np.empty((self.size, 0), dtype=np.int64)
+        if k == 1:
+            return self.run(self.search(int(sources[0])))[:, None]
         # Flat buffers sized for the widest k so far; narrower sweeps
         # reshape a prefix, which keeps every lane row contiguous.
         rows = (self.size, self._cand.size, self._values.size)

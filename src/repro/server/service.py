@@ -80,8 +80,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 7171
-    #: Lane cap per dispatched sweep (and, unless overridden, the
-    #: pool's ``sources_per_sweep``).
+    #: Lane cap per dispatched sweep, and the pool's ``sources_per_sweep``.
     batch_max: int = 16
     #: Cap on the batch window in milliseconds (0 disables the window).
     max_wait_ms: float = 2.0
@@ -91,8 +90,6 @@ class ServerConfig:
     default_timeout_ms: float | None = 30_000.0
     #: Pool workers (1 = in-process serial pool, the single-host default).
     num_workers: int | None = 1
-    #: Pool lanes per worker sweep pass; 0 means "use batch_max".
-    sources_per_sweep: int = 0
     #: Spawn pool worker processes even on a single-CPU host.
     force_pool: bool = False
     #: Engine-side LRU of upward search spaces (entries; 0 disables).
@@ -173,11 +170,10 @@ class PhastService(FrameServer):
         self.n = int(ch.n)
         self.graph = graph
         self.admission = AdmissionController(self.config.max_pending)
-        lanes = self.config.sources_per_sweep or self.config.batch_max
         self.pool = PhastPool(
             ch,
             num_workers=self.config.num_workers,
-            sources_per_sweep=lanes,
+            sources_per_sweep=self.config.batch_max,
             force_pool=self.config.force_pool,
             search_cache=self.config.search_cache,
             heartbeat_interval=self.config.heartbeat_interval_ms / 1e3,
@@ -316,9 +312,7 @@ class PhastService(FrameServer):
             return self._error(req_id, code, f"request rejected: {reason}")
         try:
             fields = protocol.validate_request(spec, msg, self.n)
-            response = await getattr(self, spec.handler)(
-                req_id, op, msg, fields
-            )
+            response = await getattr(self, spec.handler)(req_id, op, fields)
         except (protocol.RequestValidationError, _BadRequest) as exc:
             response = self._error(req_id, protocol.BAD_REQUEST, str(exc))
         except DeadlineExceeded as exc:
@@ -429,17 +423,18 @@ class PhastService(FrameServer):
             "admission": self.admission.snapshot(),
         }
 
-    def _deadline(self, msg: dict) -> float | None:
-        timeout_ms = msg.get("timeout_ms", self.config.default_timeout_ms)
+    def _deadline(self, fields: dict) -> float | None:
+        """Absolute deadline of a request from its validated
+        ``timeout_ms`` (``"unset"`` means the config default)."""
+        timeout_ms = fields["timeout_ms"]
+        if timeout_ms == "unset":
+            timeout_ms = self.config.default_timeout_ms
         if timeout_ms is None:
             return None
-        if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float)):
-            raise _BadRequest("'timeout_ms' must be a number or null")
         return time.monotonic() + float(timeout_ms) / 1e3
 
-    async def _run_sweep(self, req_id, op: str, msg: dict,
-                         fields: dict) -> dict:
-        deadline = self._deadline(msg)
+    async def _run_sweep(self, req_id, op: str, fields: dict) -> dict:
+        deadline = self._deadline(fields)
         source = fields["source"]
         if op == "tree":
             finalize = _finalize_tree
@@ -454,9 +449,8 @@ class PhastService(FrameServer):
         payload = await request.future
         return protocol.ok_response(req_id, **payload)
 
-    async def _run_matrix(self, req_id, op: str, msg: dict,
-                          fields: dict) -> dict:
-        deadline = self._deadline(msg)
+    async def _run_matrix(self, req_id, op: str, fields: dict) -> dict:
+        deadline = self._deadline(fields)
         sources, targets = fields["sources"], fields["targets"]
         request = SweepRequest(
             "matrix", -1, None, deadline=deadline,
@@ -466,9 +460,8 @@ class PhastService(FrameServer):
         payload = await request.future
         return protocol.ok_response(req_id, **payload)
 
-    async def _run_query(self, req_id, op: str, msg: dict,
-                         fields: dict) -> dict:
-        deadline = self._deadline(msg)
+    async def _run_query(self, req_id, op: str, fields: dict) -> dict:
+        deadline = self._deadline(fields)
         source, target = fields["source"], fields["target"]
         stall = fields["stall"]
         if deadline is not None and time.monotonic() >= deadline:
@@ -492,9 +485,8 @@ class PhastService(FrameServer):
 
     # -- metric hot swap ---------------------------------------------------
 
-    async def _run_swap(self, req_id, op: str, msg: dict,
-                        fields: dict) -> dict:
-        deadline = self._deadline(msg)
+    async def _run_swap(self, req_id, op: str, fields: dict) -> dict:
+        deadline = self._deadline(fields)
         weights, path = fields["weights"], fields["path"]
         if (weights is None) == (path is None):
             raise _BadRequest(

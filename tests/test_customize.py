@@ -23,7 +23,7 @@ from hypothesis import strategies as st
 
 from repro.ch import build_topology, contract_graph, customize
 from repro.ch.customize import CHTopology, INF
-from repro.core import PhastEngine, PhastPool
+from repro.core import LevelSweep, PhastEngine, PhastPool
 from repro.graph import (
     RoadNetworkParams,
     load_metric,
@@ -181,6 +181,19 @@ def custom_ch(topo, weights):
     return topo.instantiate(customize(topo, weights))
 
 
+@pytest.mark.parametrize("which", ["road_ch", "custom_ch"])
+def test_one_lane_trees_equal_tree(request, scalar_threshold, which):
+    """``trees([s])`` takes the scalar-prefix path of ``tree(s)`` and
+    answers the same, on the witness and the customized hierarchy."""
+    ch = request.getfixturevalue(which)
+    for threshold in (LevelSweep.SCALAR_ARC_THRESHOLD, 0):
+        with scalar_threshold(threshold):
+            engine = PhastEngine(ch)
+        for s in (0, ch.n // 2, ch.n - 1):
+            tree = engine.tree(s).dist
+            assert np.array_equal(engine.trees([s]), tree[None, :])
+
+
 def test_pool_swap_serial_bit_identical(road, topo, weights, custom_ch):
     rng = np.random.default_rng(3)
     new_w = rng.integers(1, 5_000, size=road.m, dtype=np.int64)
@@ -292,7 +305,7 @@ def test_pool_memo_eviction_is_exact(road, topo, custom_ch, pool_kwargs):
                     <= _MEMO_CAP
             if pool.serial:
                 generations = [name for name, arrays in pool._segments.items()
-                               if "sw:pos_of" in arrays]
+                               if "up:first" in arrays]
                 assert generations == [pool._hier[0]]
                 assert [k for k in pool._ctx._memo if k[0] == "phast"] == [
                     ("phast", pool._hier[0])]

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core import RPhastEngine
+from repro.core import RPhastEngine, SweepStructure
+from repro.core.pool import _hierarchy_arrays
 from repro.graph import INF
 from repro.sssp import dijkstra
 
@@ -35,6 +36,30 @@ def test_all_targets_equals_phast(road, road_ch, road_engine):
     ref = road_engine.tree(7).dist
     got = engine.distances(7)
     assert np.array_equal(got, ref[engine.targets])
+
+
+def test_full_selection_is_the_sweep_structure(road, road_ch):
+    """RPHAST's structure is PHAST's restricted: selecting every vertex
+    reproduces the full structure array for array, dtypes included."""
+    full = SweepStructure(road_ch)
+    engine = RPhastEngine(road_ch, range(road.n))
+    assert engine.sweep.num_levels == full.num_levels
+    for key in (*SweepStructure.KEYS, "pos_of"):
+        got, ref = getattr(engine.sweep, key), getattr(full, key)
+        assert got.dtype == ref.dtype, key
+        assert np.array_equal(got, ref), key
+
+
+def test_selection_publishes_the_generation_format(road_ch):
+    """A selection publishes a generation's ``sw:`` keys plus its
+    targets: 32-bit arc arrays, and no ``pos_of``."""
+    arrays = RPhastEngine(road_ch, [0, 1]).selection_arrays()
+    sweep_keys = {key for key in _hierarchy_arrays(road_ch)
+                  if key.startswith("sw:")}
+    assert set(arrays) == sweep_keys | {"targets"}
+    assert "sw:pos_of" not in arrays
+    for key in ("sw:arc_first", "sw:arc_tail_pos", "sw:arc_len"):
+        assert arrays[key].dtype == np.int32, key
 
 
 def test_selection_is_small_for_few_targets(road, road_ch):
