@@ -4,6 +4,10 @@
 * witness-search hop limits (Section VIII-A);
 * CH priority function terms (Section VIII-A);
 * GPU warp ordering: level vs degree (Section VI).
+
+The CH ablations contract with :func:`repro.ch.contract_graph_lazy`,
+the paper's one-vertex-at-a-time contractor, whose neighbour-update
+policy is one of the ablated choices.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from common import fmt, load_instance, print_table, time_ms
-from repro.ch import CHParams, contract_graph
+from repro.ch import CHParams, contract_graph_lazy
 from repro.core import GphastEngine, PhastEngine
 from repro.graph import europe_like
 
@@ -62,7 +66,7 @@ def ablation_witness(quiet: bool = False, scale: int = 24):
         ("unlimited", ((None, None),)),
     ]:
         params = CHParams(hop_schedule=schedule)
-        ch = contract_graph(g, params)
+        ch = contract_graph_lazy(g, params)
         stats = ch.preprocessing_stats
         results[label] = ch
         rows.append(
@@ -87,11 +91,11 @@ def ablation_lazy_updates(quiet: bool = False, scale: int = 32):
     """Eager neighbour updates (paper) vs pure lazy re-checks."""
     g = europe_like(scale=scale)
     rows = []
-    for label, params in [
-        ("eager (paper)", CHParams()),
-        ("pure lazy", CHParams(neighbor_updates=False)),
+    for label, neighbor_updates in [
+        ("eager (paper)", True),
+        ("pure lazy", False),
     ]:
-        ch = contract_graph(g, params)
+        ch = contract_graph_lazy(g, neighbor_updates=neighbor_updates)
         stats = ch.preprocessing_stats
         eng = PhastEngine(ch)
         rows.append(
@@ -122,7 +126,7 @@ def ablation_priority(quiet: bool = False, scale: int = 24):
         ("no level term", CHParams(level_weight=0)),
         ("heavy level term", CHParams(level_weight=20)),
     ]:
-        ch = contract_graph(g, params)
+        ch = contract_graph_lazy(g, params)
         eng = PhastEngine(ch)
         rows.append(
             [
@@ -193,8 +197,8 @@ def test_lazy_updates_correct_and_cheaper():
     from repro.sssp import dijkstra
 
     g = europe_like(scale=16)
-    eager = contract_graph(g)
-    lazy = contract_graph(g, CHParams(neighbor_updates=False))
+    eager = contract_graph_lazy(g)
+    lazy = contract_graph_lazy(g, neighbor_updates=False)
     assert (
         lazy.preprocessing_stats["priority_evaluations"]
         < eager.preprocessing_stats["priority_evaluations"]
@@ -216,8 +220,8 @@ def test_implicit_init_not_slower(europe):
 
 def test_tighter_hop_limits_add_shortcuts():
     g = europe_like(scale=16)
-    strict = contract_graph(g, CHParams(hop_schedule=((None, 1),)))
-    loose = contract_graph(g, CHParams(hop_schedule=((None, None),)))
+    strict = contract_graph_lazy(g, CHParams(hop_schedule=((None, 1),)))
+    loose = contract_graph_lazy(g, CHParams(hop_schedule=((None, None),)))
     assert strict.num_shortcuts >= loose.num_shortcuts
     # Per-search work shrinks with the limit (total time may not: the
     # extra shortcuts densify later contractions).
@@ -243,7 +247,7 @@ def test_any_priority_function_correct():
         CHParams(cn_weight=0, h_weight=0, level_weight=0),
         CHParams(level_weight=20),
     ):
-        ch = contract_graph(g, params)
+        ch = contract_graph_lazy(g, params)
         assert np.array_equal(PhastEngine(ch).tree(0).dist, ref)
 
 

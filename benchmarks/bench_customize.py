@@ -39,7 +39,7 @@ from pathlib import Path
 import numpy as np
 
 from common import fmt, print_table
-from repro.ch import CHParams, build_topology, contract_graph_batched, customize
+from repro.ch import build_topology, contract_graph, customize
 from repro.core import PhastEngine
 from repro.graph import europe_like, load_topology, save_topology
 from repro.graph.serialize import ArtifactFormatError
@@ -122,7 +122,7 @@ def bench_customize(quiet: bool = False) -> dict:
             native._lib = None
 
     start = time.perf_counter()
-    witness_ch = contract_graph_batched(graph, CHParams())
+    witness_ch = contract_graph(graph)
     contraction_s = time.perf_counter() - start
 
     # Bit-identity: the customized hierarchy's distances == the witness

@@ -1,13 +1,14 @@
-"""Preprocessing throughput — sequential vs batched contraction.
+"""Preprocessing throughput — the round pipeline vs the paper reference.
 
 The paper treats CH preprocessing as an offline cost (Section VIII-A
 reports ~hours for Europe with the tuned priority function).  This
-bench tracks the reproduction's two contraction engines against each
-other on Europe-like time-metric networks:
+bench tracks the reproduction's contraction pipeline against the
+paper's reference contractor on Europe-like time-metric networks:
 
-* ``lazy`` — the one-vertex-at-a-time reference contractor;
-* ``batched`` — the vectorized independent-set engine
-  (:mod:`repro.ch.batched`).
+* ``batched`` — :func:`repro.ch.contract_graph`, the vectorized
+  independent-set round pipeline every caller uses;
+* ``lazy`` — :func:`repro.ch.contract_graph_lazy`, the
+  one-vertex-at-a-time reference contractor.
 
 For each instance size it reports wall-clock, throughput
 (vertices/second), shortcut count, round count and peak round size,
@@ -17,7 +18,7 @@ this file.  The sequential engine is skipped beyond
 the gap this bench exists to document); the skip is recorded in the
 JSON rather than silently dropped.
 
-A second section sweeps the batched engine over :class:`TaskPool`
+A second section sweeps the pipeline over :class:`TaskPool`
 worker counts (1/2/4/8 by default) on the smallest instance and
 reports the speedup over the single-process run plus the shortcut
 count per worker count — the counts must be identical, since the
@@ -40,7 +41,7 @@ import time
 from pathlib import Path
 
 from common import fmt, print_table
-from repro.ch import CHParams, contract_graph, contract_graph_batched
+from repro.ch import contract_graph, contract_graph_lazy
 from repro.graph import europe_like
 from repro.utils import bulk_compute
 
@@ -70,11 +71,14 @@ def _worker_sweep() -> tuple[int, ...]:
     return tuple(int(x) for x in env.split(",") if x.strip())
 
 
+#: The ``strategy`` label each engine's entries carry in the JSON.
+ENGINES = {"batched": contract_graph, "lazy": contract_graph_lazy}
+
+
 def _measure(graph, strategy: str) -> dict:
-    params = CHParams(strategy=strategy)
     start = time.perf_counter()
     with bulk_compute():
-        ch = contract_graph(graph, params)
+        ch = ENGINES[strategy](graph)
     seconds = time.perf_counter() - start
     stats = ch.preprocessing_stats
     entry = {
@@ -96,11 +100,10 @@ def _measure(graph, strategy: str) -> dict:
 
 
 def _measure_workers(graph, workers: int) -> dict:
-    params = CHParams(strategy="batched")
     start = time.perf_counter()
     with bulk_compute():
-        ch = contract_graph_batched(
-            graph, params, num_workers=workers, force_pool=workers > 1
+        ch = contract_graph(
+            graph, num_workers=workers, force_pool=workers > 1
         )
     seconds = time.perf_counter() - start
     stats = ch.preprocessing_stats
@@ -191,8 +194,8 @@ def run(quiet: bool = False) -> dict:
         ])
     if not quiet:
         print_table(
-            "CH preprocessing: batched independent-set engine vs "
-            "lazy sequential",
+            "CH preprocessing: batched round pipeline vs "
+            "lazy reference",
             [
                 "n", "batched", "vert/s", "shortcuts", "peak round",
                 "rounds", "sequential", "speedup", "sc ratio",

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..ch.contraction import CHParams, contract_graph
+from ..ch import CHParams, contract_graph
 from ..core.pool import PhastPool, TreeReducer
 from ..graph.csr import INF, StaticGraph
 from ..pq.binary_heap import BinaryHeap

@@ -1,7 +1,7 @@
 """Contraction hierarchies: preprocessing, queries, unpacking."""
 
-from .batched import contract_graph_batched
-from .contraction import CHParams, contract_graph
+from .batched import contract_graph
+from .contraction import CHParams, contract_graph_lazy
 from .customize import CHMetric, CHTopology, build_topology, customize
 from .hierarchy import (
     ContractionHierarchy,
@@ -19,7 +19,7 @@ from .query import (
 __all__ = [
     "CHParams",
     "contract_graph",
-    "contract_graph_batched",
+    "contract_graph_lazy",
     "CHMetric",
     "CHTopology",
     "build_topology",

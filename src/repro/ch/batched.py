@@ -1,7 +1,9 @@
-"""Batched independent-set CH preprocessing.
+"""CH preprocessing: the batched independent-set round pipeline.
 
-The lazy sequential contractor (:mod:`repro.ch.contraction`) pops one
-vertex at a time off a heap and runs scalar witness Dijkstras — fine at
+:func:`contract_graph` is how every caller — library, CLI and
+benchmarks — builds a hierarchy.  The paper's reference contractor
+(:func:`~repro.ch.contraction.contract_graph_lazy`) pops one vertex at
+a time off a heap and runs scalar witness Dijkstras — fine at
 n ≈ 4·10³, hopeless at the 10⁵–10⁶ the PHAST sweep itself handles.
 This module contracts the graph in **rounds**, following the parallel
 CH preprocessing literature (Luxen & Schieferdecker's cache-aware
@@ -49,10 +51,11 @@ import numpy as np
 from ..graph.csr import StaticGraph
 from ..graph.dynamic import DynamicAdjacency
 from ..utils.hotloop import bulk_compute
+from .contraction import CHParams
 from .hierarchy import ContractionHierarchy, assemble_hierarchy
 from .witness_batch import batched_witness_search, witness_shard
 
-__all__ = ["contract_graph_batched"]
+__all__ = ["contract_graph"]
 
 #: Pack the (v, u, w) candidate-pair identity into one int64 key.  Needs
 #: n**3 < 2**63; callers gate the fresh-pair cache on that.
@@ -567,23 +570,29 @@ class _PoolContractor:
         return {"shortcuts": shortcuts, "neighbours": int(nbr.size)}
 
 
-def contract_graph_batched(
+def contract_graph(
     graph: StaticGraph,
-    params,
+    params: CHParams | None = None,
     *,
     num_workers: int | None = 1,
     force_pool: bool = False,
 ) -> ContractionHierarchy:
-    """Run batched independent-set CH preprocessing on ``graph``.
+    """Run CH preprocessing on ``graph``, one independent set per round.
 
-    Produces the same kind of hierarchy as the lazy sequential
-    contractor — identical query/tree distances, shortcut count within
-    a few percent — at a fraction of the wall-clock, because each
-    round's witness searches and graph surgery are single NumPy bulk
-    operations.
+    Returns a :class:`~repro.ch.hierarchy.ContractionHierarchy` whose
+    upward and downward graphs cover all original arcs plus shortcuts;
+    every vertex is contracted, so the hierarchy is total.  Against the
+    paper's reference contractor it gives identical query/tree
+    distances with a shortcut count within a few percent, at a fraction
+    of the wall-clock, because each round's witness searches and graph
+    surgery are single NumPy bulk operations.  The per-round log is
+    ``preprocessing_stats["round_log"]``.
 
     Parameters
     ----------
+    params:
+        Priority weights and witness-search limits (default
+        :class:`~repro.ch.contraction.CHParams`).
     num_workers, force_pool:
         Passed straight to the :class:`~repro.core.pool.TaskPool` that
         runs the per-round witness phases.  The default, one worker,
@@ -595,6 +604,7 @@ def contract_graph_batched(
     """
     from ..core.pool import TaskPool
 
+    params = params or CHParams()
     start = time.perf_counter()
     with TaskPool(num_workers=num_workers, force_pool=force_pool) as pool:
         state = _PoolContractor(graph, params, pool)

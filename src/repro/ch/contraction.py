@@ -1,4 +1,4 @@
-"""Contraction hierarchies preprocessing.
+"""The paper's one-vertex-at-a-time CH contractor: the reference.
 
 Implements Geisberger et al.'s CH preprocessing with the paper's tuned
 priority function (Section VIII-A):
@@ -16,13 +16,20 @@ neighbour priorities are refreshed after every contraction.
 Witness searches are hop-limited on a schedule keyed to the average
 degree of the *uncontracted* part of the graph: 5 hops below degree 5,
 10 hops below degree 10, unlimited beyond (Section VIII-A).
+
+Every caller builds hierarchies with
+:func:`~repro.ch.batched.contract_graph`, the batched round pipeline
+that evaluates the same priority function.  :func:`contract_graph_lazy`
+is the paper reference the pipeline is tested against and the engine
+of the CH ablation benchmarks.  :class:`CHParams` holds the knobs both
+contractors share.
 """
 
 from __future__ import annotations
 
 import heapq
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -30,12 +37,13 @@ from ..graph.csr import StaticGraph
 from .hierarchy import ContractionHierarchy, assemble_hierarchy
 from .witness import witness_search
 
-__all__ = ["CHParams", "contract_graph"]
+__all__ = ["CHParams", "contract_graph_lazy"]
 
 
 @dataclass(frozen=True)
 class CHParams:
-    """Preprocessing knobs; defaults follow the paper.
+    """Preprocessing knobs shared by both contractors; defaults follow
+    the paper.
 
     Attributes
     ----------
@@ -51,18 +59,8 @@ class CHParams:
     witness_max_settled:
         Safety valve on witness-search size (``None`` = faithful,
         unbounded).
-    neighbor_updates:
-        Refresh neighbour priorities after every contraction (the
-        paper's scheme, default).  ``False`` relies purely on the
-        on-pop lazy re-check: ~3x fewer priority evaluations at the
-        cost of ~10% more shortcuts — a good trade for big instances.
-    strategy:
-        ``"lazy"`` (default) pops one vertex at a time off a heap — the
-        reference ablation.  ``"batched"`` contracts whole independent
-        sets per round with vectorized witness searches
-        (:mod:`repro.ch.batched`) — the scalable path.
     rebuild_every:
-        Batched strategy only: recompact the dynamic adjacency for
+        Round pipeline only: recompact the dynamic adjacency for
         locality every this many rounds.
     """
 
@@ -77,8 +75,6 @@ class CHParams:
         (None, None),
     )
     witness_max_settled: int | None = None
-    neighbor_updates: bool = True
-    strategy: str = "lazy"
     rebuild_every: int = 4
 
 
@@ -100,7 +96,6 @@ class _Stats:
     priority_evaluations: int = 0
     lazy_requeues: int = 0
     seconds: float = 0.0
-    extra: dict = field(default_factory=dict)
 
 
 class _Contractor:
@@ -241,26 +236,24 @@ class _Contractor:
             self.stats.shortcuts_added += 1
 
 
-def contract_graph(
-    graph: StaticGraph, params: CHParams | None = None
+def contract_graph_lazy(
+    graph: StaticGraph,
+    params: CHParams | None = None,
+    *,
+    neighbor_updates: bool = True,
 ) -> ContractionHierarchy:
-    """Run CH preprocessing on ``graph``.
+    """Run the paper's heap-driven CH preprocessing on ``graph``.
 
     Returns a :class:`~repro.ch.hierarchy.ContractionHierarchy` whose
     upward and downward graphs cover all original arcs plus shortcuts.
     Every vertex is contracted, so the hierarchy is total.
 
-    ``params.strategy`` selects the engine: ``"lazy"`` is the scalar
-    one-vertex-at-a-time reference, ``"batched"`` the vectorized
-    independent-set pipeline of :mod:`repro.ch.batched`.
+    ``neighbor_updates`` refreshes neighbour priorities after every
+    contraction (the paper's scheme, default).  ``False`` relies purely
+    on the on-pop lazy re-check: ~3x fewer priority evaluations at the
+    cost of ~10% more shortcuts.
     """
     params = params or CHParams()
-    if params.strategy == "batched":
-        from .batched import contract_graph_batched
-
-        return contract_graph_batched(graph, params)
-    if params.strategy != "lazy":
-        raise ValueError(f"unknown contraction strategy {params.strategy!r}")
     start = time.perf_counter()
     state = _Contractor(graph, params)
     n = graph.n
@@ -284,7 +277,7 @@ def contract_graph(
         # The paper recomputes neighbour priorities right after each
         # contraction (in parallel there; sequentially here).  Without
         # it, stale keys are caught by the on-pop re-check above.
-        if params.neighbor_updates:
+        if neighbor_updates:
             for x in neighbours:
                 heapq.heappush(heap, (state.priority(x), x))
 

@@ -1,6 +1,6 @@
 """Metric-independent CH topology + fast weight customization.
 
-``contract_graph_batched`` pays its cost per *metric*: the witness
+``contract_graph`` pays its cost per *metric*: the witness
 searches that prune shortcuts depend on arc weights, so a new traffic
 snapshot means a full re-contraction.  This module splits the output
 into the two halves the customizable-CH literature (Dibbelt et al.'s
@@ -311,7 +311,7 @@ def build_topology(graph: StaticGraph, rank: np.ndarray | None = None) -> CHTopo
     ordered pair of the retiring vertex's live neighbours becomes a
     closure arc, no witness searches —
     batched over independent sets of order-local minima exactly like
-    :func:`~repro.ch.batched.contract_graph_batched` (fill-in is
+    :func:`~repro.ch.batched.contract_graph` (fill-in is
     schedule-independent, so the batched closure equals the sequential
     one).
 

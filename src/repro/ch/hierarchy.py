@@ -83,7 +83,7 @@ def assemble_hierarchy(
 ) -> "ContractionHierarchy":
     """Split original arcs + shortcuts into the upward/downward graphs.
 
-    Shared by every contraction strategy: given the contraction order
+    Shared by both contractors: given the contraction order
     (``rank``), the PHAST levels and the shortcut arc arrays, build
     ``G↑`` and the reversed ``G↓`` with their ``via`` payloads and wrap
     everything into a :class:`ContractionHierarchy`.  ``stats`` is

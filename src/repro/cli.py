@@ -16,7 +16,7 @@ subcommands::
     python -m repro serve --topology map.topo.npz --metric map.metric.npz
     python -m repro swap --port 7171 --weights new-weights.npz  # hot swap
     python -m repro route map.npz map.ch.npz --replicas 2 --port 7170
-    python -m repro client --port 7171 --op query --source 0 --target 4095
+    python -m repro client --port 7171 --op query --sources 0 --targets 4095
     python -m repro doctor --unlink                  # reap orphaned shm
 
 Graphs and hierarchies travel as ``.npz`` artifacts
@@ -80,31 +80,23 @@ def _cmd_convert(args: argparse.Namespace) -> int:
 
 
 def _cmd_preprocess(args: argparse.Namespace) -> int:
-    from .ch import CHParams, contract_graph, contract_graph_batched
+    from .ch import contract_graph
     from .graph import save_hierarchy
 
-    workers, force_pool = args.preprocess_workers, args.force_pool
-    if args.strategy != "batched" and (workers != 1 or force_pool):
-        print("--preprocess-workers/--force-pool require --strategy batched")
-        return 2
     graph = _load_graph(args.graph)
     start = time.perf_counter()
-    if args.strategy == "batched":
-        ch = contract_graph_batched(
-            graph,
-            CHParams(strategy="batched"),
-            num_workers=workers,
-            force_pool=force_pool,
-        )
-    else:
-        ch = contract_graph(graph, CHParams(strategy=args.strategy))
+    ch = contract_graph(
+        graph,
+        num_workers=args.preprocess_workers,
+        force_pool=args.force_pool,
+    )
     elapsed = time.perf_counter() - start
     save_hierarchy(ch, args.output)
     stats = ch.preprocessing_stats
-    detail = args.strategy
-    if stats.get("parallel"):
+    detail = f"{stats['rounds']} rounds"
+    if stats["parallel"]:
         detail += f", {stats['workers']} workers"
-    elif stats.get("fell_back"):
+    elif stats["fell_back"]:
         detail += ", fell back to serial (1 CPU)"
     print(
         f"{args.output}: {ch.num_shortcuts} shortcuts, "
@@ -429,40 +421,26 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     return 0
 
 
-def _client_ids(args: argparse.Namespace, plural: str,
-                singular: str) -> list[int] | None:
-    """Vertex ids from the unified ``--sources``/``--targets`` flags.
-
-    The plural flag is canonical (comma-separated, any op); the old
-    singular spelling still works for the single-vertex ops.  Giving
-    both is an error.
-    """
-    plural_val = getattr(args, plural, None)
-    singular_val = getattr(args, singular, None)
-    if plural_val is not None and singular_val is not None:
-        raise ValueError(f"give --{plural} or --{singular}, not both")
-    if singular_val is not None:
-        return [int(singular_val)]
-    if plural_val is None:
+def _client_ids(args: argparse.Namespace, flag: str) -> list[int] | None:
+    """Vertex ids from ``--sources``/``--targets`` (comma-separated)."""
+    value = getattr(args, flag)
+    if value is None:
         return None
     try:
-        return [int(v) for v in str(plural_val).split(",")]
+        return [int(v) for v in str(value).split(",")]
     except ValueError:
         raise ValueError(
-            f"--{plural} must be comma-separated integers "
-            f"(got {plural_val!r})"
+            f"--{flag} must be comma-separated integers (got {value!r})"
         ) from None
 
 
-def _client_one(args: argparse.Namespace, plural: str, singular: str) -> int:
-    ids = _client_ids(args, plural, singular)
+def _client_one(args: argparse.Namespace, flag: str) -> int:
+    ids = _client_ids(args, flag)
     if ids is None:
-        raise ValueError(
-            f"--{plural} is required for --op {args.op}"
-        )
+        raise ValueError(f"--{flag} is required for --op {args.op}")
     if len(ids) != 1:
         raise ValueError(
-            f"--op {args.op} takes exactly one of --{plural} "
+            f"--op {args.op} takes exactly one of --{flag} "
             f"(got {len(ids)})"
         )
     return ids[0]
@@ -489,8 +467,8 @@ def _cmd_client(args: argparse.Namespace) -> int:
             if not health.get("ready"):
                 return 1
         elif op == "query":
-            source = _client_one(args, "sources", "source")
-            target = _client_one(args, "targets", "target")
+            source = _client_one(args, "sources")
+            target = _client_one(args, "targets")
             resp = client.query(sources=source, targets=target,
                                 stall=args.stall)
             if not resp["reachable"]:
@@ -501,7 +479,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 f"{resp['distance']} (settled {resp['settled']})"
             )
         elif op == "tree":
-            source = _client_one(args, "sources", "source")
+            source = _client_one(args, "sources")
             dist = client.tree(source)
             from .graph.csr import INF
 
@@ -514,16 +492,16 @@ def _cmd_client(args: argparse.Namespace) -> int:
                 np.savez_compressed(args.output, source=source, dist=dist)
                 print(f"labels written to {args.output}")
         elif op == "one_to_many":
-            source = _client_one(args, "sources", "source")
-            targets = _client_ids(args, "targets", "target")
+            source = _client_one(args, "sources")
+            targets = _client_ids(args, "targets")
             if targets is None:
                 raise ValueError("--targets is required for --op one-to-many")
             dist = client.one_to_many(source, targets)
             for t, d in zip(targets, dist):
                 print(f"{source} -> {t}: {int(d)}")
         elif op == "matrix":
-            sources = _client_ids(args, "sources", "source")
-            targets = _client_ids(args, "targets", "target")
+            sources = _client_ids(args, "sources")
+            targets = _client_ids(args, "targets")
             if sources is None or targets is None:
                 raise ValueError(
                     "--sources and --targets are required for --op matrix"
@@ -533,7 +511,7 @@ def _cmd_client(args: argparse.Namespace) -> int:
             for s, row in zip(sources, mat):
                 print(f"{s:>8}" + " ".join(f"{int(d):>8}" for d in row))
         elif op == "isochrone":
-            source = _client_one(args, "sources", "source")
+            source = _client_one(args, "sources")
             _require_args(args, "budget")
             vertices = client.isochrone(source, args.budget)
             print(
@@ -826,18 +804,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-o", "--output", required=True)
     p.add_argument(
-        "--strategy",
-        choices=("lazy", "batched"),
-        default="batched",
-        help="contraction engine: vectorized independent-set rounds "
-        "(batched, default) or the one-vertex-at-a-time reference (lazy)",
-    )
-    p.add_argument(
         "--preprocess-workers",
         type=int,
         default=1,
         metavar="N",
-        help="parallelize the batched strategy's witness phases over N "
+        help="parallelize the contraction rounds' witness phases over N "
         "worker processes (default: 1, in process; a single-CPU host "
         "falls back to in process unless --force-pool)",
     )
@@ -1003,15 +974,11 @@ def build_parser() -> argparse.ArgumentParser:
         default="ping",
     )
     cl.add_argument("--sources",
-                    help="comma-separated vertex ids; the unified spelling "
-                    "for every op (single-vertex ops take one id)")
+                    help="comma-separated vertex ids (single-vertex ops "
+                    "take one id)")
     cl.add_argument("--targets",
                     help="comma-separated vertex ids (query, one-to-many, "
                     "matrix)")
-    cl.add_argument("--source", type=int,
-                    help="single-vertex alias for --sources")
-    cl.add_argument("--target", type=int,
-                    help="single-vertex alias for --targets")
     cl.add_argument("--budget", type=int, help="isochrone time budget")
     cl.add_argument("--stall", action="store_true", help="stall-on-demand")
     cl.add_argument("-o", "--output", help="write tree labels (.npz)")

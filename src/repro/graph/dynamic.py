@@ -1,8 +1,8 @@
 """Dynamic adjacency for batched graph surgery.
 
 CH preprocessing repeatedly removes vertices and inserts shortcut arcs.
-The lazy sequential contractor keeps a dict-of-dicts for this; the
-batched contractor (:mod:`repro.ch.batched`) needs the same operations
+The paper's reference contractor keeps a dict-of-dicts for this; the
+round pipeline (:mod:`repro.ch.batched`) needs the same operations
 as *bulk* array transforms, so witness searches can gather thousands of
 adjacency rows with NumPy instead of one Python dict lookup at a time.
 

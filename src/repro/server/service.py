@@ -61,13 +61,6 @@ from .scheduler import (
 
 __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 
-#: Derived from the declarative op registry (single source of truth);
-#: re-exported here because the serving stack historically imported
-#: them from this module.
-WORK_OPS = protocol.WORK_OPS
-ADMIN_OPS = protocol.ADMIN_OPS
-CONTROL_OPS = protocol.CONTROL_OPS
-
 #: Threads for sweeps + point-to-point queries.
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).

@@ -5,7 +5,7 @@ pool (:class:`~repro.core.pool.PhastPool` and
 :class:`~repro.core.pool.TaskPool`) through :func:`resolve_workers`,
 so one ``REPRO_MAX_WORKERS`` setting caps the whole process tree.  The
 drivers — ``repro serve --workers``, the one-shot ``trees_per_core``
-and :func:`~repro.ch.batched.contract_graph_batched` — pass their
+and :func:`~repro.ch.batched.contract_graph` — pass their
 request straight through.
 
 Precedence (highest wins):

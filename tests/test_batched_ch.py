@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.ch import CHParams, ch_query, contract_graph
+from repro.ch import CHParams, ch_query, contract_graph, contract_graph_lazy
 from repro.core import PhastEngine
 from repro.graph import (
     DynamicAdjacency,
@@ -31,7 +31,7 @@ from repro.graph import (
 )
 from repro.sssp import dijkstra
 
-BATCHED = CHParams(strategy="batched")
+BATCHED = CHParams()
 
 
 @pytest.fixture(scope="module")
@@ -141,14 +141,9 @@ def test_batched_handles_isolated_and_singleton():
 
 
 def test_shortcut_count_within_15_percent(road):
-    seq = contract_graph(road, CHParams(strategy="lazy"))
+    seq = contract_graph_lazy(road)
     bat = contract_graph(road, BATCHED)
     assert bat.num_shortcuts <= 1.15 * seq.num_shortcuts
-
-
-def test_unknown_strategy_rejected(road):
-    with pytest.raises(ValueError):
-        contract_graph(road, CHParams(strategy="greedy"))
 
 
 # -- parallel preprocessing determinism ---------------------------------------
@@ -173,18 +168,14 @@ def _assert_hierarchies_identical(a, b):
 
 
 def test_parallel_preprocessing_bit_identical_to_serial(road):
-    from repro.ch import contract_graph_batched
-
     before = _repro_segments()
-    serial = contract_graph_batched(road, BATCHED)
+    serial = contract_graph(road, BATCHED)
     # The serial run uses the same coordinator over an in-process pool:
     # no worker processes, no shared-memory segments.
     assert serial.preprocessing_stats["parallel"] is False
     assert serial.preprocessing_stats["workers"] == 1
     assert _repro_segments() <= before
-    par = contract_graph_batched(
-        road, BATCHED, num_workers=2, force_pool=True
-    )
+    par = contract_graph(road, BATCHED, num_workers=2, force_pool=True)
     _assert_hierarchies_identical(serial, par)
     stats = par.preprocessing_stats
     assert stats["parallel"] is True
@@ -206,11 +197,9 @@ def test_parallel_preprocessing_bit_identical_to_serial(road):
 
 
 def test_parallel_preprocessing_worker_count_invariance():
-    from repro.ch import contract_graph_batched
-
     g = road_network(RoadNetworkParams(rows=8, cols=8, seed=21))
-    two = contract_graph_batched(g, BATCHED, num_workers=2, force_pool=True)
-    three = contract_graph_batched(g, BATCHED, num_workers=3, force_pool=True)
+    two = contract_graph(g, BATCHED, num_workers=2, force_pool=True)
+    three = contract_graph(g, BATCHED, num_workers=3, force_pool=True)
     _assert_hierarchies_identical(two, three)
 
 
@@ -218,12 +207,11 @@ def test_preprocess_workers_param_falls_back_serially(road, monkeypatch):
     """A multi-worker request on a single-CPU host (forced here)
     degrades to the in-process pool with the fallback flagged, and the
     result is the serial result."""
-    from repro.ch import contract_graph_batched
     import repro.utils.workers as workers_mod
 
     monkeypatch.setattr(workers_mod.os, "cpu_count", lambda: 1)
     ref = contract_graph(road, BATCHED)
-    ch = contract_graph_batched(road, BATCHED, num_workers=4)
+    ch = contract_graph(road, BATCHED, num_workers=4)
     stats = ch.preprocessing_stats
     assert stats["parallel"] is False
     assert stats["fell_back"] is True

@@ -1,19 +1,42 @@
-"""Unit and integration tests for contraction hierarchies."""
+"""Unit and integration tests for contraction hierarchies.
+
+The hierarchy-validity and Dijkstra-parity tests run every check on
+both contractors: the round pipeline every caller gets
+(``contract_graph``, which also builds the ``road_ch`` fixtures) and
+the paper's heap contractor it is checked against
+(``contract_graph_lazy``).
+"""
 
 import numpy as np
 import pytest
 
-from repro.ch import CHParams, ch_query, contract_graph, unpack_arc, upward_search
+from repro.ch import (
+    CHParams,
+    ch_query,
+    contract_graph,
+    contract_graph_lazy,
+    unpack_arc,
+    upward_search,
+)
 from repro.graph import INF, StaticGraph, grid_graph, path_graph
 from repro.sssp import dijkstra
 
-
-def test_hierarchy_invariants(road_ch):
-    road_ch.validate()
+CONTRACTORS = (contract_graph, contract_graph_lazy)
 
 
-def test_every_vertex_contracted(road_ch):
-    assert np.array_equal(np.sort(road_ch.rank), np.arange(road_ch.n))
+@pytest.fixture(scope="module")
+def road_lazy_ch(road):
+    return contract_graph_lazy(road)
+
+
+def test_hierarchy_invariants(road_ch, road_lazy_ch):
+    for ch in (road_ch, road_lazy_ch):
+        ch.validate()
+
+
+def test_every_vertex_contracted(road_ch, road_lazy_ch):
+    for ch in (road_ch, road_lazy_ch):
+        assert np.array_equal(np.sort(ch.rank), np.arange(ch.n))
 
 
 def test_level_zero_is_large(road_ch):
@@ -40,12 +63,12 @@ def test_upward_downward_partition(road, road_ch):
     assert road_ch.upward.m == road_ch.downward_rev.m
 
 
-def test_ch_query_matches_dijkstra(road, road_ch, rng):
+def test_ch_query_matches_dijkstra(road, road_ch, road_lazy_ch, rng):
     for _ in range(30):
         s, t = (int(x) for x in rng.integers(0, road.n, 2))
         ref = dijkstra(road, s, with_parents=False).dist[t]
-        q = ch_query(road_ch, s, t)
-        assert q.distance == ref, (s, t)
+        for ch in (road_ch, road_lazy_ch):
+            assert ch_query(ch, s, t).distance == ref, (s, t)
 
 
 def test_ch_query_same_vertex(road_ch):
@@ -65,22 +88,23 @@ def test_ch_query_search_space_is_small(road, road_ch, rng):
 
 def test_ch_query_unreachable():
     g = StaticGraph(3, [0, 1], [1, 0], [1, 1])  # vertex 2 isolated
-    ch = contract_graph(g)
-    q = ch_query(ch, 0, 2)
-    assert q.distance == INF
-    assert q.meeting == -1
+    for contract in CONTRACTORS:
+        q = ch_query(contract(g), 0, 2)
+        assert q.distance == INF
+        assert q.meeting == -1
 
 
-def test_ch_query_path_unpacking(road, road_ch, rng):
+def test_ch_query_path_unpacking(road, road_ch, road_lazy_ch, rng):
     for _ in range(15):
         s, t = (int(x) for x in rng.integers(0, road.n, 2))
-        q = ch_query(road_ch, s, t, unpack=True)
-        assert q.path is not None
-        assert q.path[0] == s and q.path[-1] == t
-        total = sum(
-            road.arc_length(a, b) for a, b in zip(q.path, q.path[1:])
-        )
-        assert total == q.distance
+        for ch in (road_ch, road_lazy_ch):
+            q = ch_query(ch, s, t, unpack=True)
+            assert q.path is not None
+            assert q.path[0] == s and q.path[-1] == t
+            total = sum(
+                road.arc_length(a, b) for a, b in zip(q.path, q.path[1:])
+            )
+            assert total == q.distance
 
 
 def test_path_gplus_ranks_bitonic(road_ch, rng):
@@ -125,44 +149,49 @@ def test_upward_search_labels_are_upper_bounds(road, road_ch):
 
 def test_path_graph_hierarchy():
     g = path_graph(6, length=2)
-    ch = contract_graph(g)
-    ch.validate()
-    for t in range(6):
-        assert ch_query(ch, 0, t).distance == 2 * t
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        ch.validate()
+        for t in range(6):
+            assert ch_query(ch, 0, t).distance == 2 * t
 
 
 def test_grid_with_ties():
     """Uniform lengths produce many ties; CH must stay correct."""
     g = grid_graph(6, 6)
-    ch = contract_graph(g)
-    for s in (0, 17, 35):
-        ref = dijkstra(g, s, with_parents=False).dist
-        for t in (0, 5, 30, 35):
-            assert ch_query(ch, s, t).distance == ref[t]
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        for s in (0, 17, 35):
+            ref = dijkstra(g, s, with_parents=False).dist
+            for t in (0, 5, 30, 35):
+                assert ch_query(ch, s, t).distance == ref[t]
 
 
 def test_single_vertex_graph():
     g = StaticGraph(1, [], [], [])
-    ch = contract_graph(g)
-    assert ch.n == 1
-    assert ch_query(ch, 0, 0).distance == 0
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        assert ch.n == 1
+        assert ch_query(ch, 0, 0).distance == 0
 
 
 def test_two_vertex_graph():
     g = StaticGraph(2, [0, 1], [1, 0], [5, 7])
-    ch = contract_graph(g)
-    assert ch_query(ch, 0, 1).distance == 5
-    assert ch_query(ch, 1, 0).distance == 7
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        assert ch_query(ch, 0, 1).distance == 5
+        assert ch_query(ch, 1, 0).distance == 7
 
 
 def test_custom_params_still_correct(small_road):
     """Exotic priority weights change the order, never correctness."""
     params = CHParams(ed_weight=1, cn_weight=0, h_weight=0, level_weight=1)
-    ch = contract_graph(small_road, params)
-    ch.validate()
     ref = dijkstra(small_road, 0, with_parents=False).dist
-    for t in (1, 20, 63):
-        assert ch_query(ch, 0, t).distance == ref[t]
+    for contract in CONTRACTORS:
+        ch = contract(small_road, params)
+        ch.validate()
+        for t in (1, 20, 63):
+            assert ch_query(ch, 0, t).distance == ref[t]
 
 
 def test_hop_limit_schedule_affects_shortcuts(small_road):
@@ -197,16 +226,18 @@ def test_parallel_arcs_and_self_loops():
         [1, 1, 0, 2, 0, 1],
         [9, 4, 3, 2, 1, 5],
     )
-    ch = contract_graph(g)
     ref = dijkstra(g, 0, with_parents=False).dist
-    for t in range(3):
-        assert ch_query(ch, 0, t).distance == ref[t]
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        for t in range(3):
+            assert ch_query(ch, 0, t).distance == ref[t]
 
 
 def test_asymmetric_graph():
     """Directed cycle: upward/downward arc counts differ."""
     g = StaticGraph(4, [0, 1, 2, 3], [1, 2, 3, 0], [1, 1, 1, 1])
-    ch = contract_graph(g)
     ref = dijkstra(g, 1, with_parents=False).dist
-    for t in range(4):
-        assert ch_query(ch, 1, t).distance == ref[t]
+    for contract in CONTRACTORS:
+        ch = contract(g)
+        for t in range(4):
+            assert ch_query(ch, 1, t).distance == ref[t]

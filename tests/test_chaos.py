@@ -116,15 +116,14 @@ def test_crash_fault_recovers_bit_identical(road_ch, reference):
 def test_preprocessing_crash_recovers_bit_identical(road, monkeypatch):
     """A contraction worker SIGKILLed mid-round: the shard is
     re-dispatched and the finished hierarchy is bit-identical."""
-    from repro.ch import CHParams, contract_graph_batched
+    from repro.ch import contract_graph
 
-    params = CHParams(strategy="batched")
-    ref = contract_graph_batched(road, params)
+    ref = contract_graph(road)
     before = _shm_names()
     # The crash fault is a SIGKILL the worker sends itself at the top
     # of its first chunk (times=1: one death pool-wide, ever).
     monkeypatch.setenv("REPRO_FAULT", "crash:chunk=0,times=1")
-    ch = contract_graph_batched(road, params, num_workers=2, force_pool=True)
+    ch = contract_graph(road, num_workers=2, force_pool=True)
     monkeypatch.delenv("REPRO_FAULT")
     health = ch.preprocessing_stats["pool_health"]
     assert health["deaths"] >= 1

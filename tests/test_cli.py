@@ -62,6 +62,27 @@ def test_preprocess_and_tree(tmp_path, artifacts, capsys):
         )
 
 
+def test_library_contraction_is_the_cli_pipeline(tmp_path, artifacts, capsys):
+    """``contract_graph(g)`` with no params writes exactly the arrays
+    ``repro preprocess`` writes, and reports the pipeline's rounds."""
+    from repro.ch import contract_graph
+    from repro.graph import save_hierarchy
+
+    gpath, _ = artifacts
+    cli_path = tmp_path / "cli.ch.npz"
+    lib_path = tmp_path / "lib.ch.npz"
+    assert main(["preprocess", str(gpath), "-o", str(cli_path)]) == 0
+    ch = contract_graph(load_graph(gpath))
+    save_hierarchy(ch, lib_path)
+    with np.load(cli_path) as cli, np.load(lib_path) as lib:
+        assert set(cli.files) == set(lib.files)
+        for key in cli.files:
+            assert np.array_equal(cli[key], lib[key]), key
+    stats = ch.preprocessing_stats
+    assert stats["rounds"] == len(stats["round_log"]) > 0
+    assert f"({stats['rounds']} rounds)" in capsys.readouterr().out
+
+
 def test_batch(tmp_path, artifacts, small_road, capsys):
     gpath, cpath = artifacts
     out = tmp_path / "mat.npz"
