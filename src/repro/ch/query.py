@@ -16,6 +16,7 @@ import numpy as np
 
 from ..graph.csr import INF, StaticGraph
 from ..pq.binary_heap import BinaryHeap
+from ..utils import native
 from .hierarchy import ContractionHierarchy
 
 __all__ = ["UpwardSearchSpace", "CHQueryResult", "upward_search", "ch_query"]
@@ -98,10 +99,15 @@ def upward_search(ch: ContractionHierarchy, source: int) -> UpwardSearchSpace:
     """PHAST phase one: forward CH search with the loose stop criterion.
 
     Runs Dijkstra from ``source`` in ``G↑`` until the priority queue is
-    empty and returns every settled vertex with its label.
+    empty and returns every settled vertex with its label.  The
+    compiled search (:mod:`repro.utils.native`) and the ``heapq`` loop
+    settle the same vertices in the same order with the same parents.
     """
     if not 0 <= source < ch.n:
         raise ValueError("source out of range")
+    searcher = native.upward_searcher(ch.upward)
+    if searcher is not None:
+        return UpwardSearchSpace(source, *searcher.space(source))
     settled, dist, parent = _relax_from(ch.upward, source)
     vertices = np.array(settled, dtype=np.int64)
     dists = np.array([dist[v] for v in settled], dtype=np.int64)

@@ -9,12 +9,13 @@ A query (Section III) is:
 
 Phase 2's scan order is source-independent, so
 :class:`~repro.core.sweep.SweepStructure` pre-sorts everything by level
-(Section IV-A) and the sweep becomes a handful of contiguous NumPy
-operations per level (:class:`~repro.core.sweep.LevelSweep`) — the
-reproduction's stand-in for the paper's SSE-vectorized C++ loop.  A
-scalar reference implementation (:func:`phast_scalar`) keeps the fast
-path honest in tests; :func:`phast_original_order` is Table I's
-"original ordering" baseline.
+(Section IV-A) and the sweep becomes one C loop over the positions,
+lanes innermost (:class:`~repro.core.sweep.LevelSweep`), as in the
+paper's C++ loop; a bit-identical per-level NumPy sweep stands in
+where no compiler is available.  A scalar reference implementation
+(:func:`phast_scalar`) keeps the fast path honest in tests;
+:func:`phast_original_order` is Table I's "original ordering"
+baseline.
 
 Initialization is *implicit* (Section IV-C): the sweep writes every
 label exactly once per query (empty in-arc segments produce ∞, the CH

@@ -17,12 +17,13 @@ The structure is source-independent — built once per hierarchy, reused
 by every query, which is the asymmetry PHAST exploits.  RPHAST builds
 the same structure over its selected vertices only.
 
-:class:`LevelSweep` is the second phase itself: one level-by-level
-relaxation over four of those arrays (``level_first``, ``arc_first``,
-``arc_tail_pos``, ``arc_len``).  PHAST runs it over the full structure,
-RPHAST over a restricted one, and the level-parallel driver over
-position blocks of each level — one kernel, in the spirit of GPHAST's
-single per-level kernel.
+:class:`LevelSweep` is the second phase itself, plus the first (the
+upward search).  Its compiled sweep is one pass over the positions,
+reading ``arc_first``, ``arc_tail_pos`` and ``arc_len``; its NumPy
+fallback relaxes one level block of ``level_first`` at a time.  PHAST
+runs it over the full structure, RPHAST over a restricted one, and the
+level-parallel driver (NumPy levels) over position blocks of each
+level — one kernel, in the spirit of GPHAST's single per-level kernel.
 """
 
 from __future__ import annotations
@@ -35,6 +36,7 @@ import numpy as np
 from ..ch.hierarchy import ContractionHierarchy
 from ..ch.query import UpwardSearchSpace, upward_search
 from ..graph.csr import INF
+from ..utils import native
 from ..utils.segments import gather_ranges
 
 __all__ = ["SweepStructure", "LevelSweep"]
@@ -199,18 +201,24 @@ class LevelSweep:
 
     Notes
     -----
-    Everything source-independent is prepared here once: the scalar
-    prefix, per-level reduceat plans and reusable candidate/label
-    buffers.  :meth:`run` and :meth:`run_lanes` return views of those
-    buffers, valid until the next sweep, so a kernel is not safe for
-    concurrent sweeps from several threads.
+    Searches and sweeps run the compiled kernels of
+    :mod:`repro.utils.native` when they load and the arc arrays are
+    32-bit: one pass over the positions, no level loop.  Otherwise (no
+    compiler, ``REPRO_NO_NATIVE``, or arcs too wide) the search is the
+    ``heapq`` loop and the sweep relaxes one level at a time with
+    NumPy, bit-identically; its scalar prefix, per-level reduceat plans
+    and scratch are built on first use.  :meth:`run` and
+    :meth:`run_lanes` return views of reusable label buffers, valid
+    until the next sweep, so a kernel is not safe for concurrent sweeps
+    from several threads.
     """
 
-    #: Leading levels with fewer incoming arcs than this are swept with
-    #: plain Python loops: the hierarchy's top levels hold a handful of
-    #: vertices each, and fixed NumPy call overhead would dominate
-    #: there (the small-kernel regime the paper notes for its GPU
-    #: kernels too).
+    #: Leading levels with fewer incoming arcs than this are swept by
+    #: the NumPy fallback's 1-lane path with plain Python loops: the
+    #: hierarchy's top levels hold a handful of vertices each, and
+    #: fixed NumPy call overhead would dominate there (the small-kernel
+    #: regime the paper notes for its GPU kernels too).  Read when an
+    #: engine is built.
     SCALAR_ARC_THRESHOLD = 48
 
     def __init__(
@@ -226,34 +234,44 @@ class LevelSweep:
         self.arc_tail_pos = arc_tail_pos = sweep.arc_tail_pos
         self.arc_len = arc_len = sweep.arc_len
         self.size = sweep.n
-        level_first = sweep.level_first
-
-        # The prefix is self-contained: levels are scanned in
-        # descending order and every arc's tail precedes its head.
-        level_arcs = np.diff(arc_first[level_first])
-        big = np.flatnonzero(level_arcs >= self.SCALAR_ARC_THRESHOLD)
-        self._scalar_levels = int(big[0]) if big.size else int(level_arcs.size)
-        P = int(level_first[self._scalar_levels])
-        # Python-list shadows: scalar indexing of lists is several times
-        # faster than scalar indexing of NumPy arrays.
-        self._prefix_first = arc_first[: P + 1].tolist()
-        self._prefix_tails = arc_tail_pos[: int(arc_first[P])].tolist()
-        self._prefix_lens = arc_len[: int(arc_first[P])].tolist()
-
-        bounds = level_first.tolist()
-        self._plans = [self.plan(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        widest = max((p[1] - p[0] for p in self._plans), default=0)
-        most = max((p[3] - p[2] for p in self._plans), default=0)
+        self.level_first = sweep.level_first
         self.dist = np.empty(self.size, dtype=np.int64)
-        self._cand = np.empty(most, dtype=np.int64)
-        self._values = np.empty(widest, dtype=np.int64)
+        self._native = native.sweep_kernel(arc_first, arc_tail_pos, arc_len)
+        self._searcher: native.UpwardSearch | None = None
         self._lanes = 0
         self._lane_store: list[np.ndarray] = []
+        self._plans: list[tuple] | None = None
+        self._threshold = self.SCALAR_ARC_THRESHOLD
 
         self._cache_cap = int(search_cache)
         self._cache: OrderedDict[int, tuple] = OrderedDict()
         self.search_cache_hits = 0
         self.search_cache_misses = 0
+
+    def _fallback(self) -> None:
+        """The NumPy levels' scalar prefix, per-level plans and scratch,
+        built on first use (a native sweep never needs them)."""
+        if self._plans is not None:
+            return
+        arc_first, level_first = self.arc_first, self.level_first
+        # The prefix is self-contained: levels are scanned in
+        # descending order and every arc's tail precedes its head.
+        level_arcs = np.diff(arc_first[level_first])
+        big = np.flatnonzero(level_arcs >= self._threshold)
+        self._scalar_levels = int(big[0]) if big.size else int(level_arcs.size)
+        P = int(level_first[self._scalar_levels])
+        # Python-list shadows: scalar indexing of lists is several times
+        # faster than scalar indexing of NumPy arrays.
+        self._prefix_first = arc_first[: P + 1].tolist()
+        self._prefix_tails = self.arc_tail_pos[: int(arc_first[P])].tolist()
+        self._prefix_lens = self.arc_len[: int(arc_first[P])].tolist()
+
+        bounds = level_first.tolist()
+        self._plans = [self.plan(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+        widest = max((p[1] - p[0] for p in self._plans), default=0)
+        most = max((p[3] - p[2] for p in self._plans), default=0)
+        self._cand = np.empty(most, dtype=np.int64)
+        self._values = np.empty(widest, dtype=np.int64)
 
     def plan(self, lo: int, hi: int) -> tuple:
         """The plan of positions ``lo .. hi - 1`` (a level or a block).
@@ -301,7 +319,13 @@ class LevelSweep:
                 self.search_cache_hits += 1
                 return cached
             self.search_cache_misses += 1
-        pos, val, _ = self.project(upward_search(self.ch, source))
+        if self._searcher is None:
+            self._searcher = native.upward_searcher(
+                self.ch.upward, self.pos_of) or False
+        if self._searcher:
+            pos, val = self._searcher.marks(source)
+        else:
+            pos, val, _ = self.project(upward_search(self.ch, source))
         if cap:
             pos.flags.writeable = False
             val.flags.writeable = False
@@ -330,12 +354,16 @@ class LevelSweep:
         """One-lane sweep from the search entries ``marks = (pos, val)``.
 
         Returns the labels by sweep position (the kernel's buffer).
-        ``relax`` replaces :meth:`relax` for the vectorized levels with
-        the same signature — the level-parallel driver passes one that
-        splits large levels into blocks.
+        ``relax`` replaces :meth:`relax` for the NumPy levels with the
+        same signature, and selects them — the level-parallel driver
+        passes one that splits large levels into blocks.
         """
         pos, val = marks
         dist = self.dist
+        if relax is None and self._native is not None:
+            self._native.run(dist, pos, val)
+            return dist
+        self._fallback()
         mk = self._scalar_prefix(dist, pos, val)
         return self._levels(
             dist, self._cand, self._values, pos, None, val, mk,
@@ -347,10 +375,10 @@ class LevelSweep:
 
         The ``k`` labels of one position are adjacent in memory (a
         ``(size, k)`` row-major array), so each arc relaxation updates
-        a contiguous lane vector — NumPy's analogue of the paper's SSE
-        lanes.  Returns a view of the kernel's lane buffer.  One source
-        takes :meth:`run`'s path, whose scalar prefix beats a 1-lane
-        vectorized sweep.
+        a contiguous lane vector, as in the paper's SSE lanes.  Returns
+        a view of the kernel's lane buffer.  One source takes
+        :meth:`run`'s path, which needs no lane merge (and whose NumPy
+        fallback has the scalar prefix).
         """
         k = len(sources)
         if k == 0:
@@ -358,16 +386,22 @@ class LevelSweep:
         if k == 1:
             return self.run(self.search(int(sources[0])))[:, None]
         # Flat buffers sized for the widest k so far; narrower sweeps
-        # reshape a prefix, which keeps every lane row contiguous.
-        rows = (self.size, self._cand.size, self._values.size)
+        # reshape a prefix, which keeps every lane row contiguous.  The
+        # NumPy levels also need candidate and label scratch.
+        rows = [self.size]
+        if self._native is None:
+            self._fallback()
+            rows += [self._cand.size, self._values.size]
         if k > self._lanes:
             self._lanes = k
             self._lane_store = [np.empty(r * k, dtype=np.int64) for r in rows]
-        dist, cand, values = (
-            buf[: r * k].reshape(r, k) for buf, r in zip(self._lane_store, rows)
-        )
+        bufs = [buf[: r * k].reshape(r, k)
+                for buf, r in zip(self._lane_store, rows)]
         pos, lane, val = _merge_lanes([self.search(int(s)) for s in sources])
-        return self._levels(dist, cand, values, pos, lane, val, 0, 0, self.relax)
+        if self._native is None:
+            return self._levels(*bufs, pos, lane, val, 0, 0, self.relax)
+        self._native.run_lanes(bufs[0], pos, lane, val)
+        return bufs[0]
 
     def relax(
         self, dist: np.ndarray, plan: tuple, values: np.ndarray, cand: np.ndarray

@@ -63,10 +63,13 @@ def keep_malloc_arenas() -> bool:
 def bulk_compute():
     """Context for allocation-heavy, cycle-free NumPy loops.
 
-    Pauses the cyclic garbage collector (restored on exit, with one
-    catch-up collection if it was enabled) and applies
-    :func:`keep_malloc_arenas`.  Reentrant: nested uses leave the
-    collector paused until the outermost exit.
+    Pauses the cyclic garbage collector and applies
+    :func:`keep_malloc_arenas`.  Exit only re-enables the collector if
+    it was enabled: the loops make no cycles, and the next generation-0
+    threshold collects whatever was allocated meanwhile, so a catch-up
+    collection would be a full pass that finds nothing (it grows with
+    the live heap).  Reentrant: nested uses leave the collector paused
+    until the outermost exit.
     """
     keep_malloc_arenas()
     was_enabled = gc.isenabled()
@@ -76,4 +79,3 @@ def bulk_compute():
     finally:
         if was_enabled:
             gc.enable()
-            gc.collect()

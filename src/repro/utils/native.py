@@ -1,18 +1,28 @@
-"""Customization kernels: a compiled fast path and a NumPy fallback.
+"""Compiled kernels, each with a bit-identical fallback.
 
-Customization is a min-plus relaxation over hundreds of millions of
-precomputed triangles, in two passes: bottom-up, recording each arc's
-winning triangle (:func:`customize_pass`), and top-down with prune
-marking (:func:`perfect_pass`).  Both work on lexicographic
-``(weight, hops)`` labels: ``w`` holds int64 weights (``inf`` means no
-path), ``h`` the int32 number of original arcs behind each weight.
+Two families of kernels live in one C source, built into one library:
 
-The C versions are built on demand with the system C compiler, once
-per process, and loaded through :mod:`ctypes` — no third-party build
-machinery, nothing to install.  If there is no compiler, the compile
-fails, or ``REPRO_NO_NATIVE`` is set, each pass runs its NumPy
-fallback, one level slice at a time (per-slice temporaries keep memory
-flat), with bit-identical results:
+* **Customization.**  A min-plus relaxation over hundreds of millions
+  of precomputed triangles, in two passes: bottom-up, recording each
+  arc's winning triangle (:func:`customize_pass`), and top-down with
+  prune marking (:func:`perfect_pass`).  Both work on lexicographic
+  ``(weight, hops)`` labels: ``w`` holds int64 weights (``inf`` means
+  no path), ``h`` the int32 number of original arcs behind each
+  weight.
+* **Queries.**  PHAST's two phases: the upward search, a binary-heap
+  Dijkstra over ``G↑`` (:class:`UpwardSearch`), and the linear sweep
+  over a sweep structure's 32-bit arcs, for one lane or ``k``
+  (:class:`Sweep`).  Their fallbacks are
+  :func:`repro.ch.query.upward_search`'s ``heapq`` loop and
+  :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
+
+The library is built with the system C compiler and loaded through
+:mod:`ctypes` — no third-party build machinery, nothing to install.
+It is cached per host (see :func:`_compile`), so a process compiles
+only when no usable cached build exists.  If there is no compiler, the
+compile fails, or ``REPRO_NO_NATIVE`` is set, every caller runs its
+fallback.  The customization fallbacks work one level slice at a time
+(per-slice temporaries keep memory flat), with bit-identical results:
 
 * bottom-up, a level's triangles read arcs of their own level's block
   and write arcs strictly higher, so per-triangle order cannot observe
@@ -27,26 +37,41 @@ flat), with bit-identical results:
   through a higher vertex matches its final label.
 
 Candidates whose legs or sum reach ``inf`` are skipped, so no sum can
-overflow (both legs are below ``inf = 2**62``).
+overflow (both legs are below ``inf = 2**62``).  The query kernels are
+identical to their fallbacks by construction: the search's heap orders
+entries as ``heapq`` orders ``(dist, vertex)`` tuples, so vertices
+settle in the same order with the same parents, and the sweep takes
+the same minimum of the same candidates per position.
 """
 
 from __future__ import annotations
 
 import ctypes
+import hashlib
 import os
+import platform
+import shutil
+import stat
 import subprocess
 import tempfile
 import threading
 
 import numpy as np
 
+from ..graph.csr import INF
+
 __all__ = [
     "customize_pass",
     "perfect_pass",
     "native_available",
+    "Sweep",
+    "sweep_kernel",
+    "UpwardSearch",
+    "upward_searcher",
 ]
 
 _SOURCE = r"""
+#include <stddef.h>
 #include <stdint.h>
 
 /* Lexicographic min of x and the walk a then b, which is skipped if
@@ -95,50 +120,328 @@ void repro_perfect_pass(int64_t *w, int32_t *h, const int32_t *rev,
         }
     }
 }
+
+/* PHAST's linear sweep.  Position p's label is the least of
+   dist[tail] + len over its in-arcs and of its search marks
+   (mark_pos is sorted), clamped at inf; every tail precedes its head,
+   so one pass in position order needs no level loop. */
+void repro_sweep(int64_t *dist, const int32_t *arc_first,
+                 const int32_t *arc_tail, const int32_t *arc_len, int64_t n,
+                 const int64_t *mark_pos, const int64_t *mark_val,
+                 int64_t num_marks, int64_t inf)
+{
+    int64_t mk = 0;
+    for (int64_t p = 0; p < n; p++) {
+        int64_t best = inf;
+        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
+            int64_t c = dist[arc_tail[i]] + arc_len[i];
+            if (c < best) best = c;
+        }
+        for (; mk < num_marks && mark_pos[mk] == p; mk++)
+            if (mark_val[mk] < best) best = mark_val[mk];
+        dist[p] = best;
+    }
+}
+
+/* The same sweep for k lanes: dist is (n, k) row-major, and each mark
+   names its lane. */
+void repro_sweep_lanes(int64_t *dist, const int32_t *arc_first,
+                       const int32_t *arc_tail, const int32_t *arc_len,
+                       int64_t n, int64_t k, const int64_t *mark_pos,
+                       const int64_t *mark_lane, const int64_t *mark_val,
+                       int64_t num_marks, int64_t inf)
+{
+    int64_t mk = 0;
+    for (int64_t p = 0; p < n; p++) {
+        int64_t *row = dist + p * k;
+        for (int64_t j = 0; j < k; j++) row[j] = inf;
+        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
+            const int64_t *tail = dist + (int64_t)arc_tail[i] * k;
+            int64_t len = arc_len[i];
+            for (int64_t j = 0; j < k; j++) {
+                int64_t c = tail[j] + len;
+                row[j] = c < row[j] ? c : row[j];
+            }
+        }
+        for (; mk < num_marks && mark_pos[mk] == p; mk++)
+            if (mark_val[mk] < row[mark_lane[mk]])
+                row[mark_lane[mk]] = mark_val[mk];
+    }
+}
+
+/* Binary min-heap of int64 pairs, ordered as Python orders tuples,
+   so (dist, vertex) entries pop in heapq's order. */
+static inline int before(const int64_t *heap, int64_t a, int64_t b)
+{
+    return heap[2 * a] < heap[2 * b]
+        || (heap[2 * a] == heap[2 * b] && heap[2 * a + 1] < heap[2 * b + 1]);
+}
+
+static inline void swap_entries(int64_t *heap, int64_t a, int64_t b)
+{
+    int64_t d = heap[2 * a], v = heap[2 * a + 1];
+    heap[2 * a] = heap[2 * b];
+    heap[2 * a + 1] = heap[2 * b + 1];
+    heap[2 * b] = d;
+    heap[2 * b + 1] = v;
+}
+
+static void heap_push(int64_t *heap, int64_t *size, int64_t d, int64_t v)
+{
+    int64_t i = (*size)++;
+    heap[2 * i] = d;
+    heap[2 * i + 1] = v;
+    while (i > 0 && before(heap, i, (i - 1) / 2)) {
+        swap_entries(heap, i, (i - 1) / 2);
+        i = (i - 1) / 2;
+    }
+}
+
+static void heap_pop(int64_t *heap, int64_t *size)
+{
+    int64_t last = --(*size), i = 0;
+    heap[0] = heap[2 * last];
+    heap[1] = heap[2 * last + 1];
+    for (;;) {
+        int64_t c = 2 * i + 1;
+        if (c >= last) break;
+        if (c + 1 < last && before(heap, c + 1, c)) c++;
+        if (!before(heap, c, i)) break;
+        swap_entries(heap, i, c);
+        i = c;
+    }
+}
+
+/* Dijkstra from source over a CSR graph until the heap empties, with
+   lazy deletion.  stamp[v] == 2 gen marks v reached in this search
+   (label valid), 2 gen + 1 settled, so nothing is reset between
+   searches.  Writes the settled vertices in order and returns their
+   count; parent may be NULL.  heap holds 2 (m + 1) entries. */
+static int64_t settle(const int64_t *first, const int64_t *head,
+                      const int64_t *len, int64_t source, int64_t *stamp,
+                      int64_t gen, int64_t *label, int64_t *parent,
+                      int64_t *heap, int64_t *settled, int64_t inf)
+{
+    const int64_t reached = 2 * gen, done = 2 * gen + 1;
+    int64_t size = 0, count = 0;
+    stamp[source] = reached;
+    label[source] = 0;
+    if (parent) parent[source] = -1;
+    heap_push(heap, &size, 0, source);
+    while (size) {
+        int64_t dv = heap[0], v = heap[1];
+        heap_pop(heap, &size);
+        if (stamp[v] == done) continue;
+        stamp[v] = done;
+        settled[count++] = v;
+        for (int64_t i = first[v]; i < first[v + 1]; i++) {
+            int64_t w = head[i];
+            if (stamp[w] == done) continue;
+            int64_t nd = dv + len[i];
+            if (nd < (stamp[w] == reached ? label[w] : inf)) {
+                stamp[w] = reached;
+                label[w] = nd;
+                if (parent) parent[w] = v;
+                heap_push(heap, &size, nd, w);
+            }
+        }
+    }
+    return count;
+}
+
+/* The search space in settling order: vertices, labels, parents. */
+int64_t repro_upward_search(const int64_t *first, const int64_t *head,
+                            const int64_t *len, int64_t source,
+                            int64_t *stamp, int64_t gen, int64_t *label,
+                            int64_t *parent, int64_t *heap,
+                            int64_t *vertices, int64_t *dists,
+                            int64_t *parents, int64_t inf)
+{
+    int64_t count = settle(first, head, len, source, stamp, gen, label,
+                           parent, heap, vertices, inf);
+    for (int64_t i = 0; i < count; i++) {
+        dists[i] = label[vertices[i]];
+        parents[i] = parent[vertices[i]];
+    }
+    return count;
+}
+
+/* The search space as sweep marks: the swept vertices' positions
+   (pos_of[v] >= 0) and labels, sorted by position (a heapsort through
+   the emptied heap; positions are distinct).  mark_pos doubles as the
+   settled list. */
+int64_t repro_search_marks(const int64_t *first, const int64_t *head,
+                           const int64_t *len, int64_t source,
+                           int64_t *stamp, int64_t gen, int64_t *label,
+                           int64_t *heap, const int64_t *pos_of,
+                           int64_t *mark_pos, int64_t *mark_val, int64_t inf)
+{
+    int64_t count = settle(first, head, len, source, stamp, gen, label,
+                           NULL, heap, mark_pos, inf);
+    int64_t size = 0, k = 0;
+    for (int64_t i = 0; i < count; i++) {
+        int64_t v = mark_pos[i];
+        if (pos_of[v] >= 0) heap_push(heap, &size, pos_of[v], label[v]);
+    }
+    for (; size; k++) {
+        mark_pos[k] = heap[0];
+        mark_val[k] = heap[1];
+        heap_pop(heap, &size);
+    }
+    return k;
+}
 """
+
+#: Compiler flags; part of the cache key.
+_FLAGS = ("-O3", "-march=native", "-shared", "-fPIC")
+
+_P = ctypes.c_void_p
+_N = ctypes.c_int64
+
+_SIGNATURES = {
+    "repro_customize_pass": ([_P] * 6 + [_N, _N], None),
+    "repro_perfect_pass": ([_P] * 7 + [_N, _P, _N], None),
+    "repro_sweep": ([_P] * 4 + [_N, _P, _P, _N, _N], None),
+    "repro_sweep_lanes": ([_P] * 4 + [_N, _N, _P, _P, _P, _N, _N], None),
+    "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
+    "repro_search_marks": ([_P] * 3 + [_N, _P, _N] + [_P] * 5 + [_N], _N),
+}
 
 _lock = threading.Lock()
 _lib: ctypes.CDLL | bool | None = None  # None: untried, False: unavailable
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_I32 = ctypes.POINTER(ctypes.c_int32)
-_U8 = ctypes.POINTER(ctypes.c_uint8)
-_N = ctypes.c_int64
-
-_SIGNATURES = {
-    "repro_customize_pass": [_I64, _I32, _I32, _I32, _I32, _I32, _N, _N],
-    "repro_perfect_pass": [_I64, _I32, _I32, _I32, _I32, _I32, _I64, _N,
-                           _U8, _N],
-}
-
+_INF = int(INF)
 _NO_HOPS = np.iinfo(np.int32).max
 
 
+def _open(path: str) -> ctypes.CDLL | None:
+    """Load the library at ``path`` if it has every kernel."""
+    try:
+        lib = ctypes.CDLL(path)
+        for name, (argtypes, restype) in _SIGNATURES.items():
+            fn = getattr(lib, name)
+            fn.argtypes = argtypes
+            fn.restype = restype
+    except (OSError, AttributeError):
+        return None
+    return lib
+
+
+def _build(cc: str, so_path: str) -> ctypes.CDLL | None:
+    """Compile :data:`_SOURCE` to ``so_path`` and load it."""
+    try:
+        subprocess.run(
+            [cc, *_FLAGS, "-o", so_path, "-x", "c", "-"],
+            input=_SOURCE.encode(), check=True, capture_output=True,
+            timeout=120,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return _open(so_path)
+
+
+def _cpu_identity() -> str:
+    """The machine type plus the first CPU's model and feature flags."""
+    keys = {"vendor_id", "cpu family", "model", "model name", "flags",
+            "Features", "CPU implementer", "CPU architecture",
+            "CPU variant", "CPU part"}
+    lines = [platform.machine()]
+    try:
+        with open("/proc/cpuinfo") as fh:
+            for line in fh:
+                if not line.strip():
+                    break  # the first processor is enough
+                if line.split(":", 1)[0].strip() in keys:
+                    lines.append(line.strip())
+    except OSError:
+        pass
+    return "\n".join(lines)
+
+
+def _cache_key() -> str:
+    """Hash of everything a cached build depends on.
+
+    The compiler is the host's ``cc`` (resolved path, size, mtime), so
+    a compiler upgrade rebuilds; ``CC`` only names the command run on a
+    miss.  The CPU identity keeps an ``-march=native`` build off other
+    CPUs.
+    """
+    compiler = "none"
+    path = shutil.which("cc")
+    if path:
+        real = os.path.realpath(path)
+        st = os.stat(real)
+        compiler = f"{real}:{st.st_size}:{st.st_mtime_ns}"
+    key = hashlib.sha256()
+    for part in (_SOURCE, " ".join(_FLAGS), compiler, _cpu_identity()):
+        key.update(part.encode())
+        key.update(b"\0")
+    return key.hexdigest()[:32]
+
+
+def _cache_dir() -> str | None:
+    """``<tmp>/repro-native-<uid>``, or ``None`` unless it is a real
+    directory owned by this user that no one else can write."""
+    uid = os.getuid()
+    path = os.path.join(tempfile.gettempdir(), f"repro-native-{uid}")
+    try:
+        os.mkdir(path, 0o700)
+    except FileExistsError:
+        pass
+    st = os.lstat(path)
+    if (not stat.S_ISDIR(st.st_mode) or st.st_uid != uid
+            or st.st_mode & 0o077):
+        return None
+    return path
+
+
+def _cached(cc: str) -> ctypes.CDLL | None:
+    """Load the host's cached build, compiling it into the cache on a
+    miss or when the cached file does not load."""
+    cache = _cache_dir()
+    if cache is None:
+        return None
+    so_path = os.path.join(cache, f"kernels-{_cache_key()}.so")
+    if os.path.exists(so_path):
+        lib = _open(so_path)
+        if lib is not None:
+            return lib
+    fd, tmp_path = tempfile.mkstemp(dir=cache, prefix="build-", suffix=".so")
+    os.close(fd)
+    try:
+        # Load the fresh file under its unique name: a broken library
+        # once opened under so_path would be handed back by name.
+        lib = _build(cc, tmp_path)
+        if lib is not None:
+            os.replace(tmp_path, so_path)
+        return lib
+    finally:
+        if os.path.exists(tmp_path):
+            os.unlink(tmp_path)
+
+
 def _compile() -> ctypes.CDLL | bool:
+    """The kernels of this host: cached, else compiled privately.
+
+    Any failure of the cache (no usable directory, a write error, a
+    build that will not load from there) falls back to a compile in a
+    private temporary directory, removed once the library is loaded.
+    """
     if os.environ.get("REPRO_NO_NATIVE"):
         return False
     cc = os.environ.get("CC", "cc")
     try:
-        with tempfile.TemporaryDirectory(prefix="repro-native-") as workdir:
-            c_path = os.path.join(workdir, "customize.c")
-            so_path = os.path.join(workdir, "customize.so")
-            with open(c_path, "w") as fh:
-                fh.write(_SOURCE)
-            subprocess.run(
-                [cc, "-O3", "-march=native", "-shared", "-fPIC",
-                 "-o", so_path, c_path],
-                check=True, capture_output=True, timeout=120,
-            )
-            # The loaded mapping outlives the file, so nothing is left
-            # behind in the temp directory.
-            lib = ctypes.CDLL(so_path)
-    except Exception:
-        return False
-    for name, argtypes in _SIGNATURES.items():
-        fn = getattr(lib, name)
-        fn.argtypes = argtypes
-        fn.restype = None
-    return lib
+        lib = _cached(cc)
+    except (OSError, AttributeError):  # AttributeError: no os.getuid
+        lib = None
+    if lib is None:
+        try:
+            with tempfile.TemporaryDirectory(prefix="repro-build-") as tmp:
+                # The loaded mapping outlives the file.
+                lib = _build(cc, os.path.join(tmp, "kernels.so"))
+        except OSError:
+            lib = None
+    return lib or False
 
 
 def _load() -> ctypes.CDLL | bool:
@@ -155,15 +458,137 @@ def native_available() -> bool:
     return bool(_load())
 
 
-_DTYPES = {_I64: np.int64, _I32: np.int32, _U8: np.uint8}
+def _ptr(arr: np.ndarray, dtype) -> int:
+    """Address of ``arr``'s data, which must be C-contiguous ``dtype``."""
+    if arr.dtype != dtype or not arr.flags.c_contiguous:
+        raise TypeError(f"kernel needs a C-contiguous {np.dtype(dtype)} "
+                        f"array, got {arr.dtype}")
+    return arr.ctypes.data
 
 
-def _ptr(arr: np.ndarray, ctype):
-    want = np.dtype(_DTYPES[ctype])
-    if arr.dtype != want or not arr.flags.c_contiguous:
-        raise TypeError(f"kernel needs a C-contiguous {want} array, "
-                        f"got {arr.dtype}")
-    return arr.ctypes.data_as(ctype)
+def _fits(dtype, *arrays: np.ndarray) -> bool:
+    return all(a.dtype == dtype and a.flags.c_contiguous for a in arrays)
+
+
+# ---------------------------------------------------------------------------
+# Queries
+
+
+class Sweep:
+    """The compiled linear sweep over one sweep structure's 32-bit
+    ``arc_first``, ``arc_tail_pos`` and ``arc_len`` (see
+    :func:`sweep_kernel`).  Marks are int64 ``(pos[, lane], val)``
+    sorted by position."""
+
+    __slots__ = ("_lib", "_arrays", "_arcs", "n")
+
+    def __init__(self, lib, arc_first, arc_tail_pos, arc_len) -> None:
+        self._lib = lib
+        self._arrays = (arc_first, arc_tail_pos, arc_len)  # kept alive
+        self._arcs = tuple(a.ctypes.data for a in self._arrays)
+        self.n = int(arc_first.size) - 1
+
+    def _check(self, dist: np.ndarray) -> None:
+        if dist.shape[0] != self.n:
+            raise ValueError(f"labels for {dist.shape[0]} positions, "
+                             f"sweep has {self.n}")
+
+    def run(self, dist: np.ndarray, pos: np.ndarray, val: np.ndarray) -> None:
+        """One lane into ``dist`` (length ``n``)."""
+        self._check(dist)
+        self._lib.repro_sweep(
+            _ptr(dist, np.int64), *self._arcs, self.n, _ptr(pos, np.int64),
+            _ptr(val, np.int64), pos.size, _INF,
+        )
+
+    def run_lanes(self, dist: np.ndarray, pos: np.ndarray, lane: np.ndarray,
+                  val: np.ndarray) -> None:
+        """``dist.shape[1]`` lanes into ``dist`` (``(n, k)`` row-major);
+        every ``lane`` must be below ``k``."""
+        self._check(dist)
+        self._lib.repro_sweep_lanes(
+            _ptr(dist, np.int64), *self._arcs, self.n, dist.shape[1],
+            _ptr(pos, np.int64), _ptr(lane, np.int64), _ptr(val, np.int64),
+            pos.size, _INF,
+        )
+
+
+def sweep_kernel(arc_first: np.ndarray, arc_tail_pos: np.ndarray,
+                 arc_len: np.ndarray) -> Sweep | None:
+    """The compiled sweep over these arrays, or ``None`` when the
+    kernels do not load or the arrays are not C-contiguous int32."""
+    lib = _load()
+    if not lib or not _fits(np.int32, arc_first, arc_tail_pos, arc_len):
+        return None
+    return Sweep(lib, arc_first, arc_tail_pos, arc_len)
+
+
+class UpwardSearch:
+    """Compiled upward searches over one int64 CSR graph (``G↑``).
+
+    Scratch is allocated once and stamped per search, so a search costs
+    its own space, not O(n).  Not safe for concurrent searches.
+    ``pos_of`` (for :meth:`marks`) maps vertices to sweep positions,
+    ``-1`` outside the swept set.
+    """
+
+    def __init__(self, lib, graph, pos_of: np.ndarray | None = None) -> None:
+        n = graph.n
+        self._lib = lib
+        self._arrays = (graph.first, graph.arc_head, graph.arc_len, pos_of)
+        self._csr = tuple(a.ctypes.data for a in self._arrays[:3])
+        self._pos_of = None if pos_of is None else _ptr(pos_of, np.int64)
+        self._gen = 0
+        # One block: stamps (zeroed), labels and parents by vertex, the
+        # three output rows, then the heap.
+        self._buf = np.empty(6 * n + 2 * (graph.m + 1), dtype=np.int64)
+        self._buf[:n] = 0
+        self._out = self._buf[3 * n : 6 * n].reshape(3, n)
+        base = self._buf.ctypes.data
+        self._stamp, self._label, self._parent, *self._rows, self._heap = (
+            base + 8 * n * i for i in range(7))
+
+    def _check(self, source: int) -> None:
+        if not 0 <= source < self._out.shape[1]:
+            raise ValueError("source out of range")
+
+    def space(self, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(vertices, dists, parents)`` in settling order (fresh arrays)."""
+        self._check(source)
+        self._gen += 1
+        count = self._lib.repro_upward_search(
+            *self._csr, source, self._stamp, self._gen, self._label,
+            self._parent, self._heap, *self._rows, _INF,
+        )
+        vertices, dists, parents = self._out[:, :count].copy()
+        return vertices, dists, parents
+
+    def marks(self, source: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(pos, val)``: the search space projected through ``pos_of``
+        and sorted by position (fresh arrays)."""
+        self._check(source)
+        self._gen += 1
+        count = self._lib.repro_search_marks(
+            *self._csr, source, self._stamp, self._gen, self._label,
+            self._heap, self._pos_of, *self._rows[:2], _INF,
+        )
+        pos, val = self._out[:2, :count].copy()
+        return pos, val
+
+
+def upward_searcher(graph, pos_of: np.ndarray | None = None
+                    ) -> UpwardSearch | None:
+    """A compiled searcher over ``graph``, or ``None`` when the kernels
+    do not load or its CSR arrays are not C-contiguous int64."""
+    lib = _load()
+    if not lib or not _fits(np.int64, graph.first, graph.arc_head,
+                            graph.arc_len):
+        return None
+    return UpwardSearch(lib, graph, pos_of)
+
+
+# ---------------------------------------------------------------------------
+# Customization
 
 
 def _slices(level_first: np.ndarray, descending: bool = False):
@@ -212,9 +637,9 @@ def customize_pass(w: np.ndarray, h: np.ndarray, win: np.ndarray,
     lib = _load()
     if lib:
         lib.repro_customize_pass(
-            _ptr(w, _I64), _ptr(h, _I32), _ptr(win, _I32),
-            _ptr(tri_in, _I32), _ptr(tri_out, _I32), _ptr(tri_target, _I32),
-            tri_target.size, inf,
+            _ptr(w, np.int64), _ptr(h, np.int32), _ptr(win, np.int32),
+            _ptr(tri_in, np.int32), _ptr(tri_out, np.int32),
+            _ptr(tri_target, np.int32), tri_target.size, inf,
         )
         return True
     for lo, hi in _slices(level_first):
@@ -238,10 +663,10 @@ def perfect_pass(w: np.ndarray, h: np.ndarray, rev: np.ndarray,
     lib = _load()
     if lib:
         lib.repro_perfect_pass(
-            _ptr(w, _I64), _ptr(h, _I32), _ptr(rev, _I32),
-            _ptr(tri_in, _I32), _ptr(tri_out, _I32), _ptr(tri_target, _I32),
-            _ptr(level_first, _I64), level_first.size - 1,
-            _ptr(keep.view(np.uint8), _U8), inf,
+            _ptr(w, np.int64), _ptr(h, np.int32), _ptr(rev, np.int32),
+            _ptr(tri_in, np.int32), _ptr(tri_out, np.int32),
+            _ptr(tri_target, np.int32), _ptr(level_first, np.int64),
+            level_first.size - 1, _ptr(keep.view(np.uint8), np.uint8), inf,
         )
         return True
     for lo, hi in _slices(level_first, descending=True):

@@ -1,5 +1,6 @@
 """Coverage for small utilities and cross-cutting properties."""
 
+import gc
 import io
 import time
 
@@ -17,7 +18,31 @@ from repro.graph import (
     write_gr,
 )
 from repro.sssp.result import ShortestPathTree
-from repro.utils import Timer, median_of_repeats
+from repro.utils import Timer, bulk_compute, median_of_repeats
+
+
+# -- bulk_compute ---------------------------------------------------------
+
+
+def test_bulk_compute_pauses_and_never_collects(monkeypatch):
+    """Nested uses keep the collector off until the outermost exit,
+    which restores it without a full collection."""
+    calls = []
+    monkeypatch.setattr(gc, "collect", lambda *args: calls.append(args) or 0)
+    assert gc.isenabled()
+    with bulk_compute():
+        with bulk_compute():
+            assert not gc.isenabled()
+        assert not gc.isenabled()
+    assert gc.isenabled()
+    gc.disable()
+    try:
+        with bulk_compute():
+            pass
+        assert not gc.isenabled()  # was off: stays off
+    finally:
+        gc.enable()
+    assert calls == []
 
 
 # -- timing utilities ---------------------------------------------------

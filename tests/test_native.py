@@ -1,0 +1,202 @@
+"""The compiled query kernels against their fallbacks, and the per-host
+library cache.
+
+The upward search and the sweep each have a C kernel
+(:mod:`repro.utils.native`) and a fallback (``heapq`` search, per-level
+NumPy sweep).  Both must return the same arrays, bit for bit, on every
+kind of sweep structure a server runs: the witness CH, a customized
+and pruned hierarchy, and RPHAST's restricted selection.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.ch import build_topology, contract_graph, customize, upward_search
+from repro.core import LevelSweep, PhastEngine, RPhastEngine, SweepStructure
+from repro.graph import StaticGraph
+from repro.sssp import dijkstra
+from repro.utils import native
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(__file__)), "src")
+
+needs_native = pytest.mark.skipif(
+    not native.native_available(), reason="no compiled kernels here"
+)
+
+
+@pytest.fixture(scope="module")
+def custom_ch(road):
+    topo = build_topology(road)
+    return topo.instantiate(
+        customize(topo, np.asarray(road.arc_len, dtype=np.int64)))
+
+
+def _structures(road_ch, custom_ch):
+    rng = np.random.default_rng(11)
+    targets = rng.choice(road_ch.n, size=40, replace=False)
+    return {
+        "witness": (road_ch, SweepStructure(road_ch)),
+        "customized": (custom_ch, SweepStructure(custom_ch)),
+        "restricted": (road_ch, RPhastEngine(road_ch, targets).sweep),
+    }
+
+
+def _kernel_outputs(ch, sweep, sources) -> dict:
+    """Every array :class:`LevelSweep` hands out for these sources."""
+    kernel = LevelSweep(ch, sweep)
+    out = {}
+    for s in sources:
+        pos, val = kernel.search(s)
+        out[f"search_pos[{s}]"], out[f"search_val[{s}]"] = pos, val
+        out[f"run[{s}]"] = kernel.run((pos, val)).copy()
+    out["native"] = (kernel._native is not None, bool(kernel._searcher))
+    for k in (1, 2, 5, 16):
+        out[f"run_lanes[{k}]"] = kernel.run_lanes(sources[:k]).copy()
+    return out
+
+
+@needs_native
+@pytest.mark.parametrize("which", ["witness", "customized", "restricted"])
+def test_native_sweep_and_search_equal_fallback(road_ch, custom_ch, which,
+                                                monkeypatch):
+    ch, sweep = _structures(road_ch, custom_ch)[which]
+    sources = np.random.default_rng(5).choice(ch.n, size=16, replace=False)
+    fast = _kernel_outputs(ch, sweep, sources)
+    monkeypatch.setattr(native, "_lib", False)
+    slow = _kernel_outputs(ch, sweep, sources)
+    assert fast.pop("native") == (True, True)
+    assert slow.pop("native") == (False, False)
+    assert fast.keys() == slow.keys()
+    for key in fast:
+        assert fast[key].dtype == slow[key].dtype, key
+        assert np.array_equal(fast[key], slow[key]), key
+
+
+@needs_native
+@pytest.mark.parametrize("which", ["road_ch", "custom_ch"])
+def test_native_upward_search_equals_heapq(request, which, monkeypatch):
+    """Same vertices in the same settling order, same labels, same
+    parents."""
+    ch = request.getfixturevalue(which)
+    sources = range(0, ch.n, 7)
+    fast = [upward_search(ch, s) for s in sources]
+    monkeypatch.setattr(native, "_lib", False)
+    for s, a in zip(sources, fast):
+        b = upward_search(ch, s)
+        for key in ("vertices", "dists", "parents"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), (s, key)
+
+
+def test_native_search_rejects_bad_source(road_ch):
+    with pytest.raises(ValueError):
+        upward_search(road_ch, road_ch.n)
+    with pytest.raises(ValueError):
+        PhastEngine(road_ch).tree(-1)
+
+
+@st.composite
+def multigraphs(draw, max_n=14, max_m=40):
+    """Parallel arcs, self-loops, zero lengths and (often) vertices no
+    source reaches."""
+    n = draw(st.integers(1, max_n))
+    m = draw(st.integers(0, max_m))
+    ends = st.lists(st.integers(0, n - 1), min_size=m, max_size=m)
+    lens = draw(st.lists(st.integers(0, 3) | st.integers(0, 30),
+                         min_size=m, max_size=m))
+    return StaticGraph(n, draw(ends), draw(ends), lens)
+
+
+@given(g=multigraphs(), picks=st.lists(st.integers(0, 13), min_size=1,
+                                       max_size=5))
+@settings(max_examples=40, deadline=None)
+def test_kernels_and_fallback_equal_dijkstra(g, picks):
+    sources = np.array([p % g.n for p in picks], dtype=np.int64)
+    targets = np.unique((sources + 1) % g.n)
+    ch = contract_graph(g)
+    ref = np.stack([dijkstra(g, int(s), with_parents=False).dist
+                    for s in sources])
+    with pytest.MonkeyPatch.context() as mp:
+        for lib in (native._load(), False):
+            mp.setattr(native, "_lib", lib)
+            engine = PhastEngine(ch)
+            for s, row in zip(sources, ref):
+                assert np.array_equal(engine.tree(int(s)).dist, row)
+            assert np.array_equal(engine.trees(sources), ref)
+            matrix = RPhastEngine(ch, targets).many_to_many(sources, lanes=2)
+            assert np.array_equal(matrix, ref[:, targets])
+
+
+# ---------------------------------------------------------------------------
+# The per-host library cache
+
+
+def _probe(tmpdir, cc: str | None = None) -> bool:
+    """``native_available()`` in a fresh process whose temp dir is
+    ``tmpdir``."""
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_NO_NATIVE"}
+    env.update(TMPDIR=str(tmpdir), PYTHONPATH=SRC)
+    if cc is not None:
+        env["CC"] = cc
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.utils import native; print(native.native_available())"],
+        env=env, capture_output=True, text=True, timeout=300, check=True,
+    )
+    return proc.stdout.strip() == "True"
+
+
+needs_cc = pytest.mark.skipif(shutil.which(os.environ.get("CC", "cc")) is None,
+                              reason="no C compiler")
+
+
+def _cache(tmp_path):
+    return tmp_path / f"repro-native-{os.getuid()}"
+
+
+@needs_cc
+def test_second_process_loads_the_cache_without_compiling(tmp_path):
+    assert _probe(tmp_path)
+    built = list(_cache(tmp_path).iterdir())
+    assert len(built) == 1 and built[0].name.startswith("kernels-")
+    assert _cache(tmp_path).stat().st_mode & 0o777 == 0o700
+    # No compiler now: only the cached build can make this true.
+    assert _probe(tmp_path, cc="false")
+    assert list(_cache(tmp_path).iterdir()) == built
+
+
+@needs_cc
+@pytest.mark.parametrize("unsafe", ["group-writable", "symlink"])
+def test_unsafe_cache_dir_is_not_used(tmp_path, unsafe):
+    cache = _cache(tmp_path)
+    if unsafe == "group-writable":
+        cache.mkdir()
+        cache.chmod(0o770)
+        seen = cache
+    else:
+        seen = tmp_path / "elsewhere"
+        seen.mkdir(mode=0o700)
+        cache.symlink_to(seen)
+    assert _probe(tmp_path)  # a private compile still serves kernels
+    assert list(seen.iterdir()) == []
+    assert not _probe(tmp_path, cc="false")  # and nothing was cached
+
+
+@needs_cc
+def test_truncated_cache_is_rebuilt(tmp_path):
+    assert _probe(tmp_path)
+    (so,) = _cache(tmp_path).iterdir()
+    size = so.stat().st_size
+    with open(so, "r+b") as fh:
+        fh.truncate(64)
+    assert _probe(tmp_path)
+    assert so.stat().st_size == size
+    assert _probe(tmp_path, cc="false")
