@@ -100,12 +100,13 @@ def upward_search(ch: ContractionHierarchy, source: int) -> UpwardSearchSpace:
 
     Runs Dijkstra from ``source`` in ``G↑`` until the priority queue is
     empty and returns every settled vertex with its label.  The
-    compiled search (:mod:`repro.utils.native`) and the ``heapq`` loop
-    settle the same vertices in the same order with the same parents.
+    compiled search (:mod:`repro.utils.native`, one reused searcher per
+    thread and ``G↑``) and the ``heapq`` loop settle the same vertices
+    in the same order with the same parents.
     """
     if not 0 <= source < ch.n:
         raise ValueError("source out of range")
-    searcher = native.upward_searcher(ch.upward)
+    searcher = native.thread_searcher(ch.upward)
     if searcher is not None:
         return UpwardSearchSpace(source, *searcher.space(source))
     settled, dist, parent = _relax_from(ch.upward, source)

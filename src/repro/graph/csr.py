@@ -78,7 +78,8 @@ class StaticGraph:
     IDs), which is what PHAST's downward sweep scans.
     """
 
-    __slots__ = ("n", "m", "first", "arc_head", "arc_len", "_arc_tails")
+    __slots__ = ("n", "m", "first", "arc_head", "arc_len", "_arc_tails",
+                 "__weakref__")
 
     def __init__(
         self,

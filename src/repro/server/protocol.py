@@ -28,6 +28,10 @@ import socket
 import struct
 from dataclasses import dataclass, field
 
+import numpy as np
+
+from ..utils import native
+
 __all__ = [
     "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
@@ -47,6 +51,7 @@ __all__ = [
     "CONTROL_OPS",
     "validate_request",
     "encode_message",
+    "int_array",
     "decode_body",
     "read_message",
     "write_message",
@@ -80,15 +85,76 @@ class ProtocolError(RuntimeError):
     """The peer sent a frame this protocol cannot accept."""
 
 
+class _Fragment:
+    """A JSON value already encoded; made only by :func:`int_array`.
+
+    :func:`encode_message` splices one in as a top-level value of a
+    message.  ``json.dumps`` knows no such type, so a fragment nested
+    anywhere deeper raises ``TypeError``.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: bytes) -> None:
+        self.text = text
+
+
+def int_array(arr: np.ndarray):
+    """``arr`` (1-D or 2-D integers) as a response value.
+
+    Its JSON text is written by the compiled formatter
+    (:func:`repro.utils.native.format_ints`), or, without the kernels,
+    the value is ``arr.tolist()``: the message encodes to the same
+    bytes either way.
+    """
+    text = native.format_ints(arr)
+    return arr.tolist() if text is None else _Fragment(text)
+
+
+#: ``json.dumps(obj, separators=(",", ":"))``, without building an
+#: encoder per call.
+_dumps = json.JSONEncoder(separators=(",", ":")).encode
+
+
+def _splice(obj: dict) -> list[bytes]:
+    """``obj``'s JSON body in pieces, each fragment's text in place of
+    its value.  Each run of other items goes through ``json.dumps``
+    together with the next fragment's key, so keys and order come out
+    as ``json.dumps`` writes them."""
+    parts: list[bytes] = []
+    run: dict = {}
+    for key, value in obj.items():
+        if type(value) is not _Fragment:
+            run[key] = value
+            continue
+        run[key] = 0
+        text = _dumps(run)  # '{...,"key":0}'
+        parts.append((("," if parts else "{") + text[1:-2]).encode())
+        parts.append(value.text)
+        run = {}
+    if run:
+        parts.append((("," if parts else "{") + _dumps(run)[1:-1]).encode())
+    parts.append(b"}")
+    return parts
+
+
 def encode_message(obj: dict) -> bytes:
-    """One wire frame (header + JSON body) for ``obj``."""
-    body = json.dumps(obj, separators=(",", ":")).encode("utf-8")
-    if len(body) > MAX_MESSAGE_BYTES:
+    """One wire frame (header + JSON body) for ``obj``.
+
+    Values made by :func:`int_array` are spliced in as encoded; the
+    bytes are those of ``json.dumps`` with each array as a list.
+    """
+    if any(type(value) is _Fragment for value in obj.values()):
+        parts = _splice(obj)
+    else:
+        parts = [_dumps(obj).encode("utf-8")]
+    length = sum(map(len, parts))
+    if length > MAX_MESSAGE_BYTES:
         raise ProtocolError(
-            f"message of {len(body)} bytes exceeds the "
+            f"message of {length} bytes exceeds the "
             f"{MAX_MESSAGE_BYTES}-byte frame cap"
         )
-    return _HEADER.pack(len(body)) + body
+    return b"".join([_HEADER.pack(length), *parts])
 
 
 def decode_body(body: bytes) -> dict:

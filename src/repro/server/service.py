@@ -23,7 +23,9 @@ One process, one preprocessed hierarchy, four query types:
     live-worker count, restart/retry/quarantine counters, queue depth).
 
 The event loop only parses frames, routes, and awaits futures; all
-NumPy work happens on a small thread pool.  Sweeps are serialized by
+NumPy work happens on a small thread pool.  That includes writing the
+sweep answers' arrays as JSON text (:func:`protocol.int_array`), so
+the loop joins their bytes into the frame.  Sweeps are serialized by
 the batcher (`PhastPool` is single-caller), point-to-point queries run
 concurrently — they touch only their own heaps and dicts.
 
@@ -275,7 +277,7 @@ class PhastService(FrameServer):
         mat = rows[:, cols]
         self.metrics.record_matrix(mat.size)
         return {
-            "matrix": mat.tolist(),
+            "matrix": protocol.int_array(mat),
             "rows": int(mat.shape[0]),
             "cols": int(mat.shape[1]),
             "selection_cached": cached,
@@ -433,7 +435,8 @@ class PhastService(FrameServer):
             finalize = _finalize_tree
         elif op == "one_to_many":
             idx = np.asarray(fields["targets"], dtype=np.int64)
-            finalize = lambda row, idx=idx: {"dist": row[idx].tolist()}
+            finalize = lambda row, idx=idx: {
+                "dist": protocol.int_array(row[idx])}
         else:  # isochrone
             budget = fields["budget"]
             finalize = lambda row, budget=budget: _finalize_isochrone(row, budget)
@@ -544,12 +547,13 @@ class PhastService(FrameServer):
 
 
 def _finalize_tree(row: np.ndarray) -> dict:
-    return {"dist": row.tolist()}
+    return {"dist": protocol.int_array(row)}
 
 
 def _finalize_isochrone(row: np.ndarray, budget: int) -> dict:
     vertices = np.flatnonzero(row <= budget)
-    return {"vertices": vertices.tolist(), "count": int(vertices.size)}
+    return {"vertices": protocol.int_array(vertices),
+            "count": int(vertices.size)}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Compiled kernels, each with a bit-identical fallback.
 
-Two families of kernels live in one C source, built into one library:
+Three families of kernels live in one C source, built into one library:
 
 * **Customization.**  A min-plus relaxation over hundreds of millions
   of precomputed triangles, in two passes: bottom-up, recording each
@@ -15,6 +15,13 @@ Two families of kernels live in one C source, built into one library:
   (:class:`Sweep`).  Their fallbacks are
   :func:`repro.ch.query.upward_search`'s ``heapq`` loop and
   :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
+  :func:`thread_searcher` keeps one searcher per thread and graph, so
+  repeated searches reuse their scratch.
+* **Formatting.**  An int64 array written as JSON integer text
+  (:func:`format_ints`), the bytes ``json.dumps`` gives for its
+  ``tolist()``, so the server encodes a distance row without making a
+  Python int per entry.  The fallback is that ``tolist()``
+  (:func:`repro.server.protocol.int_array`).
 
 The library is built with the system C compiler and loaded through
 :mod:`ctypes` — no third-party build machinery, nothing to install.
@@ -55,6 +62,7 @@ import stat
 import subprocess
 import tempfile
 import threading
+import weakref
 
 import numpy as np
 
@@ -62,17 +70,20 @@ from ..graph.csr import INF
 
 __all__ = [
     "customize_pass",
+    "format_ints",
     "perfect_pass",
     "native_available",
     "Sweep",
     "sweep_kernel",
     "UpwardSearch",
     "upward_searcher",
+    "thread_searcher",
 ]
 
 _SOURCE = r"""
 #include <stddef.h>
 #include <stdint.h>
+#include <string.h>
 
 /* Lexicographic min of x and the walk a then b, which is skipped if
    a leg or the sum reaches inf.  Returns 1 when the walk is no longer
@@ -290,6 +301,46 @@ int64_t repro_search_marks(const int64_t *first, const int64_t *head,
     }
     return k;
 }
+
+/* v in decimal (at most 20 characters, for INT64_MIN). */
+static char *put_int(char *p, int64_t v)
+{
+    char tmp[20];
+    int i = 20;
+    uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
+    if (v < 0) *p++ = '-';
+    do {
+        tmp[--i] = (char)('0' + u % 10);
+        u /= 10;
+    } while (u);
+    memcpy(p, tmp + i, 20 - i);
+    return p + 20 - i;
+}
+
+/* JSON text of rows x cols int64 values, as json.dumps writes their
+   nested lists with "," separators: [v,v] for one flat row (nested
+   = 0), [[v,v],[v,v]] otherwise.  out holds 21 bytes per value (sign,
+   19 digits, a separator), 3 per nested row and 2 for the outer
+   brackets; returns the length written. */
+int64_t repro_format_ints(const int64_t *val, int64_t rows, int64_t cols,
+                          int64_t nested, char *out)
+{
+    char *p = out;
+    *p++ = '[';
+    for (int64_t r = 0; r < rows; r++) {
+        if (nested) {
+            if (r) *p++ = ',';
+            *p++ = '[';
+        }
+        for (int64_t c = 0; c < cols; c++) {
+            if (c) *p++ = ',';
+            p = put_int(p, *val++);
+        }
+        if (nested) *p++ = ']';
+    }
+    *p++ = ']';
+    return p - out;
+}
 """
 
 #: Compiler flags; part of the cache key.
@@ -305,6 +356,7 @@ _SIGNATURES = {
     "repro_sweep_lanes": ([_P] * 4 + [_N, _N, _P, _P, _P, _N, _N], None),
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
     "repro_search_marks": ([_P] * 3 + [_N, _P, _N] + [_P] * 5 + [_N], _N),
+    "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
 }
 
 _lock = threading.Lock()
@@ -585,6 +637,58 @@ def upward_searcher(graph, pos_of: np.ndarray | None = None
                             graph.arc_len):
         return None
     return UpwardSearch(lib, graph, pos_of)
+
+
+_threads = threading.local()
+
+
+def thread_searcher(graph) -> UpwardSearch | None:
+    """This thread's searcher over ``graph`` (no ``pos_of``), or
+    ``None`` as for :func:`upward_searcher`.
+
+    Built on a thread's first search of ``graph`` and reused after, so
+    no two threads share scratch; an entry is dropped when ``graph`` is
+    freed, or with its thread.
+    """
+    if not _load():
+        return None
+    cache = getattr(_threads, "searchers", None)
+    if cache is None:
+        cache = _threads.searchers = {}
+    key = id(graph)
+    entry = cache.get(key)
+    if entry is None or entry[0]() is not graph:
+        ref = weakref.ref(graph, lambda _, key=key: cache.pop(key, None))
+        entry = cache[key] = (ref, upward_searcher(graph))
+    return entry[1]
+
+
+# ---------------------------------------------------------------------------
+# Formatting
+
+
+def format_ints(arr: np.ndarray) -> bytes | None:
+    """The JSON text of a 1-D or 2-D integer array, the same bytes as
+    ``json.dumps(arr.tolist(), separators=(",", ":"))``.
+
+    ``None`` when the kernels do not load, or ``arr`` is not a 1-D or
+    2-D array of a signed integer type.
+    """
+    lib = _load()
+    if not lib or arr.ndim not in (1, 2) or arr.dtype.kind != "i":
+        return None
+    vals = np.ascontiguousarray(arr, dtype=np.int64)
+    nested = vals.ndim == 2
+    rows = vals.shape[0] if nested else 1
+    # 20 characters per int64 ("-9223372036854775808") plus its
+    # separator, brackets and a comma per row, the outer brackets.
+    size = 21 * vals.size + 3 * rows * nested + 2
+    out = ctypes.create_string_buffer(size)
+    length = lib.repro_format_ints(_ptr(vals, np.int64), rows,
+                                   vals.shape[-1], nested, out)
+    if not 0 < length <= size:
+        raise RuntimeError(f"formatter wrote {length} bytes into {size}")
+    return ctypes.string_at(out, length)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,177 @@
+"""Sweep answers encoded by the compiled formatter, byte for byte.
+
+The service writes its distance rows, isochrone vertex lists and
+matrices as JSON text in C (:func:`repro.server.protocol.int_array`)
+and splices that text into the frame.  Every message must encode to
+the bytes ``json.dumps`` gives for the same payload with lists, with
+the kernel and on the ``tolist`` fallback, and over the wire.
+"""
+
+from __future__ import annotations
+
+import socket
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.core import PhastEngine
+from repro.graph.csr import INF
+from repro.server import PhastService, ServerConfig, serve_in_thread
+from repro.server import protocol
+from repro.utils import native
+
+I64 = np.iinfo(np.int64)
+
+needs_native = pytest.mark.skipif(
+    not native.native_available(), reason="no compiled kernels here"
+)
+
+BACKENDS = [pytest.param("kernel", marks=needs_native), "fallback"]
+
+
+def _use(mp: pytest.MonkeyPatch, backend: str) -> None:
+    if backend == "fallback":
+        mp.setattr(native, "_lib", False)
+
+
+@st.composite
+def int_arrays(draw):
+    """1-D and 2-D integer arrays, empty, 0 x k, k x 0 and k x 1
+    included, with negatives, ``INF`` and the int64 extremes."""
+    shape = draw(st.one_of(
+        st.tuples(st.integers(0, 40)),
+        st.tuples(st.integers(0, 6), st.integers(0, 6)),
+        st.tuples(st.integers(0, 6), st.just(1)),
+    ))
+    dtype = draw(st.sampled_from([np.int64, np.int32]))
+    info = np.iinfo(dtype)
+    special = [v for v in (int(INF), I64.min, I64.max, 0, -1, 10, -10)
+               if info.min <= v <= info.max]
+    values = st.sampled_from(special) | st.integers(int(info.min),
+                                                    int(info.max))
+    size = int(np.prod(shape))
+    flat = draw(st.lists(values, min_size=size, max_size=size))
+    return np.array(flat, dtype=dtype).reshape(shape)
+
+
+scalars = st.none() | st.booleans() | st.integers(-10**6, 10**6) | st.text(
+    max_size=5)
+
+
+@st.composite
+def payloads(draw):
+    """``(fields, values)``: a response's fields in order, each an
+    array or a plain JSON value."""
+    items = draw(st.lists(int_arrays() | scalars, max_size=5))
+    return [(f"k{i}", v) for i, v in enumerate(items)]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(req_id=scalars, fields=payloads())
+@settings(max_examples=150, deadline=None)
+def test_encode_message_equals_json_dumps(backend, req_id, fields):
+    arrays = [key for key, v in fields if isinstance(v, np.ndarray)]
+    with pytest.MonkeyPatch.context() as mp:
+        _use(mp, backend)
+        encoded = {key: protocol.int_array(v) if key in arrays else v
+                   for key, v in fields}
+        got = protocol.encode_message(protocol.ok_response(req_id, **encoded))
+    listed = {key: v.tolist() if key in arrays else v for key, v in fields}
+    assert got == protocol.encode_message(
+        protocol.ok_response(req_id, **listed))
+    # Each backend really ran: arrays come back as lists only without
+    # the kernel.
+    assert all(isinstance(encoded[key], list) == (backend == "fallback")
+               for key in arrays)
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (3, 0), (4, 1), (1, 4)])
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_int_array_edge_shapes(backend, shape):
+    arr = np.full(shape, I64.min, dtype=np.int64)
+    with pytest.MonkeyPatch.context() as mp:
+        _use(mp, backend)
+        got = protocol.encode_message({"a": protocol.int_array(arr)})
+    assert got == protocol.encode_message({"a": arr.tolist()})
+
+
+@needs_native
+@pytest.mark.parametrize("wrap", [
+    lambda frag: [frag],
+    lambda frag: {"inner": frag},
+    lambda frag: [{"inner": [frag]}],
+])
+def test_nested_fragment_raises(wrap):
+    frag = protocol.int_array(np.arange(3))
+    with pytest.raises(TypeError):
+        protocol.encode_message({"id": 1, "ok": True, "x": wrap(frag)})
+
+
+# ---------------------------------------------------------------------------
+# Over the wire
+
+
+@pytest.fixture(scope="module")
+def served(road, road_ch):
+    service = PhastService(
+        road_ch, graph=road,
+        config=ServerConfig(batch_max=4, max_wait_ms=5.0, max_pending=64),
+    )
+    with serve_in_thread(service) as handle:
+        yield handle
+
+
+def _round_trip(sock: socket.socket, req: dict) -> bytes:
+    """Send one request; the raw response frame, header included."""
+    sock.sendall(protocol.encode_message(req))
+    header = sock.recv(4, socket.MSG_WAITALL)
+    (length,) = struct.unpack(">I", header)
+    body = bytearray()
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        assert chunk, "server closed the connection"
+        body += chunk
+    return header + bytes(body)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_served_sweep_answers_are_json_dumps_bytes(backend, served, road_ch):
+    engine = PhastEngine(road_ch)
+    n = road_ch.n
+    rng = np.random.default_rng(3)
+    sources = [int(s) for s in rng.choice(n, size=3, replace=False)]
+    targets = [int(t) for t in rng.integers(n, size=64)]
+    rows = {s: engine.tree(s).dist for s in sources}
+    budget = int(np.median(rows[sources[0]]))
+    cases = []
+    for s in sources:
+        row = rows[s]
+        cases += [
+            ({"op": "tree", "source": s}, {"dist": row.tolist()}),
+            ({"op": "one_to_many", "source": s, "targets": targets},
+             {"dist": row[targets].tolist()}),
+            ({"op": "isochrone", "source": s, "budget": budget},
+             {"vertices": np.flatnonzero(row <= budget).tolist(),
+              "count": int(np.count_nonzero(row <= budget))}),
+        ]
+    # Matrix targets unique to this backend: the first request builds
+    # the selection, the second finds it cached.
+    cols = targets[:24] + [0 if backend == "kernel" else 1]
+    mat = np.stack([rows[s][cols] for s in sources])
+    for cached in (False, True):
+        cases.append((
+            {"op": "matrix", "sources": sources, "targets": cols},
+            {"matrix": mat.tolist(), "rows": len(sources), "cols": len(cols),
+             "selection_cached": cached},
+        ))
+    with pytest.MonkeyPatch.context() as mp:
+        _use(mp, backend)
+        with socket.create_connection((served.host, served.port),
+                                      timeout=30) as sock:
+            for i, (req, payload) in enumerate(cases):
+                got = _round_trip(sock, {"id": i, **req})
+                assert got == protocol.encode_message(
+                    protocol.ok_response(i, **payload)), req["op"]

@@ -10,10 +10,13 @@ and pruned hierarchy, and RPHAST's restricted selection.
 
 from __future__ import annotations
 
+import gc
 import os
 import shutil
 import subprocess
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -22,7 +25,7 @@ from hypothesis import strategies as st
 
 from repro.ch import build_topology, contract_graph, customize, upward_search
 from repro.core import LevelSweep, PhastEngine, RPhastEngine, SweepStructure
-from repro.graph import StaticGraph
+from repro.graph import StaticGraph, random_graph
 from repro.sssp import dijkstra
 from repro.utils import native
 
@@ -94,6 +97,68 @@ def test_native_upward_search_equals_heapq(request, which, monkeypatch):
         b = upward_search(ch, s)
         for key in ("vertices", "dists", "parents"):
             assert np.array_equal(getattr(a, key), getattr(b, key)), (s, key)
+
+
+@needs_native
+def test_upward_search_reuses_one_searcher_per_thread(monkeypatch):
+    """``upward_search`` builds one searcher per thread and ``G↑``,
+    reuses it, frees it with the graph, and still equals ``heapq``."""
+    ch = contract_graph(random_graph(60, 200, max_len=20, seed=4,
+                                     connected=True))
+    built = []
+    make = native.upward_searcher
+    monkeypatch.setattr(native, "upward_searcher",
+                        lambda graph: built.append(make(graph)) or built[-1])
+    spaces = [upward_search(ch, s) for s in range(ch.n)]
+    assert len(built) == 1
+    assert native.thread_searcher(ch.upward) is built[0]
+
+    def other_thread():
+        spaces.append(upward_search(ch, 0))
+        assert native.thread_searcher(ch.upward) is built[-1]
+
+    worker = threading.Thread(target=other_thread)
+    worker.start()
+    worker.join()
+    assert len(built) == 2 and built[1] is not built[0]
+    assert len(spaces) == ch.n + 1
+
+    monkeypatch.setattr(native, "_lib", False)
+    for s in [*range(ch.n), 0]:
+        a, b = spaces.pop(0), upward_search(ch, s)
+        for key in ("vertices", "dists", "parents"):
+            assert np.array_equal(getattr(a, key), getattr(b, key)), (s, key)
+
+    freed = weakref.ref(built[0])
+    del built[:], ch
+    gc.collect()
+    assert freed() is None
+
+
+def test_upward_search_threads_never_share_scratch(road_ch):
+    """More threads than cores searching one ``G↑`` at once each get
+    the answers of a lone search: no two share a searcher's scratch."""
+    sources = list(range(0, road_ch.n, 3))
+    want = {s: upward_search(road_ch, s).dists for s in sources}
+    bad = []
+
+    def search():
+        for s in sources * 3:
+            if not np.array_equal(upward_search(road_ch, s).dists, want[s]):
+                bad.append(s)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=search) for _ in range(6)]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert bad == []
 
 
 def test_native_search_rejects_bad_source(road_ch):
