@@ -240,7 +240,7 @@ class SelectionCache:
     the server retires the selection's shared-memory publication.
 
     Not thread-safe by itself; the server funnels every access through
-    the single MicroBatcher dispatch thread.
+    exclusive MicroBatcher requests, which run one at a time.
     """
 
     def __init__(

@@ -201,6 +201,18 @@ class PhastRouter(FrameServer):
 
     # -- request processing ------------------------------------------------
 
+    def _answer(self, req_id, op: str, msg: dict, conn) -> None:
+        # Answers await replicas, so each frame runs in its own task;
+        # a dropped connection cancels it.
+        task = asyncio.get_running_loop().create_task(
+            self._respond(req_id, op, msg, conn)
+        )
+        conn.owe(task)
+        task.add_done_callback(conn.settle)
+
+    async def _respond(self, req_id, op: str, msg: dict, conn) -> None:
+        conn.send(await self._process(req_id, op, msg))
+
     async def _process(self, req_id, op: str, msg: dict) -> dict:
         if op == "ping":
             return protocol.ok_response(req_id, pong=True)

@@ -20,7 +20,7 @@ Modules
     The dynamic micro-batching scheduler: coalesce up to ``batch_max``
     sweep requests while each event-loop turn brings more (capped at
     ``max_wait_ms``), dispatch one multi-source sweep,
-    fan results back out to per-request futures.
+    hand each result to its request's reply callback.
 :mod:`~repro.server.metrics`
     Request counters plus batch-size / wait / latency histograms.
 :mod:`~repro.server.listener`

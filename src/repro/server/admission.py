@@ -1,7 +1,7 @@
 """Admission control: a bounded house, shed load at the door.
 
 A saturated PHAST server must reject early rather than queue without
-bound: every admitted tree request pins a future, a queue slot, and
+bound: every admitted tree request pins a reply, a queue slot, and
 eventually a sweep lane, so an unbounded backlog turns overload into
 memory growth plus deadline misses for *everyone* (the classic
 goodput collapse).  The controller keeps one number — requests
@@ -30,7 +30,8 @@ __all__ = ["AdmissionController"]
 class AdmissionController:
     """Bounded in-flight-request gate with rejection accounting.
 
-    Thread-safe: the event loop admits, executor threads may release.
+    Thread-safe, though the service admits and releases on its event
+    loop.
     """
 
     #: Rejection reasons (keys of :attr:`rejected`).

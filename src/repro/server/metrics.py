@@ -1,9 +1,9 @@
 """Serving metrics: counters plus batch / wait / latency histograms.
 
 Everything here is updated from two places — the event loop and the
-sweep executor thread — so one lock guards the lot (the histograms are
-plain Python and each update is a few list operations; contention is
-negligible next to a sweep).
+executor threads that run matrix and swap work — so one lock guards
+the lot (the histograms are plain Python and each update is a few list
+operations; contention is negligible next to a sweep).
 
 ``snapshot()`` is the payload of the ``metrics`` request op, which
 doubles as the server's health endpoint.

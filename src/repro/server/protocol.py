@@ -412,7 +412,10 @@ def _validate_param(param: Param, value, n: int):
             raise RequestValidationError(
                 f"{name!r} must be a non-empty list of vertex ids in [0, {n})"
             )
-        return [_validate_vertex(name, v, n) for v in value]
+        for v in value:
+            if type(v) is not int or not 0 <= v < n:
+                _validate_vertex(name, v, n)  # raises for a bad entry
+        return value
     if kind == "nonneg_int":
         if isinstance(value, bool) or not isinstance(value, int) or value < 0:
             raise RequestValidationError(f"{name!r} must be an integer >= 0")

@@ -16,17 +16,23 @@ One process, one preprocessed hierarchy, four query types:
     the target set is built once, cached in an LRU keyed by target-set
     hash, published to the pool workers as a retireable shared-memory
     segment, and swept in multi-source lane groups chunked over the
-    workers.  Rides the batcher as an *exclusive* request so all pool
-    access stays on the single dispatch thread.
+    workers.  Rides the batcher as an *exclusive* request so every pool
+    access stays serialized by the one dispatch loop.
 ``ping`` / ``info`` / ``metrics`` / ``health``
     Liveness, instance facts, serving statistics, and readiness (pool
     live-worker count, restart/retry/quarantine counters, queue depth).
 
-The event loop only parses frames, routes, and awaits futures; all
-NumPy work happens on a small thread pool.  That includes writing the
-sweep answers' arrays as JSON text (:func:`protocol.int_array`), so
-the loop joins their bytes into the frame.  Sweeps are serialized by
-the batcher (`PhastPool` is single-caller), point-to-point queries run
+The event loop parses frames and answers each without a task of its
+own: admin ops reply at once, batcher ops carry a reply callback, and
+``query`` replies from its executor future's done-callback.  On the
+in-process (serial) pool the batcher runs each sweep batch on the loop
+thread as well — the k-lane sweep, each finalize (the answer's arrays
+written as JSON text by :func:`protocol.int_array`) and each frame's
+encoding — because handing a batch to another thread costs more than
+it overlaps when both threads contend for one GIL.  Point-to-point
+queries, batches holding an exclusive request and every batch for a
+worker pool run on a small thread pool.  Sweeps are serialized by the
+batcher (`PhastPool` is single-caller); point-to-point queries run
 concurrently — they touch only their own heaps and dicts.
 
 Connections and shutdown follow the shared
@@ -63,7 +69,8 @@ from .scheduler import (
 
 __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 
-#: Threads for sweeps + point-to-point queries.
+#: Threads for point-to-point queries, exclusive requests and
+#: worker-pool batches.
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).
 MATRIX_SEARCH_CACHE = 256
@@ -179,9 +186,9 @@ class PhastService(FrameServer):
         )
         # RPHAST selections for the matrix op: LRU of
         # (frozen engine, pool publication handle) keyed by target-set
-        # hash.  Touched only from the batcher's dispatch thread
-        # (matrix requests are exclusive), so no locking is needed;
-        # eviction retires the selection's shared-memory segment.
+        # hash.  Touched only by exclusive batcher requests, which run
+        # one at a time, so no locking is needed; eviction retires the
+        # selection's shared-memory segment.
         self.selections = SelectionCache(
             self.config.selection_cache, on_evict=self._retire_selection
         )
@@ -190,8 +197,9 @@ class PhastService(FrameServer):
             thread_name_prefix="phast-serve",
         )
         self.batcher = MicroBatcher(
-            self._sweep,
+            self.pool.trees,
             executor=self._executor,
+            on_loop=self.pool.serial,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
             metrics=self.metrics,
@@ -202,9 +210,7 @@ class PhastService(FrameServer):
     async def _prepare(self) -> None:
         # Warm the sweep path so the first client doesn't pay for lazy
         # buffer allocation.
-        await asyncio.get_running_loop().run_in_executor(
-            self._executor, self.pool.trees, [0]
-        )
+        self.pool.trees([0])
         self.batcher.start()
 
     async def _monitor(self) -> None:
@@ -228,12 +234,6 @@ class PhastService(FrameServer):
         self.selections.clear()
         self.pool.close()
 
-    # -- sweep plumbing ----------------------------------------------------
-
-    def _sweep(self, sources: list[int]) -> np.ndarray:
-        """One multi-source sweep (executor thread; serialized)."""
-        return self.pool.trees(sources)
-
     # -- matrix plumbing ---------------------------------------------------
 
     def _retire_selection(self, key: str, entry: tuple) -> None:
@@ -244,11 +244,11 @@ class PhastService(FrameServer):
     def _selection(self, targets: np.ndarray) -> tuple:
         """The cached (engine, publication) for a target set, built on miss.
 
-        Runs on the batcher dispatch thread only (exclusive request),
-        which serializes cache access and pool publication.  Keys are
-        prefixed with the metric generation: a selection embeds copied
-        arc weights, so an entry built under generation g must never
-        answer a request under generation g+1.
+        Runs only inside an exclusive batcher request, which serializes
+        cache access and pool publication.  Keys are prefixed with the
+        metric generation: a selection embeds copied arc weights, so an
+        entry built under generation g must never answer a request under
+        generation g+1.
         """
         key = (f"g{self.pool.metric_generation}:"
                + SelectionCache.key_of(targets))
@@ -285,17 +285,18 @@ class PhastService(FrameServer):
 
     # -- request processing ------------------------------------------------
 
-    async def _process(self, req_id, op: str, msg: dict) -> dict:
-        t0 = time.monotonic()
+    def _answer(self, req_id, op: str, msg: dict, conn) -> None:
         spec = protocol.OPS_BY_NAME.get(op)
         if spec is None:
-            return self._error(
+            conn.send(self._error(
                 req_id, protocol.BAD_REQUEST,
                 f"unknown op {op!r}; known: "
                 f"{tuple(s.name for s in protocol.OPS)}",
-            )
+            ))
+            return
         if spec.kind == "admin":
-            return getattr(self, spec.handler)(req_id)
+            conn.send(getattr(self, spec.handler)(req_id))
+            return
         # work and control ops both pass admission: control mutates
         # serving state and must be refused while draining exactly
         # like work, and counting it keeps the drain loop exact.
@@ -304,36 +305,33 @@ class PhastService(FrameServer):
             code = (protocol.UNAVAILABLE
                     if reason == AdmissionController.DRAINING
                     else protocol.OVERLOADED)
-            return self._error(req_id, code, f"request rejected: {reason}")
+            conn.send(self._error(req_id, code, f"request rejected: {reason}"))
+            return
+        reply = _Reply(self, conn, req_id, op)
         try:
             fields = protocol.validate_request(spec, msg, self.n)
-            response = await getattr(self, spec.handler)(req_id, op, fields)
-        except (protocol.RequestValidationError, _BadRequest) as exc:
-            response = self._error(req_id, protocol.BAD_REQUEST, str(exc))
-        except DeadlineExceeded as exc:
-            response = self._error(req_id, protocol.DEADLINE, str(exc))
-        except SchedulerStopped as exc:
-            response = self._error(req_id, protocol.UNAVAILABLE, str(exc))
-        except PoolBroken as exc:
+            getattr(self, spec.handler)(reply, op, fields)
+        except Exception as exc:
+            reply(exc)
+
+    def _failure(self, req_id, exc: BaseException) -> dict:
+        """The error response for a request that ended in ``exc``."""
+        if isinstance(exc, (protocol.RequestValidationError, _BadRequest)):
+            return self._error(req_id, protocol.BAD_REQUEST, str(exc))
+        if isinstance(exc, DeadlineExceeded):
+            return self._error(req_id, protocol.DEADLINE, str(exc))
+        if isinstance(exc, SchedulerStopped):
+            return self._error(req_id, protocol.UNAVAILABLE, str(exc))
+        if isinstance(exc, PoolBroken):
             # No workers and no respawn budget: the instance can't do
             # sweep work anymore — clients should fail over.
-            response = self._error(
-                req_id, protocol.UNAVAILABLE, f"PoolBroken: {exc}"
-            )
-        except ChunkQuarantined as exc:
-            response = self._error(
-                req_id, protocol.INTERNAL, f"ChunkQuarantined: {exc}"
-            )
-        except asyncio.CancelledError:
-            raise
-        except Exception as exc:
-            response = self._error(
-                req_id, protocol.INTERNAL, f"{type(exc).__name__}: {exc}"
-            )
-        finally:
-            self.admission.release()
-        self.metrics.record_latency(op, time.monotonic() - t0)
-        return response
+            return self._error(req_id, protocol.UNAVAILABLE,
+                               f"PoolBroken: {exc}")
+        if isinstance(exc, ChunkQuarantined):
+            return self._error(req_id, protocol.INTERNAL,
+                               f"ChunkQuarantined: {exc}")
+        return self._error(req_id, protocol.INTERNAL,
+                           f"{type(exc).__name__}: {exc}")
 
     # -- admin handlers (bound via the op registry) ------------------------
 
@@ -428,7 +426,7 @@ class PhastService(FrameServer):
             return None
         return time.monotonic() + float(timeout_ms) / 1e3
 
-    async def _run_sweep(self, req_id, op: str, fields: dict) -> dict:
+    def _run_sweep(self, reply, op: str, fields: dict) -> None:
         deadline = self._deadline(fields)
         source = fields["source"]
         if op == "tree":
@@ -440,48 +438,37 @@ class PhastService(FrameServer):
         else:  # isochrone
             budget = fields["budget"]
             finalize = lambda row, budget=budget: _finalize_isochrone(row, budget)
-        request = SweepRequest(op, source, finalize, deadline=deadline)
-        self.batcher.submit(request)
-        payload = await request.future
-        return protocol.ok_response(req_id, **payload)
+        self.batcher.submit(
+            SweepRequest(op, source, finalize, reply, deadline=deadline)
+        )
 
-    async def _run_matrix(self, req_id, op: str, fields: dict) -> dict:
+    def _run_matrix(self, reply, op: str, fields: dict) -> None:
         deadline = self._deadline(fields)
         sources, targets = fields["sources"], fields["targets"]
-        request = SweepRequest(
-            "matrix", -1, None, deadline=deadline,
+        self.batcher.submit(SweepRequest(
+            "matrix", -1, None, reply, deadline=deadline,
             execute=lambda: self._matrix_payload(sources, targets),
-        )
-        self.batcher.submit(request)
-        payload = await request.future
-        return protocol.ok_response(req_id, **payload)
+        ))
 
-    async def _run_query(self, req_id, op: str, fields: dict) -> dict:
+    def _run_query(self, reply, op: str, fields: dict) -> None:
         deadline = self._deadline(fields)
         source, target = fields["source"], fields["target"]
         stall = fields["stall"]
         if deadline is not None and time.monotonic() >= deadline:
             raise DeadlineExceeded("deadline exceeded on arrival")
-        loop = asyncio.get_running_loop()
         # Capture the hierarchy once: a concurrent swap_metric replaces
         # self.ch, and reading it exactly once pins this answer to a
         # single metric generation (old or new, never a mix).
         ch = self.ch
-        result = await loop.run_in_executor(
+        future = asyncio.get_running_loop().run_in_executor(
             self._executor,
             lambda: ch_query(ch, source, target, stall=stall),
         )
-        distance = int(result.distance)
-        return protocol.ok_response(
-            req_id,
-            distance=distance,
-            reachable=distance < int(INF),
-            settled=int(result.settled_forward + result.settled_backward),
-        )
+        future.add_done_callback(lambda f: reply(_query_outcome(f)))
 
     # -- metric hot swap ---------------------------------------------------
 
-    async def _run_swap(self, req_id, op: str, fields: dict) -> dict:
+    def _run_swap(self, reply, op: str, fields: dict) -> None:
         deadline = self._deadline(fields)
         weights, path = fields["weights"], fields["path"]
         if (weights is None) == (path is None):
@@ -495,20 +482,17 @@ class PhastService(FrameServer):
                 "topology + metric (repro serve --topology ...) to enable "
                 "swap_metric"
             )
-        # Exclusive batcher request: runs alone on the dispatch thread,
+        # Exclusive batcher request: runs alone on an executor thread,
         # strictly between micro-batches — the quiesce point the pool's
         # swap_metric() requires.  Queued sweeps before it finish on
         # the old metric; sweeps after it run on the new one.
-        request = SweepRequest(
-            "swap_metric", -1, None, deadline=deadline,
+        self.batcher.submit(SweepRequest(
+            "swap_metric", -1, None, reply, deadline=deadline,
             execute=lambda: self._swap_payload(weights, path),
-        )
-        self.batcher.submit(request)
-        payload = await request.future
-        return protocol.ok_response(req_id, **payload)
+        ))
 
     def _swap_payload(self, weights, path) -> dict:
-        """Customize + instantiate + pool swap (dispatch thread, exclusive)."""
+        """Customize + instantiate + pool swap (executor thread, exclusive)."""
         from ..ch.customize import customize
         from ..graph.serialize import load_metric
 
@@ -544,6 +528,63 @@ class PhastService(FrameServer):
             "swap_seconds": t3 - t2,
             "source": "artifact" if path is not None else "inline",
         }
+
+
+class _Reply:
+    """The answer an admitted request owes its connection.
+
+    Called once, on the event-loop thread, with the request's payload
+    or the exception that ended it: it releases the admission slot,
+    records the latency and writes the response frame.  A dropped
+    connection cancels it instead, which releases the slot at once and
+    turns a queued sweep request dead, so its lane is dropped.  Either
+    way the slot is released exactly once.
+    """
+
+    __slots__ = ("service", "conn", "req_id", "op", "t0", "done")
+
+    def __init__(self, service: PhastService, conn, req_id, op: str) -> None:
+        self.service = service
+        self.conn = conn
+        self.req_id = req_id
+        self.op = op
+        self.t0 = time.monotonic()
+        self.done = False
+        conn.owe(self)
+
+    def __call__(self, outcome) -> None:
+        if self.done:
+            return
+        self._finish()
+        service = self.service
+        if isinstance(outcome, BaseException):
+            response = service._failure(self.req_id, outcome)
+        else:
+            response = protocol.ok_response(self.req_id, **outcome)
+        service.metrics.record_latency(self.op, time.monotonic() - self.t0)
+        self.conn.send(response)
+
+    def cancel(self) -> None:
+        if not self.done:
+            self._finish()
+
+    def _finish(self) -> None:
+        self.done = True
+        self.service.admission.release()
+        self.conn.settle(self)
+
+
+def _query_outcome(future) -> dict | BaseException:
+    exc = future.exception()
+    if exc is not None:
+        return exc
+    result = future.result()
+    distance = int(result.distance)
+    return {
+        "distance": distance,
+        "reachable": distance < int(INF),
+        "settled": int(result.settled_forward + result.settled_backward),
+    }
 
 
 def _finalize_tree(row: np.ndarray) -> dict:

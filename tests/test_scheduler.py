@@ -1,8 +1,9 @@
 """Tests for the micro-batching window (`repro.server.scheduler`).
 
 A :class:`MicroBatcher` is driven directly with a stub ``sweep_fn`` that
-records every dispatch, so each test sees exactly which requests shared
-a batch and when it left.  The window closes on the first event-loop
+records every dispatch, and each request with a stub reply that keeps
+its outcome, so each test sees exactly which requests shared a batch
+and when it left.  The window closes on the first event-loop
 turn that brings no new request, at ``batch_max`` lanes, or at the
 ``max_wait_ms`` cap; ``stop()`` ends the loop from inside an open
 window.
@@ -38,13 +39,36 @@ class _Recorder:
             return [sources for _, sources in self.calls]
 
 
+class _Reply:
+    """Stub reply: keeps the request's outcome for ``await result()``."""
+
+    def __init__(self) -> None:
+        self.done = False
+        self.outcome = None
+        self.thread = None
+        self._arrived = asyncio.Event()
+
+    def __call__(self, outcome) -> None:
+        assert not self.done, "a request was answered twice"
+        self.done = True
+        self.outcome = outcome
+        self.thread = threading.current_thread()
+        self._arrived.set()
+
+    async def result(self):
+        await self._arrived.wait()
+        if isinstance(self.outcome, BaseException):
+            raise self.outcome
+        return self.outcome
+
+
 def _request(source: int) -> SweepRequest:
-    return SweepRequest("tree", source, lambda row: row)
+    return SweepRequest("tree", source, lambda row: row, _Reply())
 
 
-def _run(coro_fn, **kwargs):
+def _run(coro_fn, recorder=None, **kwargs):
     """Run ``coro_fn(batcher, recorder)`` on a fresh loop and batcher."""
-    recorder = _Recorder()
+    recorder = recorder or _Recorder()
 
     async def main():
         with ThreadPoolExecutor(max_workers=1) as executor:
@@ -65,7 +89,7 @@ def test_lone_request_is_dispatched_without_waiting():
         req = _request(3)
         t0 = time.monotonic()
         batcher.submit(req)
-        row = await req.future
+        row = await req.reply.result()
         return row, time.monotonic() - t0
 
     (row, elapsed), recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
@@ -81,10 +105,10 @@ def test_burst_joins_one_batch(n):
 
     async def scenario(batcher, recorder):
         async def respond(source):
-            # One task per frame, as the connection handler does.
+            # One task per submitter, standing in for connection readers.
             req = _request(source)
             batcher.submit(req)
-            return await req.future
+            return await req.reply.result()
 
         loop = asyncio.get_running_loop()
         tasks = [loop.create_task(respond(s)) for s in range(n)]
@@ -108,7 +132,7 @@ def test_staggered_arrivals_keep_the_window_open():
                 await asyncio.sleep(0)
             req = _request(source)
             batcher.submit(req)
-            return await req.future
+            return await req.reply.result()
 
         loop = asyncio.get_running_loop()
         tasks = [loop.create_task(respond(s, s)) for s in range(5)]
@@ -126,7 +150,7 @@ def test_same_source_requests_share_one_lane():
         reqs = [_request(s) for s in sources]
         for req in reqs:
             batcher.submit(req)
-        return await asyncio.gather(*(r.future for r in reqs))
+        return await asyncio.gather(*(r.reply.result() for r in reqs))
 
     rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", s) for s in sources]
@@ -162,7 +186,7 @@ def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
                        or time.monotonic() - t0 > 10)
         assert recorder.calls, "window never closed under a steady trickle"
         first_at = recorder.calls[0][0]
-        await asyncio.gather(*(r.future for r in reqs))
+        await asyncio.gather(*(r.reply.result() for r in reqs))
         return first_at - reqs[0].enqueued_at
 
     waited, recorder = _run(scenario, batch_max=batch_max,
@@ -195,12 +219,75 @@ def test_stop_during_open_window_ends_the_loop():
         await asyncio.wait_for(stopper, 10)
         await producer
         with pytest.raises(SchedulerStopped):
-            await late.future
+            await late.reply.result()
         with pytest.raises(SchedulerStopped):
             batcher.submit(_request(0))
-        return await asyncio.gather(*(r.future for r in reqs))
+        return await asyncio.gather(*(r.reply.result() for r in reqs))
 
     rows, recorder = _run(scenario, batch_max=100_000, max_wait_ms=60_000)
     n = len(rows)
     assert rows == [("row", s) for s in range(n)]
     assert recorder.batches == [list(range(n))]
+
+
+def test_dropped_request_loses_its_lane():
+    """A request whose client went away is not swept or answered."""
+
+    async def scenario(batcher, recorder):
+        reqs = [_request(s) for s in (1, 2, 3)]
+        reqs[1].reply.done = True  # the connection dropped it
+        for req in reqs:
+            batcher.submit(req)
+        rows = [await reqs[0].reply.result(), await reqs[2].reply.result()]
+        assert reqs[1].reply.outcome is None
+        return rows
+
+    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    assert rows == [("row", 1), ("row", 3)]
+    assert recorder.batches == [[1, 3]]
+
+
+class _ThreadRecorder(_Recorder):
+    """Also logs the thread each sweep ran on."""
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.threads: list[threading.Thread] = []
+
+    def __call__(self, sources):
+        self.threads.append(threading.current_thread())
+        return super().__call__(sources)
+
+
+def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
+    """``on_loop`` runs sweep batches (sweep, finalize, reply) on the
+    event-loop thread; a batch holding an exclusive request still goes
+    to the executor."""
+    recorder = _ThreadRecorder()
+
+    async def scenario(batcher, recorder):
+        loop_thread = threading.current_thread()
+        finalized = []
+        req = SweepRequest(
+            "tree", 4,
+            lambda row: finalized.append(threading.current_thread()) or row,
+            _Reply(),
+        )
+        batcher.submit(req)
+        assert await req.reply.result() == ("row", 4)
+        exclusive = SweepRequest(
+            "matrix", -1, None, _Reply(),
+            execute=lambda: threading.current_thread(),
+        )
+        batcher.submit(exclusive)
+        batcher.submit(_request(5))
+        ran_on = await exclusive.reply.result()
+        return loop_thread, finalized, ran_on
+
+    (loop_thread, finalized, ran_on), recorder = _run(
+        scenario, recorder, on_loop=True, batch_max=16, max_wait_ms=1000)
+    assert recorder.batches == [[4], [5]]
+    assert recorder.threads[0] is loop_thread
+    assert finalized == [loop_thread]
+    assert ran_on is not loop_thread
+    assert recorder.threads[1] is ran_on  # the sweep rode the same batch
