@@ -125,10 +125,11 @@ def tree_level_parallel(
 
     Runs the engine's sweep kernel with a relax step that splits every
     level of at least ``min_block`` vertices into position blocks and
-    relaxes them on a thread pool; the level's search entries are folded
-    after all its blocks finish (the barrier).  Smaller levels run
-    inline — exactly the regime where the paper notes parallelization
-    stops paying off (the topmost levels hold a handful of vertices).
+    relaxes them on a thread pool; the level's seeds (its search labels)
+    are folded in after all its blocks finish (the barrier).  Smaller
+    levels run inline — exactly the regime where the paper notes
+    parallelization stops paying off (the topmost levels hold a handful
+    of vertices).
 
     Returns distances indexed by original vertex ID.
     """

@@ -18,9 +18,9 @@ where no compiler is available.  A scalar reference implementation
 baseline.
 
 Initialization is *implicit* (Section IV-C): the sweep writes every
-label exactly once per query (empty in-arc segments produce ∞, the CH
-search space is folded in per level), so the distance array is never
-globally reset.
+label exactly once per query (each position starts from its seed, the
+CH search label or ∞), so the distance array is never globally reset;
+only the seeds the search wrote are put back to ∞.
 """
 
 from __future__ import annotations
@@ -280,25 +280,23 @@ def phast_original_order(
     sw = SweepStructure(ch) if sweep is None else sweep
     tails = sw.vertex_at[sw.arc_tail_pos]
     dist = np.empty(sw.n, dtype=np.int64)
+    seed = np.full(sw.n, INF, dtype=np.int64)  # search labels, ∞ at rest
 
     def tree(source: int) -> ShortestPathTree:
         space = upward_search(ch, source)
-        pos = sw.pos_of[space.vertices]
-        order = np.argsort(pos)
-        mpos, mval = pos[order], space.dists[order]
-        mk = 0
-        for i in range(sw.num_levels):
-            lo, hi = sw.level_slice(i)
-            alo, ahi = sw.level_arc_slice(i)
-            values = segment_minimum(
-                dist[tails[alo:ahi]] + sw.arc_len[alo:ahi],
-                sw.arc_first[lo : hi + 1] - alo,
-            )
-            np.minimum(values, INF, out=values)
-            mk_hi = int(np.searchsorted(mpos, hi))
-            np.minimum.at(values, mpos[mk:mk_hi] - lo, mval[mk:mk_hi])
-            mk = mk_hi
-            dist[sw.vertex_at[lo:hi]] = values
+        seed[space.vertices] = space.dists
+        try:
+            for i in range(sw.num_levels):
+                lo, hi = sw.level_slice(i)
+                alo, ahi = sw.level_arc_slice(i)
+                heads = sw.vertex_at[lo:hi]
+                dist[heads] = segment_minimum(
+                    dist[tails[alo:ahi]] + sw.arc_len[alo:ahi],
+                    sw.arc_first[lo : hi + 1] - alo,
+                    initial=seed[heads],
+                )
+        finally:
+            seed[space.vertices] = INF
         return ShortestPathTree(source=source, dist=dist.copy(), scanned=sw.n)
 
     return tree

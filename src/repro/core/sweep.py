@@ -18,10 +18,12 @@ by every query, which is the asymmetry PHAST exploits.  RPHAST builds
 the same structure over its selected vertices only.
 
 :class:`LevelSweep` is the second phase itself, plus the first (the
-upward search).  Its compiled sweep is one pass over the positions,
-reading ``arc_first``, ``arc_tail_pos`` and ``arc_len``; its NumPy
-fallback relaxes one level block of ``level_first`` at a time.  PHAST
-runs it over the full structure, RPHAST over a restricted one, and the
+upward search).  One sweep serves one lane and ``k``: it starts each
+position from a seed array that holds the lanes' search marks and ∞
+elsewhere.  Its compiled form is one pass over the positions, reading
+``arc_first``, ``arc_tail_pos`` and ``arc_len``; its NumPy fallback
+relaxes one level block of ``level_first`` at a time.  PHAST runs it
+over the full structure, RPHAST over a restricted one, and the
 level-parallel driver (NumPy levels) over position blocks of each
 level — one kernel, in the spirit of GPHAST's single per-level kernel.
 """
@@ -186,7 +188,7 @@ class SweepStructure:
 
 
 class LevelSweep:
-    """The linear sweep over level-ordered arrays, for 1 or ``k`` lanes.
+    """The linear sweep over level-ordered arrays, for ``k`` lanes.
 
     Parameters
     ----------
@@ -201,6 +203,13 @@ class LevelSweep:
 
     Notes
     -----
+    A sweep of ``k`` lanes writes each lane's search marks into a
+    ``(size, k)`` *seed* array that holds ∞ at rest, takes per position
+    the least of its seed and its in-arc candidates, and then puts ∞
+    back at the marked positions only: implicit initialization, at
+    O(search space) per lane rather than O(n).  Marks may come in any
+    order, so nothing sorts or merges them; one lane is ``k = 1``.
+
     Searches and sweeps run the compiled kernels of
     :mod:`repro.utils.native` when they load and the arc arrays are
     32-bit: one pass over the positions, no level loop.  Otherwise (no
@@ -235,11 +244,14 @@ class LevelSweep:
         self.arc_len = arc_len = sweep.arc_len
         self.size = sweep.n
         self.level_first = sweep.level_first
-        self.dist = np.empty(self.size, dtype=np.int64)
         self._native = native.sweep_kernel(arc_first, arc_tail_pos, arc_len)
         self._searcher: native.UpwardSearch | None = None
-        self._lanes = 0
-        self._lane_store: list[np.ndarray] = []
+        # Flat label and seed buffers for the widest k so far; k lanes
+        # reshape a prefix, which keeps every lane row contiguous.
+        self._lanes = 1
+        self._labels = np.empty(self.size, dtype=np.int64)
+        self._seeds = np.full(self.size, INF, dtype=np.int64)
+        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
         self._plans: list[tuple] | None = None
         self._threshold = self.SCALAR_ARC_THRESHOLD
 
@@ -248,9 +260,14 @@ class LevelSweep:
         self.search_cache_hits = 0
         self.search_cache_misses = 0
 
+    @property
+    def dist(self) -> np.ndarray:
+        """The 1-lane label buffer (what :meth:`run` returns)."""
+        return self._labels[: self.size]
+
     def _fallback(self) -> None:
-        """The NumPy levels' scalar prefix, per-level plans and scratch,
-        built on first use (a native sweep never needs them)."""
+        """The NumPy levels' scalar prefix and per-level plans, built on
+        first use (a native sweep never needs them)."""
         if self._plans is not None:
             return
         arc_first, level_first = self.arc_first, self.level_first
@@ -268,10 +285,11 @@ class LevelSweep:
 
         bounds = level_first.tolist()
         self._plans = [self.plan(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-        widest = max((p[1] - p[0] for p in self._plans), default=0)
+        # Candidate and label scratch rows per lane: the most arcs and
+        # the most positions of any level.
         most = max((p[3] - p[2] for p in self._plans), default=0)
-        self._cand = np.empty(most, dtype=np.int64)
-        self._values = np.empty(widest, dtype=np.int64)
+        widest = max((p[1] - p[0] for p in self._plans), default=0)
+        self._scratch_rows = (most, widest)
 
     def plan(self, lo: int, hi: int) -> tuple:
         """The plan of positions ``lo .. hi - 1`` (a level or a block).
@@ -292,7 +310,7 @@ class LevelSweep:
     def project(
         self, space: UpwardSearchSpace
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """An upward search space as position-sorted sweep entries.
+        """An upward search space as sweep marks, in settling order.
 
         Returns ``(pos, val, idx)``: the swept positions reached, their
         labels, and the indices into ``space`` they came from (vertices
@@ -300,7 +318,6 @@ class LevelSweep:
         """
         pos = self.pos_of[space.vertices]
         idx = np.flatnonzero(pos >= 0)
-        idx = idx[np.argsort(pos[idx])]
         return pos[idx], space.dists[idx], idx
 
     def search(self, source: int) -> tuple[np.ndarray, np.ndarray]:
@@ -351,24 +368,14 @@ class LevelSweep:
         *,
         relax: Callable | None = None,
     ) -> np.ndarray:
-        """One-lane sweep from the search entries ``marks = (pos, val)``.
+        """One-lane sweep from the search marks ``marks = (pos, val)``.
 
         Returns the labels by sweep position (the kernel's buffer).
         ``relax`` replaces :meth:`relax` for the NumPy levels with the
         same signature, and selects them — the level-parallel driver
         passes one that splits large levels into blocks.
         """
-        pos, val = marks
-        dist = self.dist
-        if relax is None and self._native is not None:
-            self._native.run(dist, pos, val)
-            return dist
-        self._fallback()
-        mk = self._scalar_prefix(dist, pos, val)
-        return self._levels(
-            dist, self._cand, self._values, pos, None, val, mk,
-            self._scalar_levels, relax or self.relax,
-        )
+        return self._sweep([marks], relax)[:, 0]
 
     def run_lanes(self, sources) -> np.ndarray:
         """``k = len(sources)`` trees in one sweep (Section IV-B).
@@ -376,40 +383,46 @@ class LevelSweep:
         The ``k`` labels of one position are adjacent in memory (a
         ``(size, k)`` row-major array), so each arc relaxation updates
         a contiguous lane vector, as in the paper's SSE lanes.  Returns
-        a view of the kernel's lane buffer.  One source takes
-        :meth:`run`'s path, which needs no lane merge (and whose NumPy
-        fallback has the scalar prefix).
+        a view of the kernel's lane buffer.
         """
-        k = len(sources)
-        if k == 0:
+        if len(sources) == 0:
             return np.empty((self.size, 0), dtype=np.int64)
-        if k == 1:
-            return self.run(self.search(int(sources[0])))[:, None]
-        # Flat buffers sized for the widest k so far; narrower sweeps
-        # reshape a prefix, which keeps every lane row contiguous.  The
-        # NumPy levels also need candidate and label scratch.
-        rows = [self.size]
-        if self._native is None:
-            self._fallback()
-            rows += [self._cand.size, self._values.size]
+        return self._sweep([self.search(int(s)) for s in sources])
+
+    def _sweep(self, marks: list[tuple[np.ndarray, np.ndarray]],
+               relax: Callable | None = None) -> np.ndarray:
+        """Sweep one lane per ``(pos, val)`` in ``marks``; returns the
+        ``(size, k)`` labels."""
+        k, n = len(marks), self.size
         if k > self._lanes:
             self._lanes = k
-            self._lane_store = [np.empty(r * k, dtype=np.int64) for r in rows]
-        bufs = [buf[: r * k].reshape(r, k)
-                for buf, r in zip(self._lane_store, rows)]
-        pos, lane, val = _merge_lanes([self.search(int(s)) for s in sources])
-        if self._native is None:
-            return self._levels(*bufs, pos, lane, val, 0, 0, self.relax)
-        self._native.run_lanes(bufs[0], pos, lane, val)
-        return bufs[0]
+            self._labels = np.empty(n * k, dtype=np.int64)
+            self._seeds = np.full(n * k, INF, dtype=np.int64)
+            self._scratch = None
+        dist = self._labels[: n * k].reshape(n, k)
+        seed = self._seeds[: n * k].reshape(n, k)
+        try:
+            for lane, (pos, val) in enumerate(marks):
+                seed[pos, lane] = val
+            if relax is None and self._native is not None:
+                self._native.run(dist, seed)
+            else:
+                self._levels(dist, seed, relax or self.relax)
+        finally:
+            for lane, (pos, _) in enumerate(marks):
+                seed[pos, lane] = INF
+        return dist
 
     def relax(
         self, dist: np.ndarray, plan: tuple, values: np.ndarray, cand: np.ndarray
     ) -> None:
-        """Write the best downward-arc label of each head of ``plan``
-        into ``values`` (∞ for heads without arcs); ``cand`` is scratch
-        of at least the plan's arc count.  ``dist`` is 1-D or
-        ``(size, k)``."""
+        """Write the best downward-arc candidate of each head of
+        ``plan`` into ``values`` (∞ for heads without arcs); ``cand`` is
+        scratch of at least the plan's arc count.  ``dist`` is 1-D or
+        ``(size, k)``.  A candidate through an unreached tail exceeds ∞
+        (``INF`` plus an arc length still fits in int64, see
+        ``graph.csr.INF``); the fold with the seeds, at most ∞, clamps
+        it."""
         lo, hi, alo, ahi, starts, nonempty = plan
         values.fill(INF)
         if ahi > alo:
@@ -420,71 +433,44 @@ class LevelSweep:
                 lens if dist.ndim == 1 else lens[:, None],
                 out=cand,
             )
-            seg = np.minimum.reduceat(cand, starts)
-            # dist never exceeds INF and INF + max arc length still fits
-            # in int64 (see graph.csr.INF), so the clamp is exact.
-            np.minimum(seg, INF, out=seg)
-            values[nonempty] = seg
+            values[nonempty] = np.minimum.reduceat(cand, starts)
 
-    def _levels(self, dist, cand, values_buf, pos, lane, val, mk, first, relax):
-        """Relax levels ``first ..`` in order, folding the search entries
-        ``pos[mk:]`` (per ``lane`` when sweeping lanes) into each."""
+    def _levels(self, dist: np.ndarray, seed: np.ndarray,
+                relax: Callable) -> None:
+        """The NumPy sweep: relax each level, then take the least of
+        its candidates and its seeds.  One lane runs 1-D, after the
+        scalar prefix."""
+        self._fallback()
+        if self._scratch is None:
+            self._scratch = tuple(np.empty(r * self._lanes, dtype=np.int64)
+                                  for r in self._scratch_rows)
+        k, first = dist.shape[1], 0
+        if k == 1:
+            dist, seed = dist[:, 0], seed[:, 0]
+            first = self._scalar_prefix(dist, seed)
+        cand, values = (buf[: r * k].reshape(r, *dist.shape[1:])
+                        for buf, r in zip(self._scratch, self._scratch_rows))
         for plan in self._plans[first:]:
             lo, hi = plan[0], plan[1]
-            values = values_buf[: hi - lo]
-            relax(dist, plan, values, cand)
-            mk_hi = int(np.searchsorted(pos, hi))
-            if mk_hi > mk:
-                rows = pos[mk:mk_hi] - lo
-                at = rows if lane is None else (rows, lane[mk:mk_hi])
-                np.minimum.at(values, at, val[mk:mk_hi])
-                mk = mk_hi
-            dist[lo:hi] = values
-        return dist
+            level = values[: hi - lo]
+            relax(dist, plan, level, cand)
+            np.minimum(level, seed[lo:hi], out=dist[lo:hi])
 
-    def _scalar_prefix(
-        self, dist: np.ndarray, pos: np.ndarray, val: np.ndarray
-    ) -> int:
-        """Sweep the leading small levels with plain Python loops.
-
-        Writes the prefix into ``dist`` in one shot and returns the
-        advanced pointer into the search entries.
-        """
+    def _scalar_prefix(self, dist: np.ndarray, seed: np.ndarray) -> int:
+        """Sweep the leading small levels of one lane with plain Python
+        loops, each position starting from its seed; returns the number
+        of levels swept."""
         first = self._prefix_first
         tails = self._prefix_tails
         lens = self._prefix_lens
         P = len(first) - 1
-        inf = int(INF)
-        mk = 0
-        out = [0] * P
+        out = seed[:P].tolist()
         for p in range(P):
-            best = inf
+            best = out[p]
             for i in range(first[p], first[p + 1]):
                 c = out[tails[i]] + lens[i]
                 if c < best:
                     best = c
-            while mk < pos.size and pos[mk] == p:
-                v = int(val[mk])
-                if v < best:
-                    best = v
-                mk += 1
             out[p] = best
         dist[:P] = out
-        return mk
-
-
-def _merge_lanes(
-    marks: list[tuple[np.ndarray, np.ndarray]],
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Merge per-lane ``(pos, val)`` search entries into one stream.
-
-    Returns position-sorted ``(pos, lane, val)``, so each level folds
-    the entries of all lanes with a single fancy-indexed minimum.
-    """
-    pos = np.concatenate([p for p, _ in marks])
-    lane = np.repeat(
-        np.arange(len(marks), dtype=np.int64), [p.size for p, _ in marks]
-    )
-    val = np.concatenate([v for _, v in marks])
-    order = np.argsort(pos, kind="stable")
-    return pos[order], lane[order], val[order]
+        return self._scalar_levels

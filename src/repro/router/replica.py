@@ -348,6 +348,9 @@ class ManagedProcess:
     cmd: list[str] = field(default_factory=list)
     env: dict | None = None
     tail: deque = field(default_factory=lambda: deque(maxlen=50))
+    #: The thread draining ``proc``'s stdout after the serve banner; it
+    #: closes the pipe at EOF.
+    drain: threading.Thread | None = None
 
     @property
     def spawned(self) -> bool:
@@ -418,11 +421,7 @@ class ReplicaManager:
         )
         managed = ManagedProcess(name="", host=host, port=0, proc=proc,
                                  cmd=cmd, env=env)
-        try:
-            bound_host, bound_port = self._await_banner(managed, ready_timeout)
-        except Exception:
-            self._kill(proc)
-            raise
+        bound_host, bound_port = self._await_banner(managed, ready_timeout)
         managed.host, managed.port = bound_host, bound_port
         managed.name = f"{bound_host}:{bound_port}"
         # Pin the resolved port so a restart comes back at the same
@@ -441,34 +440,47 @@ class ReplicaManager:
 
     def _await_banner(self, managed: ManagedProcess,
                       timeout: float) -> tuple[str, int]:
-        """Read serve's stdout until the 'serving … on host:port' line."""
+        """Read serve's stdout until the 'serving … on host:port' line,
+        then hand the pipe to a drain thread.  On failure the process is
+        killed and its pipe closed."""
         deadline = time.monotonic() + timeout
-        stream = managed.proc.stdout
-        while time.monotonic() < deadline:
-            line = stream.readline()
-            if not line:
-                raise RuntimeError(
-                    "replica exited before binding: "
-                    + " | ".join(managed.tail)
-                )
-            managed.tail.append(line.rstrip())
-            match = _BANNER.search(line)
-            if match:
-                self._start_drain_thread(managed)
-                return match.group(1), int(match.group(2))
-        raise TimeoutError(
-            f"replica produced no serve banner within {timeout}s"
-        )
+        proc = managed.proc
+        try:
+            while time.monotonic() < deadline:
+                line = proc.stdout.readline()
+                if not line:
+                    raise RuntimeError(
+                        "replica exited before binding: "
+                        + " | ".join(managed.tail)
+                    )
+                managed.tail.append(line.rstrip())
+                match = _BANNER.search(line)
+                if match:
+                    self._start_drain_thread(managed)
+                    return match.group(1), int(match.group(2))
+            raise TimeoutError(
+                f"replica produced no serve banner within {timeout}s"
+            )
+        except BaseException:
+            self._kill(proc)
+            proc.stdout.close()
+            raise
 
     @staticmethod
     def _start_drain_thread(managed: ManagedProcess) -> None:
-        """Keep consuming stdout so a chatty replica can't block on the pipe."""
-        def drain() -> None:
-            for line in managed.proc.stdout:
-                managed.tail.append(line.rstrip())
+        """Keep consuming stdout so a chatty replica can't block on the
+        pipe, and close it at EOF.  The thread reads the pipe of the
+        process it was started for, which a restart replaces."""
+        stream = managed.proc.stdout
 
-        threading.Thread(target=drain, daemon=True,
-                         name=f"replica-drain-{managed.port}").start()
+        def drain() -> None:
+            with stream:
+                for line in stream:
+                    managed.tail.append(line.rstrip())
+
+        managed.drain = threading.Thread(
+            target=drain, daemon=True, name=f"replica-drain-{managed.port}")
+        managed.drain.start()
 
     def _await_ready(self, managed: ManagedProcess, timeout: float) -> None:
         deadline = time.monotonic() + timeout

@@ -62,6 +62,19 @@ CONTROL_OPS = protocol.CONTROL_OPS
 RETRYABLE_CODES = (protocol.OVERLOADED, protocol.INTERNAL,
                    protocol.UNAVAILABLE)
 
+#: Per-probe response bound.
+PROBE_TIMEOUT_MS = 2_000.0
+#: Router-side wait for a forwarded request that carries no deadline of
+#: its own.
+FORWARD_TIMEOUT_MS = 30_000.0
+#: Extra wait on top of a request's own ``timeout_ms`` — lets the
+#: replica's 504 arrive and pass through instead of racing it.
+FORWARD_GRACE_MS = 1_000.0
+#: Distinct replicas tried per request before giving up.
+MAX_ATTEMPTS = 3
+#: Virtual nodes per replica on the hash ring.
+VNODES = 64
+
 
 @dataclass
 class RouterConfig:
@@ -71,38 +84,18 @@ class RouterConfig:
     port: int = 7170
     #: Health-probe period per replica.
     probe_interval_ms: float = 200.0
-    #: Per-probe response bound.
-    probe_timeout_ms: float = 2_000.0
     #: Consecutive failures (probe or per-request) before ``down``.
     down_after: int = 3
     #: Ramp duration for a replica re-entering rotation.
     warmup_ms: float = 2_000.0
-    #: Router-side wait for a forwarded request that carries no
-    #: deadline of its own.
-    forward_timeout_ms: float = 30_000.0
-    #: Extra wait on top of a request's own ``timeout_ms`` — lets the
-    #: replica's 504 arrive and pass through instead of racing it.
-    forward_grace_ms: float = 1_000.0
-    #: Distinct replicas tried per request before giving up.
-    max_attempts: int = 3
-    #: Virtual nodes per replica on the hash ring.
-    vnodes: int = 64
 
     def __post_init__(self) -> None:
         if self.probe_interval_ms <= 0:
             raise ValueError("probe_interval_ms must be > 0")
-        if self.probe_timeout_ms <= 0:
-            raise ValueError("probe_timeout_ms must be > 0")
         if self.down_after < 1:
             raise ValueError("down_after must be >= 1")
         if self.warmup_ms < 0:
             raise ValueError("warmup_ms must be >= 0")
-        if self.forward_timeout_ms <= 0:
-            raise ValueError("forward_timeout_ms must be > 0")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
-        if self.vnodes < 1:
-            raise ValueError("vnodes must be >= 1")
 
 
 class PhastRouter(FrameServer):
@@ -110,7 +103,7 @@ class PhastRouter(FrameServer):
 
     def __init__(self, config: RouterConfig | None = None) -> None:
         super().__init__(config or RouterConfig(), RouterMetrics())
-        self.ring = HashRing(vnodes=self.config.vnodes)
+        self.ring = HashRing(vnodes=VNODES)
         self.replicas: dict[str, Replica] = {}
 
     # -- topology ----------------------------------------------------------
@@ -192,7 +185,7 @@ class PhastRouter(FrameServer):
             return
         try:
             resp = await rep.link.request(
-                {"op": "health"}, self.config.probe_timeout_ms / 1e3
+                {"op": "health"}, PROBE_TIMEOUT_MS / 1e3
             )
             health = resp if resp.get("ok") else None
         except (ConnectionError, TimeoutError, OSError):
@@ -271,7 +264,7 @@ class PhastRouter(FrameServer):
                 continue
             try:
                 resp = await rep.link.request(
-                    {"op": "info"}, self.config.probe_timeout_ms / 1e3
+                    {"op": "info"}, PROBE_TIMEOUT_MS / 1e3
                 )
             except (ConnectionError, TimeoutError) as exc:
                 last_exc = exc
@@ -312,8 +305,8 @@ class PhastRouter(FrameServer):
     def _forward_timeout(self, msg: dict) -> float:
         timeout_ms = msg.get("timeout_ms")
         if isinstance(timeout_ms, bool) or not isinstance(timeout_ms, (int, float)):
-            return self.config.forward_timeout_ms / 1e3
-        return (float(timeout_ms) + self.config.forward_grace_ms) / 1e3
+            return FORWARD_TIMEOUT_MS / 1e3
+        return (float(timeout_ms) + FORWARD_GRACE_MS) / 1e3
 
     async def _route_work(self, req_id, op: str, msg: dict) -> dict:
         key = self.affinity_key(op, msg)
@@ -336,7 +329,7 @@ class PhastRouter(FrameServer):
             rep = self.replicas.get(name)
             if rep is None or not rep.routable:
                 continue
-            if attempts >= self.config.max_attempts:
+            if attempts >= MAX_ATTEMPTS:
                 break
             if rep.state == WARMING and not rep.admit_warm():
                 # Thin a warming replica's share only when a warmer

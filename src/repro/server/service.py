@@ -103,10 +103,6 @@ class ServerConfig:
     #: Per-chunk wall-clock deadline for wedged-worker reclaim
     #: (``None`` disables; size well above the slowest honest chunk).
     chunk_timeout_ms: float | None = None
-    #: Worker deaths one chunk may cause before quarantine.
-    max_chunk_retries: int = 2
-    #: Lifetime respawn budget (``None`` = pool default, 3x workers).
-    max_respawns: int | None = None
     #: How often the degraded-admission loop samples pool capacity.
     health_poll_ms: float = 250.0
     #: LRU capacity of the RPHAST selection cache (distinct target
@@ -181,8 +177,6 @@ class PhastService(FrameServer):
             heartbeat_interval=self.config.heartbeat_interval_ms / 1e3,
             chunk_timeout=(None if self.config.chunk_timeout_ms is None
                            else self.config.chunk_timeout_ms / 1e3),
-            max_chunk_retries=self.config.max_chunk_retries,
-            max_respawns=self.config.max_respawns,
         )
         # RPHAST selections for the matrix op: LRU of
         # (frozen engine, pool publication handle) keyed by target-set

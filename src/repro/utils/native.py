@@ -11,10 +11,10 @@ Three families of kernels live in one C source, built into one library:
   weight.
 * **Queries.**  PHAST's two phases: the upward search, a binary-heap
   Dijkstra over ``G↑`` (:class:`UpwardSearch`), and the linear sweep
-  over a sweep structure's 32-bit arcs, for one lane or ``k``
-  (:class:`Sweep`).  Their fallbacks are
-  :func:`repro.ch.query.upward_search`'s ``heapq`` loop and
-  :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
+  over a sweep structure's 32-bit arcs, for ``k`` lanes seeded with
+  their search marks (:class:`Sweep`; one lane is ``k = 1``).  Their
+  fallbacks are :func:`repro.ch.query.upward_search`'s ``heapq`` loop
+  and :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
   :func:`thread_searcher` keeps one searcher per thread and graph, so
   repeated searches reuse their scratch.
 * **Formatting.**  An int64 array written as JSON integer text
@@ -132,40 +132,19 @@ void repro_perfect_pass(int64_t *w, int32_t *h, const int32_t *rev,
     }
 }
 
-/* PHAST's linear sweep.  Position p's label is the least of
-   dist[tail] + len over its in-arcs and of its search marks
-   (mark_pos is sorted), clamped at inf; every tail precedes its head,
-   so one pass in position order needs no level loop. */
-void repro_sweep(int64_t *dist, const int32_t *arc_first,
-                 const int32_t *arc_tail, const int32_t *arc_len, int64_t n,
-                 const int64_t *mark_pos, const int64_t *mark_val,
-                 int64_t num_marks, int64_t inf)
+/* PHAST's linear sweep over k lanes.  dist and seed are (n, k)
+   row-major; lane j of position p gets the least of seed[p][j] (its
+   search mark, inf elsewhere) and dist[tail][j] + len over its
+   in-arcs.  Every tail precedes its head, so one pass in position
+   order needs no level loop, and a candidate through an unreached
+   tail (inf + len) never beats a seed, so labels stay at most inf. */
+static inline void sweep(int64_t *dist, const int64_t *seed,
+                         const int32_t *arc_first, const int32_t *arc_tail,
+                         const int32_t *arc_len, int64_t n, int64_t k)
 {
-    int64_t mk = 0;
-    for (int64_t p = 0; p < n; p++) {
-        int64_t best = inf;
-        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
-            int64_t c = dist[arc_tail[i]] + arc_len[i];
-            if (c < best) best = c;
-        }
-        for (; mk < num_marks && mark_pos[mk] == p; mk++)
-            if (mark_val[mk] < best) best = mark_val[mk];
-        dist[p] = best;
-    }
-}
-
-/* The same sweep for k lanes: dist is (n, k) row-major, and each mark
-   names its lane. */
-void repro_sweep_lanes(int64_t *dist, const int32_t *arc_first,
-                       const int32_t *arc_tail, const int32_t *arc_len,
-                       int64_t n, int64_t k, const int64_t *mark_pos,
-                       const int64_t *mark_lane, const int64_t *mark_val,
-                       int64_t num_marks, int64_t inf)
-{
-    int64_t mk = 0;
     for (int64_t p = 0; p < n; p++) {
         int64_t *row = dist + p * k;
-        for (int64_t j = 0; j < k; j++) row[j] = inf;
+        for (int64_t j = 0; j < k; j++) row[j] = seed[p * k + j];
         for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
             const int64_t *tail = dist + (int64_t)arc_tail[i] * k;
             int64_t len = arc_len[i];
@@ -174,10 +153,18 @@ void repro_sweep_lanes(int64_t *dist, const int32_t *arc_first,
                 row[j] = c < row[j] ? c : row[j];
             }
         }
-        for (; mk < num_marks && mark_pos[mk] == p; mk++)
-            if (mark_val[mk] < row[mark_lane[mk]])
-                row[mark_lane[mk]] = mark_val[mk];
     }
+}
+
+/* One lane gets a constant lane count, so its lane loop compiles away. */
+void repro_sweep(int64_t *dist, const int64_t *seed, const int32_t *arc_first,
+                 const int32_t *arc_tail, const int32_t *arc_len, int64_t n,
+                 int64_t k)
+{
+    if (k == 1)
+        sweep(dist, seed, arc_first, arc_tail, arc_len, n, 1);
+    else
+        sweep(dist, seed, arc_first, arc_tail, arc_len, n, k);
 }
 
 /* Binary min-heap of int64 pairs, ordered as Python orders tuples,
@@ -277,10 +264,9 @@ int64_t repro_upward_search(const int64_t *first, const int64_t *head,
     return count;
 }
 
-/* The search space as sweep marks: the swept vertices' positions
-   (pos_of[v] >= 0) and labels, sorted by position (a heapsort through
-   the emptied heap; positions are distinct).  mark_pos doubles as the
-   settled list. */
+/* The search space as sweep marks, in settling order: the swept
+   vertices' positions (pos_of[v] >= 0) and labels.  mark_pos doubles
+   as the settled list. */
 int64_t repro_search_marks(const int64_t *first, const int64_t *head,
                            const int64_t *len, int64_t source,
                            int64_t *stamp, int64_t gen, int64_t *label,
@@ -289,15 +275,13 @@ int64_t repro_search_marks(const int64_t *first, const int64_t *head,
 {
     int64_t count = settle(first, head, len, source, stamp, gen, label,
                            NULL, heap, mark_pos, inf);
-    int64_t size = 0, k = 0;
+    int64_t k = 0;
     for (int64_t i = 0; i < count; i++) {
         int64_t v = mark_pos[i];
-        if (pos_of[v] >= 0) heap_push(heap, &size, pos_of[v], label[v]);
-    }
-    for (; size; k++) {
-        mark_pos[k] = heap[0];
-        mark_val[k] = heap[1];
-        heap_pop(heap, &size);
+        if (pos_of[v] >= 0) {
+            mark_pos[k] = pos_of[v];
+            mark_val[k++] = label[v];
+        }
     }
     return k;
 }
@@ -352,8 +336,7 @@ _N = ctypes.c_int64
 _SIGNATURES = {
     "repro_customize_pass": ([_P] * 6 + [_N, _N], None),
     "repro_perfect_pass": ([_P] * 7 + [_N, _P, _N], None),
-    "repro_sweep": ([_P] * 4 + [_N, _P, _P, _N, _N], None),
-    "repro_sweep_lanes": ([_P] * 4 + [_N, _N, _P, _P, _P, _N, _N], None),
+    "repro_sweep": ([_P] * 5 + [_N, _N], None),
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
     "repro_search_marks": ([_P] * 3 + [_N, _P, _N] + [_P] * 5 + [_N], _N),
     "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
@@ -529,8 +512,7 @@ def _fits(dtype, *arrays: np.ndarray) -> bool:
 class Sweep:
     """The compiled linear sweep over one sweep structure's 32-bit
     ``arc_first``, ``arc_tail_pos`` and ``arc_len`` (see
-    :func:`sweep_kernel`).  Marks are int64 ``(pos[, lane], val)``
-    sorted by position."""
+    :func:`sweep_kernel`)."""
 
     __slots__ = ("_lib", "_arrays", "_arcs", "n")
 
@@ -540,29 +522,15 @@ class Sweep:
         self._arcs = tuple(a.ctypes.data for a in self._arrays)
         self.n = int(arc_first.size) - 1
 
-    def _check(self, dist: np.ndarray) -> None:
-        if dist.shape[0] != self.n:
-            raise ValueError(f"labels for {dist.shape[0]} positions, "
-                             f"sweep has {self.n}")
-
-    def run(self, dist: np.ndarray, pos: np.ndarray, val: np.ndarray) -> None:
-        """One lane into ``dist`` (length ``n``)."""
-        self._check(dist)
-        self._lib.repro_sweep(
-            _ptr(dist, np.int64), *self._arcs, self.n, _ptr(pos, np.int64),
-            _ptr(val, np.int64), pos.size, _INF,
-        )
-
-    def run_lanes(self, dist: np.ndarray, pos: np.ndarray, lane: np.ndarray,
-                  val: np.ndarray) -> None:
-        """``dist.shape[1]`` lanes into ``dist`` (``(n, k)`` row-major);
-        every ``lane`` must be below ``k``."""
-        self._check(dist)
-        self._lib.repro_sweep_lanes(
-            _ptr(dist, np.int64), *self._arcs, self.n, dist.shape[1],
-            _ptr(pos, np.int64), _ptr(lane, np.int64), _ptr(val, np.int64),
-            pos.size, _INF,
-        )
+    def run(self, dist: np.ndarray, seed: np.ndarray) -> None:
+        """``k`` lanes into ``dist``, from the labels ``seed`` holds
+        (both ``(n, k)`` row-major; ∞ where a lane has no mark)."""
+        if (dist.ndim != 2 or dist.shape != seed.shape
+                or dist.shape[0] != self.n):
+            raise ValueError(f"labels {dist.shape} and seeds {seed.shape} "
+                             f"for a sweep of {self.n} positions")
+        self._lib.repro_sweep(_ptr(dist, np.int64), _ptr(seed, np.int64),
+                              *self._arcs, self.n, dist.shape[1])
 
 
 def sweep_kernel(arc_first: np.ndarray, arc_tail_pos: np.ndarray,
@@ -616,8 +584,8 @@ class UpwardSearch:
         return vertices, dists, parents
 
     def marks(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(pos, val)``: the search space projected through ``pos_of``
-        and sorted by position (fresh arrays)."""
+        """``(pos, val)``: the search space projected through ``pos_of``,
+        in settling order (fresh arrays)."""
         self._check(source)
         self._gen += 1
         count = self._lib.repro_search_marks(

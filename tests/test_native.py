@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.ch import build_topology, contract_graph, customize, upward_search
 from repro.core import LevelSweep, PhastEngine, RPhastEngine, SweepStructure
 from repro.graph import StaticGraph, random_graph
+from repro.graph.csr import INF
 from repro.sssp import dijkstra
 from repro.utils import native
 
@@ -82,6 +83,75 @@ def test_native_sweep_and_search_equal_fallback(road_ch, custom_ch, which,
     for key in fast:
         assert fast[key].dtype == slow[key].dtype, key
         assert np.array_equal(fast[key], slow[key]), key
+
+
+BACKENDS = [pytest.param("kernel", marks=needs_native), "fallback"]
+
+
+def _use(backend, monkeypatch) -> None:
+    if backend == "fallback":
+        monkeypatch.setattr(native, "_lib", False)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("which", ["witness", "customized", "restricted"])
+def test_sweeps_leave_every_seed_at_inf(road_ch, custom_ch, which, backend,
+                                        monkeypatch):
+    """Implicit initialization: a sweep puts back ∞ wherever it wrote
+    a search mark, whatever the lane count, before and after the seed
+    buffer grows."""
+    _use(backend, monkeypatch)
+    ch, sweep = _structures(road_ch, custom_ch)[which]
+    kernel = LevelSweep(ch, sweep)
+    assert (kernel._native is not None) == (backend == "kernel")
+    sources = np.random.default_rng(8).choice(ch.n, size=16, replace=False)
+    for s in sources[:3]:
+        kernel.run(kernel.search(s))
+        assert np.all(kernel._seeds == INF), s
+    for k in (1, 2, 5, 16, 1):
+        kernel.run_lanes(sources[:k])
+        assert np.all(kernel._seeds == INF), k
+    assert kernel._seeds.size == 16 * kernel.size
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_a_sweep_that_raises_restores_its_seeds(road, road_ch, backend,
+                                                monkeypatch):
+    """A ``relax`` hook failing mid-sweep leaves no seed behind, so the
+    next sweep still equals Dijkstra."""
+    _use(backend, monkeypatch)
+    engine = PhastEngine(road_ch)
+    kernel = engine.kernel
+    relaxed = []
+
+    def relax(dist, plan, values, cand):
+        if len(relaxed) == 3:
+            raise RuntimeError("relax failed")
+        relaxed.append(plan)
+        kernel.relax(dist, plan, values, cand)
+
+    with pytest.raises(RuntimeError, match="relax failed"):
+        kernel.run(kernel.search(42), relax=relax)
+    assert len(relaxed) == 3
+    assert np.all(kernel._seeds == INF)
+    for s in (42, 7):
+        ref = dijkstra(road, s, with_parents=False).dist
+        assert np.array_equal(engine.tree(s).dist, ref)
+        assert np.array_equal(engine.trees([s, 7])[0], ref)
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("search_cache", [0, 8])
+def test_one_source_in_two_lanes(road_ch, backend, search_cache,
+                                 monkeypatch):
+    """``trees([s, s, t])`` equals three separate trees: the same marks
+    seed two lanes without touching each other."""
+    _use(backend, monkeypatch)
+    engine = PhastEngine(road_ch, search_cache=search_cache)
+    s, t = 42, 7
+    separate = np.stack([engine.tree(v).dist for v in (s, s, t)])
+    assert np.array_equal(engine.trees([s, s, t]), separate)
+    assert np.array_equal(engine.trees([t, s, s]), separate[[2, 0, 1]])
 
 
 @needs_native

@@ -448,6 +448,49 @@ def test_rolling_restart_loses_zero_requests(
         manager.stop_all()
 
 
+def test_restart_closes_the_old_replicas_stdout(artifacts):
+    """A spawned replica's stdout pipe is closed once its process is
+    gone, so stopping and restarting a replica leaks no pipe."""
+    graph_path, ch_path = artifacts
+    manager = ReplicaManager()
+    try:
+        name = manager.spawn(graph_path, ch_path)
+        managed = manager.replicas[name]
+        old_proc, old_drain = managed.proc, managed.drain
+        manager.stop(name)
+        manager.restart(name)
+        assert managed.proc is not old_proc
+        assert managed.drain is not old_drain and managed.drain.is_alive()
+        old_drain.join(timeout=30)
+        assert not old_drain.is_alive()
+        assert old_proc.stdout.closed
+    finally:
+        manager.stop_all()
+    managed.drain.join(timeout=30)
+    assert managed.proc.stdout.closed
+
+
+def test_failed_spawn_closes_its_stdout(artifacts, monkeypatch):
+    """A replica that exits before its banner leaves no open pipe."""
+    import repro.router.replica as replica_mod
+
+    started = []
+    popen = replica_mod.subprocess.Popen
+
+    def record(*args, **kwargs):
+        started.append(popen(*args, **kwargs))
+        return started[-1]
+
+    monkeypatch.setattr(replica_mod.subprocess, "Popen", record)
+    graph_path, ch_path = artifacts
+    manager = ReplicaManager()
+    with pytest.raises(RuntimeError, match="exited before binding"):
+        manager.spawn(graph_path, ch_path, extra_args=("--no-such-flag",))
+    (proc,) = started
+    assert proc.stdout.closed and proc.returncode is not None
+    assert manager.replicas == {}
+
+
 def test_manager_rejects_process_control_of_adopted_replicas():
     manager = ReplicaManager()
     name = manager.adopt("127.0.0.1", 7171)
