@@ -35,7 +35,7 @@ concurrency than it has threads, which on a single-CPU host would
 starve the batcher of company no matter the arrival policy.
 
 A second experiment measures ``C(k)``, the cost of one served batch
-of ``k`` tree requests for k = 1, 2, 4, 8, 16, in process and on the
+of ``k`` tree requests for k = 1, 2, 3, 4, 8, 16, in process and on the
 path a serial-pool server runs on its event loop: the pool's k-lane
 ``trees`` call (each lane's upward search, the sweep and the scatter
 into original IDs — the search cache is off, so every lane pays its
@@ -109,7 +109,7 @@ DEFAULT_SECONDS = 2.0
 BATCH_MAX = 16
 MAX_WAIT_MS = 3.0
 TARGETS_PER_REQUEST = 8
-BATCH_COST_KS = (1, 2, 4, 8, 16)
+BATCH_COST_KS = (1, 2, 3, 4, 8, 16)
 BATCH_COST_REPS = 200
 
 

@@ -11,8 +11,10 @@ Phase 2's scan order is source-independent, so
 :class:`~repro.core.sweep.SweepStructure` pre-sorts everything by level
 (Section IV-A) and the sweep becomes one C loop over the positions,
 lanes innermost (:class:`~repro.core.sweep.LevelSweep`), as in the
-paper's C++ loop; a bit-identical per-level NumPy sweep stands in
-where no compiler is available.  A scalar reference implementation
+paper's C++ loop.  A batch of ``k`` trees is one native call: the
+``k`` searches, the sweep and the write of each row by original ID.
+A bit-identical per-level NumPy sweep stands in where no compiler is
+available.  A scalar reference implementation
 (:func:`phast_scalar`) keeps the fast path honest in tests;
 :func:`phast_original_order` is Table I's "original ordering"
 baseline.
@@ -43,10 +45,11 @@ class PhastEngine:
     """Reusable PHAST query engine over one contraction hierarchy.
 
     Upward search + the full sweep structure + a scatter to original
-    IDs: the sweep itself is the shared :class:`~repro.core.sweep.LevelSweep`
-    kernel over level-contiguous positions (the paper's "reordered by
-    level" layout; the "original ordering" of Table I is the reference
-    :func:`phast_original_order`).
+    IDs, all in the shared :class:`~repro.core.sweep.LevelSweep` kernel
+    over level-contiguous positions (the paper's "reordered by level"
+    layout; the "original ordering" of Table I is the reference
+    :func:`phast_original_order`): one native call per :meth:`tree` or
+    :meth:`trees`.
 
     Parameters
     ----------
@@ -111,11 +114,9 @@ class PhastEngine:
         sw = self.sweep
         if self.explicit_init:
             self.kernel.dist.fill(INF)
-        marks = self.kernel.search(source)
-        self.last_stats["ch_search_size"] = marks[0].size
-        dist = self.kernel.run(marks)
         out = np.empty(sw.n, dtype=np.int64)
-        out[sw.vertex_at] = dist
+        self.kernel.trees([source], out[None])
+        self.last_stats["ch_search_size"] = self.kernel.search_size(0)
         tree = ShortestPathTree(source=source, dist=out, scanned=sw.n)
         if with_parents:
             tree.parent = self._parents_gplus(source, out)
@@ -170,13 +171,12 @@ class PhastEngine:
         vertex ID; ``out`` of that shape receives the result in place
         (pool workers pass slices of a shared output matrix).
         """
-        sources = np.asarray(sources, dtype=np.int64)
-        shape = (sources.size, self.sweep.n)
+        shape = (len(sources), self.sweep.n)
         if out is None:
             out = np.empty(shape, dtype=np.int64)
         elif out.shape != shape:
             raise ValueError(f"out must have shape {shape}")
-        out[:, self.sweep.vertex_at] = self.kernel.run_lanes(sources).T
+        self.kernel.trees(sources, out)
         return out
 
     # -- parents ---------------------------------------------------------------

@@ -172,7 +172,7 @@ class RPhastEngine:
         ``self.targets``; with ``all_selected=True``, labels for every
         selected vertex instead, aligned with ``self.vertex_at``.
         """
-        dist = self.kernel.run(self.kernel.search(int(source)))
+        dist = self.kernel.run_lanes([source])[:, 0]
         if all_selected:
             return dist.copy()
         return dist[self.target_pos]

@@ -20,12 +20,14 @@ the same structure over its selected vertices only.
 :class:`LevelSweep` is the second phase itself, plus the first (the
 upward search).  One sweep serves one lane and ``k``: it starts each
 position from a seed array that holds the lanes' search marks and ∞
-elsewhere.  Its compiled form is one pass over the positions, reading
-``arc_first``, ``arc_tail_pos`` and ``arc_len``; its NumPy fallback
-relaxes one level block of ``level_first`` at a time.  PHAST runs it
-over the full structure, RPHAST over a restricted one, and the
-level-parallel driver (NumPy levels) over position blocks of each
-level — one kernel, in the spirit of GPHAST's single per-level kernel.
+elsewhere.  Its compiled form is one native call per batch: the
+lanes' searches, their seeds, one pass over the positions reading
+``arc_first``, ``arc_tail_pos`` and ``arc_len``, and the scatter of
+each lane to original IDs.  Its NumPy fallback relaxes one level
+block of ``level_first`` at a time.  PHAST runs it over the full
+structure, RPHAST over a restricted one, and the level-parallel driver
+(NumPy levels) over position blocks of each level — one kernel, in
+the spirit of GPHAST's single per-level kernel.
 """
 
 from __future__ import annotations
@@ -210,16 +212,19 @@ class LevelSweep:
     O(search space) per lane rather than O(n).  Marks may come in any
     order, so nothing sorts or merges them; one lane is ``k = 1``.
 
-    Searches and sweeps run the compiled kernels of
-    :mod:`repro.utils.native` when they load and the arc arrays are
-    32-bit: one pass over the positions, no level loop.  Otherwise (no
-    compiler, ``REPRO_NO_NATIVE``, or arcs too wide) the search is the
-    ``heapq`` loop and the sweep relaxes one level at a time with
-    NumPy, bit-identically; its scalar prefix, per-level reduceat plans
-    and scratch are built on first use.  :meth:`run` and
-    :meth:`run_lanes` return views of reusable label buffers, valid
-    until the next sweep, so a kernel is not safe for concurrent sweeps
-    from several threads.
+    Batches run the compiled kernel of :mod:`repro.utils.native`
+    when it loads and the arc arrays are 32-bit: one call searches
+    each lane, seeds it, sweeps (one pass over the positions, no level
+    loop), writes the rows by original ID (:meth:`trees`) and puts the
+    seeds back.  Lanes with marks in hand (:meth:`run`, cache hits)
+    are seeded here and skip the search.  Otherwise (no compiler,
+    ``REPRO_NO_NATIVE``, arcs too wide, or a ``relax=`` hook) each
+    lane goes through :meth:`search`, and the sweep relaxes one level
+    at a time with NumPy, bit-identically; its scalar prefix,
+    per-level reduceat plans and scratch are built on first use.
+    :meth:`run` and :meth:`run_lanes` return views of reusable label
+    buffers, valid until the next sweep, so a kernel is not safe for
+    concurrent sweeps from several threads.
     """
 
     #: Leading levels with fewer incoming arcs than this are swept by
@@ -239,19 +244,20 @@ class LevelSweep:
     ) -> None:
         self.ch = ch
         self.pos_of = sweep.pos_of
+        self.vertex_at = sweep.vertex_at
         self.arc_first = arc_first = sweep.arc_first
         self.arc_tail_pos = arc_tail_pos = sweep.arc_tail_pos
         self.arc_len = arc_len = sweep.arc_len
         self.size = sweep.n
         self.level_first = sweep.level_first
-        self._native = native.sweep_kernel(arc_first, arc_tail_pos, arc_len)
-        self._searcher: native.UpwardSearch | None = None
+        self._native = native.trees_kernel(ch.upward, self.pos_of, arc_first,
+                                           arc_tail_pos, arc_len,
+                                           self.vertex_at)
         # Flat label and seed buffers for the widest k so far; k lanes
         # reshape a prefix, which keeps every lane row contiguous.
-        self._lanes = 1
-        self._labels = np.empty(self.size, dtype=np.int64)
-        self._seeds = np.full(self.size, INF, dtype=np.int64)
-        self._scratch: tuple[np.ndarray, np.ndarray] | None = None
+        self._lanes = 0
+        self._grow(1)
+        self._lane_marks: list = []
         self._plans: list[tuple] | None = None
         self._threshold = self.SCALAR_ARC_THRESHOLD
 
@@ -259,6 +265,15 @@ class LevelSweep:
         self._cache: OrderedDict[int, tuple] = OrderedDict()
         self.search_cache_hits = 0
         self.search_cache_misses = 0
+
+    def _grow(self, k: int) -> None:
+        """Label and seed buffers (and the kernel's marks) for k lanes."""
+        self._lanes = k
+        self._labels = np.empty(self.size * k, dtype=np.int64)
+        self._seeds = np.full(self.size * k, INF, dtype=np.int64)
+        self._scratch = None
+        if self._native is not None:
+            self._native.lanes(self._labels, self._seeds, k)
 
     @property
     def dist(self) -> np.ndarray:
@@ -336,13 +351,7 @@ class LevelSweep:
                 self.search_cache_hits += 1
                 return cached
             self.search_cache_misses += 1
-        if self._searcher is None:
-            self._searcher = native.upward_searcher(
-                self.ch.upward, self.pos_of) or False
-        if self._searcher:
-            pos, val = self._searcher.marks(source)
-        else:
-            pos, val, _ = self.project(upward_search(self.ch, source))
+        pos, val, _ = self.project(upward_search(self.ch, source))
         if cap:
             pos.flags.writeable = False
             val.flags.writeable = False
@@ -375,7 +384,7 @@ class LevelSweep:
         same signature, and selects them — the level-parallel driver
         passes one that splits large levels into blocks.
         """
-        return self._sweep([marks], relax)[:, 0]
+        return self._sweep([-1], [marks], relax=relax)[:, 0]
 
     def run_lanes(self, sources) -> np.ndarray:
         """``k = len(sources)`` trees in one sweep (Section IV-B).
@@ -385,33 +394,122 @@ class LevelSweep:
         a contiguous lane vector, as in the paper's SSE lanes.  Returns
         a view of the kernel's lane buffer.
         """
-        if len(sources) == 0:
+        sources = self._check(sources)
+        if not sources:
             return np.empty((self.size, 0), dtype=np.int64)
-        return self._sweep([self.search(int(s)) for s in sources])
+        return self._sweep(sources)
 
-    def _sweep(self, marks: list[tuple[np.ndarray, np.ndarray]],
-               relax: Callable | None = None) -> np.ndarray:
-        """Sweep one lane per ``(pos, val)`` in ``marks``; returns the
-        ``(size, k)`` labels."""
-        k, n = len(marks), self.size
+    def trees(self, sources, out: np.ndarray) -> None:
+        """:meth:`run_lanes` into the rows of ``out``, ``(k, ch.n)``, by
+        original vertex ID (columns of unswept vertices are left as
+        they are)."""
+        sources = self._check(sources)
+        if out.shape != (len(sources), self.ch.n):
+            raise ValueError(f"out must have shape {(len(sources), self.ch.n)}")
+        if not sources:
+            return
+        if self._native is None or (out.dtype == np.int64
+                                    and out.flags.c_contiguous):
+            self._sweep(sources, out=out)
+        else:
+            rows = np.empty(out.shape, dtype=np.int64)
+            self._sweep(sources, out=rows)
+            out[...] = rows
+
+    def search_size(self, lane: int = 0) -> int:
+        """The number of marks lane ``lane`` of the last sweep started
+        from."""
+        marks = self._lane_marks[lane]
+        if marks is None:
+            _, ends = self._native.marks(lane + 1)
+            return ends[lane] - (ends[lane - 1] if lane else 0)
+        return int(marks[0].size)
+
+    def _check(self, sources) -> list[int]:
+        """``sources`` as ints, each a vertex of the hierarchy: checked
+        before any lane is searched or seeded."""
+        sources = (sources.tolist() if isinstance(sources, np.ndarray)
+                   else [int(s) for s in sources])
+        n = self.ch.n
+        for s in sources:
+            if not 0 <= s < n:
+                raise ValueError("source out of range")
+        return sources
+
+    def _sweep(self, sources: list[int], marks: list | None = None, *,
+               relax: Callable | None = None,
+               out: np.ndarray | None = None) -> np.ndarray:
+        """Sweep one lane per source: lane ``j`` searches from
+        ``sources[j]``, or starts from ``marks[j] = (pos, val)`` where
+        the source is -1.  ``out`` receives the lanes as rows by
+        original ID.  Returns the ``(size, k)`` labels.
+
+        The compiled kernel searches, seeds, sweeps, scatters and
+        resets in one call; it gets the cache's hits as seeded lanes
+        and the cache takes its misses after.  Otherwise each lane is
+        searched through :meth:`search` and the NumPy levels sweep.
+        """
+        k, n = len(sources), self.size
         if k > self._lanes:
-            self._lanes = k
-            self._labels = np.empty(n * k, dtype=np.int64)
-            self._seeds = np.full(n * k, INF, dtype=np.int64)
-            self._scratch = None
+            self._grow(k)
         dist = self._labels[: n * k].reshape(n, k)
         seed = self._seeds[: n * k].reshape(n, k)
+        kernel = self._native if relax is None else None
+        if marks is None:
+            if kernel is None:
+                marks = [self.search(s) for s in sources]
+            elif self._cache_cap:
+                marks = list(map(self._cache.get, sources))
+            else:
+                marks = [None] * k
+        self._lane_marks = marks
+        seeded = [(j, m) for j, m in enumerate(marks) if m is not None]
+        lanes = sources
+        if seeded and kernel is not None:
+            lanes = [-1 if m is not None else s
+                     for s, m in zip(sources, marks)]
         try:
-            for lane, (pos, val) in enumerate(marks):
+            for lane, (pos, val) in seeded:
                 seed[pos, lane] = val
-            if relax is None and self._native is not None:
-                self._native.run(dist, seed)
+            if kernel is not None:
+                kernel.run(lanes, out)
             else:
                 self._levels(dist, seed, relax or self.relax)
         finally:
-            for lane, (pos, _) in enumerate(marks):
+            for lane, (pos, _) in seeded:
                 seed[pos, lane] = INF
+        if kernel is None:
+            if out is not None:
+                out[:, self.vertex_at] = dist.T
+        elif self._cache_cap:
+            self._account(sources, marks)
         return dist
+
+    def _account(self, sources: list[int], marks: list) -> None:
+        """The cache's side of a compiled sweep, lane by lane as
+        :meth:`search` would have done it: a source in the cache is a
+        hit, any other a miss whose marks (the cached ones it was
+        seeded from, or those the kernel found) become the newest
+        entry."""
+        cache, cap = self._cache, self._cache_cap
+        found, ends = self._native.marks(len(sources))
+        lo = 0
+        for s, m, hi in zip(sources, marks, ends):
+            if s < 0:
+                pass
+            elif s in cache:
+                cache.move_to_end(s)
+                self.search_cache_hits += 1
+            else:
+                self.search_cache_misses += 1
+                if m is None:
+                    block = found[:, lo:hi].copy()
+                    block.flags.writeable = False
+                    m = (block[0], block[1])
+                cache[s] = m
+                if len(cache) > cap:
+                    cache.popitem(last=False)
+            lo = hi
 
     def relax(
         self, dist: np.ndarray, plan: tuple, values: np.ndarray, cand: np.ndarray

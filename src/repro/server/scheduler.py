@@ -7,15 +7,17 @@ one served batch of ``k`` tree requests: each lane's upward search,
 the sweep, and each request's finalize and frame encoding.
 ``benchmarks/bench_server.py`` measures it in process
 (``BENCH_server.json``, ``batch_cost``; 4096 vertices, 2 vCPUs) as
-``C(k) = 0.29 + 0.12 k`` ms, and three more runs on the same host gave
-``alpha`` of 0.05–0.20 ms and ``beta`` of 0.11–0.14 ms.  So ``alpha``
-is worth a few requests at most: per request, a batch costs
-0.15–0.27 ms at k = 1 and 0.12–0.15 ms at k = 16.  Search and sweep
-fall from 0.09–0.17 ms per lane at k = 1 to 0.055–0.07 ms at k = 16;
-the finalize and encode, 0.06–0.10 ms per request, do not batch at
-all.  Batching is kept because under load it costs nothing — requests
-that arrive during one batch form the next — and it still saves up to
-half of a request's cost.  The policy:
+``C(k) = 0.05 + 0.12 k`` ms, and two more runs on the same host gave
+``alpha`` of 0.05–0.09 ms and ``beta`` of 0.12–0.13 ms: the searches,
+the sweep and the scatter of all k lanes are one native call.  So
+``alpha`` is worth less than one request: per request, a batch costs
+0.13–0.21 ms at k = 1 and 0.12–0.13 ms at k = 16.  Search and sweep
+fall from 0.06–0.11 ms per lane at k = 1 to 0.04 ms at k = 16, and a
+k-lane batch costs less than k lone ones at every k; the finalize and
+encode, 0.07–0.10 ms per request, do not batch at all and are most of
+a full batch's cost.  Batching is kept because under load it costs
+nothing — requests that arrive during one batch form the next — and
+it still saves 10–40% of a request's cost.  The policy:
 
 * the first queued request opens a *batch window*;
 * everything queued behind it joins immediately — dispatches are

@@ -11,16 +11,21 @@ Three families of kernels live in one C source, built into one library:
   weight.
 * **Queries.**  PHAST's two phases: the upward search, a binary-heap
   Dijkstra over ``G↑`` (:class:`UpwardSearch`), and the linear sweep
-  over a sweep structure's 32-bit arcs, for ``k`` lanes seeded with
-  their search marks (:class:`Sweep`; one lane is ``k = 1``).  Their
-  fallbacks are :func:`repro.ch.query.upward_search`'s ``heapq`` loop
-  and :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
+  over a sweep structure's 32-bit arcs.  A batch of ``k`` trees is one
+  call (:class:`Trees`; one tree is ``k = 1``): each lane's search
+  writes its marks into its seed column, one sweep serves all lanes,
+  each lane is written to its row by original vertex ID, and the seeds
+  go back to ∞.  Lanes the caller seeds (cached searches, a given
+  search space) skip the search.  The fallbacks are
+  :func:`repro.ch.query.upward_search`'s ``heapq`` loop and
+  :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
   :func:`thread_searcher` keeps one searcher per thread and graph, so
   repeated searches reuse their scratch.
 * **Formatting.**  An int64 array written as JSON integer text
   (:func:`format_ints`), the bytes ``json.dumps`` gives for its
   ``tolist()``, so the server encodes a distance row without making a
-  Python int per entry.  The fallback is that ``tolist()``
+  Python int per entry, into one reused buffer per thread.  The
+  fallback is that ``tolist()``
   (:func:`repro.server.protocol.int_array`).
 
 The library is built with the system C compiler and loaded through
@@ -73,8 +78,8 @@ __all__ = [
     "format_ints",
     "perfect_pass",
     "native_available",
-    "Sweep",
-    "sweep_kernel",
+    "Trees",
+    "trees_kernel",
     "UpwardSearch",
     "upward_searcher",
     "thread_searcher",
@@ -130,41 +135,6 @@ void repro_perfect_pass(int64_t *w, int32_t *h, const int32_t *rev,
             if (relax(w, h, a, x, rev[b], inf)) keep[a] = 0;
         }
     }
-}
-
-/* PHAST's linear sweep over k lanes.  dist and seed are (n, k)
-   row-major; lane j of position p gets the least of seed[p][j] (its
-   search mark, inf elsewhere) and dist[tail][j] + len over its
-   in-arcs.  Every tail precedes its head, so one pass in position
-   order needs no level loop, and a candidate through an unreached
-   tail (inf + len) never beats a seed, so labels stay at most inf. */
-static inline void sweep(int64_t *dist, const int64_t *seed,
-                         const int32_t *arc_first, const int32_t *arc_tail,
-                         const int32_t *arc_len, int64_t n, int64_t k)
-{
-    for (int64_t p = 0; p < n; p++) {
-        int64_t *row = dist + p * k;
-        for (int64_t j = 0; j < k; j++) row[j] = seed[p * k + j];
-        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
-            const int64_t *tail = dist + (int64_t)arc_tail[i] * k;
-            int64_t len = arc_len[i];
-            for (int64_t j = 0; j < k; j++) {
-                int64_t c = tail[j] + len;
-                row[j] = c < row[j] ? c : row[j];
-            }
-        }
-    }
-}
-
-/* One lane gets a constant lane count, so its lane loop compiles away. */
-void repro_sweep(int64_t *dist, const int64_t *seed, const int32_t *arc_first,
-                 const int32_t *arc_tail, const int32_t *arc_len, int64_t n,
-                 int64_t k)
-{
-    if (k == 1)
-        sweep(dist, seed, arc_first, arc_tail, arc_len, n, 1);
-    else
-        sweep(dist, seed, arc_first, arc_tail, arc_len, n, k);
 }
 
 /* Binary min-heap of int64 pairs, ordered as Python orders tuples,
@@ -264,26 +234,90 @@ int64_t repro_upward_search(const int64_t *first, const int64_t *head,
     return count;
 }
 
-/* The search space as sweep marks, in settling order: the swept
-   vertices' positions (pos_of[v] >= 0) and labels.  mark_pos doubles
-   as the settled list. */
-int64_t repro_search_marks(const int64_t *first, const int64_t *head,
-                           const int64_t *len, int64_t source,
-                           int64_t *stamp, int64_t gen, int64_t *label,
-                           int64_t *heap, const int64_t *pos_of,
-                           int64_t *mark_pos, int64_t *mark_val, int64_t inf)
+/* PHAST's linear sweep over k lanes.  dist and seed are (n, k)
+   row-major; lane j of position p gets the least of seed[p][j] (its
+   search mark, inf elsewhere) and dist[tail][j] + len over its
+   in-arcs.  Every tail precedes its head, so one pass in position
+   order needs no level loop, and a candidate through an unreached
+   tail (inf + len) never beats a seed, so labels stay at most inf.
+   Unless out is NULL, lane j of position p is also written to
+   out[j][vertex_at[p]], rows of out_n. */
+static inline void sweep(int64_t *dist, const int64_t *seed,
+                         const int32_t *arc_first, const int32_t *arc_tail,
+                         const int32_t *arc_len, int64_t n, int64_t k,
+                         const int64_t *vertex_at, int64_t *out,
+                         int64_t out_n)
 {
-    int64_t count = settle(first, head, len, source, stamp, gen, label,
-                           NULL, heap, mark_pos, inf);
-    int64_t k = 0;
-    for (int64_t i = 0; i < count; i++) {
-        int64_t v = mark_pos[i];
-        if (pos_of[v] >= 0) {
-            mark_pos[k] = pos_of[v];
-            mark_val[k++] = label[v];
+    for (int64_t p = 0; p < n; p++) {
+        int64_t *row = dist + p * k;
+        for (int64_t j = 0; j < k; j++) row[j] = seed[p * k + j];
+        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
+            const int64_t *tail = dist + (int64_t)arc_tail[i] * k;
+            int64_t len = arc_len[i];
+            for (int64_t j = 0; j < k; j++) {
+                int64_t c = tail[j] + len;
+                row[j] = c < row[j] ? c : row[j];
+            }
+        }
+        if (out) {
+            int64_t *col = out + vertex_at[p];
+            for (int64_t j = 0; j < k; j++) col[j * out_n] = row[j];
         }
     }
-    return k;
+}
+
+/* One query engine's arrays: the upward graph's CSR and its search
+   scratch (see settle; settled has room for every vertex), the swept
+   set (pos_of, vertex_at), the sweep's 32-bit arcs over n positions,
+   and the lane buffers of the widest k so far. */
+struct trees {
+    const int64_t *first, *head, *len;
+    int64_t *stamp, *label, *heap, *settled;
+    const int64_t *pos_of, *vertex_at;
+    const int32_t *arc_first, *arc_tail, *arc_len;
+    int64_t n;
+    const int64_t *source;
+    int64_t *dist, *seed, *mark_pos, *mark_val, *mark_end;
+};
+
+/* PHAST's k trees in one call (Sections III and IV-B).  Lane j with
+   source[j] >= 0 runs its upward search under generation gen + j and
+   writes its marks (the swept vertices' positions, pos_of[v] >= 0,
+   and labels), in settling order, to mark_pos/mark_val from the
+   previous lane's mark_end up to its own, and into its seed column.
+   A lane with source -1 starts from what the caller put in its seed
+   column.  Then the sweep, which also writes row j of out by original
+   ID unless out is NULL, and last inf back at every seed written
+   here.  The lane loop gets a constant count for small k. */
+void repro_trees(const struct trees *t, int64_t k, int64_t gen,
+                 int64_t *out, int64_t out_n, int64_t inf)
+{
+    int64_t *seed = t->seed, marks = 0;
+    for (int64_t j = 0; j < k; j++) {
+        int64_t count = t->source[j] < 0 ? 0 : settle(
+            t->first, t->head, t->len, t->source[j], t->stamp, gen + j,
+            t->label, NULL, t->heap, t->settled, inf);
+        for (int64_t i = 0; i < count; i++) {
+            int64_t v = t->settled[i], p = t->pos_of[v];
+            if (p >= 0) {
+                t->mark_pos[marks] = p;
+                t->mark_val[marks++] = seed[p * k + j] = t->label[v];
+            }
+        }
+        t->mark_end[j] = marks;
+    }
+#define SWEEP(lanes) sweep(t->dist, seed, t->arc_first, t->arc_tail, \
+                           t->arc_len, t->n, lanes, t->vertex_at, out, out_n)
+    switch (k) {
+    case 1: SWEEP(1); break;
+    case 2: SWEEP(2); break;
+    case 3: SWEEP(3); break;
+    case 4: SWEEP(4); break;
+    default: SWEEP(k);
+    }
+#undef SWEEP
+    for (int64_t j = 0, i = 0; j < k; j++)
+        for (; i < t->mark_end[j]; i++) seed[t->mark_pos[i] * k + j] = inf;
 }
 
 /* v in decimal (at most 20 characters, for INT64_MIN). */
@@ -336,9 +370,8 @@ _N = ctypes.c_int64
 _SIGNATURES = {
     "repro_customize_pass": ([_P] * 6 + [_N, _N], None),
     "repro_perfect_pass": ([_P] * 7 + [_N, _P, _N], None),
-    "repro_sweep": ([_P] * 5 + [_N, _N], None),
+    "repro_trees": ([_P, _N, _N, _P, _N, _N], None),
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
-    "repro_search_marks": ([_P] * 3 + [_N, _P, _N] + [_P] * 5 + [_N], _N),
     "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
 }
 
@@ -509,55 +542,18 @@ def _fits(dtype, *arrays: np.ndarray) -> bool:
 # Queries
 
 
-class Sweep:
-    """The compiled linear sweep over one sweep structure's 32-bit
-    ``arc_first``, ``arc_tail_pos`` and ``arc_len`` (see
-    :func:`sweep_kernel`)."""
-
-    __slots__ = ("_lib", "_arrays", "_arcs", "n")
-
-    def __init__(self, lib, arc_first, arc_tail_pos, arc_len) -> None:
-        self._lib = lib
-        self._arrays = (arc_first, arc_tail_pos, arc_len)  # kept alive
-        self._arcs = tuple(a.ctypes.data for a in self._arrays)
-        self.n = int(arc_first.size) - 1
-
-    def run(self, dist: np.ndarray, seed: np.ndarray) -> None:
-        """``k`` lanes into ``dist``, from the labels ``seed`` holds
-        (both ``(n, k)`` row-major; ∞ where a lane has no mark)."""
-        if (dist.ndim != 2 or dist.shape != seed.shape
-                or dist.shape[0] != self.n):
-            raise ValueError(f"labels {dist.shape} and seeds {seed.shape} "
-                             f"for a sweep of {self.n} positions")
-        self._lib.repro_sweep(_ptr(dist, np.int64), _ptr(seed, np.int64),
-                              *self._arcs, self.n, dist.shape[1])
-
-
-def sweep_kernel(arc_first: np.ndarray, arc_tail_pos: np.ndarray,
-                 arc_len: np.ndarray) -> Sweep | None:
-    """The compiled sweep over these arrays, or ``None`` when the
-    kernels do not load or the arrays are not C-contiguous int32."""
-    lib = _load()
-    if not lib or not _fits(np.int32, arc_first, arc_tail_pos, arc_len):
-        return None
-    return Sweep(lib, arc_first, arc_tail_pos, arc_len)
-
-
 class UpwardSearch:
     """Compiled upward searches over one int64 CSR graph (``G↑``).
 
     Scratch is allocated once and stamped per search, so a search costs
     its own space, not O(n).  Not safe for concurrent searches.
-    ``pos_of`` (for :meth:`marks`) maps vertices to sweep positions,
-    ``-1`` outside the swept set.
     """
 
-    def __init__(self, lib, graph, pos_of: np.ndarray | None = None) -> None:
+    def __init__(self, lib, graph) -> None:
         n = graph.n
         self._lib = lib
-        self._arrays = (graph.first, graph.arc_head, graph.arc_len, pos_of)
-        self._csr = tuple(a.ctypes.data for a in self._arrays[:3])
-        self._pos_of = None if pos_of is None else _ptr(pos_of, np.int64)
+        self._arrays = (graph.first, graph.arc_head, graph.arc_len)
+        self._csr = tuple(a.ctypes.data for a in self._arrays)
         self._gen = 0
         # One block: stamps (zeroed), labels and parents by vertex, the
         # three output rows, then the heap.
@@ -568,13 +564,10 @@ class UpwardSearch:
         self._stamp, self._label, self._parent, *self._rows, self._heap = (
             base + 8 * n * i for i in range(7))
 
-    def _check(self, source: int) -> None:
-        if not 0 <= source < self._out.shape[1]:
-            raise ValueError("source out of range")
-
     def space(self, source: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(vertices, dists, parents)`` in settling order (fresh arrays)."""
-        self._check(source)
+        if not 0 <= source < self._out.shape[1]:
+            raise ValueError("source out of range")
         self._gen += 1
         count = self._lib.repro_upward_search(
             *self._csr, source, self._stamp, self._gen, self._label,
@@ -583,35 +576,130 @@ class UpwardSearch:
         vertices, dists, parents = self._out[:, :count].copy()
         return vertices, dists, parents
 
-    def marks(self, source: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(pos, val)``: the search space projected through ``pos_of``,
-        in settling order (fresh arrays)."""
-        self._check(source)
-        self._gen += 1
-        count = self._lib.repro_search_marks(
-            *self._csr, source, self._stamp, self._gen, self._label,
-            self._heap, self._pos_of, *self._rows[:2], _INF,
-        )
-        pos, val = self._out[:2, :count].copy()
-        return pos, val
 
-
-def upward_searcher(graph, pos_of: np.ndarray | None = None
-                    ) -> UpwardSearch | None:
+def upward_searcher(graph) -> UpwardSearch | None:
     """A compiled searcher over ``graph``, or ``None`` when the kernels
     do not load or its CSR arrays are not C-contiguous int64."""
     lib = _load()
     if not lib or not _fits(np.int64, graph.first, graph.arc_head,
                             graph.arc_len):
         return None
-    return UpwardSearch(lib, graph, pos_of)
+    return UpwardSearch(lib, graph)
+
+
+class _TreesArgs(ctypes.Structure):
+    """C's ``struct trees``."""
+
+    _fields_ = [(name, _P) for name in (
+        "first", "head", "len", "stamp", "label", "heap", "settled",
+        "pos_of", "vertex_at", "arc_first", "arc_tail", "arc_len")] + [
+        ("n", _N)] + [(name, _P) for name in (
+            "source", "dist", "seed", "mark_pos", "mark_val", "mark_end")]
+
+
+class Trees:
+    """Compiled PHAST queries: ``k`` upward searches, the seeded sweep
+    and the scatter to original IDs in one call (see
+    :func:`trees_kernel`).
+
+    Searches ``G↑`` on its own stamped scratch, maps vertices to sweep
+    positions through ``pos_of`` (``-1`` outside the swept set), and
+    sweeps one structure's 32-bit ``arc_first``, ``arc_tail_pos`` and
+    ``arc_len``; ``vertex_at`` gives each position's original ID.  The
+    caller owns the ``(n, k)`` label and seed buffers (:meth:`lanes`);
+    the marks buffer is sized here, for the same widest ``k``.
+    """
+
+    def __init__(self, lib, graph, pos_of, arc_first, arc_tail_pos,
+                 arc_len, vertex_at) -> None:
+        self._lib = lib
+        self._searcher = searcher = UpwardSearch(lib, graph)
+        self._arrays = (pos_of, vertex_at, arc_first, arc_tail_pos, arc_len)
+        self.n = int(arc_first.size) - 1
+        self._width = int(vertex_at.max(initial=-1)) + 1  # of an out row
+        self._args = _TreesArgs(
+            *searcher._csr, searcher._stamp, searcher._label,
+            searcher._heap, searcher._rows[0],
+            *(a.ctypes.data for a in self._arrays), self.n)
+        self._at = ctypes.addressof(self._args)
+        self._lanes = 0
+
+    def lanes(self, dist: np.ndarray, seed: np.ndarray, k: int) -> None:
+        """Bind flat label and seed buffers of ``n * k`` entries (seeds
+        ∞ at rest) for up to ``k`` lanes, and size the marks to match."""
+        if dist.size != self.n * k or seed.size != dist.size:
+            raise ValueError(f"lane buffers {dist.size} and {seed.size} "
+                             f"for {self.n} positions")
+        self._buffers = (dist, seed)  # kept alive
+        self._source = (ctypes.c_int64 * k)()
+        self._marks = np.empty((2, self.n * k), dtype=np.int64)
+        self._ends = np.empty(k, dtype=np.int64)
+        args = self._args
+        args.dist, args.seed = _ptr(dist, np.int64), _ptr(seed, np.int64)
+        args.source = ctypes.addressof(self._source)
+        args.mark_pos, args.mark_val = (self._marks.ctypes.data,
+                                        self._marks[1].ctypes.data)
+        args.mark_end = self._ends.ctypes.data
+        self._lanes = k
+
+    def run(self, sources, out: np.ndarray | None = None) -> None:
+        """``k = len(sources)`` lanes into the bound ``(n, k)`` labels.
+
+        Lane ``j`` searches from ``sources[j]``, which must be a vertex
+        (not checked here), or, at ``-1``, starts from what the caller
+        wrote into seed column ``j``.  ``out``, a C-contiguous int64
+        ``(k, N)`` array with ``N`` above every original ID, also gets
+        lane ``j`` in row ``j`` by original ID.  Every seed a search
+        wrote is ∞ again on return.
+        """
+        k = len(sources)
+        if not 0 < k <= self._lanes:
+            raise ValueError(f"{k} lanes for buffers of {self._lanes}")
+        self._source[:k] = sources
+        if out is None:
+            at, width = None, 0
+        else:
+            if out.ndim != 2 or out.shape[0] != k or out.shape[1] < self._width:
+                raise ValueError(f"out {out.shape} for {k} lanes of "
+                                 f"{self._width} vertices")
+            at, width = _ptr(out, np.int64), out.shape[1]
+        searcher = self._searcher
+        gen = searcher._gen + 1
+        searcher._gen += k  # one generation per lane
+        self._lib.repro_trees(self._at, k, gen, at, width, _INF)
+
+    def marks(self, k: int) -> tuple[np.ndarray, list[int]]:
+        """The marks the searches of the last :meth:`run`, of ``k``
+        lanes, found: a ``(2, total)`` view of their positions and
+        labels, and the end of each lane's run in it (lane ``j``'s run
+        starts where lane ``j - 1``'s ends; a seeded lane's is empty).
+        Each run is in settling order; the view is valid until the next
+        run."""
+        ends = self._ends[:k].tolist()
+        return self._marks[:, : ends[-1]], ends
+
+
+def trees_kernel(graph, pos_of: np.ndarray, arc_first: np.ndarray,
+                 arc_tail_pos: np.ndarray, arc_len: np.ndarray,
+                 vertex_at: np.ndarray) -> Trees | None:
+    """The compiled queries over ``graph`` (``G↑``) and these sweep
+    arrays, or ``None`` when the kernels do not load, the graph's CSR
+    arrays, ``pos_of`` or ``vertex_at`` are not C-contiguous int64, or
+    the arcs not C-contiguous int32."""
+    lib = _load()
+    if (not lib or not _fits(np.int64, graph.first, graph.arc_head,
+                             graph.arc_len, pos_of, vertex_at)
+            or not _fits(np.int32, arc_first, arc_tail_pos, arc_len)):
+        return None
+    return Trees(lib, graph, pos_of, arc_first, arc_tail_pos, arc_len,
+                 vertex_at)
 
 
 _threads = threading.local()
 
 
 def thread_searcher(graph) -> UpwardSearch | None:
-    """This thread's searcher over ``graph`` (no ``pos_of``), or
+    """This thread's searcher over ``graph``, or
     ``None`` as for :func:`upward_searcher`.
 
     Built on a thread's first search of ``graph`` and reused after, so
@@ -651,12 +739,24 @@ def format_ints(arr: np.ndarray) -> bytes | None:
     # 20 characters per int64 ("-9223372036854775808") plus its
     # separator, brackets and a comma per row, the outer brackets.
     size = 21 * vals.size + 3 * rows * nested + 2
-    out = ctypes.create_string_buffer(size)
+    text, at = _text_buffer(size)
     length = lib.repro_format_ints(_ptr(vals, np.int64), rows,
-                                   vals.shape[-1], nested, out)
+                                   vals.shape[-1], nested, at)
     if not 0 < length <= size:
         raise RuntimeError(f"formatter wrote {length} bytes into {size}")
-    return ctypes.string_at(out, length)
+    return bytes(text[:length])
+
+
+def _text_buffer(size: int) -> tuple[memoryview, int]:
+    """This thread's formatter output buffer, of at least ``size``
+    bytes: a view of it and its address.  Grown to the next power of
+    two, so a server's rows settle on one buffer per thread."""
+    buf = getattr(_threads, "text", None)
+    if buf is None or len(buf[0]) < size:
+        raw = bytearray(1 << max(size - 1, 1).bit_length())
+        at = ctypes.addressof((ctypes.c_char * len(raw)).from_buffer(raw))
+        buf = _threads.text = (memoryview(raw), at)
+    return buf
 
 
 # ---------------------------------------------------------------------------

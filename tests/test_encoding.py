@@ -9,8 +9,10 @@ the kernel and on the ``tolist`` fallback, and over the wire.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
+import threading
 
 import numpy as np
 import pytest
@@ -96,6 +98,29 @@ def test_int_array_edge_shapes(backend, shape):
         _use(mp, backend)
         got = protocol.encode_message({"a": protocol.int_array(arr)})
     assert got == protocol.encode_message({"a": arr.tolist()})
+
+
+@needs_native
+def test_format_ints_text_outlives_its_buffer():
+    """The formatter writes into one reused buffer per thread, grown on
+    demand: the bytes of each call stand alone, whatever the same or
+    another thread formats after."""
+    rows = [np.arange(n, dtype=np.int64) * -7919 for n in (3, 5000, 1, 600)]
+    want = [json.dumps(r.tolist(), separators=(",", ":")).encode()
+            for r in rows]
+    got = [native.format_ints(r) for r in rows]
+    results = {}
+
+    def work(i):
+        results[i] = [native.format_ints(r) for r in rows[::-1] * 20]
+
+    workers = [threading.Thread(target=work, args=(i,)) for i in range(3)]
+    for w in workers:
+        w.start()
+    for w in workers:
+        w.join(timeout=60)
+    assert got == want
+    assert all(results[i] == want[::-1] * 20 for i in range(3))
 
 
 @needs_native

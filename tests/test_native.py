@@ -1,9 +1,10 @@
 """The compiled query kernels against their fallbacks, and the per-host
 library cache.
 
-The upward search and the sweep each have a C kernel
-(:mod:`repro.utils.native`) and a fallback (``heapq`` search, per-level
-NumPy sweep).  Both must return the same arrays, bit for bit, on every
+The upward search and the batch of trees (searches, seeds, sweep and
+scatter in one call) each have a C kernel (:mod:`repro.utils.native`)
+and a fallback (``heapq`` search, per-level NumPy sweep, NumPy
+scatter).  Both must return the same arrays, bit for bit, on every
 kind of sweep structure a server runs: the witness CH, a customized
 and pruned hierarchy, and RPHAST's restricted selection.
 """
@@ -55,16 +56,23 @@ def _structures(road_ch, custom_ch):
 
 
 def _kernel_outputs(ch, sweep, sources) -> dict:
-    """Every array :class:`LevelSweep` hands out for these sources."""
+    """Every array :class:`LevelSweep` hands out for these sources, and
+    a full structure's :meth:`PhastEngine.trees` rows (``out=``)."""
     kernel = LevelSweep(ch, sweep)
     out = {}
     for s in sources:
         pos, val = kernel.search(s)
         out[f"search_pos[{s}]"], out[f"search_val[{s}]"] = pos, val
         out[f"run[{s}]"] = kernel.run((pos, val)).copy()
-    out["native"] = (kernel._native is not None, bool(kernel._searcher))
+    out["native"] = kernel._native is not None
     for k in (1, 2, 5, 16):
         out[f"run_lanes[{k}]"] = kernel.run_lanes(sources[:k]).copy()
+    if sweep.n == ch.n:
+        engine = PhastEngine(ch, sweep=sweep)
+        for k in (1, 2, 5, 16):
+            rows = np.full((k, ch.n), -7, dtype=np.int64)
+            assert engine.trees(sources[:k], out=rows) is rows
+            out[f"trees[{k}]"] = rows
     return out
 
 
@@ -77,8 +85,8 @@ def test_native_sweep_and_search_equal_fallback(road_ch, custom_ch, which,
     fast = _kernel_outputs(ch, sweep, sources)
     monkeypatch.setattr(native, "_lib", False)
     slow = _kernel_outputs(ch, sweep, sources)
-    assert fast.pop("native") == (True, True)
-    assert slow.pop("native") == (False, False)
+    assert fast.pop("native") is True
+    assert slow.pop("native") is False
     assert fast.keys() == slow.keys()
     for key in fast:
         assert fast[key].dtype == slow[key].dtype, key
@@ -152,6 +160,79 @@ def test_one_source_in_two_lanes(road_ch, backend, search_cache,
     separate = np.stack([engine.tree(v).dist for v in (s, s, t)])
     assert np.array_equal(engine.trees([s, s, t]), separate)
     assert np.array_equal(engine.trees([t, s, s]), separate[[2, 0, 1]])
+
+
+def _dijkstra_rows(graph, sources) -> np.ndarray:
+    return np.stack([dijkstra(graph, int(s), with_parents=False).dist
+                     for s in sources])
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_batches_of_every_width_equal_dijkstra(road, road_ch, backend,
+                                               monkeypatch):
+    """Each lane's search takes its own stamp generation, also when
+    wide and narrow batches alternate on one engine: a generation
+    reused across calls leaves stale stamps that read as reached.
+    k = 17 is wider than every constant lane count and than a served
+    batch."""
+    _use(backend, monkeypatch)
+    engine = PhastEngine(road_ch)
+    rng = np.random.default_rng(29)
+    for k in (16, 1, 5, 1, 17, 2):
+        sources = rng.choice(road.n, size=k, replace=False)
+        assert np.array_equal(engine.trees(sources),
+                              _dijkstra_rows(road, sources)), k
+        assert np.all(engine.kernel._seeds == INF), k
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cached_batches_mix_hits_misses_and_repeats(road, road_ch, backend,
+                                                    monkeypatch):
+    """With ``search_cache=8`` and sources from a small set, batches mix
+    hits, misses, repeats and evictions: rows equal Dijkstra, every
+    seed is ∞ after, and the cache counts what the fallback counts."""
+    pool = [3, 41, 77, 120, 200, 256, 311, 350, 399, 5, 64]
+    rng = np.random.default_rng(31)
+    batches = [rng.choice(pool, size=int(rng.integers(1, 9))).tolist()
+               for _ in range(40)]
+    ref = {s: _dijkstra_rows(road, [s])[0] for s in pool}
+    counts = {}
+    with pytest.MonkeyPatch.context() as mp:
+        for name in ("kernel", "fallback"):
+            if name == "kernel" and backend == "fallback":
+                continue
+            _use(name, mp)
+            engine = PhastEngine(road_ch, search_cache=8)
+            for batch in batches:
+                rows = engine.trees(batch)
+                for s, row in zip(batch, rows):
+                    assert np.array_equal(row, ref[s]), (name, batch)
+                assert np.all(engine.kernel._seeds == INF), batch
+            counts[name] = (engine.search_cache_hits,
+                            engine.search_cache_misses,
+                            list(engine.kernel._cache))
+    hits, misses, _ = counts["fallback"]
+    assert hits > 0 and misses > len(pool)  # evictions brought misses back
+    if backend == "kernel":
+        assert counts["kernel"] == counts["fallback"]
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("search_cache", [0, 8])
+def test_bad_source_in_a_batch_writes_no_seed(road, road_ch, backend,
+                                              search_cache, monkeypatch):
+    """Every source is checked before any lane is searched or seeded."""
+    _use(backend, monkeypatch)
+    engine = PhastEngine(road_ch, search_cache=search_cache)
+    engine.trees([7])  # a cache entry, for a seeded lane below
+    for bad in ([42, road.n], [7, -1], [road.n + 5]):
+        with pytest.raises(ValueError):
+            engine.trees(bad)
+        assert np.all(engine.kernel._seeds == INF), bad
+    assert engine.search_cache_misses == (1 if search_cache else 0)
+    assert engine.search_cache_hits == 0
+    sources = [7, 42, 9]
+    assert np.array_equal(engine.trees(sources), _dijkstra_rows(road, sources))
 
 
 @needs_native
