@@ -9,20 +9,19 @@ gets from batching forwards, and as large as ``alpha / beta``, which
 the ``C(k)`` experiment below measures.
 
 On top of lane amortization the scheduler coalesces requests that
-share a source into one lane (singleflight) and the engine caches
-upward CH search spaces, so repeat origins skip the per-source scalar
-work entirely.  Both effects are what a serving workload actually
-exercises: production one-to-many and isochrone traffic concentrates
-on hot origins (a dispatch service's depots, a map's popular tiles),
-which is the workload modelled here — every request draws its source
-from a fixed set of ``REPRO_BENCH_SERVER_DEPOTS`` depots.
+share a source into one lane (singleflight), so concurrent requests
+from one origin pay one upward search and one lane.  That is what a
+serving workload actually exercises: production one-to-many and
+isochrone traffic concentrates on hot origins (a dispatch service's
+depots, a map's popular tiles), which is the workload modelled here —
+every request draws its source from a fixed set of
+``REPRO_BENCH_SERVER_DEPOTS`` depots.
 
 This bench measures it end to end, over the wire: a closed-loop load
 generator sweeps the number of client threads against two
 otherwise-identical in-process servers, one micro-batching and one
 with ``batch_max=1, max_wait_ms=0`` (strict dispatch-one, the
-ablation — it keeps the search cache and the pool's lane width, so
-the comparison isolates batching).
+ablation, so the comparison isolates batching).
 The workload is one-to-many dominated — the request shape the
 batching exists for.  Client-side latency histograms give p50/p99 per
 load level; server metrics give realized batch sizes and lanes.
@@ -36,22 +35,13 @@ starve the batcher of company no matter the arrival policy.
 
 A second experiment measures ``C(k)``, the cost of one served batch
 of ``k`` tree requests for k = 1, 2, 3, 4, 8, 16, in process and on the
-path a serial-pool server runs on its event loop: the pool's k-lane
-``trees`` call (each lane's upward search, the sweep and the scatter
-into original IDs — the search cache is off, so every lane pays its
-search) and, per request, the finalize (:func:`protocol.int_array`)
-and the frame's encoding.  A least-squares line through the medians
-gives ``C(k) = alpha + beta * k``.
-
-A third experiment measures *availability*: a supervised two-worker
-pool serves a steady closed-loop load while one worker is SIGKILLed
-mid-run.  Recorded: time from the kill until the supervisor has a
-full worker complement again, plus throughput and p50/p99 for the
-before / during / after phases — the "during" phase contains the
-crash, the re-dispatch of the victim's chunks, and the respawn, so
-its tail latency is the price of one worker death.  Every request
-must still be answered (the load generator treats any failure as a
-bench failure).
+path the server runs on its event loop: the engine's k-lane
+``PhastEngine.trees(sources, out=)`` call into a reused buffer (each
+lane's upward search, the sweep and the scatter into original IDs —
+the server runs no search cache, so every lane pays its search) and,
+per request, the finalize (:func:`protocol.int_array`) and the frame's
+encoding.  A least-squares line through the medians gives
+``C(k) = alpha + beta * k``.
 
 Two further experiments exercise the front-door router
 (``repro.router``).  The *router sweep* reruns the closed-loop load
@@ -92,7 +82,7 @@ from pathlib import Path
 import numpy as np
 
 from common import fmt, load_instance, print_table
-from repro.core import PhastEngine, PhastPool
+from repro.core import PhastEngine
 from repro.graph import save_graph, save_hierarchy
 from repro.router import PhastRouter, ReplicaManager, RouterConfig, route_in_thread
 from repro.server import PhastService, ServerClient, ServerConfig, serve_in_thread
@@ -136,47 +126,48 @@ def _measure_seconds() -> float:
 def _batch_cost(ch, n: int) -> dict:
     """``C(k)`` for one served batch of ``k`` tree requests.
 
-    Each rep draws ``k`` fresh sources, runs the pool's ``trees`` call
-    (search + sweep + scatter) and then each request's finalize and
-    frame encoding, timed apart.  Reported per ``k``: the medians of
-    both parts, their sum, and the sum over ``k`` (cost per request).
+    Each rep draws ``k`` fresh sources, runs the engine's ``trees``
+    call into the first ``k`` rows of a reused ``(BATCH_MAX, n)``
+    buffer, as the server does (search + sweep + scatter), and then
+    each request's finalize and frame encoding, timed apart.  Reported
+    per ``k``: the medians of both parts, their sum, and the sum over
+    ``k`` (cost per request).
     """
-    pool = PhastPool(ch, num_workers=1, sources_per_sweep=BATCH_MAX)
+    engine = PhastEngine(ch)
+    buf = np.empty((BATCH_MAX, n), dtype=np.int64)
     rng = np.random.default_rng(11)
     points = []
-    try:
-        pool.trees([0])  # lazy buffers
-        with bulk_compute():
-            for k in BATCH_COST_KS:
-                trees_s, finish_s = [], []
-                for _ in range(BATCH_COST_REPS):
-                    sources = rng.choice(n, size=k, replace=False).tolist()
-                    t0 = time.perf_counter()
-                    rows = pool.trees(sources)
-                    t1 = time.perf_counter()
-                    for i, row in enumerate(rows):
-                        protocol.encode_message(protocol.ok_response(
-                            i, dist=protocol.int_array(row)))
-                    t2 = time.perf_counter()
-                    trees_s.append(t1 - t0)
-                    finish_s.append(t2 - t1)
-                trees_ms = float(np.median(trees_s)) * 1e3
-                finish_ms = float(np.median(finish_s)) * 1e3
-                points.append({
-                    "k": k,
-                    "search_sweep_ms": round(trees_ms, 4),
-                    "finalize_encode_ms": round(finish_ms, 4),
-                    "batch_ms": round(trees_ms + finish_ms, 4),
-                    "per_request_ms": round((trees_ms + finish_ms) / k, 4),
-                })
-    finally:
-        pool.close()
+    engine.trees([0], out=buf[:1])  # lazy buffers
+    with bulk_compute():
+        for k in BATCH_COST_KS:
+            trees_s, finish_s = [], []
+            for _ in range(BATCH_COST_REPS):
+                sources = rng.choice(n, size=k, replace=False).tolist()
+                t0 = time.perf_counter()
+                rows = engine.trees(sources, out=buf[:k])
+                t1 = time.perf_counter()
+                for i, row in enumerate(rows):
+                    protocol.encode_message(protocol.ok_response(
+                        i, dist=protocol.int_array(row)))
+                t2 = time.perf_counter()
+                trees_s.append(t1 - t0)
+                finish_s.append(t2 - t1)
+            trees_ms = float(np.median(trees_s)) * 1e3
+            finish_ms = float(np.median(finish_s)) * 1e3
+            points.append({
+                "k": k,
+                "search_sweep_ms": round(trees_ms, 4),
+                "finalize_encode_ms": round(finish_ms, 4),
+                "batch_ms": round(trees_ms + finish_ms, 4),
+                "per_request_ms": round((trees_ms + finish_ms) / k, 4),
+            })
     ks = np.array([p["k"] for p in points], dtype=float)
     beta, alpha = np.polyfit(ks, [p["batch_ms"] for p in points], 1)
     return {
-        "what": "one served batch of k tree requests, in process: pool "
-                "trees (search, sweep, scatter; no search cache) + per "
-                "request int_array finalize and encode_message",
+        "what": "one served batch of k tree requests, in process: "
+                "PhastEngine.trees into a reused buffer (search, sweep, "
+                "scatter; no search cache) + per request int_array "
+                "finalize and encode_message",
         "reps_per_k": BATCH_COST_REPS,
         "points": points,
         "alpha_ms": round(float(alpha), 4),
@@ -301,60 +292,6 @@ def _sweep_mode(ch, graph, *, batching: bool, loads: list[int],
         "mean_batch_size": metrics["batches"]["mean_size"],
         "mean_lanes_per_sweep": metrics["batches"]["mean_lanes"],
         "batch_size_histogram": metrics["batches"]["size_histogram"],
-    }
-
-
-def _availability_run(ch, graph, *, seconds: float, pipeline: int,
-                      depots: list[int]) -> dict:
-    """Serve through one worker SIGKILL; measure recovery + tails."""
-    config = ServerConfig(
-        batch_max=BATCH_MAX, max_wait_ms=MAX_WAIT_MS, max_pending=4096,
-        num_workers=2, force_pool=True,
-        heartbeat_interval_ms=50.0, health_poll_ms=50.0,
-    )
-    service = PhastService(ch, graph=graph, config=config)
-    phases: dict[str, dict] = {}
-    recovery: dict[str, float] = {}
-    with serve_in_thread(service) as handle:
-        pool = service.pool
-        with ServerClient(handle.host, handle.port) as probe:
-            n = probe.info()["n"]
-        _drive(handle, n, depots, 2, min(0.25, seconds), pipeline)  # warm
-        phases["before"] = _drive(handle, n, depots, 2, seconds, pipeline)
-
-        victim = pool.supervisor.processes()[0]
-        killed_at = time.monotonic()
-        os.kill(victim.pid, signal.SIGKILL)
-
-        def watch() -> None:
-            # Recovery = full worker complement restored after >= 1
-            # restart; polled out-of-band so the load loop stays pure.
-            while time.monotonic() - killed_at < 60:
-                health = pool.health()
-                if (health["workers_alive"] == pool.num_workers
-                        and health["restarts"] >= 1):
-                    recovery["seconds"] = time.monotonic() - killed_at
-                    return
-                time.sleep(0.01)
-
-        watcher = threading.Thread(target=watch)
-        watcher.start()
-        phases["during"] = _drive(handle, n, depots, 2, seconds, pipeline)
-        watcher.join()
-        phases["after"] = _drive(handle, n, depots, 2, seconds, pipeline)
-        health = pool.health()
-        with ServerClient(handle.host, handle.port) as probe:
-            server_health = probe.health()
-    if "seconds" not in recovery:
-        raise RuntimeError(f"pool never recovered from the kill: {health}")
-    return {
-        "workers": 2,
-        "recovery_seconds": round(recovery["seconds"], 3),
-        "restarts": health["restarts"],
-        "deaths": health["deaths"],
-        "chunk_retries": health["chunk_retries"],
-        "status_after": server_health["status"],
-        "phases": phases,
     }
 
 
@@ -554,10 +491,6 @@ def run(quiet: bool = False) -> dict:
 
     record["batch_cost"] = _batch_cost(ch, graph.n)
 
-    record["availability"] = _availability_run(
-        ch, graph, seconds=seconds, pipeline=pipeline, depots=depots
-    )
-
     record["router"] = _router_sweep(
         ch, graph, loads=loads, seconds=seconds, pipeline=pipeline,
         depots=depots, replica_counts=_router_replica_counts(),
@@ -631,24 +564,6 @@ def run(quiet: bool = False) -> dict:
         )
         print(f"C(k) = {cost['alpha_ms']:.3f} + {cost['beta_ms']:.3f} k ms "
               f"(alpha / beta = {cost['alpha_over_beta']})")
-        avail = record["availability"]
-        print_table(
-            "availability through one worker SIGKILL (2 supervised workers)",
-            ["phase", "req/s", "p50 ms", "p99 ms"],
-            [
-                [name,
-                 fmt(avail["phases"][name]["throughput_rps"], 0),
-                 fmt(avail["phases"][name]["p50_ms"], 2),
-                 fmt(avail["phases"][name]["p99_ms"], 2)]
-                for name in ("before", "during", "after")
-            ],
-        )
-        print(
-            f"recovery in {avail['recovery_seconds']}s "
-            f"({avail['restarts']} restart(s), "
-            f"{avail['chunk_retries']} chunk retr{'y' if avail['chunk_retries'] == 1 else 'ies'}); "
-            f"status after: {avail['status_after']}"
-        )
         rows = []
         for count, mode in sorted(record["router"]["replica_counts"].items(),
                                   key=lambda kv: int(kv[0])):

@@ -337,7 +337,6 @@ def _cmd_stats(args: argparse.Namespace) -> int:
 def _cmd_serve(args: argparse.Namespace) -> int:
     import asyncio
 
-    from .core.pool import install_signal_guard
     from .graph import load_hierarchy, load_metric, load_topology
     from .server import PhastService, ServerConfig
 
@@ -378,11 +377,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         max_wait_ms=args.max_wait_ms,
         max_pending=args.max_pending,
         default_timeout_ms=args.timeout_ms if args.timeout_ms > 0 else None,
-        num_workers=args.workers,
-        force_pool=args.force_pool,
-        chunk_timeout_ms=(
-            args.chunk_timeout_ms if args.chunk_timeout_ms > 0 else None
-        ),
         selection_cache=args.selection_cache,
     )
     if topo_mode:
@@ -394,18 +388,13 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         service = PhastService(ch, graph=graph, config=config)
         served = str(args.graph)
         n, m = graph.n, graph.m
-    # Belt and braces: the drain path unlinks the pool's shared memory,
-    # but a signal that lands before/outside the loop must not leak it.
-    install_signal_guard()
 
     async def _serve() -> None:
         await service.start()
         print(
             f"serving {served} (n={n}, m={m}) on "
             f"{service.host}:{service.port} — "
-            f"batch_max={config.batch_max}, wait={config.max_wait_ms}ms, "
-            f"{service.pool.num_workers} worker(s)"
-            f"{' [serial pool]' if service.pool.serial else ''}",
+            f"batch_max={config.batch_max}, wait={config.max_wait_ms}ms",
             flush=True,
         )
         service.drain_on_signals()
@@ -550,7 +539,6 @@ def _cmd_route(args: argparse.Namespace) -> int:
             port = 0 if args.replica_port == 0 else args.replica_port + i
             name = manager.spawn(
                 args.graph, args.hierarchy, host="127.0.0.1", port=port,
-                workers=args.workers, force_pool=args.force_pool,
                 extra_args=tuple(args.serve_arg or ()),
             )
             print(f"replica {name} ready", flush=True)
@@ -918,13 +906,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="admission bound on in-flight work requests")
     sv.add_argument("--timeout-ms", type=float, default=30_000.0,
                     help="default per-request deadline (<= 0 disables)")
-    sv.add_argument("--workers", type=int, default=1,
-                    help="pool worker processes (1 = in-process)")
-    sv.add_argument("--force-pool", action="store_true",
-                    help="spawn workers even on a single-CPU host")
-    sv.add_argument("--chunk-timeout-ms", type=float, default=0.0,
-                    help="kill + respawn a worker whose chunk exceeds "
-                    "this (<= 0 disables the per-chunk deadline)")
     sv.add_argument("--selection-cache", type=int, default=32,
                     help="LRU capacity for RPHAST matrix selections")
     sv.set_defaults(func=_cmd_serve)
@@ -949,10 +930,6 @@ def build_parser() -> argparse.ArgumentParser:
     rt.add_argument("--attach",
                     help="comma-separated host:port replicas to adopt "
                     "instead of (or besides) spawning")
-    rt.add_argument("--workers", type=int, default=1,
-                    help="pool workers per spawned replica")
-    rt.add_argument("--force-pool", action="store_true",
-                    help="replica pools spawn workers even on 1 CPU")
     rt.add_argument("--serve-arg", action="append", metavar="ARG",
                     help="extra argument passed through to each spawned "
                     "replica's serve command (repeatable)")

@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Callable, Mapping
+from typing import Mapping
 
 import numpy as np
 
@@ -83,7 +83,7 @@ class RPhastEngine:
     """
 
     #: Default lane width of :meth:`many_to_many`; matches the default
-    #: ``ServerConfig.batch_max``, the lanes a server's pool sweeps.
+    #: ``ServerConfig.batch_max``, the lanes a server sweeps per group.
     DEFAULT_LANES = 16
 
     def __init__(
@@ -234,25 +234,16 @@ class SelectionCache:
     """LRU cache of frozen :class:`RPhastEngine` selections.
 
     Keys are target-set hashes (:meth:`key_of`), values are whatever
-    the caller stores — typically ``(engine, publication_handle)`` on a
-    server.  An optional ``on_evict(key, value)`` hook runs when an
-    entry falls off the LRU end (or on :meth:`clear`), which is where
-    the server retires the selection's shared-memory publication.
+    the caller stores; :meth:`engine` stores frozen engines.
 
     Not thread-safe by itself; the server funnels every access through
     exclusive MicroBatcher requests, which run one at a time.
     """
 
-    def __init__(
-        self,
-        capacity: int = 32,
-        *,
-        on_evict: Callable[[str, object], None] | None = None,
-    ) -> None:
+    def __init__(self, capacity: int = 32) -> None:
         if capacity < 1:
             raise ValueError("capacity must be positive")
         self.capacity = int(capacity)
-        self.on_evict = on_evict
         self._entries: OrderedDict[str, object] = OrderedDict()
         self.hits = 0
         self.misses = 0
@@ -284,17 +275,12 @@ class SelectionCache:
         self._entries[key] = value
         self._entries.move_to_end(key)
         while len(self._entries) > self.capacity:
-            old_key, old_value = self._entries.popitem(last=False)
+            self._entries.popitem(last=False)
             self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(old_key, old_value)
 
     def engine(self, ch: ContractionHierarchy, targets, **kwargs) -> RPhastEngine:
-        """Cached-or-built engine for ``targets`` (library-side helper).
-
-        The server uses :meth:`get`/:meth:`put` directly because its
-        values also carry the pool publication handle.
-        """
+        """Cached-or-built engine for ``targets``; ``kwargs`` go to
+        :class:`RPhastEngine` on a miss."""
         key = self.key_of(targets)
         entry = self.get(key)
         if entry is None:
@@ -303,12 +289,9 @@ class SelectionCache:
         return entry
 
     def clear(self) -> None:
-        """Evict everything, running ``on_evict`` for each entry."""
-        while self._entries:
-            old_key, old_value = self._entries.popitem(last=False)
-            self.evictions += 1
-            if self.on_evict is not None:
-                self.on_evict(old_key, old_value)
+        """Evict everything."""
+        self.evictions += len(self._entries)
+        self._entries.clear()
 
     def snapshot(self) -> dict[str, int]:
         return {

@@ -4,17 +4,17 @@ The single-node stack (:mod:`repro.server`) keeps a PHAST sweep's data
 hot in one process's caches; this package adds the *horizontal* step —
 a single asyncio router process owns the public TCP port and fans
 requests out to replicas, each running its own warm
-:class:`~repro.core.pool.PhastPool` over the same read-only graph/CH
+:class:`~repro.core.phast.PhastEngine` over the same read-only graph/CH
 artifacts.  The router speaks the existing length-prefixed JSON
 protocol on both sides, so every existing client (``ServerClient``,
 ``repro client``, the benchmarks) works unmodified against it.
 
 Why affinity routing: a replica's throughput depends on state that
-*accretes per process* — the engine's upward search-space LRU
-(``search_cache``), the MicroBatcher's same-source lane coalescing,
-and the matrix op's :class:`~repro.core.rphast.SelectionCache`.
-Spraying requests uniformly would cold-miss all three on every
-replica.  The router therefore routes by consistent hashing on the
+*accretes per process* — the MicroBatcher's same-source lane
+coalescing and the matrix op's
+:class:`~repro.core.rphast.SelectionCache` (with its per-selection
+upward search LRU).  Spraying requests uniformly would cold-miss both
+on every replica.  The router therefore routes by consistent hashing on the
 query *source* (so a depot's repeat traffic lands on one replica) and
 on the *target-set hash* for ``matrix`` (so one replica keeps each
 selection warm), spilling to the next replica on the ring only when

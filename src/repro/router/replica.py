@@ -199,7 +199,6 @@ class Replica:
         self.consecutive_failures = 0
         self.pid: int | None = None
         self.last_uptime: float | None = None
-        self.last_capacity: float | None = None
         self._warm_started = 0.0
         self._warm_seen = 0
         self._warm_admitted = 0
@@ -241,7 +240,6 @@ class Replica:
         """Generation change: new pid, or uptime that moved backwards."""
         pid = health.get("pid")
         uptime = health.get("uptime_seconds")
-        self.last_capacity = health.get("capacity")
         restarted = False
         if pid is not None:
             if self.pid is not None and pid != self.pid:
@@ -326,7 +324,6 @@ class Replica:
             "consecutive_failures": self.consecutive_failures,
             "pid": self.pid,
             "uptime_seconds": self.last_uptime,
-            "capacity": self.last_capacity,
         }
 
 
@@ -391,22 +388,19 @@ class ReplicaManager:
         return name
 
     def spawn(self, graph: str, hierarchy: str, *, host: str = "127.0.0.1",
-              port: int = 0, workers: int = 1, force_pool: bool = False,
-              extra_args: tuple = (), ready_timeout: float = 120.0) -> str:
+              port: int = 0, extra_args: tuple = (),
+              ready_timeout: float = 120.0) -> str:
         """Start one ``repro serve`` replica and wait until it is ready.
 
         ``port=0`` binds an ephemeral port; the bound address is parsed
         from the serve banner.  Readiness means the ``health`` op
         reports ``ready`` — a listening socket alone still races the
-        pool warm-up.
+        engine warm-up.
         """
         cmd = [
             self.python, "-m", "repro", "serve", str(graph), str(hierarchy),
             "--host", host, "--port", str(int(port)),
-            "--workers", str(int(workers)),
         ]
-        if force_pool:
-            cmd.append("--force-pool")
         cmd.extend(str(a) for a in extra_args)
         env = dict(os.environ)
         # The child must import repro however the parent did (pytest

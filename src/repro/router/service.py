@@ -12,14 +12,14 @@ Request flow for the five work ops::
     rewritten id ──> response, id restored ──> client
 
 Failover is per request: a transport error or a retryable error
-envelope (429 shed, 500 quarantine, 503 broken/draining) sends the
+envelope (429 shed, 500 internal error, 503 draining) sends the
 request to the next replica on the *same key's* ring order — every
 work op is a pure read over artifacts all replicas share, so a retry
 can only repeat the answer.  Non-retryable envelopes (400 bad
 request, 504 deadline) pass through untouched.
 
 Health is double-sourced, exactly the PR 4 signals: a periodic
-``health`` probe per replica (liveness, readiness, capacity, and the
+``health`` probe per replica (liveness, readiness, and the
 generation fields — pid + ``uptime_seconds`` — that expose restarts)
 plus per-request transport accounting.  A replica that fails
 ``down_after`` times in a row is held out; one that comes back enters
@@ -57,7 +57,7 @@ ADMIN_OPS = protocol.ADMIN_OPS
 CONTROL_OPS = protocol.CONTROL_OPS
 
 #: Error codes worth retrying on a different replica: the home shed
-#: (429), quarantined the chunk (500), or is draining/broken (503).
+#: (429), failed internally (500), or is draining (503).
 #: 400 and 504 are the request's own fault and pass through.
 RETRYABLE_CODES = (protocol.OVERLOADED, protocol.INTERNAL,
                    protocol.UNAVAILABLE)

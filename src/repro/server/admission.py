@@ -10,14 +10,6 @@ rest with a 429-style error the client can back off on.
 
 Draining is the second gate: once the server begins shutting down,
 new work is refused with 503 while admitted work runs to completion.
-
-Degraded mode is the third: when pool workers die, serving capacity
-drops before the replacements finish booting.  The service feeds the
-pool's live-worker fraction into :meth:`set_capacity`, which shrinks
-the effective admission bound proportionally — the instance sheds the
-load it can no longer carry with fast 429s instead of queueing
-requests it would only time out, and recovers automatically as
-respawned workers rejoin.
 """
 
 from __future__ import annotations
@@ -37,7 +29,6 @@ class AdmissionController:
     #: Rejection reasons (keys of :attr:`rejected`).
     OVERLOADED = "overloaded"
     DRAINING = "draining"
-    DEGRADED = "degraded"
 
     def __init__(self, max_pending: int) -> None:
         if max_pending < 1:
@@ -46,10 +37,8 @@ class AdmissionController:
         self._lock = threading.Lock()
         self._pending = 0
         self._draining = False
-        self._capacity = 1.0
         self.admitted_total = 0
-        self.rejected = {self.OVERLOADED: 0, self.DRAINING: 0,
-                         self.DEGRADED: 0}
+        self.rejected = {self.OVERLOADED: 0, self.DRAINING: 0}
 
     @property
     def pending(self) -> int:
@@ -60,28 +49,9 @@ class AdmissionController:
     def draining(self) -> bool:
         return self._draining
 
-    @property
-    def capacity(self) -> float:
-        """Fraction of nominal serving capacity currently available."""
-        return self._capacity
-
     def start_draining(self) -> None:
         """Refuse all new work from now on (idempotent)."""
         self._draining = True
-
-    def set_capacity(self, fraction: float) -> None:
-        """Scale admission to the live fraction of serving capacity.
-
-        Called periodically by the service with the pool's live-worker
-        fraction; admission never drops below one in-flight request,
-        so a pool that is merely *rebuilding* (workers respawning)
-        keeps trickling work instead of blackholing.
-        """
-        with self._lock:
-            self._capacity = min(1.0, max(0.0, float(fraction)))
-
-    def _effective_locked(self) -> int:
-        return max(1, int(round(self.max_pending * self._capacity)))
 
     def try_acquire(self) -> str | None:
         """Admit one request; returns ``None`` or the rejection reason."""
@@ -89,17 +59,9 @@ class AdmissionController:
             if self._draining:
                 self.rejected[self.DRAINING] += 1
                 return self.DRAINING
-            limit = self._effective_locked()
-            if self._pending >= limit:
-                # DEGRADED is reserved for rejections that exist only
-                # because the bound was scaled down; an instance whose
-                # backlog fills the full nominal bound is OVERLOADED
-                # no matter how much capacity it has lost, so the two
-                # counters operators alert on stay distinguishable.
-                reason = (self.OVERLOADED if self._pending >= self.max_pending
-                          else self.DEGRADED)
-                self.rejected[reason] += 1
-                return reason
+            if self._pending >= self.max_pending:
+                self.rejected[self.OVERLOADED] += 1
+                return self.OVERLOADED
             self._pending += 1
             self.admitted_total += 1
             return None
@@ -116,8 +78,6 @@ class AdmissionController:
         with self._lock:
             return {
                 "max_pending": self.max_pending,
-                "effective_max_pending": self._effective_locked(),
-                "capacity": self._capacity,
                 "pending": self._pending,
                 "draining": self._draining,
                 "admitted_total": self.admitted_total,

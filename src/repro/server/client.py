@@ -341,7 +341,7 @@ class ServerClient:
         return self.call("metrics")["metrics"]
 
     def health(self) -> dict:
-        """Supervision health: status, capacity, pool and admission state."""
+        """Supervision health: status, readiness, generation and admission."""
         resp = self.call("health")
         resp.pop("id", None)
         resp.pop("ok", None)

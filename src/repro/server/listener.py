@@ -72,8 +72,8 @@ class FrameServer:
     response at once or registers something with ``conn.owe`` that
     sends it later and then calls ``conn.settle``.  It supplies the
     steps that differ: ``_prepare()`` before the port is bound,
-    ``_monitor()`` while serving (cancelled when the drain begins),
-    and ``_release()`` once every owed answer has finished.
+    ``_monitor()`` while serving (optional; cancelled when the drain
+    begins), and ``_release()`` once every owed answer has finished.
     """
 
     def __init__(self, config, metrics) -> None:
@@ -115,6 +115,9 @@ class FrameServer:
                 self._drain_impl()
             )
         await asyncio.shield(self._drain_task)
+
+    async def _monitor(self) -> None:
+        """Background work while serving (optional)."""
 
     def _begin_drain(self) -> None:
         """First drain step, before the listener closes (optional)."""

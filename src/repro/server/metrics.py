@@ -94,7 +94,6 @@ class ServerMetrics:
             self.metric_generation = int(generation)
 
     def snapshot(self, admission: dict | None = None,
-                 pool: dict | None = None,
                  selection_cache: dict | None = None) -> dict:
         """JSON-able view of everything above."""
         with self._lock:
@@ -129,8 +128,6 @@ class ServerMetrics:
             }
         if admission is not None:
             snap["admission"] = admission
-        if pool is not None:
-            snap["pool"] = pool
         if selection_cache is not None:
             snap["selection_cache"] = selection_cache
         return snap

@@ -7,17 +7,17 @@ one served batch of ``k`` tree requests: each lane's upward search,
 the sweep, and each request's finalize and frame encoding.
 ``benchmarks/bench_server.py`` measures it in process
 (``BENCH_server.json``, ``batch_cost``; 4096 vertices, 2 vCPUs) as
-``C(k) = 0.05 + 0.12 k`` ms, and two more runs on the same host gave
-``alpha`` of 0.05–0.09 ms and ``beta`` of 0.12–0.13 ms: the searches,
+``C(k) = 0.06 + 0.11 k`` ms, and three runs on the same host gave
+``alpha`` of 0.02–0.06 ms and ``beta`` of 0.11–0.12 ms: the searches,
 the sweep and the scatter of all k lanes are one native call.  So
 ``alpha`` is worth less than one request: per request, a batch costs
-0.13–0.21 ms at k = 1 and 0.12–0.13 ms at k = 16.  Search and sweep
-fall from 0.06–0.11 ms per lane at k = 1 to 0.04 ms at k = 16, and a
+0.15–0.17 ms at k = 1 and 0.12 ms at k = 16.  Search and sweep fall
+from 0.07–0.08 ms per lane at k = 1 to 0.04 ms at k = 16, and a
 k-lane batch costs less than k lone ones at every k; the finalize and
-encode, 0.07–0.10 ms per request, do not batch at all and are most of
+encode, 0.08–0.09 ms per request, do not batch at all and are most of
 a full batch's cost.  Batching is kept because under load it costs
 nothing — requests that arrive during one batch form the next — and
-it still saves 10–40% of a request's cost.  The policy:
+it still saves 15–30% of a request's cost.  The policy:
 
 * the first queued request opens a *batch window*;
 * everything queued behind it joins immediately — dispatches are
@@ -30,22 +30,18 @@ it still saves 10–40% of a request's cost.  The policy:
   distance row): it closes on the first turn that brings nothing, at
   ``batch_max`` lanes, or after ``max_wait_ms`` total, whichever
   comes first;
-* the batch runs as one multi-source sweep on the pool — requests
+* the batch runs as one multi-source sweep on the engine — requests
   sharing a source share one lane (singleflight-style coalescing) —
   and each request's row is post-processed into its response payload
   right after the sweep;
 * each request's reply callback gets its payload, or its error.
 
-On an in-process (serial) pool the batch runs on the event-loop thread
-itself.  A batch of this cost gains nothing from an executor thread:
-the loop has little to do meanwhile, and the two threads contend for
-one GIL, so the handoff costs more than it overlaps.  Batches holding
-an exclusive request (matrix, swap_metric), and every batch on a
-worker pool, still go to the executor, so the loop goes on reading
-while they wait on long work or on worker processes: a ``health``
-frame sent while a worker batch is in flight is answered before the
-batch (``tests/test_server.py``,
-``test_worker_pool_batch_leaves_the_loop_reading``).
+A sweep batch runs on the event-loop thread itself.  A batch of this
+cost gains nothing from an executor thread: the loop has little to do
+meanwhile, and the two threads contend for one GIL, so the handoff
+costs more than it overlaps.  Only batches holding an exclusive
+request (matrix, swap_metric) go to the executor, so the loop goes on
+reading while they do their long work.
 
 No turn of the window waits on a timer (the poller rounds a timed
 wait up to whole milliseconds), so a lone request pays one loop turn
@@ -58,8 +54,6 @@ from __future__ import annotations
 import asyncio
 import time
 from typing import Callable
-
-from ..core.supervisor import ChunkQuarantined, PoolBroken
 
 __all__ = ["DeadlineExceeded", "SchedulerStopped", "SweepRequest", "MicroBatcher"]
 
@@ -77,8 +71,8 @@ class SweepRequest:
 
     ``finalize(row)`` turns the request's distance row into its
     response payload; it runs right after the sweep, on the thread
-    that ran it, while the row is hot in cache and before the pool's
-    shared output buffer can be reused by the next batch.
+    that ran it, while the row is hot in cache and before the engine's
+    reused output buffer is overwritten by the next batch.
 
     ``reply(outcome)`` takes the payload, or the exception that ended
     the request, on the event-loop thread.  ``reply.done`` turns true
@@ -87,9 +81,9 @@ class SweepRequest:
 
     *Exclusive* requests pass ``execute`` instead: a no-argument
     callable returning the payload, run on the executor thread after
-    the batch's shared sweep (matrix requests use this — their pool
-    call has its own fan-out and doesn't fit a single lane).  Routing
-    them through the batcher keeps every pool access serialized by the
+    the batch's shared sweep (matrix requests use this — they sweep a
+    restricted selection, not a lane of the full one).  Routing them
+    through the batcher keeps every engine access serialized by the
     one dispatch loop while they still get deadline checks and ride the
     same admission accounting.
     """
@@ -140,18 +134,12 @@ class MicroBatcher:
     ----------
     sweep_fn:
         ``sweep_fn(sources) -> rows`` computing one distance row per
-        source (a :class:`~repro.core.pool.PhastPool` ``trees`` call).
-        Dispatches are serialized, so ``sweep_fn`` never runs
-        concurrently with itself.
+        source (a :class:`~repro.core.phast.PhastEngine` ``trees``
+        call).  Dispatches are serialized, so ``sweep_fn`` never runs
+        concurrently with itself.  Sweep batches (the sweep, each
+        finalize and each reply) run on the event-loop thread.
     executor:
-        Where batches holding an exclusive request run, and every
-        batch unless ``on_loop``.
-    on_loop:
-        Run sweep batches (the sweep, each finalize and each reply) on
-        the event-loop thread itself.  The service sets it for an
-        in-process (serial) pool, where handing a batch to another
-        thread costs more than it overlaps; on a worker pool the
-        executor keeps the loop answering while workers compute.
+        Where batches holding an exclusive request run.
     batch_max:
         Lane cap per dispatch.
     max_wait_ms:
@@ -166,7 +154,6 @@ class MicroBatcher:
         sweep_fn: Callable,
         *,
         executor,
-        on_loop: bool = False,
         batch_max: int = 16,
         max_wait_ms: float = 2.0,
         metrics=None,
@@ -177,7 +164,6 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.sweep_fn = sweep_fn
         self.executor = executor
-        self.on_loop = bool(on_loop)
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
         self.metrics = metrics
@@ -232,11 +218,10 @@ class MicroBatcher:
             batch = [item]
             closing = await self._fill_window(batch)
             await self._dispatch(loop, batch)
-            if self.on_loop:
-                # An on-loop batch held the loop: give the connection
-                # readers a turn to decode what arrived meanwhile, or to
-                # see that a client left, before the next batch forms.
-                await asyncio.sleep(0)
+            # A sweep batch held the loop: give the connection readers
+            # a turn to decode what arrived meanwhile, or to see that a
+            # client left, before the next batch forms.
+            await asyncio.sleep(0)
         # Fail anything that slipped in after the close sentinel.
         while not self._queue.empty():
             item = self._queue.get_nowait()
@@ -288,21 +273,16 @@ class MicroBatcher:
             return
         waits = [now - req.enqueued_at for req in live]
         try:
-            if self.on_loop and all(req.execute is None for req in live):
+            if all(req.execute is None for req in live):
                 payloads, sweep_s, lanes = self._sweep_and_finalize(live)
             else:
                 payloads, sweep_s, lanes = await loop.run_in_executor(
                     self.executor, self._sweep_and_finalize, live
                 )
-        except Exception as exc:  # pool failure: fail the whole batch
+        except Exception as exc:  # sweep failure: fail the whole batch
             if self.metrics is not None:
                 self.metrics.record_batch_failure()
-            # Structured pool faults keep their type so the service can
-            # map them to distinct status codes (quarantine vs broken).
-            if isinstance(exc, (ChunkQuarantined, PoolBroken)):
-                failure: BaseException = exc
-            else:
-                failure = RuntimeError(f"sweep failed: {exc}")
+            failure = RuntimeError(f"sweep failed: {exc}")
             for req in live:
                 if req.live:
                     req.reply(failure)

@@ -1,4 +1,4 @@
-"""The asyncio TCP query service over a warm :class:`PhastPool`.
+"""The asyncio TCP query service over one in-process :class:`PhastEngine`.
 
 One process, one preprocessed hierarchy, four query types:
 
@@ -14,31 +14,31 @@ One process, one preprocessed hierarchy, four query types:
 ``matrix``
     k×m travel-time matrices.  The restricted (RPHAST) selection for
     the target set is built once, cached in an LRU keyed by target-set
-    hash, published to the pool workers as a retireable shared-memory
-    segment, and swept in multi-source lane groups chunked over the
-    workers.  Rides the batcher as an *exclusive* request so every pool
-    access stays serialized by the one dispatch loop.
+    hash, and swept in multi-source lane groups.  Rides the batcher as
+    an *exclusive* request, so the selection cache is touched by one
+    dispatch at a time.
 ``ping`` / ``info`` / ``metrics`` / ``health``
-    Liveness, instance facts, serving statistics, and readiness (pool
-    live-worker count, restart/retry/quarantine counters, queue depth).
+    Liveness, instance facts, serving statistics, and readiness
+    (draining or not, admission pressure, generation signals).
 
 The event loop parses frames and answers each without a task of its
 own: admin ops reply at once, batcher ops carry a reply callback, and
-``query`` replies from its executor future's done-callback.  On the
-in-process (serial) pool the batcher runs each sweep batch on the loop
-thread as well — the k-lane sweep, each finalize (the answer's arrays
-written as JSON text by :func:`protocol.int_array`) and each frame's
-encoding — because handing a batch to another thread costs more than
-it overlaps when both threads contend for one GIL.  Point-to-point
-queries, batches holding an exclusive request and every batch for a
-worker pool run on a small thread pool.  Sweeps are serialized by the
-batcher (`PhastPool` is single-caller); point-to-point queries run
-concurrently — they touch only their own heaps and dicts.
+``query`` replies from its executor future's done-callback.  The
+batcher runs each sweep batch on the loop thread as well — the k-lane
+sweep (one native call), each finalize (the answer's arrays written as
+JSON text by :func:`protocol.int_array`) and each frame's encoding —
+because handing a batch to another thread costs more than it overlaps
+when both threads contend for one GIL.  Point-to-point queries and
+batches holding an exclusive request run on a small thread pool.
+Sweeps are serialized by the batcher (the engine is single-caller);
+point-to-point queries run concurrently — they touch only their own
+heaps and dicts.  More cores serve through replicas behind
+``repro route``.
 
 Connections and shutdown follow the shared
 :class:`~repro.server.listener.FrameServer`: the drain refuses new work
-with 503, lets admitted requests finish, stops the scheduler and closes
-the pool (unlinking its shared memory) before the last connections.
+with 503, lets admitted requests finish and stops the scheduler before
+the last connections close.
 """
 
 from __future__ import annotations
@@ -52,9 +52,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..ch.query import ch_query
-from ..core.pool import PhastPool
-from ..core.rphast import RPhastEngine, SelectionCache
-from ..core.supervisor import ChunkQuarantined, PoolBroken
+from ..core.phast import PhastEngine
+from ..core.rphast import SelectionCache
 from ..graph.csr import INF
 from . import protocol
 from .admission import AdmissionController
@@ -69,8 +68,7 @@ from .scheduler import (
 
 __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 
-#: Threads for point-to-point queries, exclusive requests and
-#: worker-pool batches.
+#: Threads for point-to-point queries and exclusive requests.
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).
 MATRIX_SEARCH_CACHE = 256
@@ -82,7 +80,7 @@ class ServerConfig:
 
     host: str = "127.0.0.1"
     port: int = 7171
-    #: Lane cap per dispatched sweep, and the pool's ``sources_per_sweep``.
+    #: Lane cap per dispatched sweep, and the matrix op's lane group.
     batch_max: int = 16
     #: Cap on the batch window in milliseconds (0 disables the window).
     max_wait_ms: float = 2.0
@@ -90,23 +88,8 @@ class ServerConfig:
     max_pending: int = 256
     #: Default per-request deadline; ``None`` disables deadlines.
     default_timeout_ms: float | None = 30_000.0
-    #: Pool workers (1 = in-process serial pool, the single-host default).
-    num_workers: int | None = 1
-    #: Spawn pool worker processes even on a single-CPU host.
-    force_pool: bool = False
-    #: Engine-side LRU of upward search spaces (entries; 0 disables).
-    #: Repeat origins — depots, hubs, popular tiles — skip the
-    #: per-source CH search entirely on a hit.
-    search_cache: int = 1024
-    #: Pool supervisor scan period (worker-death detection latency).
-    heartbeat_interval_ms: float = 200.0
-    #: Per-chunk wall-clock deadline for wedged-worker reclaim
-    #: (``None`` disables; size well above the slowest honest chunk).
-    chunk_timeout_ms: float | None = None
-    #: How often the degraded-admission loop samples pool capacity.
-    health_poll_ms: float = 250.0
     #: LRU capacity of the RPHAST selection cache (distinct target
-    #: sets with warm restricted structures + live pool publications).
+    #: sets with warm restricted structures).
     selection_cache: int = 32
 
     def __post_init__(self) -> None:
@@ -114,14 +97,6 @@ class ServerConfig:
             raise ValueError("batch_max must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
-        if self.search_cache < 0:
-            raise ValueError("search_cache must be >= 0")
-        if self.heartbeat_interval_ms <= 0:
-            raise ValueError("heartbeat_interval_ms must be > 0")
-        if self.chunk_timeout_ms is not None and self.chunk_timeout_ms <= 0:
-            raise ValueError("chunk_timeout_ms must be > 0 (or None)")
-        if self.health_poll_ms <= 0:
-            raise ValueError("health_poll_ms must be > 0")
         if self.selection_cache < 1:
             raise ValueError("selection_cache must be >= 1")
 
@@ -168,32 +143,25 @@ class PhastService(FrameServer):
         self.n = int(ch.n)
         self.graph = graph
         self.admission = AdmissionController(self.config.max_pending)
-        self.pool = PhastPool(
-            ch,
-            num_workers=self.config.num_workers,
-            sources_per_sweep=self.config.batch_max,
-            force_pool=self.config.force_pool,
-            search_cache=self.config.search_cache,
-            heartbeat_interval=self.config.heartbeat_interval_ms / 1e3,
-            chunk_timeout=(None if self.config.chunk_timeout_ms is None
-                           else self.config.chunk_timeout_ms / 1e3),
-        )
-        # RPHAST selections for the matrix op: LRU of
-        # (frozen engine, pool publication handle) keyed by target-set
+        self.engine = PhastEngine(ch)
+        #: Monotone counter bumped by every ``swap_metric``.
+        self.metric_generation = 0
+        #: Distance rows the batcher's sweeps have computed.
+        self.trees_computed = 0
+        # One reused output buffer: each batch's rows are finalized
+        # before the next batch overwrites them.
+        self._rows = np.empty((self.config.batch_max, self.n), dtype=np.int64)
+        # RPHAST selections for the matrix op, keyed by target-set
         # hash.  Touched only by exclusive batcher requests, which run
-        # one at a time, so no locking is needed; eviction retires the
-        # selection's shared-memory segment.
-        self.selections = SelectionCache(
-            self.config.selection_cache, on_evict=self._retire_selection
-        )
+        # one at a time, so no locking is needed.
+        self.selections = SelectionCache(self.config.selection_cache)
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS,
             thread_name_prefix="phast-serve",
         )
         self.batcher = MicroBatcher(
-            self.pool.trees,
+            self._sweep,
             executor=self._executor,
-            on_loop=self.pool.serial,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
             metrics=self.metrics,
@@ -204,18 +172,8 @@ class PhastService(FrameServer):
     async def _prepare(self) -> None:
         # Warm the sweep path so the first client doesn't pay for lazy
         # buffer allocation.
-        self.pool.trees([0])
+        self.engine.trees([0], out=self._rows[:1])
         self.batcher.start()
-
-    async def _monitor(self) -> None:
-        """Feed pool liveness into admission (degraded mode)."""
-        period = self.config.health_poll_ms / 1e3
-        while True:
-            try:
-                self.admission.set_capacity(self.pool.capacity_fraction())
-            except Exception:
-                pass  # never let a glitch kill the feedback loop
-            await asyncio.sleep(period)
 
     def _begin_drain(self) -> None:
         # Refused at admission from here on, so the drain's wait for
@@ -226,45 +184,32 @@ class PhastService(FrameServer):
         await self.batcher.stop()
         self._executor.shutdown(wait=True)
         self.selections.clear()
-        self.pool.close()
 
-    # -- matrix plumbing ---------------------------------------------------
+    # -- sweeps and matrices -----------------------------------------------
 
-    def _retire_selection(self, key: str, entry: tuple) -> None:
-        """Selection-cache eviction hook: unlink the pool publication."""
-        _engine, (name, _specs) = entry
-        self.pool.retire_publication(name)
+    def _sweep(self, sources: list[int]) -> np.ndarray:
+        """One batch's rows (the batcher's ``sweep_fn``, on the loop).
 
-    def _selection(self, targets: np.ndarray) -> tuple:
-        """The cached (engine, publication) for a target set, built on miss.
-
-        Runs only inside an exclusive batcher request, which serializes
-        cache access and pool publication.  Keys are prefixed with the
-        metric generation: a selection embeds copied arc weights, so an
-        entry built under generation g must never answer a request under
-        generation g+1.
+        Reads ``self.engine`` per call, so a batch after a swap runs
+        on the new metric's engine.
         """
-        key = (f"g{self.pool.metric_generation}:"
-               + SelectionCache.key_of(targets))
-        entry = self.selections.get(key)
-        if entry is None:
-            engine = RPhastEngine(self.ch, targets).freeze()
-            publication = self.pool.publish_arrays(engine.selection_arrays())
-            entry = (engine, publication)
-            self.selections.put(key, entry)
-        return entry
+        rows = self.engine.trees(sources, out=self._rows[:len(sources)])
+        self.trees_computed += len(sources)
+        return rows
 
     def _matrix_payload(self, sources: list[int], targets: list[int]) -> dict:
-        """Compute one k×m matrix (executor thread, exclusive dispatch)."""
+        """Compute one k×m matrix (executor thread, exclusive dispatch).
+
+        The selection embeds copied arc weights; ``swap_metric`` clears
+        the cache, and both run as exclusive requests, so a cached
+        selection always belongs to the current metric.
+        """
         hits_before = self.selections.hits
         t_arr = np.asarray(targets, dtype=np.int64)
-        engine, publication = self._selection(t_arr)
+        engine = self.selections.engine(
+            self.ch, t_arr, search_cache=MATRIX_SEARCH_CACHE)
         cached = self.selections.hits > hits_before
-        rows = self.pool.matrix(
-            sources,
-            selection=publication,
-            search_cache=MATRIX_SEARCH_CACHE,
-        )
+        rows = engine.many_to_many(sources, lanes=self.config.batch_max)
         # Rows come back aligned to the engine's deduplicated, sorted
         # target set; re-map to the request's column order.
         cols = np.searchsorted(engine.targets, t_arr)
@@ -316,14 +261,6 @@ class PhastService(FrameServer):
             return self._error(req_id, protocol.DEADLINE, str(exc))
         if isinstance(exc, SchedulerStopped):
             return self._error(req_id, protocol.UNAVAILABLE, str(exc))
-        if isinstance(exc, PoolBroken):
-            # No workers and no respawn budget: the instance can't do
-            # sweep work anymore — clients should fail over.
-            return self._error(req_id, protocol.UNAVAILABLE,
-                               f"PoolBroken: {exc}")
-        if isinstance(exc, ChunkQuarantined):
-            return self._error(req_id, protocol.INTERNAL,
-                               f"ChunkQuarantined: {exc}")
         return self._error(req_id, protocol.INTERNAL,
                            f"{type(exc).__name__}: {exc}")
 
@@ -340,12 +277,10 @@ class PhastService(FrameServer):
             protocol_version=protocol.PROTOCOL_VERSION,
             ops=list(protocol.WORK_OPS + protocol.CONTROL_OPS
                      + protocol.ADMIN_OPS),
-            metric_generation=self.pool.metric_generation,
+            metric_generation=self.metric_generation,
             topology_resident=self.topology is not None,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
-            workers=self.pool.num_workers,
-            serial_pool=self.pool.serial,
             selection_cache=self.config.selection_cache,
             draining=self._draining,
         )
@@ -354,29 +289,16 @@ class PhastService(FrameServer):
         return protocol.ok_response(req_id, **self._health())
 
     def _admin_metrics(self, req_id) -> dict:
-        pool_health = self.pool.health()
         return protocol.ok_response(
             req_id,
             metrics=self.metrics.snapshot(
                 admission=self.admission.snapshot(),
                 selection_cache=self.selections.snapshot(),
-                pool={
-                    "workers": self.pool.num_workers,
-                    "serial": self.pool.serial,
-                    "batches_run": self.pool.batches_run,
-                    "trees_computed": self.pool.trees_computed,
-                    "alive": pool_health["workers_alive"],
-                    "deaths": pool_health["deaths"],
-                    "restarts": pool_health["restarts"],
-                    "wedged": pool_health["wedged"],
-                    "chunk_retries": pool_health["chunk_retries"],
-                    "chunks_quarantined": pool_health["chunks_quarantined"],
-                },
             ),
         )
 
     def _health(self) -> dict:
-        """Readiness payload: pool liveness + admission pressure.
+        """Readiness payload: draining or not, plus admission pressure.
 
         ``uptime_seconds``, ``address`` and ``pid`` are the *generation*
         signals: a router probing this op can tell a replica that
@@ -384,29 +306,17 @@ class PhastService(FrameServer):
         merely slow — a restarted replica has cold caches and deserves
         a warm-up ramp, not full fair-share traffic.
         """
-        pool_health = self.pool.health()
-        capacity = self.pool.capacity_fraction()
-        if self._draining:
-            status = "draining"
-        elif capacity >= 1.0:
-            status = "ok"
-        elif capacity > 0.0:
-            status = "degraded"
-        else:
-            status = "down"
         return {
-            "status": status,
-            "ready": not self._draining and capacity > 0.0,
-            "capacity": capacity,
+            "status": "draining" if self._draining else "ok",
+            "ready": not self._draining,
             "protocol_version": protocol.PROTOCOL_VERSION,
             "ops": list(protocol.WORK_OPS + protocol.CONTROL_OPS
                         + protocol.ADMIN_OPS),
-            "metric_generation": self.pool.metric_generation,
+            "metric_generation": self.metric_generation,
             "topology_resident": self.topology is not None,
             "uptime_seconds": self.metrics.uptime_seconds(),
             "address": f"{self.host}:{self.port}",
             "pid": os.getpid(),
-            "pool": pool_health,
             "admission": self.admission.snapshot(),
         }
 
@@ -477,16 +387,15 @@ class PhastService(FrameServer):
                 "swap_metric"
             )
         # Exclusive batcher request: runs alone on an executor thread,
-        # strictly between micro-batches — the quiesce point the pool's
-        # swap_metric() requires.  Queued sweeps before it finish on
-        # the old metric; sweeps after it run on the new one.
+        # strictly between micro-batches.  Queued sweeps before it
+        # finish on the old metric; sweeps after it run on the new one.
         self.batcher.submit(SweepRequest(
             "swap_metric", -1, None, reply, deadline=deadline,
             execute=lambda: self._swap_payload(weights, path),
         ))
 
     def _swap_payload(self, weights, path) -> dict:
-        """Customize + instantiate + pool swap (executor thread, exclusive)."""
+        """Customize + instantiate + engine swap (executor thread, exclusive)."""
         from ..ch.customize import customize
         from ..graph.serialize import load_metric
 
@@ -504,19 +413,18 @@ class PhastService(FrameServer):
         t1 = time.monotonic()
         new_ch = self.topology.instantiate(metric)
         t2 = time.monotonic()
-        generation = self.pool.swap_metric(new_ch)
+        self.engine = PhastEngine(new_ch)
+        self.metric_generation += 1
         # Point-to-point queries capture self.ch per request; from here
         # on every new capture sees the new metric.
         self.ch = new_ch
-        # Published RPHAST selections embed copied arc lengths, so the
-        # whole cache is stale: clearing retires every publication
-        # (via on_evict) and the generation-prefixed keys below make a
-        # post-swap request rebuild rather than resurrect by hash.
+        # Cached RPHAST selections embed copied arc lengths, so the
+        # whole cache is stale.
         self.selections.clear()
         t3 = time.monotonic()
-        self.metrics.record_swap(generation)
+        self.metrics.record_swap(self.metric_generation)
         return {
-            "metric_generation": generation,
+            "metric_generation": self.metric_generation,
             "customize_seconds": t1 - t0,
             "instantiate_seconds": t2 - t1,
             "swap_seconds": t3 - t2,

@@ -4,7 +4,7 @@ Every process-pool entry point resolves its worker count inside the
 pool (:class:`~repro.core.pool.PhastPool` and
 :class:`~repro.core.pool.TaskPool`) through :func:`resolve_workers`,
 so one ``REPRO_MAX_WORKERS`` setting caps the whole process tree.  The
-drivers — ``repro serve --workers``, the one-shot ``trees_per_core``
+drivers — ``repro batch --workers``, the one-shot ``trees_per_core``
 and :func:`~repro.ch.batched.contract_graph` — pass their
 request straight through.
 

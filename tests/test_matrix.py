@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import glob
 import os
-import signal
-import time
 
 import numpy as np
 import pytest
@@ -189,14 +187,14 @@ def test_selection_cache_counters_and_lru():
 
 
 def test_selection_cache_on_evict_and_clear():
-    evicted: list = []
-    cache = SelectionCache(1, on_evict=lambda k, v: evicted.append((k, v)))
+    """Eviction drops the LRU entry; ``clear`` drops and counts the rest."""
+    cache = SelectionCache(1)
     cache.put("a", "A")
     cache.put("b", "B")
-    assert evicted == [("a", "A")]
+    assert "a" not in cache and cache.get("b") == "B"
     cache.clear()
-    assert evicted == [("a", "A"), ("b", "B")]
-    assert len(cache) == 0
+    assert len(cache) == 0 and cache.get("b") is None
+    assert cache.snapshot()["evictions"] == 2
 
 
 def test_selection_cache_key_is_order_insensitive():
@@ -333,9 +331,8 @@ def matrix_server(road, road_ch):
         config=ServerConfig(
             batch_max=4,
             max_wait_ms=10.0,
+            max_pending=8,
             selection_cache=2,
-            # Slow poll so tests can pin admission capacity directly.
-            health_poll_ms=60_000.0,
         ),
     )
     with serve_in_thread(service) as handle:
@@ -398,19 +395,22 @@ def test_server_matrix_deadline(matrix_client):
 
 def test_server_matrix_degraded_admission(matrix_server, matrix_client,
                                           road_ch):
-    """Matrix requests shed like any work op when capacity collapses."""
+    """Matrix requests shed with 429 like any work op once
+    ``max_pending`` requests are in flight."""
     admission = matrix_server.service.admission
-    # Degraded capacity shrinks the effective bound to 1; occupy that
-    # one slot so the next matrix request is deterministically shed.
-    admission.set_capacity(0.0)
-    assert admission.try_acquire() is None
+    # Occupy every slot so the next matrix request is deterministically
+    # shed.
+    held = 0
+    while admission.try_acquire() is None:
+        held += 1
+    assert held == admission.max_pending
     try:
         with pytest.raises(ServerError) as exc_info:
             matrix_client.matrix(SOURCES, TARGETS)
         assert exc_info.value.code == 429
     finally:
-        admission.release()
-        admission.set_capacity(1.0)
+        for _ in range(held):
+            admission.release()
     assert np.array_equal(
         matrix_client.matrix(SOURCES[:2], TARGETS),
         many_to_many_buckets(road_ch, SOURCES[:2], TARGETS),
@@ -418,14 +418,11 @@ def test_server_matrix_degraded_admission(matrix_server, matrix_client,
 
 
 def test_server_selection_cache_evicts_publications(road, road_ch):
-    """Distinct target sets beyond capacity retire their publications."""
+    """Distinct target sets beyond capacity are evicted, and the
+    in-process selections create no shared memory."""
     before = _shm_names()
     service = PhastService(
-        road_ch,
-        config=ServerConfig(
-            batch_max=4, selection_cache=2,
-            num_workers=2, force_pool=True,
-        ),
+        road_ch, config=ServerConfig(batch_max=4, selection_cache=2),
     )
     with serve_in_thread(service) as handle:
         with ServerClient(handle.host, handle.port) as client:
@@ -439,43 +436,4 @@ def test_server_selection_cache_evicts_publications(road, road_ch):
             snap = client.metrics()["selection_cache"]
             assert snap["evictions"] >= 2
             assert snap["entries"] <= 2
-    assert _shm_names() <= before
-
-
-def test_server_matrix_survives_worker_kill(road, road_ch):
-    """Matrix answers stay bit-identical through a worker SIGKILL."""
-    before = _shm_names()
-    service = PhastService(
-        road_ch,
-        config=ServerConfig(
-            batch_max=4,
-            num_workers=2,
-            force_pool=True,
-            heartbeat_interval_ms=50.0,
-            health_poll_ms=50.0,
-            selection_cache=4,
-        ),
-    )
-    eng = RPhastEngine(road_ch, TARGETS)
-    expected = eng.many_to_many(SOURCES)
-    with serve_in_thread(service) as handle:
-        with ServerClient(handle.host, handle.port, max_retries=3) as client:
-            assert np.array_equal(client.matrix(SOURCES, TARGETS), expected)
-            os.kill(
-                service.pool.supervisor.processes()[0].pid, signal.SIGKILL
-            )
-            deadline = time.monotonic() + 30
-            recovered = False
-            while time.monotonic() < deadline and not recovered:
-                assert np.array_equal(
-                    client.matrix(SOURCES, TARGETS), expected
-                )
-                health = client.health()
-                recovered = (
-                    health["pool"]["workers_alive"] == 2
-                    and health["pool"]["restarts"] >= 1
-                )
-            assert recovered, f"no recovery before deadline: {health}"
-            metrics = client.metrics()
-            assert metrics["pool"]["deaths"] >= 1
     assert _shm_names() <= before

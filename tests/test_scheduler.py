@@ -260,9 +260,10 @@ class _ThreadRecorder(_Recorder):
 
 
 def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
-    """``on_loop`` runs sweep batches (sweep, finalize, reply) on the
-    event-loop thread; a batch holding an exclusive request still goes
-    to the executor."""
+    """Sweep batches (sweep, finalize, reply) always run on the
+    event-loop thread; a batch holding an exclusive request never does
+    (it goes to the executor, its sweep lanes with it), and the next
+    sweep batch is back on the loop."""
     recorder = _ThreadRecorder()
 
     async def scenario(batcher, recorder):
@@ -282,12 +283,16 @@ def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
         batcher.submit(exclusive)
         batcher.submit(_request(5))
         ran_on = await exclusive.reply.result()
+        last = _request(6)
+        batcher.submit(last)
+        assert await last.reply.result() == ("row", 6)
         return loop_thread, finalized, ran_on
 
     (loop_thread, finalized, ran_on), recorder = _run(
-        scenario, recorder, on_loop=True, batch_max=16, max_wait_ms=1000)
-    assert recorder.batches == [[4], [5]]
+        scenario, recorder, batch_max=16, max_wait_ms=1000)
+    assert recorder.batches == [[4], [5], [6]]
     assert recorder.threads[0] is loop_thread
     assert finalized == [loop_thread]
     assert ran_on is not loop_thread
     assert recorder.threads[1] is ran_on  # the sweep rode the same batch
+    assert recorder.threads[2] is loop_thread

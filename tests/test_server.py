@@ -190,7 +190,7 @@ def test_microbatching_actually_coalesces(server):
     assert batches["mean_size"] > 1.0
 
 
-def test_metrics_shape(client):
+def test_metrics_shape(client, server):
     client.tree(0)
     m = client.metrics()
     assert m["requests_total"]["tree"] >= 1
@@ -198,7 +198,7 @@ def test_metrics_shape(client):
     assert lat["count"] >= 1
     assert lat["p50_ms"] <= lat["p99_ms"] <= lat["max_ms"] + 1e-9
     assert m["admission"]["max_pending"] == 64
-    assert m["pool"]["trees_computed"] >= 1
+    assert server.service.trees_computed >= 1
     total_batched = sum(
         int(s) * c for s, c in m["batches"]["size_histogram"].items()
     )
@@ -324,72 +324,33 @@ def test_admission_controller_unit():
     assert ac.try_acquire() == AdmissionController.DRAINING
     snap = ac.snapshot()
     assert snap["pending"] == 2
-    assert snap["rejected"] == {"overloaded": 1, "draining": 1, "degraded": 0}
-    assert snap["capacity"] == 1.0
-    assert snap["effective_max_pending"] == 2
+    assert snap["rejected"] == {"overloaded": 1, "draining": 1}
+    assert snap["max_pending"] == 2
     ac.release()
     ac.release()
     with pytest.raises(RuntimeError):
         ac.release()
 
 
-def test_admission_saturated_while_degraded_reports_overloaded():
-    """A full nominal bound is OVERLOADED even with capacity lost.
-
-    DEGRADED is reserved for rejections that exist only because the
-    bound was scaled down; conflating the two would make a saturated
-    instance that lost one worker report every rejection as
-    "degraded" and skew the counters operators alert on.
-    """
-    ac = AdmissionController(max_pending=2)
-    assert ac.try_acquire() is None
-    assert ac.try_acquire() is None           # pending == max_pending
-    ac.set_capacity(0.5)                      # effective bound: 1
-    assert ac.try_acquire() == AdmissionController.OVERLOADED
-    ac.release()                              # pending == effective bound
-    assert ac.try_acquire() == AdmissionController.DEGRADED
-    snap = ac.snapshot()
-    assert snap["rejected"]["overloaded"] == 1
-    assert snap["rejected"]["degraded"] == 1
-
-
-def test_admission_degraded_mode():
-    """Capacity loss shrinks the effective bound and renames the reason."""
-    ac = AdmissionController(max_pending=4)
-    ac.set_capacity(0.5)
-    assert ac.try_acquire() is None
-    assert ac.try_acquire() is None
-    assert ac.try_acquire() == AdmissionController.DEGRADED
-    snap = ac.snapshot()
-    assert snap["effective_max_pending"] == 2
-    assert snap["capacity"] == 0.5
-    assert snap["rejected"]["degraded"] == 1
-    # Even a dead pool keeps one slot open (work trickles while
-    # workers respawn) and recovery restores the full bound.
-    ac.set_capacity(0.0)
-    assert ac.snapshot()["effective_max_pending"] == 1
-    ac.set_capacity(1.0)
-    assert ac.try_acquire() is None
-    assert ac.try_acquire() is None
-    assert ac.try_acquire() == AdmissionController.OVERLOADED
-    ac.set_capacity(7.0)  # clamped
-    assert ac.capacity == 1.0
-
-
 # ---------------------------------------------------------------------------
 # Graceful drain
 
 
+def _shm_names() -> set[str]:
+    try:
+        return set(os.listdir("/dev/shm"))
+    except FileNotFoundError:  # pragma: no cover - non-Linux
+        return set()
+
+
 def test_graceful_drain_completes_inflight_and_unlinks_shm(road_ch, reference):
-    """Drain mid-burst: admitted work finishes bit-exact, new work gets
-    503/connection-refused, and the pool's shared memory is unlinked."""
+    """Drain mid-burst on the default server: admitted work finishes
+    bit-exact, new work gets 503/connection-refused, and no shared
+    memory segment is created (none is left to unlink)."""
+    before = _shm_names()
     service = PhastService(
-        road_ch,
-        config=ServerConfig(
-            batch_max=4, max_wait_ms=10.0, num_workers=2, force_pool=True
-        ),
+        road_ch, config=ServerConfig(batch_max=4, max_wait_ms=10.0),
     )
-    shm_name = service.pool._hier[0]  # the hierarchy generation segment
     handle = serve_in_thread(service)
     outcomes: list[str] = []
     lock = threading.Lock()
@@ -422,11 +383,7 @@ def test_graceful_drain_completes_inflight_and_unlinks_shm(road_ch, reference):
     for t in threads:
         t.join(120)
     assert "ok" in outcomes  # in-flight work completed
-    # The segment must be gone from /dev/shm.
-    from multiprocessing import shared_memory
-
-    with pytest.raises(FileNotFoundError):
-        shared_memory.SharedMemory(name=shm_name)
+    assert _shm_names() <= before
     # And the port must be closed.
     with pytest.raises(OSError):
         socket.create_connection((handle.host, handle.port), timeout=2)
@@ -531,18 +488,16 @@ def test_disconnect_with_queued_sweeps_frees_admission(road_ch, reference):
         assert service.admission.pending == 0
         with ServerClient(handle.host, handle.port) as c:
             assert np.array_equal(c.tree(5), reference[5])
-        swept = _on_loop(handle, lambda: service.pool.trees_computed)
+        swept = _on_loop(handle, lambda: service.trees_computed)
     # The warm-up tree, the other client's, and not every dropped lane.
     assert swept < 1 + 48 + 1
 
 
 def test_pipelined_burst_sweeps_on_the_loop_without_tasks(road_ch,
                                                          reference):
-    """On a serial pool a burst of 32 trees runs every sweep batch on
-    the event-loop thread, and the loop's task count does not grow with
-    the burst."""
+    """A burst of 32 trees runs every sweep batch on the event-loop
+    thread, and the loop's task count does not grow with the burst."""
     service = PhastService(road_ch, config=ServerConfig(max_wait_ms=1.0))
-    assert service.pool.serial
     sweep = service.batcher.sweep_fn
     seen: list[tuple[threading.Thread, int]] = []
 
@@ -587,29 +542,6 @@ def test_health_pipelined_behind_a_full_batch_is_answered(road_ch,
     assert answers["h"]["ok"] and answers["h"]["ready"] is True
     for i in range(16):
         assert np.array_equal(answers[i]["dist"], reference[i])
-
-
-def test_worker_pool_batch_leaves_the_loop_reading(road_ch, reference,
-                                                   monkeypatch):
-    """On a worker pool a sweep batch runs on an executor thread, so a
-    ``health`` frame sent while the batch waits on its workers is
-    answered first.  Run on the loop, the batch would hold the loop for
-    the whole slow chunk and the tree would be answered first."""
-    monkeypatch.setenv("REPRO_FAULT", "slow:ms=600,chunk=any,times=inf")
-    service = PhastService(
-        road_ch, config=ServerConfig(num_workers=2, force_pool=True,
-                                     max_wait_ms=0.0),
-    )
-    assert not service.pool.serial
-    with serve_in_thread(service) as handle:
-        with _pipeline(handle, [{"id": 0, "op": "tree", "source": 5}]) as sock:
-            time.sleep(0.15)  # the batch is now waiting on a slow chunk
-            sock.sendall(protocol.encode_message({"id": "h", "op": "health"}))
-            first = protocol.recv_message(sock)
-            second = protocol.recv_message(sock)
-    assert first["id"] == "h" and first["ok"]
-    assert second["id"] == 0
-    assert np.array_equal(second["dist"], reference[5])
 
 
 # ---------------------------------------------------------------------------
