@@ -38,9 +38,10 @@ of ``k`` tree requests for k = 1, 2, 3, 4, 8, 16, in process and on the
 path the server runs on its event loop: the engine's k-lane
 ``PhastEngine.trees(sources, out=)`` call into a reused buffer (each
 lane's upward search, the sweep and the scatter into original IDs —
-the server runs no search cache, so every lane pays its search) and,
-per request, the finalize (:func:`protocol.int_array`) and the frame's
-encoding.  A least-squares line through the medians gives
+the server runs no search cache, so every lane pays its search) and
+the batch's answer frames, all ``k`` written by one
+:func:`protocol.sweep_frames` call and copied out as the one write of
+a single connection.  A least-squares line through the medians gives
 ``C(k) = alpha + beta * k``.
 
 Two further experiments exercise the front-door router
@@ -129,9 +130,11 @@ def _batch_cost(ch, n: int) -> dict:
     Each rep draws ``k`` fresh sources, runs the engine's ``trees``
     call into the first ``k`` rows of a reused ``(BATCH_MAX, n)``
     buffer, as the server does (search + sweep + scatter), and then
-    each request's finalize and frame encoding, timed apart.  Reported
-    per ``k``: the medians of both parts, their sum, and the sum over
-    ``k`` (cost per request).
+    writes the batch's ``k`` answer frames as the server does (one
+    :func:`protocol.sweep_frames` call, the frames copied out as one
+    connection's write), timed apart.  Reported per ``k``: the medians
+    of both parts, their sum, and the sum over ``k`` (cost per
+    request).
     """
     engine = PhastEngine(ch)
     buf = np.empty((BATCH_MAX, n), dtype=np.int64)
@@ -146,9 +149,9 @@ def _batch_cost(ch, n: int) -> dict:
                 t0 = time.perf_counter()
                 rows = engine.trees(sources, out=buf[:k])
                 t1 = time.perf_counter()
-                for i, row in enumerate(rows):
-                    protocol.encode_message(protocol.ok_response(
-                        i, dist=protocol.int_array(row)))
+                frames, _ = protocol.sweep_frames(
+                    rows, [(i, "tree", None, i) for i in range(k)])
+                bytes(frames)
                 t2 = time.perf_counter()
                 trees_s.append(t1 - t0)
                 finish_s.append(t2 - t1)
@@ -166,8 +169,8 @@ def _batch_cost(ch, n: int) -> dict:
     return {
         "what": "one served batch of k tree requests, in process: "
                 "PhastEngine.trees into a reused buffer (search, sweep, "
-                "scatter; no search cache) + per request int_array "
-                "finalize and encode_message",
+                "scatter; no search cache) + the batch's answer frames "
+                "(one sweep_frames call, copied out as one write)",
         "reps_per_k": BATCH_COST_REPS,
         "points": points,
         "alpha_ms": round(float(alpha), 4),
@@ -555,8 +558,8 @@ def run(quiet: bool = False) -> dict:
         cost = record["batch_cost"]
         print_table(
             "C(k): one served batch of k trees (search + sweep, "
-            "finalize + encode)",
-            ["k", "search+sweep ms", "finalize+encode ms", "batch ms",
+            "answer frames)",
+            ["k", "search+sweep ms", "frames ms", "batch ms",
              "per request ms"],
             [[p["k"], fmt(p["search_sweep_ms"], 3),
               fmt(p["finalize_encode_ms"], 3), fmt(p["batch_ms"], 3),

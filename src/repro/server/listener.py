@@ -54,13 +54,26 @@ class Connection:
             self._server._settle()
 
     def send(self, response: dict) -> None:
-        """Write one response frame (event-loop thread only)."""
+        """Write one response frame (event-loop thread only).
+
+        A response over the frame cap is answered with a 500 error
+        naming its size and the cap, so the client is not left waiting.
+        """
+        try:
+            frame = protocol.encode_message(response)
+        except protocol.ProtocolError as exc:
+            frame = protocol.encode_message(self._server._error(
+                response.get("id"), protocol.INTERNAL, str(exc)))
+        self.write(frame)
+
+    def write(self, frames) -> None:
+        """Write whole encoded frames (event-loop thread only)."""
         if self.transport.is_closing():
             return  # peer went away; nothing to tell it
         try:
-            self.transport.write(protocol.encode_message(response))
+            self.transport.write(frames)
         except (ConnectionError, RuntimeError, OSError):
-            pass  # peer went away, or the frame is over the cap
+            pass  # peer went away
 
 
 class FrameServer:

@@ -51,7 +51,9 @@ __all__ = [
     "CONTROL_OPS",
     "validate_request",
     "encode_message",
+    "frame_too_large",
     "int_array",
+    "sweep_frames",
     "decode_body",
     "read_message",
     "write_message",
@@ -149,12 +151,63 @@ def encode_message(obj: dict) -> bytes:
     else:
         parts = [_dumps(obj).encode("utf-8")]
     length = sum(map(len, parts))
-    if length > MAX_MESSAGE_BYTES:
-        raise ProtocolError(
-            f"message of {length} bytes exceeds the "
-            f"{MAX_MESSAGE_BYTES}-byte frame cap"
-        )
+    too_large = frame_too_large(length)
+    if too_large:
+        raise ProtocolError(too_large)
     return b"".join([_HEADER.pack(length), *parts])
+
+
+def frame_too_large(length: int) -> str | None:
+    """Why a frame body of ``length`` bytes may not be sent, naming its
+    size and the cap, or ``None`` when it fits."""
+    if length <= MAX_MESSAGE_BYTES:
+        return None
+    return (f"message of {length} bytes exceeds the "
+            f"{MAX_MESSAGE_BYTES}-byte frame cap")
+
+
+def _json_id(req_id) -> bytes:
+    """The JSON text of a request id, as :func:`encode_message` writes it."""
+    return (int.__repr__(req_id) if type(req_id) is int
+            else _dumps(req_id)).encode()
+
+
+def sweep_frames(rows: np.ndarray,
+                 answers) -> tuple[bytes | memoryview, list[int]]:
+    """The response frames of one sweep batch, back to back.
+
+    ``rows`` holds the batch's distance rows by original ID.  Each
+    answer is ``(lane, op, arg, req_id)``: the request's row is
+    ``rows[lane]``, and its payload is ``{"dist": row}`` for ``tree``,
+    ``{"dist": row[arg]}`` (``arg`` the targets, repeats kept) for
+    ``one_to_many``, and ``{"vertices": np.flatnonzero(row <= arg),
+    "count": ...}`` (``arg`` the budget) for ``isochrone``.  Returns
+    the frames as one bytes-like object and the end of each.  With the
+    kernels one native call writes them all
+    (:func:`repro.utils.native.answer_frames`; the view is valid until
+    the thread's next batch); without, each is :func:`encode_message`
+    of its payload with lists: the bytes are the same.  Frame sizes are
+    not checked (:func:`frame_too_large`).
+    """
+    made = native.answer_frames(
+        rows, [(lane, op, arg, _json_id(req_id))
+               for lane, op, arg, req_id in answers])
+    if made is not None:
+        return made
+    frames, ends, end = [], [], 0
+    for lane, op, arg, req_id in answers:
+        row = rows[lane]
+        if op == "isochrone":
+            vertices = np.flatnonzero(row <= arg)
+            payload = {"vertices": vertices.tolist(),
+                       "count": int(vertices.size)}
+        else:
+            payload = {"dist": (row if op == "tree" else row[arg]).tolist()}
+        body = _dumps(ok_response(req_id, **payload)).encode()
+        frames += (_HEADER.pack(len(body)), body)
+        end += _HEADER.size + len(body)
+        ends.append(end)
+    return b"".join(frames), ends
 
 
 def decode_body(body: bytes) -> dict:

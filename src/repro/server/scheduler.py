@@ -4,20 +4,20 @@ PHAST amortizes the cost of a sweep over the ``k`` trees of one
 multi-source sweep (Section IV-B).  On the serving path, with the
 native kernels, that amortization is small.  ``C(k)`` is the cost of
 one served batch of ``k`` tree requests: each lane's upward search,
-the sweep, and each request's finalize and frame encoding.
+the sweep, and the batch's answer frames.
 ``benchmarks/bench_server.py`` measures it in process
 (``BENCH_server.json``, ``batch_cost``; 4096 vertices, 2 vCPUs) as
-``C(k) = 0.06 + 0.11 k`` ms, and three runs on the same host gave
-``alpha`` of 0.02–0.06 ms and ``beta`` of 0.11–0.12 ms: the searches,
-the sweep and the scatter of all k lanes are one native call.  So
-``alpha`` is worth less than one request: per request, a batch costs
-0.15–0.17 ms at k = 1 and 0.12 ms at k = 16.  Search and sweep fall
-from 0.07–0.08 ms per lane at k = 1 to 0.04 ms at k = 16, and a
-k-lane batch costs less than k lone ones at every k; the finalize and
-encode, 0.08–0.09 ms per request, do not batch at all and are most of
-a full batch's cost.  Batching is kept because under load it costs
-nothing — requests that arrive during one batch form the next — and
-it still saves 15–30% of a request's cost.  The policy:
+``C(k) = 0.038 + 0.048 k`` ms, and three runs on the same host gave
+``alpha`` of 0.035–0.039 ms and ``beta`` of 0.048–0.069 ms: the
+searches, the sweep and the scatter of all k lanes are one native
+call, and all k answer frames one more.  So ``alpha`` is worth less
+than one request: per request, a batch costs 0.10–0.11 ms at k = 1
+and 0.05–0.07 ms at k = 16.  Search and sweep fall from 0.06–0.07 ms
+per lane at k = 1 to 0.03–0.04 ms at k = 16, and the answer frames
+from 0.04 ms per request to 0.02–0.03 ms; a k-lane batch costs less
+than k lone ones at every k.  Batching is kept because under load it
+costs nothing — requests that arrive during one batch form the next —
+and it saves 30–45% of a request's cost.  The policy:
 
 * the first queued request opens a *batch window*;
 * everything queued behind it joins immediately — dispatches are
@@ -32,9 +32,10 @@ it still saves 15–30% of a request's cost.  The policy:
   comes first;
 * the batch runs as one multi-source sweep on the engine — requests
   sharing a source share one lane (singleflight-style coalescing) —
-  and each request's row is post-processed into its response payload
-  right after the sweep;
-* each request's reply callback gets its payload, or its error.
+  and one ``answer_fn`` call answers all its sweep requests from the
+  rows right after the sweep;
+* each exclusive request's reply callback gets its payload, and any
+  request its error.
 
 A sweep batch runs on the event-loop thread itself.  A batch of this
 cost gains nothing from an executor thread: the loop has little to do
@@ -69,10 +70,12 @@ class SchedulerStopped(Exception):
 class SweepRequest:
     """One queued sweep-shaped request.
 
-    ``finalize(row)`` turns the request's distance row into its
-    response payload; it runs right after the sweep, on the thread
-    that ran it, while the row is hot in cache and before the engine's
-    reused output buffer is overwritten by the next batch.
+    ``op`` and ``arg`` say what its answer is made of: the batcher does
+    not look at them, it hands the request, its lane and the batch's
+    rows to the batcher's ``answer_fn``, which answers every sweep
+    request of a batch at once, right after the sweep, on the
+    event-loop thread, before the reused rows are overwritten by the
+    next batch.
 
     ``reply(outcome)`` takes the payload, or the exception that ended
     the request, on the event-loop thread.  ``reply.done`` turns true
@@ -88,24 +91,22 @@ class SweepRequest:
     same admission accounting.
     """
 
-    __slots__ = ("op", "source", "finalize", "reply", "enqueued_at",
+    __slots__ = ("op", "source", "arg", "reply", "enqueued_at",
                  "deadline", "execute")
 
     def __init__(
         self,
         op: str,
         source: int,
-        finalize: Callable | None,
+        arg,
         reply: Callable,
         *,
         deadline: float | None = None,
         execute: Callable | None = None,
     ) -> None:
-        if (finalize is None) == (execute is None):
-            raise ValueError("exactly one of finalize/execute is required")
         self.op = op
         self.source = int(source)
-        self.finalize = finalize
+        self.arg = arg
         self.reply = reply
         self.enqueued_at = time.monotonic()
         self.deadline = deadline
@@ -136,8 +137,13 @@ class MicroBatcher:
         ``sweep_fn(sources) -> rows`` computing one distance row per
         source (a :class:`~repro.core.phast.PhastEngine` ``trees``
         call).  Dispatches are serialized, so ``sweep_fn`` never runs
-        concurrently with itself.  Sweep batches (the sweep, each
-        finalize and each reply) run on the event-loop thread.
+        concurrently with itself.  Sweep batches (the sweep and the
+        answers) run on the event-loop thread.
+    answer_fn:
+        ``answer_fn(requests, lanes, rows)`` answers a batch's live
+        sweep requests at once, request ``i`` from ``rows[lanes[i]]``,
+        on the event-loop thread; the batcher fails any it leaves
+        unanswered by raising.
     executor:
         Where batches holding an exclusive request run.
     batch_max:
@@ -152,6 +158,7 @@ class MicroBatcher:
     def __init__(
         self,
         sweep_fn: Callable,
+        answer_fn: Callable,
         *,
         executor,
         batch_max: int = 16,
@@ -163,6 +170,7 @@ class MicroBatcher:
         if max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
         self.sweep_fn = sweep_fn
+        self.answer_fn = answer_fn
         self.executor = executor
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
@@ -274,11 +282,16 @@ class MicroBatcher:
         waits = [now - req.enqueued_at for req in live]
         try:
             if all(req.execute is None for req in live):
-                payloads, sweep_s, lanes = self._sweep_and_finalize(live)
+                lane, rows, outcomes, run_s = self._execute(live)
             else:
-                payloads, sweep_s, lanes = await loop.run_in_executor(
-                    self.executor, self._sweep_and_finalize, live
+                lane, rows, outcomes, run_s = await loop.run_in_executor(
+                    self.executor, self._execute, live
                 )
+            t0 = time.monotonic()
+            sweeps = [req for req in live if req.execute is None and req.live]
+            if sweeps:
+                self.answer_fn(sweeps, [lane[req.source] for req in sweeps],
+                               rows)
         except Exception as exc:  # sweep failure: fail the whole batch
             if self.metrics is not None:
                 self.metrics.record_batch_failure()
@@ -288,19 +301,23 @@ class MicroBatcher:
                     req.reply(failure)
             return
         if self.metrics is not None:
-            self.metrics.record_batch(len(live), waits, sweep_s, lanes=lanes)
-        for req, payload in zip(live, payloads):
+            self.metrics.record_batch(len(live), waits,
+                                      run_s + time.monotonic() - t0,
+                                      lanes=len(lane))
+        for req, outcome in outcomes:
             if req.live:
-                req.reply(payload)
+                req.reply(outcome)
 
-    def _sweep_and_finalize(self, live: list) -> tuple[list, float, int]:
-        """One multi-source sweep + per-request fan-out.
+    def _execute(self, live: list) -> tuple[dict, object, list, float]:
+        """One multi-source sweep, then each exclusive request.
 
         Requests sharing a source share one sweep lane (singleflight-
         style coalescing): a batch of k requests from u distinct
         origins costs a u-lane sweep, so hot origins — depots, hubs,
         popular tiles — get cheaper the more concurrently they are
-        asked about.
+        asked about.  Returns each source's lane, the rows, each
+        exclusive request's payload or exception, and the seconds
+        taken.
         """
         t0 = time.monotonic()
         lane: dict[int, int] = {}
@@ -308,13 +325,11 @@ class MicroBatcher:
             if req.execute is None:
                 lane.setdefault(req.source, len(lane))
         rows = self.sweep_fn(list(lane)) if lane else None
-        payloads: list = []
+        outcomes: list = []
         for req in live:
-            try:
-                if req.execute is not None:
-                    payloads.append(req.execute())
-                else:
-                    payloads.append(req.finalize(rows[lane[req.source]]))
-            except Exception as exc:
-                payloads.append(exc)
-        return payloads, time.monotonic() - t0, len(lane)
+            if req.execute is not None:
+                try:
+                    outcomes.append((req, req.execute()))
+                except Exception as exc:
+                    outcomes.append((req, exc))
+        return lane, rows, outcomes, time.monotonic() - t0

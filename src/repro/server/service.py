@@ -25,11 +25,12 @@ The event loop parses frames and answers each without a task of its
 own: admin ops reply at once, batcher ops carry a reply callback, and
 ``query`` replies from its executor future's done-callback.  The
 batcher runs each sweep batch on the loop thread as well — the k-lane
-sweep (one native call), each finalize (the answer's arrays written as
-JSON text by :func:`protocol.int_array`) and each frame's encoding —
-because handing a batch to another thread costs more than it overlaps
-when both threads contend for one GIL.  Point-to-point queries and
-batches holding an exclusive request run on a small thread pool.
+sweep (one native call), then every answer frame of the batch (one
+native call, :func:`protocol.sweep_frames`), each connection's frames
+in one transport write — because handing a batch to another thread
+costs more than it overlaps when both threads contend for one GIL.
+Point-to-point queries and batches holding an exclusive request run
+on a small thread pool.
 Sweeps are serialized by the batcher (the engine is single-caller);
 point-to-point queries run concurrently — they touch only their own
 heaps and dicts.  More cores serve through replicas behind
@@ -148,7 +149,7 @@ class PhastService(FrameServer):
         self.metric_generation = 0
         #: Distance rows the batcher's sweeps have computed.
         self.trees_computed = 0
-        # One reused output buffer: each batch's rows are finalized
+        # One reused output buffer: each batch's rows are answered
         # before the next batch overwrites them.
         self._rows = np.empty((self.config.batch_max, self.n), dtype=np.int64)
         # RPHAST selections for the matrix op, keyed by target-set
@@ -161,6 +162,7 @@ class PhastService(FrameServer):
         )
         self.batcher = MicroBatcher(
             self._sweep,
+            self._answer_sweeps,
             executor=self._executor,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
@@ -196,6 +198,39 @@ class PhastService(FrameServer):
         rows = self.engine.trees(sources, out=self._rows[:len(sources)])
         self.trees_computed += len(sources)
         return rows
+
+    def _answer_sweeps(self, requests: list, lanes: list[int],
+                       rows: np.ndarray) -> None:
+        """Answer one batch's sweep requests (the batcher's
+        ``answer_fn``, on the loop).
+
+        Every frame is written by one call
+        (:func:`protocol.sweep_frames`), with each connection's frames
+        side by side, and each connection gets them in one write.  A
+        frame over the cap is replaced by a 500 error naming its size.
+        """
+        by_conn: dict = {}
+        for req, lane in zip(requests, lanes):
+            by_conn.setdefault(req.reply.conn, []).append((req, lane))
+        frames, ends = protocol.sweep_frames(rows, [
+            (lane, req.op, req.arg, req.reply.req_id)
+            for group in by_conn.values() for req, lane in group])
+        i = end = 0
+        for conn, group in by_conn.items():
+            parts, start = [], end
+            for req, _ in group:
+                begin, end = end, ends[i]
+                i += 1
+                # The body is the frame less its 4-byte length header.
+                too_large = protocol.frame_too_large(end - begin - 4)
+                if too_large:
+                    parts += (frames[start:begin], protocol.encode_message(
+                        self._error(req.reply.req_id, protocol.INTERNAL,
+                                    too_large)))
+                    start = end
+                req.reply.answered()
+            parts.append(frames[start:end])
+            conn.write(b"".join(parts))
 
     def _matrix_payload(self, sources: list[int], targets: list[int]) -> dict:
         """Compute one k×m matrix (executor thread, exclusive dispatch).
@@ -331,20 +366,11 @@ class PhastService(FrameServer):
         return time.monotonic() + float(timeout_ms) / 1e3
 
     def _run_sweep(self, reply, op: str, fields: dict) -> None:
-        deadline = self._deadline(fields)
-        source = fields["source"]
-        if op == "tree":
-            finalize = _finalize_tree
-        elif op == "one_to_many":
-            idx = np.asarray(fields["targets"], dtype=np.int64)
-            finalize = lambda row, idx=idx: {
-                "dist": protocol.int_array(row[idx])}
-        else:  # isochrone
-            budget = fields["budget"]
-            finalize = lambda row, budget=budget: _finalize_isochrone(row, budget)
-        self.batcher.submit(
-            SweepRequest(op, source, finalize, reply, deadline=deadline)
-        )
+        # What the answer needs besides the row (see sweep_frames).
+        arg = {"tree": None, "one_to_many": fields.get("targets"),
+               "isochrone": fields.get("budget")}[op]
+        self.batcher.submit(SweepRequest(
+            op, fields["source"], arg, reply, deadline=self._deadline(fields)))
 
     def _run_matrix(self, reply, op: str, fields: dict) -> None:
         deadline = self._deadline(fields)
@@ -437,10 +463,11 @@ class _Reply:
 
     Called once, on the event-loop thread, with the request's payload
     or the exception that ended it: it releases the admission slot,
-    records the latency and writes the response frame.  A dropped
-    connection cancels it instead, which releases the slot at once and
-    turns a queued sweep request dead, so its lane is dropped.  Either
-    way the slot is released exactly once.
+    records the latency and writes the response frame.  A sweep batch
+    writes its requests' frames itself and calls :meth:`answered`.  A
+    dropped connection cancels it instead, which releases the slot at
+    once and turns a queued sweep request dead, so its lane is dropped.
+    Either way the slot is released exactly once.
     """
 
     __slots__ = ("service", "conn", "req_id", "op", "t0", "done")
@@ -457,14 +484,18 @@ class _Reply:
     def __call__(self, outcome) -> None:
         if self.done:
             return
-        self._finish()
-        service = self.service
+        self.answered()
         if isinstance(outcome, BaseException):
-            response = service._failure(self.req_id, outcome)
+            response = self.service._failure(self.req_id, outcome)
         else:
             response = protocol.ok_response(self.req_id, **outcome)
-        service.metrics.record_latency(self.op, time.monotonic() - self.t0)
         self.conn.send(response)
+
+    def answered(self) -> None:
+        """Finish the answer; the caller writes its frame."""
+        self._finish()
+        self.service.metrics.record_latency(self.op,
+                                            time.monotonic() - self.t0)
 
     def cancel(self) -> None:
         if not self.done:
@@ -487,16 +518,6 @@ def _query_outcome(future) -> dict | BaseException:
         "reachable": distance < int(INF),
         "settled": int(result.settled_forward + result.settled_backward),
     }
-
-
-def _finalize_tree(row: np.ndarray) -> dict:
-    return {"dist": protocol.int_array(row)}
-
-
-def _finalize_isochrone(row: np.ndarray, budget: int) -> dict:
-    vertices = np.flatnonzero(row <= budget)
-    return {"vertices": protocol.int_array(vertices),
-            "count": int(vertices.size)}
 
 
 # ---------------------------------------------------------------------------

@@ -21,12 +21,18 @@ Three families of kernels live in one C source, built into one library:
   :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
   :func:`thread_searcher` keeps one searcher per thread and graph, so
   repeated searches reuse their scratch.
-* **Formatting.**  An int64 array written as JSON integer text
-  (:func:`format_ints`), the bytes ``json.dumps`` gives for its
-  ``tolist()``, so the server encodes a distance row without making a
-  Python int per entry, into one reused buffer per thread.  The
-  fallback is that ``tolist()``
-  (:func:`repro.server.protocol.int_array`).
+* **Formatting.**  Whole answer frames of a served sweep batch in one
+  call (:func:`answer_frames`): for each request its length header,
+  its id (JSON text made by the caller) and its payload — the row, the
+  row at its targets, or the vertices within its budget — written
+  from the batch's rows as ``json.dumps`` writes them, so the server
+  makes no Python int per entry and no dict per answer.  The same
+  integer writer gives an int64 array's JSON text
+  (:func:`format_ints`, the bytes ``json.dumps`` gives for its
+  ``tolist()``; the matrix op's array).  Both write into one reused
+  buffer per thread.  The fallbacks encode the same payloads with
+  ``tolist()`` lists (:func:`repro.server.protocol.sweep_frames` and
+  :func:`repro.server.protocol.int_array`).
 
 The library is built with the system C compiler and loaded through
 :mod:`ctypes` — no third-party build machinery, nothing to install.
@@ -68,12 +74,14 @@ import subprocess
 import tempfile
 import threading
 import weakref
+from array import array
 
 import numpy as np
 
 from ..graph.csr import INF
 
 __all__ = [
+    "answer_frames",
     "customize_pass",
     "format_ints",
     "perfect_pass",
@@ -320,20 +328,50 @@ void repro_trees(const struct trees *t, int64_t k, int64_t gen,
         for (; i < t->mark_end[j]; i++) seed[t->mark_pos[i] * k + j] = inf;
 }
 
-/* v in decimal (at most 20 characters, for INT64_MIN). */
-static char *put_int(char *p, int64_t v)
+static const char pairs[] =
+    "00010203040506070809101112131415161718192021222324252627282930313233"
+    "34353637383940414243444546474849505152535455565758596061626364656667"
+    "6869707172737475767778798081828384858687888990919293949596979899";
+
+/* The number of decimal digits of u, 1 to 20. */
+static inline int digits(uint64_t u)
 {
-    char tmp[20];
-    int i = 20;
+    for (int d = 1;; d += 4, u /= 10000) {
+        if (u < 10) return d;
+        if (u < 100) return d + 1;
+        if (u < 1000) return d + 2;
+        if (u < 10000) return d + 3;
+    }
+}
+
+/* v in decimal (at most 20 characters, for INT64_MIN): its digits are
+   counted first, then written from the last, two per division. */
+static inline char *put_int(char *p, int64_t v)
+{
     uint64_t u = v < 0 ? 0 - (uint64_t)v : (uint64_t)v;
     if (v < 0) *p++ = '-';
-    do {
-        tmp[--i] = (char)('0' + u % 10);
-        u /= 10;
-    } while (u);
-    memcpy(p, tmp + i, 20 - i);
-    return p + 20 - i;
+    char *end = p + digits(u);
+    for (p = end; u >= 100; u /= 100) {
+        p -= 2;
+        memcpy(p, pairs + 2 * (u % 100), 2);
+    }
+    if (u >= 10) memcpy(p - 2, pairs + 2 * u, 2);
+    else p[-1] = (char)('0' + u);
+    return end;
 }
+
+/* val[0..count) as "v,v,v"; at most 21 bytes per value. */
+static char *put_ints(char *p, const int64_t *val, int64_t count)
+{
+    for (int64_t i = 0; i < count; i++) {
+        if (i) *p++ = ',';
+        p = put_int(p, val[i]);
+    }
+    return p;
+}
+
+#define PUT(p, literal) \
+    (memcpy(p, literal, sizeof literal - 1), p + sizeof literal - 1)
 
 /* JSON text of rows x cols int64 values, as json.dumps writes their
    nested lists with "," separators: [v,v] for one flat row (nested
@@ -345,18 +383,81 @@ int64_t repro_format_ints(const int64_t *val, int64_t rows, int64_t cols,
 {
     char *p = out;
     *p++ = '[';
-    for (int64_t r = 0; r < rows; r++) {
+    for (int64_t r = 0; r < rows; r++, val += cols) {
         if (nested) {
             if (r) *p++ = ',';
             *p++ = '[';
         }
-        for (int64_t c = 0; c < cols; c++) {
-            if (c) *p++ = ',';
-            p = put_int(p, *val++);
-        }
+        p = put_ints(p, val, cols);
         if (nested) *p++ = ']';
     }
     *p++ = ']';
+    return p - out;
+}
+
+/* One sweep batch's answer frames, back to back from out.  rows holds
+   the batch's lanes distance rows, n entries each by original ID.
+   Request i is req[5 i .. 5 i + 4]: the lane of its row; its op, 0
+   tree, 1 one_to_many, 2 isochrone; two arguments, the start and end
+   of its targets in targets (one_to_many) or its budget (isochrone);
+   and the end of its JSON-encoded id in ids, which starts where the
+   previous request's ends.  Its frame is the body's length as 4
+   big-endian bytes, then the body json.dumps writes (with "," and ":"
+   separators) for {"id": id, "ok": true, ...}: "dist", the row (tree)
+   or the row at each target in order (one_to_many), or "vertices", the
+   IDs whose distance is at most the budget, then "count", their number
+   (isochrone).  out holds 64 bytes per request, its id, and 21 per
+   value (n for tree and isochrone, one per target).  ends[i] is the end
+   of frame i; returns the total length, or -1, with nothing written,
+   when a lane is not in [0, lanes) or a target not in [0, n). */
+int64_t repro_answer_frames(const int64_t *rows, int64_t lanes, int64_t n,
+                            int64_t count, const int64_t *req,
+                            const int64_t *targets, const char *ids,
+                            char *out, int64_t *ends)
+{
+    for (int64_t i = 0; i < count; i++) {
+        const int64_t *r = req + 5 * i;
+        if (r[0] < 0 || r[0] >= lanes) return -1;
+        if (r[1] == 1)
+            for (int64_t t = r[2]; t < r[3]; t++)
+                if (targets[t] < 0 || targets[t] >= n) return -1;
+    }
+    char *p = out;
+    for (int64_t i = 0, id = 0; i < count; i++, req += 5) {
+        const int64_t *row = rows + req[0] * n;
+        char *body = p + 4;
+        p = PUT(body, "{\"id\":");
+        memcpy(p, ids + id, req[4] - id);
+        p += req[4] - id;
+        id = req[4];
+        if (req[1] == 2) {
+            int64_t found = 0;
+            p = PUT(p, ",\"ok\":true,\"vertices\":[");
+            for (int64_t v = 0; v < n; v++) {
+                if (row[v] > req[2]) continue;
+                if (found++) *p++ = ',';
+                p = put_int(p, v);
+            }
+            p = PUT(p, "],\"count\":");
+            p = put_int(p, found);
+        } else {
+            p = PUT(p, ",\"ok\":true,\"dist\":[");
+            if (req[1] == 0) {
+                p = put_ints(p, row, n);
+            } else {
+                for (int64_t t = req[2]; t < req[3]; t++) {
+                    if (t > req[2]) *p++ = ',';
+                    p = put_int(p, row[targets[t]]);
+                }
+            }
+            *p++ = ']';
+        }
+        *p++ = '}';
+        uint64_t length = (uint64_t)(p - body);
+        for (int b = 0; b < 4; b++)
+            body[b - 4] = (char)(length >> (24 - 8 * b));
+        ends[i] = p - out;
+    }
     return p - out;
 }
 """
@@ -373,6 +474,7 @@ _SIGNATURES = {
     "repro_trees": ([_P, _N, _N, _P, _N, _N], None),
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
     "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
+    "repro_answer_frames": ([_P, _N, _N, _N] + [_P] * 5, _N),
 }
 
 _lock = threading.Lock()
@@ -747,15 +849,68 @@ def format_ints(arr: np.ndarray) -> bytes | None:
     return bytes(text[:length])
 
 
+#: The op codes of ``repro_answer_frames``.
+_ANSWER_OPS = {"tree": 0, "one_to_many": 1, "isochrone": 2}
+_I64_MAX = int(np.iinfo(np.int64).max)
+
+
+def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | None:
+    """Whole response frames for one sweep batch, in one call.
+
+    ``rows`` is the batch's C-contiguous int64 ``(lanes, n)`` distance
+    rows.  Each answer is ``(lane, op, arg, id_text)``: ``op`` is
+    ``tree``, ``one_to_many`` (``arg`` its targets, repeats kept) or
+    ``isochrone`` (``arg`` its budget, any int ``>= 0``), and
+    ``id_text`` the request id's JSON text.  Returns the frames back
+    to back, as :func:`repro.server.protocol.encode_message` writes
+    them for the same payloads with lists, and the end of each; the
+    view is valid until this thread's next call.  ``None`` when the
+    kernels do not load.  Frame sizes are not checked against the
+    protocol's cap.
+    """
+    lib = _load()
+    if not lib:
+        return None
+    req: list[int] = []
+    targets = array("q")
+    size = id_end = 0
+    for lane, op, arg, id_text in answers:
+        kind = _ANSWER_OPS[op]
+        id_end += len(id_text)
+        if kind == 1:
+            start = len(targets)
+            targets.extend(arg)
+            req += (lane, kind, start, len(targets), id_end)
+            size += 64 + len(id_text) + 21 * len(arg)
+        else:
+            # Row values are at most INF, so clamping the budget to
+            # int64 keeps every comparison as it was.
+            budget = min(arg, _I64_MAX) if kind == 2 else 0
+            req += (lane, kind, budget, 0, id_end)
+            size += 64 + len(id_text) + 21 * rows.shape[1]
+    spec = array("q", req)
+    ends = array("q", bytes(8 * len(answers)))
+    text, at = _text_buffer(size)
+    length = lib.repro_answer_frames(
+        _ptr(rows, np.int64), *rows.shape, len(answers),
+        spec.buffer_info()[0], targets.buffer_info()[0],
+        b"".join(a[3] for a in answers), at, ends.buffer_info()[0])
+    if length < 0:
+        raise ValueError(f"a lane or target outside rows {rows.shape}")
+    if length > size:
+        raise RuntimeError(f"frame writer wrote {length} bytes into {size}")
+    return text[:length], ends.tolist()
+
+
 def _text_buffer(size: int) -> tuple[memoryview, int]:
     """This thread's formatter output buffer, of at least ``size``
     bytes: a view of it and its address.  Grown to the next power of
-    two, so a server's rows settle on one buffer per thread."""
+    two, so a server's batches settle on one buffer per thread; left
+    uninitialized, so only the pages written are resident."""
     buf = getattr(_threads, "text", None)
     if buf is None or len(buf[0]) < size:
-        raw = bytearray(1 << max(size - 1, 1).bit_length())
-        at = ctypes.addressof((ctypes.c_char * len(raw)).from_buffer(raw))
-        buf = _threads.text = (memoryview(raw), at)
+        raw = np.empty(1 << max(size - 1, 1).bit_length(), dtype=np.uint8)
+        buf = _threads.text = (memoryview(raw), raw.ctypes.data)
     return buf
 
 

@@ -123,6 +123,85 @@ def test_format_ints_text_outlives_its_buffer():
     assert all(results[i] == want[::-1] * 20 for i in range(3))
 
 
+# ---------------------------------------------------------------------------
+# A sweep batch's answer frames
+
+
+#: Isochrone budgets at the edges: none, up to INF, and past int64.
+BUDGETS = [0, int(INF) - 1, int(INF), 2**63, 10**30]
+
+ids = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
+       | st.floats() | st.text(max_size=6)
+       | st.sampled_from(['"', "\\", "\n\t", "é", "\u2028", "\U0001f600"]))
+
+
+@st.composite
+def sweep_batches(draw):
+    """``(rows, answers)``: 1-16 answers over 1-16 lanes of rows that
+    hold 0, INF and values between, several answers sharing a lane."""
+    k = draw(st.integers(1, 16))
+    lanes = draw(st.integers(1, k))
+    n = draw(st.integers(1, 30))
+    values = st.sampled_from([0, 1, int(INF) - 1, int(INF)]) | st.integers(
+        0, int(INF))
+    flat = draw(st.lists(values, min_size=lanes * n, max_size=lanes * n))
+    rows = np.array(flat, dtype=np.int64).reshape(lanes, n)
+    answers = []
+    for _ in range(k):
+        op = draw(st.sampled_from(["tree", "one_to_many", "isochrone"]))
+        if op == "one_to_many":
+            arg = draw(st.lists(st.integers(0, n - 1), min_size=1,
+                                max_size=8))
+            arg += arg[:draw(st.integers(0, len(arg)))]  # repeats
+        elif op == "isochrone":
+            arg = draw(st.sampled_from(BUDGETS) | st.integers(0, int(INF)))
+        else:
+            arg = None
+        answers.append((draw(st.integers(0, lanes - 1)), op, arg,
+                        draw(ids)))
+    return rows, answers
+
+
+def _payload(row: list[int], op: str, arg) -> dict:
+    """A sweep answer's payload, with Python lists and ints only."""
+    if op == "tree":
+        return {"dist": row}
+    if op == "one_to_many":
+        return {"dist": [row[t] for t in arg]}
+    vertices = [v for v, d in enumerate(row) if d <= arg]
+    return {"vertices": vertices, "count": len(vertices)}
+
+
+@pytest.mark.parametrize("backend", BACKENDS)
+@given(batch=sweep_batches())
+@settings(max_examples=200, deadline=None)
+def test_sweep_frames_equal_encode_message(backend, batch):
+    """One call writes a batch's frames: on both backends, the bytes
+    encode_message gives each answer's payload with lists."""
+    rows, answers = batch
+    with pytest.MonkeyPatch.context() as mp:
+        _use(mp, backend)
+        frames, ends = protocol.sweep_frames(rows, answers)
+    want = [protocol.encode_message(protocol.ok_response(
+        req_id, **_payload(rows[lane].tolist(), op, arg)))
+        for lane, op, arg, req_id in answers]
+    assert bytes(frames) == b"".join(want)
+    assert ends == np.cumsum([len(w) for w in want]).tolist()
+
+
+@needs_native
+@pytest.mark.parametrize("answer", [
+    (2, "tree", None, b"1"),
+    (-1, "tree", None, b"1"),
+    (0, "one_to_many", [0, 5], b"1"),
+    (0, "one_to_many", [-1], b"1"),
+])
+def test_answer_frames_reject_lanes_and_targets_outside_the_rows(answer):
+    rows = np.zeros((2, 5), dtype=np.int64)
+    with pytest.raises(ValueError):
+        native.answer_frames(rows, [(0, "tree", None, b"0"), answer])
+
+
 @needs_native
 @pytest.mark.parametrize("wrap", [
     lambda frag: [frag],

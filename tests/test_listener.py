@@ -9,8 +9,10 @@ loop exactly as sent.
 
 from __future__ import annotations
 
+import json
 import socket
 import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,6 +21,8 @@ from repro.core import PhastEngine
 from repro.router import PhastRouter, RouterConfig, route_in_thread
 from repro.server import PhastService, ServerConfig, serve_in_thread
 from repro.server import protocol
+from repro.server.listener import Connection
+from repro.utils import native
 
 
 @pytest.fixture(scope="module")
@@ -90,3 +94,54 @@ def test_client_gone_mid_request_does_not_stall_stop(front):
     sock.close()
     front.stop(timeout=20.0)
     assert not front.thread.is_alive()
+
+
+@pytest.mark.parametrize("backend", ["kernel", "fallback"])
+def test_answer_over_the_frame_cap_is_a_500(front, backend, monkeypatch):
+    """An answer over the frame cap comes back as a 500 naming its size
+    and the cap, on the batch's frame path (``tree`` between two small
+    ``one_to_many`` answers of the same batch) and on a dict response
+    (``matrix``); the connection stays usable."""
+    if backend == "fallback":
+        monkeypatch.setattr(native, "_lib", False)
+    elif not native.native_available():
+        pytest.skip("no compiled kernels here")
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 1500)
+    frames = [
+        {"id": 1, "op": "one_to_many", "source": 7, "targets": [0, 33]},
+        {"id": 2, "op": "tree", "source": 0},
+        {"id": 3, "op": "one_to_many", "source": 7, "targets": [150]},
+        {"id": 4, "op": "matrix", "sources": list(range(20)),
+         "targets": list(range(100))},
+    ]
+    with _connect(front) as sock:
+        sock.sendall(b"".join(protocol.encode_message(f) for f in frames))
+        answers = {}
+        for _ in frames:
+            resp = protocol.recv_message(sock)
+            answers[resp["id"]] = resp
+        protocol.send_message(sock, {"id": 5, "op": "ping"})
+        assert protocol.recv_message(sock)["pong"] is True
+    assert answers[1]["ok"] and answers[3]["ok"]
+    for req_id in (2, 4):
+        error = answers[req_id]["error"]
+        assert error["code"] == protocol.INTERNAL
+        assert "bytes exceeds the 1500-byte frame cap" in error["message"]
+
+
+def test_router_connection_answers_over_the_frame_cap_with_a_500(
+        monkeypatch):
+    """The router writes its responses through the same Connection."""
+    monkeypatch.setattr(protocol, "MAX_MESSAGE_BYTES", 1500)
+    written = []
+    transport = SimpleNamespace(is_closing=lambda: False,
+                                write=written.append)
+    conn = Connection(transport, PhastRouter(RouterConfig()))
+    response = protocol.ok_response(5, dist=list(range(1000)))
+    conn.send(response)
+    size = len(json.dumps(response, separators=(",", ":")))
+    assert [protocol.decode_body(frame[4:]) for frame in written] == [{
+        "id": 5, "ok": False, "error": {
+            "code": protocol.INTERNAL,
+            "message": f"message of {size} bytes exceeds the 1500-byte "
+                       f"frame cap"}}]

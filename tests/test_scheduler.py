@@ -63,16 +63,23 @@ class _Reply:
 
 
 def _request(source: int) -> SweepRequest:
-    return SweepRequest("tree", source, lambda row: row, _Reply())
+    return SweepRequest("tree", source, None, _Reply())
 
 
-def _run(coro_fn, recorder=None, **kwargs):
+def _answer(requests, lanes, rows) -> None:
+    """Stub ``answer_fn``: each request's outcome is its row."""
+    for req, lane in zip(requests, lanes):
+        req.reply(rows[lane])
+
+
+def _run(coro_fn, recorder=None, answer=_answer, **kwargs):
     """Run ``coro_fn(batcher, recorder)`` on a fresh loop and batcher."""
     recorder = recorder or _Recorder()
 
     async def main():
         with ThreadPoolExecutor(max_workers=1) as executor:
-            batcher = MicroBatcher(recorder, executor=executor, **kwargs)
+            batcher = MicroBatcher(recorder, answer, executor=executor,
+                                   **kwargs)
             batcher.start()
             try:
                 return await asyncio.wait_for(coro_fn(batcher, recorder), 30)
@@ -260,20 +267,20 @@ class _ThreadRecorder(_Recorder):
 
 
 def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
-    """Sweep batches (sweep, finalize, reply) always run on the
-    event-loop thread; a batch holding an exclusive request never does
+    """Sweep batches (sweep, answers) always run on the event-loop
+    thread; a batch holding an exclusive request never sweeps there
     (it goes to the executor, its sweep lanes with it), and the next
     sweep batch is back on the loop."""
     recorder = _ThreadRecorder()
+    finalized = []
+
+    def answer(requests, lanes, rows):
+        finalized.append(threading.current_thread())
+        _answer(requests, lanes, rows)
 
     async def scenario(batcher, recorder):
         loop_thread = threading.current_thread()
-        finalized = []
-        req = SweepRequest(
-            "tree", 4,
-            lambda row: finalized.append(threading.current_thread()) or row,
-            _Reply(),
-        )
+        req = _request(4)
         batcher.submit(req)
         assert await req.reply.result() == ("row", 4)
         exclusive = SweepRequest(
@@ -286,13 +293,13 @@ def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
         last = _request(6)
         batcher.submit(last)
         assert await last.reply.result() == ("row", 6)
-        return loop_thread, finalized, ran_on
+        return loop_thread, ran_on
 
-    (loop_thread, finalized, ran_on), recorder = _run(
-        scenario, recorder, batch_max=16, max_wait_ms=1000)
+    (loop_thread, ran_on), recorder = _run(
+        scenario, recorder, answer, batch_max=16, max_wait_ms=1000)
     assert recorder.batches == [[4], [5], [6]]
     assert recorder.threads[0] is loop_thread
-    assert finalized == [loop_thread]
+    assert finalized == [loop_thread] * 3
     assert ran_on is not loop_thread
     assert recorder.threads[1] is ran_on  # the sweep rode the same batch
     assert recorder.threads[2] is loop_thread
