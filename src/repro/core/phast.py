@@ -179,6 +179,12 @@ class PhastEngine:
         self.kernel.trees(sources, out)
         return out
 
+    def bind_rows(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Bind a reused ``(K, n)`` int64 output buffer for :meth:`trees`
+        and return its prefixes ``rows[:k]``, ``k = 0 .. K``: passed as
+        ``out``, a prefix costs the kernel no pointer lookup per call."""
+        return self.kernel.bind_rows(rows)
+
     # -- parents ---------------------------------------------------------------
 
     def _parents_gplus(self, source: int, dist_orig: np.ndarray) -> np.ndarray:

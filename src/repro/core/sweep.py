@@ -416,6 +416,17 @@ class LevelSweep:
             self._sweep(sources, out=rows)
             out[...] = rows
 
+    def bind_rows(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Bind ``rows``, a reused ``(K, ch.n)`` int64 buffer, as the
+        out of later :meth:`trees` calls: returns its prefixes
+        ``rows[:k]`` for ``k = 0 .. K``, and the compiled kernel takes
+        its address once, here, instead of once per call."""
+        if rows.ndim != 2 or rows.shape[1] != self.ch.n:
+            raise ValueError(f"rows must have {self.ch.n} columns")
+        if self._native is not None:
+            return self._native.bind_rows(rows)
+        return [rows[:k] for k in range(rows.shape[0] + 1)]
+
     def search_size(self, lane: int = 0) -> int:
         """The number of marks lane ``lane`` of the last sweep started
         from."""

@@ -2,16 +2,22 @@
 
 :class:`FrameServer` holds the connection and lifecycle rules that
 :class:`~repro.server.service.PhastService` and
-:class:`~repro.router.service.PhastRouter` both follow: each decoded
-frame is handed to the subclass's ``_answer`` on the connection's own
-reader task, and every response goes out whole through the transport
-(a :class:`Connection`), so answers finishing in any order never
-interleave and need no lock; the reader awaits ``drain()`` only when
-the transport's buffer is above its high-water mark.  A dropped
-connection cancels the answers it is still owed, a malformed or
-oversized frame closes only its own connection, and there is one
-drain order (close the listener, wait for every owed answer, release
-resources, close lingering writers, set drained).
+:class:`~repro.router.service.PhastRouter` both follow.  Each
+connection is an :class:`asyncio.Protocol` (a :class:`Connection`):
+every read is split into whole frames in one pass
+(:func:`protocol.parse_requests`, one native call), and the frames are
+answered in order, all within that read's callback.  A frame the
+intake read as a sweep request goes to the subclass's ``_take``
+without becoming a dict; any other frame is decoded and handed to
+``_answer``.  What is left of a frame waits in the connection's buffer
+until the rest arrives.  Every response goes out whole through the
+transport, so answers finishing in any order never interleave and need
+no lock; while the transport's write buffer is above its high-water
+mark the connection stops reading.  A dropped connection cancels the
+answers it is still owed, a malformed or oversized frame closes only
+its own connection, and there is one drain order (close the listener,
+wait for every owed answer, release resources, close lingering
+connections, set drained).
 :func:`run_in_thread` hosts either on a private event loop in a daemon
 thread (tests, benchmarks, notebooks).
 """
@@ -27,8 +33,9 @@ from . import protocol
 
 __all__ = ["Connection", "FrameServer", "FrameHandle", "run_in_thread"]
 
-class Connection:
-    """One client connection: writes whole frames, tracks owed answers.
+class Connection(asyncio.Protocol):
+    """One client connection: reads frames, writes whole frames, tracks
+    owed answers.
 
     ``owed`` holds the connection's unfinished answers — anything with
     a ``cancel()`` — between :meth:`owe` and :meth:`settle`, so a
@@ -36,13 +43,17 @@ class Connection:
     the drain can wait for the last one.
     """
 
-    __slots__ = ("transport", "owed", "_server")
+    __slots__ = ("transport", "owed", "_server", "_pending", "_need")
 
-    def __init__(self, transport: asyncio.Transport,
+    def __init__(self, transport: asyncio.Transport | None,
                  server: "FrameServer") -> None:
         self.transport = transport
         self.owed: set = set()
         self._server = server
+        # The start of a frame not yet whole, and the bytes the next
+        # whole frame needs (header included).
+        self._pending = bytearray()
+        self._need = 0
 
     def owe(self, answer) -> None:
         self.owed.add(answer)
@@ -75,6 +86,42 @@ class Connection:
         except (ConnectionError, RuntimeError, OSError):
             pass  # peer went away
 
+    # -- asyncio.Protocol --------------------------------------------------
+
+    def connection_made(self, transport: asyncio.Transport) -> None:
+        self.transport = transport
+        self._server._conns.add(self)
+
+    def data_received(self, data: bytes) -> None:
+        pending = self._pending
+        if pending:
+            pending += data
+            if len(pending) < self._need:
+                return  # the frame is still not whole
+            data = bytes(pending)
+            pending.clear()
+        end, length = self._server._intake(self, data)
+        if end < 0:
+            self.transport.close()  # a malformed or oversized frame
+        elif end < len(data):
+            pending += memoryview(data)[end:]
+            self._need = (protocol.HEADER_BYTES if length is None
+                          else protocol.HEADER_BYTES + length)
+
+    def connection_lost(self, exc: Exception | None) -> None:
+        # A dropped connection cancels the answers it is owed, so their
+        # batch lanes and admission slots are freed instead of computed
+        # for nobody.
+        for answer in list(self.owed):
+            answer.cancel()
+        self._server._conns.discard(self)
+
+    def pause_writing(self) -> None:
+        self.transport.pause_reading()
+
+    def resume_writing(self) -> None:
+        self.transport.resume_reading()
+
 
 class FrameServer:
     """One listening socket, one answer per frame, one drain.
@@ -83,11 +130,17 @@ class FrameServer:
     counts requests and errors.  A subclass answers a well-formed
     request in ``_answer(req_id, op, msg, conn)``: it either sends the
     response at once or registers something with ``conn.owe`` that
-    sends it later and then calls ``conn.settle``.  It supplies the
+    sends it later and then calls ``conn.settle``.  A subclass that
+    sets ``intake_vertices`` also answers, in ``_take``, the sweep
+    requests the intake read without decoding them.  It supplies the
     steps that differ: ``_prepare()`` before the port is bound,
     ``_monitor()`` while serving (optional; cancelled when the drain
     begins), and ``_release()`` once every owed answer has finished.
     """
+
+    #: Vertex count the intake reads sweep requests over; 0 declines
+    #: every frame to ``_answer``.
+    intake_vertices = 0
 
     def __init__(self, config, metrics) -> None:
         self.config = config
@@ -99,7 +152,7 @@ class FrameServer:
         self._owed = 0
         self._settled = asyncio.Event()
         self._settled.set()
-        self._writers: set[asyncio.StreamWriter] = set()
+        self._conns: set[Connection] = set()
         self._draining = False
         self._drained = asyncio.Event()
         self._drain_task: asyncio.Task | None = None
@@ -110,8 +163,8 @@ class FrameServer:
                     port: int | None = None) -> None:
         """Prepare, bind and start serving (returns once listening)."""
         await self._prepare()
-        self._server = await asyncio.start_server(
-            self._handle_connection,
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: Connection(None, self),
             host if host is not None else self.config.host,
             port if port is not None else self.config.port,
         )
@@ -151,13 +204,14 @@ class FrameServer:
         # they are refused while draining, so no new answer is owed.
         await self._settled.wait()
         await self._release()
-        for writer in list(self._writers):
-            writer.close()
+        for conn in list(self._conns):
+            conn.transport.close()
         self._drained.set()
 
     def _owe(self) -> None:
         self._owed += 1
-        self._settled.clear()
+        if self._owed == 1:
+            self._settled.clear()
 
     def _settle(self) -> None:
         self._owed -= 1
@@ -185,44 +239,54 @@ class FrameServer:
 
     # -- connection handling -----------------------------------------------
 
-    async def _handle_connection(self, reader: asyncio.StreamReader,
-                                 writer: asyncio.StreamWriter) -> None:
-        self._writers.add(writer)
-        transport = writer.transport
-        conn = Connection(transport, self)
-        high_water = transport.get_write_buffer_limits()[1]
+    def _intake(self, conn: Connection,
+                data: bytes) -> tuple[int, int | None]:
+        """Answer every whole frame of ``data``, in order.
+
+        Returns where the whole frames end and the body length the next
+        frame announces (``None`` while its header is not whole), or
+        ``(-1, None)`` when a frame is malformed or over the cap: the
+        connection is then closed.
+        """
+        start = 0
+        while True:
+            records, start, targets = protocol.parse_requests(
+                data, start, self.intake_vertices)
+            if not self._take(conn, data, records, targets):
+                return -1, None
+            if len(records) < protocol.RECORD * protocol.INTAKE_RECORDS:
+                break
         try:
-            while True:
-                try:
-                    msg = await protocol.read_message(reader)
-                except (protocol.ProtocolError, ConnectionError):
-                    break
-                if msg is None:
-                    break
-                req_id, op = msg.get("id"), msg.get("op")
-                if isinstance(op, str):
-                    self.metrics.record_request(op)
-                    self._answer(req_id, op, msg, conn)
-                else:
-                    conn.send(self._error(req_id, protocol.BAD_REQUEST,
-                                          "missing 'op'"))
-                if transport.get_write_buffer_size() > high_water:
-                    try:
-                        await writer.drain()
-                    except ConnectionError:
-                        break
-        finally:
-            # A dropped connection cancels the answers it is owed, so
-            # their batch lanes and admission slots are freed instead
-            # of computed for nobody.
-            for answer in list(conn.owed):
-                answer.cancel()
-            self._writers.discard(writer)
-            writer.close()
-            try:
-                await writer.wait_closed()
-            except (ConnectionError, OSError):
-                pass
+            return start, protocol.frame_length(data, start)
+        except protocol.ProtocolError:
+            return -1, None
+
+    def _take(self, conn: Connection, data: bytes, records: list[int],
+              targets) -> bool:
+        """Answer one parse's frames in order (see
+        :func:`protocol.parse_requests`); False when one is malformed.
+        A subclass with ``intake_vertices`` answers the sweep requests
+        among them itself."""
+        for i in range(0, len(records), protocol.RECORD):
+            if not self._frame(conn, data[records[i]:records[i + 1]]):
+                return False
+        return True
+
+    def _frame(self, conn: Connection, body: bytes) -> bool:
+        """Decode one frame's body and answer it; False when it is not
+        a JSON object."""
+        try:
+            msg = protocol.decode_body(body)
+        except protocol.ProtocolError:
+            return False
+        req_id, op = msg.get("id"), msg.get("op")
+        if isinstance(op, str):
+            self.metrics.record_request(op)
+            self._answer(req_id, op, msg, conn)
+        else:
+            conn.send(self._error(req_id, protocol.BAD_REQUEST,
+                                  "missing 'op'"))
+        return True
 
     def _answer(self, req_id, op: str, msg: dict, conn: Connection) -> None:
         raise NotImplementedError

@@ -48,9 +48,9 @@ class ServerMetrics:
         router sees it move backwards exactly when the process is new)."""
         return round(time.monotonic() - self.started_at, 3)
 
-    def record_request(self, op: str) -> None:
+    def record_request(self, op: str, count: int = 1) -> None:
         with self._lock:
-            self.requests[op] = self.requests.get(op, 0) + 1
+            self.requests[op] = self.requests.get(op, 0) + count
 
     def record_error(self, code: int) -> None:
         with self._lock:

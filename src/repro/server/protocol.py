@@ -33,6 +33,7 @@ import numpy as np
 from ..utils import native
 
 __all__ = [
+    "HEADER_BYTES",
     "MAX_MESSAGE_BYTES",
     "PROTOCOL_VERSION",
     "ProtocolError",
@@ -55,6 +56,9 @@ __all__ = [
     "int_array",
     "sweep_frames",
     "decode_body",
+    "encoded",
+    "frame_length",
+    "parse_requests",
     "read_message",
     "write_message",
     "send_message",
@@ -75,6 +79,8 @@ PROTOCOL_VERSION = 2
 MAX_MESSAGE_BYTES = 64 * 1024 * 1024
 
 _HEADER = struct.Struct(">I")
+#: Bytes of a frame's length header.
+HEADER_BYTES = _HEADER.size
 
 BAD_REQUEST = 400
 OVERLOADED = 429
@@ -88,7 +94,8 @@ class ProtocolError(RuntimeError):
 
 
 class _Fragment:
-    """A JSON value already encoded; made only by :func:`int_array`.
+    """A JSON value already encoded: an array made by :func:`int_array`,
+    or a request id as the intake read it (:func:`encoded`).
 
     :func:`encode_message` splices one in as a top-level value of a
     message.  ``json.dumps`` knows no such type, so a fragment nested
@@ -166,8 +173,15 @@ def frame_too_large(length: int) -> str | None:
             f"{MAX_MESSAGE_BYTES}-byte frame cap")
 
 
+#: A request id given as its JSON text (``bytes``), as
+#: :func:`parse_requests` reads it: responses carry it as written.
+encoded = _Fragment
+
+
 def _json_id(req_id) -> bytes:
     """The JSON text of a request id, as :func:`encode_message` writes it."""
+    if type(req_id) is _Fragment:
+        return req_id.text
     return (int.__repr__(req_id) if type(req_id) is int
             else _dumps(req_id)).encode()
 
@@ -189,13 +203,13 @@ def sweep_frames(rows: np.ndarray,
     of its payload with lists: the bytes are the same.  Frame sizes are
     not checked (:func:`frame_too_large`).
     """
-    made = native.answer_frames(
-        rows, [(lane, op, arg, _json_id(req_id))
-               for lane, op, arg, req_id in answers])
+    answers = [(lane, op, arg, _json_id(req_id))
+               for lane, op, arg, req_id in answers]
+    made = native.answer_frames(rows, answers)
     if made is not None:
         return made
     frames, ends, end = [], [], 0
-    for lane, op, arg, req_id in answers:
+    for lane, op, arg, id_text in answers:
         row = rows[lane]
         if op == "isochrone":
             vertices = np.flatnonzero(row <= arg)
@@ -203,11 +217,59 @@ def sweep_frames(rows: np.ndarray,
                        "count": int(vertices.size)}
         else:
             payload = {"dist": (row if op == "tree" else row[arg]).tolist()}
-        body = _dumps(ok_response(req_id, **payload)).encode()
+        # ok_response's key order: the id, "ok", then the payload.
+        body = b'{"id":%s,"ok":true,%s' % (id_text,
+                                           _dumps(payload)[1:].encode())
         frames += (_HEADER.pack(len(body)), body)
         end += _HEADER.size + len(body)
         ends.append(end)
     return b"".join(frames), ends
+
+
+#: Fields of one intake record, most records one parse returns, and a
+#: record's ``timeout_ms`` when the request has none or ``null``.
+RECORD = native.RECORD
+INTAKE_RECORDS = native.INTAKE_RECORDS
+TIMEOUT_UNSET = native.TIMEOUT_UNSET
+TIMEOUT_NULL = native.TIMEOUT_NULL
+
+
+def parse_requests(data: bytes, start: int,
+                   n: int) -> tuple[list[int], int, np.ndarray | None]:
+    """The whole frames of ``data[start:]`` as intake records, in one
+    call (:func:`repro.utils.native.parse_requests`, which also reads
+    the sweep requests of its subset, over vertex count ``n``).
+
+    Without the kernels every frame is declined (op ``-1``), so each
+    body goes through :func:`decode_body`.  Reading stops at a frame
+    that is not whole or whose length is over the cap, or after
+    :data:`INTAKE_RECORDS` frames.  Returns the records, where the
+    frames end, and the sweep requests' targets.
+    """
+    made = native.parse_requests(data, start, n, MAX_MESSAGE_BYTES)
+    if made is not None:
+        return made
+    records: list[int] = []
+    end = len(data)
+    while end - start >= HEADER_BYTES and len(records) < RECORD * INTAKE_RECORDS:
+        (length,) = _HEADER.unpack_from(data, start)
+        body = start + HEADER_BYTES
+        if length > MAX_MESSAGE_BYTES or end - body < length:
+            break
+        records += (body, body + length, -1, 0, 0, 0, 0, 0, 0)
+        start = body + length
+    return records, start, None
+
+
+def frame_length(data: bytes, start: int) -> int | None:
+    """The body length the frame at ``data[start:]`` announces (``None``
+    while its header is not whole); raises :class:`ProtocolError` when
+    it is over the cap."""
+    if len(data) - start < HEADER_BYTES:
+        return None
+    (length,) = _HEADER.unpack_from(data, start)
+    _check_length(length)
+    return length
 
 
 def decode_body(body: bytes) -> dict:

@@ -7,24 +7,22 @@ one served batch of ``k`` tree requests: each lane's upward search,
 the sweep, and the batch's answer frames.
 ``benchmarks/bench_server.py`` measures it in process
 (``BENCH_server.json``, ``batch_cost``; 4096 vertices, 2 vCPUs) as
-``C(k) = 0.038 + 0.048 k`` ms, and three runs on the same host gave
-``alpha`` of 0.035–0.039 ms and ``beta`` of 0.048–0.069 ms: the
-searches, the sweep and the scatter of all k lanes are one native
-call, and all k answer frames one more.  So ``alpha`` is worth less
-than one request: per request, a batch costs 0.10–0.11 ms at k = 1
-and 0.05–0.07 ms at k = 16.  Search and sweep fall from 0.06–0.07 ms
-per lane at k = 1 to 0.03–0.04 ms at k = 16, and the answer frames
-from 0.04 ms per request to 0.02–0.03 ms; a k-lane batch costs less
-than k lone ones at every k.  Batching is kept because under load it
-costs nothing — requests that arrive during one batch form the next —
-and it saves 30–45% of a request's cost.  The policy:
+``C(k) = -0.011 + 0.042 k`` ms; seven runs on the same host gave
+``alpha`` of -0.040–0.051 ms, no different from zero, and ``beta`` of
+0.041–0.072 ms: the searches, the sweep and the scatter of all k
+lanes are one native call, and all k answer frames one more.  Per
+request, a batch costs 0.05–0.11 ms at k = 1 and 0.04–0.07 ms at
+k = 16, and within each run a k-lane batch costs less than k lone
+ones at every k.  Batching is kept because under load it costs
+nothing — requests that arrive during one batch form the next — and
+it saves 19–43% of a request's cost.  The policy:
 
 * the first queued request opens a *batch window*;
 * everything queued behind it joins immediately — dispatches are
   serialized, so requests arriving during the previous batch have
   already piled up (continuous batching);
-* the window then yields one event-loop turn at a time, so frames
-  the connection readers have received can reach ``submit``, and
+* the window then yields one event-loop turn at a time, so reads the
+  connections have received can reach ``submit``, and
   stays open only while each turn brings more sweep-shaped requests
   (tree / one-to-many / isochrone — anything needing one source's
   distance row): it closes on the first turn that brings nothing, at
@@ -47,13 +45,14 @@ reading while they do their long work.
 No turn of the window waits on a timer (the poller rounds a timed
 wait up to whole milliseconds), so a lone request pays one loop turn
 of window, not a timed idle gap.  ``batch_max=1`` is strict
-dispatch-one — the ablation the server benchmark compares against.
+dispatch-one.
 """
 
 from __future__ import annotations
 
 import asyncio
 import time
+from collections import deque
 from typing import Callable
 
 __all__ = ["DeadlineExceeded", "SchedulerStopped", "SweepRequest", "MicroBatcher"]
@@ -89,6 +88,9 @@ class SweepRequest:
     through the batcher keeps every engine access serialized by the
     one dispatch loop while they still get deadline checks and ride the
     same admission accounting.
+
+    ``now`` is the request's arrival on the ``time.monotonic`` clock
+    (default: the time of construction).
     """
 
     __slots__ = ("op", "source", "arg", "reply", "enqueued_at",
@@ -100,15 +102,16 @@ class SweepRequest:
         source: int,
         arg,
         reply: Callable,
-        *,
         deadline: float | None = None,
+        now: float | None = None,
+        *,
         execute: Callable | None = None,
     ) -> None:
         self.op = op
         self.source = int(source)
         self.arg = arg
         self.reply = reply
-        self.enqueued_at = time.monotonic()
+        self.enqueued_at = time.monotonic() if now is None else now
         self.deadline = deadline
         self.execute = execute
 
@@ -175,7 +178,10 @@ class MicroBatcher:
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
         self.metrics = metrics
-        self._queue: asyncio.Queue = asyncio.Queue()
+        # Queued requests, and the dispatch loop's wake-up while it
+        # waits on an empty queue.
+        self._queue: deque = deque()
+        self._waiter: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
         self._stopped = False
 
@@ -196,7 +202,7 @@ class MicroBatcher:
         if self._stopped:
             return
         self._stopped = True
-        await self._queue.put(_CLOSE)
+        self._put(_CLOSE)
         if self._task is not None:
             await self._task
             self._task = None
@@ -207,32 +213,44 @@ class MicroBatcher:
         """Queue one request (event-loop thread only)."""
         if self._stopped:
             raise SchedulerStopped("scheduler is stopped")
-        self._queue.put_nowait(request)
+        self._put(request)
+
+    def _put(self, item) -> None:
+        self._queue.append(item)
+        waiter = self._waiter
+        if waiter is not None:
+            self._waiter = None
+            if not waiter.done():
+                waiter.set_result(None)
 
     @property
     def depth(self) -> int:
         """Requests queued but not yet claimed by a batch."""
-        return self._queue.qsize()
+        return len(self._queue)
 
     # -- dispatch loop -----------------------------------------------------
 
     async def _run(self) -> None:
         loop = asyncio.get_running_loop()
+        queue = self._queue
         closing = False
         while not closing:
-            item = await self._queue.get()
+            if not queue:
+                self._waiter = loop.create_future()
+                await self._waiter
+            item = queue.popleft()
             if item is _CLOSE:
                 break
             batch = [item]
             closing = await self._fill_window(batch)
             await self._dispatch(loop, batch)
-            # A sweep batch held the loop: give the connection readers
-            # a turn to decode what arrived meanwhile, or to see that a
+            # A sweep batch held the loop: give the connections a turn
+            # to take in what arrived meanwhile, or to see that a
             # client left, before the next batch forms.
             await asyncio.sleep(0)
         # Fail anything that slipped in after the close sentinel.
-        while not self._queue.empty():
-            item = self._queue.get_nowait()
+        while queue:
+            item = queue.popleft()
             if isinstance(item, SweepRequest) and item.live:
                 item.reply(SchedulerStopped("server stopped"))
 
@@ -243,25 +261,26 @@ class MicroBatcher:
         load, frames arrive while the previous batch runs, so batches
         form for free — continuous batching).  The window then yields
         one event-loop turn and drains again, for as long as each turn
-        brings new arrivals: each connection's reader submits frames
-        as it decodes them, so a turn lets frames that have already
-        arrived reach ``submit``.  The first turn that brings nothing
+        brings new arrivals: each connection submits the frames of a
+        read as it takes the read in, so a turn lets frames that have
+        already arrived reach ``submit``.  The first turn that brings nothing
         closes the window, as do ``batch_max`` lanes and
         ``max_wait_ms`` total.  No turn waits on a timer, so a
         lone request is not held back waiting for company that is not
         on its way.
         """
+        queue = self._queue
         deadline = time.monotonic() + self.max_wait_ms / 1e3
         while True:
-            while len(batch) < self.batch_max and not self._queue.empty():
-                item = self._queue.get_nowait()
+            while len(batch) < self.batch_max and queue:
+                item = queue.popleft()
                 if item is _CLOSE:
                     return True
                 batch.append(item)
             if len(batch) >= self.batch_max or time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0)
-            if self._queue.empty():
+            if not queue:
                 return False  # the turn brought nobody: dispatch now
 
     async def _dispatch(self, loop, batch: list) -> None:

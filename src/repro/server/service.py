@@ -22,8 +22,12 @@ One process, one preprocessed hierarchy, four query types:
     (draining or not, admission pressure, generation signals).
 
 The event loop parses frames and answers each without a task of its
-own: admin ops reply at once, batcher ops carry a reply callback, and
-``query`` replies from its executor future's done-callback.  The
+own.  One native call per socket read splits the frames and reads the
+sweep requests among them (:func:`protocol.parse_requests`), which go
+to the batcher without becoming dicts; every other frame is decoded
+by ``json.loads``.  Admin ops reply at once, batcher ops carry a reply
+callback, and ``query`` replies from its executor future's
+done-callback.  The
 batcher runs each sweep batch on the loop thread as well — the k-lane
 sweep (one native call), then every answer frame of the batch (one
 native call, :func:`protocol.sweep_frames`), each connection's frames
@@ -73,6 +77,8 @@ __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).
 MATRIX_SEARCH_CACHE = 256
+#: The sweep ops by intake op code.
+_SWEEP_OPS = ("tree", "one_to_many", "isochrone")
 
 
 @dataclass
@@ -142,16 +148,19 @@ class PhastService(FrameServer):
             ch = topology.instantiate(metric)
         self.ch = ch
         self.n = int(ch.n)
+        self.intake_vertices = self.n
         self.graph = graph
         self.admission = AdmissionController(self.config.max_pending)
         self.engine = PhastEngine(ch)
+        # One reused output buffer: each batch's rows are answered
+        # before the next batch overwrites them.  The engine takes its
+        # address once; a batch of k writes the prefix view of k rows.
+        self._rows = np.empty((self.config.batch_max, self.n), dtype=np.int64)
+        self._row_views = self.engine.bind_rows(self._rows)
         #: Monotone counter bumped by every ``swap_metric``.
         self.metric_generation = 0
         #: Distance rows the batcher's sweeps have computed.
         self.trees_computed = 0
-        # One reused output buffer: each batch's rows are answered
-        # before the next batch overwrites them.
-        self._rows = np.empty((self.config.batch_max, self.n), dtype=np.int64)
         # RPHAST selections for the matrix op, keyed by target-set
         # hash.  Touched only by exclusive batcher requests, which run
         # one at a time, so no locking is needed.
@@ -174,7 +183,7 @@ class PhastService(FrameServer):
     async def _prepare(self) -> None:
         # Warm the sweep path so the first client doesn't pay for lazy
         # buffer allocation.
-        self.engine.trees([0], out=self._rows[:1])
+        self.engine.trees([0], out=self._row_views[1])
         self.batcher.start()
 
     def _begin_drain(self) -> None:
@@ -195,7 +204,7 @@ class PhastService(FrameServer):
         Reads ``self.engine`` per call, so a batch after a swap runs
         on the new metric's engine.
         """
-        rows = self.engine.trees(sources, out=self._rows[:len(sources)])
+        rows = self.engine.trees(sources, out=self._row_views[len(sources)])
         self.trees_computed += len(sources)
         return rows
 
@@ -259,6 +268,61 @@ class PhastService(FrameServer):
 
     # -- request processing ------------------------------------------------
 
+    def _take(self, conn, data: bytes, records: list[int], targets) -> bool:
+        """Answer one parse's frames in order: a sweep request the
+        intake read becomes its :class:`SweepRequest` at once (its id
+        kept as the JSON text it came in, targets as int64), and any
+        other frame goes through ``_frame``.  Every frame of a read
+        arrived at once, so they share one arrival time."""
+        now = time.monotonic()
+        counts = [0, 0, 0]
+        acquire, submit = self.admission.try_acquire, self.batcher.submit
+        encoded, step = protocol.encoded, protocol.RECORD
+        unset, null = protocol.TIMEOUT_UNSET, protocol.TIMEOUT_NULL
+        timeout_ms = self.config.default_timeout_ms
+        default_deadline = (None if timeout_ms is None
+                            else now + timeout_ms / 1e3)
+        try:
+            for i in range(0, len(records), step):
+                start, end, code, id_start, id_end, source, a, b, timeout = \
+                    records[i:i + step]
+                if code < 0:
+                    if not self._frame(conn, data[start:end]):
+                        return False
+                    continue
+                counts[code] += 1
+                req_id = encoded(data[id_start:id_end])
+                reason = acquire()
+                if reason is not None:
+                    self._reject(conn, req_id, reason)
+                    continue
+                op = _SWEEP_OPS[code]
+                reply = _Reply(self, conn, req_id, op, now)
+                if timeout == unset:
+                    deadline = default_deadline
+                elif timeout == null:
+                    deadline = None
+                else:
+                    deadline = now + timeout / 1e3
+                try:
+                    submit(SweepRequest(
+                        op, source,
+                        targets[a:b] if code == 1 else a if code == 2 else None,
+                        reply, deadline, now))
+                except Exception as exc:
+                    reply(exc)
+            return True
+        finally:
+            for op, count in zip(_SWEEP_OPS, counts):
+                if count:
+                    self.metrics.record_request(op, count)
+
+    def _reject(self, conn, req_id, reason: str) -> None:
+        """Answer a request admission refused."""
+        code = (protocol.UNAVAILABLE if reason == AdmissionController.DRAINING
+                else protocol.OVERLOADED)
+        conn.send(self._error(req_id, code, f"request rejected: {reason}"))
+
     def _answer(self, req_id, op: str, msg: dict, conn) -> None:
         spec = protocol.OPS_BY_NAME.get(op)
         if spec is None:
@@ -276,12 +340,9 @@ class PhastService(FrameServer):
         # like work, and counting it keeps the drain loop exact.
         reason = self.admission.try_acquire()
         if reason is not None:
-            code = (protocol.UNAVAILABLE
-                    if reason == AdmissionController.DRAINING
-                    else protocol.OVERLOADED)
-            conn.send(self._error(req_id, code, f"request rejected: {reason}"))
+            self._reject(conn, req_id, reason)
             return
-        reply = _Reply(self, conn, req_id, op)
+        reply = _Reply(self, conn, req_id, op, time.monotonic())
         try:
             fields = protocol.validate_request(spec, msg, self.n)
             getattr(self, spec.handler)(reply, op, fields)
@@ -439,7 +500,9 @@ class PhastService(FrameServer):
         t1 = time.monotonic()
         new_ch = self.topology.instantiate(metric)
         t2 = time.monotonic()
-        self.engine = PhastEngine(new_ch)
+        engine = PhastEngine(new_ch)
+        self._row_views = engine.bind_rows(self._rows)
+        self.engine = engine
         self.metric_generation += 1
         # Point-to-point queries capture self.ch per request; from here
         # on every new capture sees the new metric.
@@ -472,12 +535,13 @@ class _Reply:
 
     __slots__ = ("service", "conn", "req_id", "op", "t0", "done")
 
-    def __init__(self, service: PhastService, conn, req_id, op: str) -> None:
+    def __init__(self, service: PhastService, conn, req_id, op: str,
+                 t0: float) -> None:
         self.service = service
         self.conn = conn
         self.req_id = req_id
         self.op = op
-        self.t0 = time.monotonic()
+        self.t0 = t0
         self.done = False
         conn.owe(self)
 

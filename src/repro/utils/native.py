@@ -1,6 +1,6 @@
 """Compiled kernels, each with a bit-identical fallback.
 
-Three families of kernels live in one C source, built into one library:
+Four families of kernels live in one C source, built into one library:
 
 * **Customization.**  A min-plus relaxation over hundreds of millions
   of precomputed triangles, in two passes: bottom-up, recording each
@@ -33,6 +33,18 @@ Three families of kernels live in one C source, built into one library:
   buffer per thread.  The fallbacks encode the same payloads with
   ``tolist()`` lists (:func:`repro.server.protocol.sweep_frames` and
   :func:`repro.server.protocol.int_array`).
+* **Intake.**  The frames of one socket read in one call
+  (:func:`parse_requests`): each whole frame's bounds, and for a sweep
+  request (``tree``, ``one_to_many``, ``isochrone``) in a strict JSON
+  subset its op, its id's text, its source, its targets (int64, in a
+  reused array) or budget, and its ``timeout_ms``, checked as
+  :func:`repro.server.protocol.validate_request` checks them, so such a
+  request never becomes a dict.  Any other frame is *declined*: bytes
+  outside ASCII, escapes, floats, non-canonical or over-18-digit
+  integers, duplicate, unknown or missing keys, a vertex out of range,
+  any other op.  A declined frame, and every frame without the
+  kernels, takes the ``json.loads`` path, so its answer is the one it
+  always was.
 
 The library is built with the system C compiler and loaded through
 :mod:`ctypes` — no third-party build machinery, nothing to install.
@@ -83,6 +95,7 @@ from ..graph.csr import INF
 __all__ = [
     "answer_frames",
     "customize_pass",
+    "parse_requests",
     "format_ints",
     "perfect_pass",
     "native_available",
@@ -460,6 +473,184 @@ int64_t repro_answer_frames(const int64_t *rows, int64_t lanes, int64_t n,
     }
     return p - out;
 }
+
+/* Request intake: whole frames, and the sweep requests among them. */
+
+static inline const unsigned char *skip_ws(const unsigned char *p,
+                                           const unsigned char *end)
+{
+    while (p < end && (*p == ' ' || *p == '\t' || *p == '\n' || *p == '\r'))
+        p++;
+    return p;
+}
+
+/* A canonical JSON integer, -?(0|[1-9][0-9]*) with at most 18 digits
+   and not -0, into *v; returns its end, or NULL. */
+static const unsigned char *integer(const unsigned char *p,
+                                    const unsigned char *end, int64_t *v)
+{
+    int neg = p < end && *p == '-';
+    const unsigned char *first = p += neg;
+    int64_t u = 0;
+    for (; p < end && *p >= '0' && *p <= '9'; p++) {
+        if (p - first == 18) return NULL;
+        u = 10 * u + (*p - '0');
+    }
+    if (p == first || (*first == '0' && (p - first > 1 || neg))) return NULL;
+    *v = neg ? -u : u;
+    return p;
+}
+
+/* A JSON string of printable ASCII other than '"' and '\\' (so it needs
+   no escape and json.dumps writes it back as it is); returns its end,
+   past the closing quote, or NULL. */
+static const unsigned char *plain_string(const unsigned char *p,
+                                         const unsigned char *end)
+{
+    if (p == end || *p != '"') return NULL;
+    while (++p < end) {
+        if (*p == '"') return p + 1;
+        if (*p < 0x20 || *p > 0x7e || *p == '\\') return NULL;
+    }
+    return NULL;
+}
+
+/* The index of the text [p, end) in names, or -1. */
+static int name_index(const unsigned char *p, const unsigned char *end,
+                      const char *const *names, int count)
+{
+    for (int i = 0; i < count; i++)
+        if ((size_t)(end - p) == strlen(names[i])
+            && !memcmp(p, names[i], end - p))
+            return i;
+    return -1;
+}
+
+static const char *const request_keys[] = {
+    "id", "op", "source", "targets", "budget", "timeout_ms"};
+static const char *const sweep_ops[] = {"tree", "one_to_many", "isochrone"};
+/* The keys each op takes besides timeout_ms (bit i: request_keys[i]). */
+static const unsigned op_keys[] = {007, 017, 027};
+
+enum { RECORD = 9 };
+#define TIMEOUT_UNSET INT64_MIN
+#define TIMEOUT_NULL (INT64_MIN + 1)
+
+/* Whether the body [p, end) is a sweep request in the subset the
+   intake takes; if so, fills r[2..8] (see repro_parse_requests) and
+   appends its targets at targets[*used], of room entries. */
+static int sweep_request(const unsigned char *p, const unsigned char *end,
+                         const unsigned char *base, int64_t n, int64_t *r,
+                         int64_t *targets, int64_t *used, int64_t room)
+{
+    unsigned seen = 0;
+    int op = -1;
+    r[8] = TIMEOUT_UNSET;
+    p = skip_ws(p, end);
+    if (p == end || *p++ != '{') return 0;
+    for (;;) {
+        const unsigned char *key = skip_ws(p, end);
+        if (!(p = plain_string(key, end))) return 0;
+        int k = name_index(key + 1, p - 1, request_keys, 6);
+        if (k < 0 || seen & (1u << k)) return 0;
+        seen |= 1u << k;
+        p = skip_ws(p, end);
+        if (p == end || *p++ != ':') return 0;
+        const unsigned char *value = p = skip_ws(p, end);
+        int64_t v;
+        switch (k) {
+        case 0:  /* id: an integer or a plain string */
+            p = p < end && *p == '"' ? plain_string(p, end)
+                                     : integer(p, end, &v);
+            if (!p) return 0;
+            r[3] = value - base;
+            r[4] = p - base;
+            break;
+        case 1:
+            if (!(p = plain_string(p, end))) return 0;
+            if ((op = name_index(value + 1, p - 1, sweep_ops, 3)) < 0) return 0;
+            break;
+        case 2:
+            if (!(p = integer(p, end, &r[5])) || r[5] < 0 || r[5] >= n) return 0;
+            break;
+        case 3:  /* a non-empty list of vertices */
+            if (p == end || *p++ != '[') return 0;
+            r[6] = *used;
+            for (;;) {
+                p = skip_ws(p, end);
+                if (*used == room || !(p = integer(p, end, &v))
+                    || v < 0 || v >= n)
+                    return 0;
+                targets[(*used)++] = v;
+                p = skip_ws(p, end);
+                if (p < end && *p == ',') { p++; continue; }
+                if (p < end && *p == ']') { p++; break; }
+                return 0;
+            }
+            r[7] = *used;
+            break;
+        case 4:
+            if (!(p = integer(p, end, &r[6])) || r[6] < 0) return 0;
+            break;
+        default:  /* timeout_ms: an integer or null */
+            if (end - p >= 4 && !memcmp(p, "null", 4)) {
+                r[8] = TIMEOUT_NULL;
+                p += 4;
+            } else if (!(p = integer(p, end, &r[8]))) {
+                return 0;
+            }
+        }
+        p = skip_ws(p, end);
+        if (p < end && *p == ',') { p++; continue; }
+        if (p == end || *p != '}' || skip_ws(p + 1, end) != end) return 0;
+        break;
+    }
+    if (op < 0 || (seen & ~040u) != op_keys[op]) return 0;
+    r[2] = op;
+    return 1;
+}
+
+/* The whole frames of buf[start, len), at most max_records of them:
+   each a 4-byte big-endian body length, then the body.  Stops at the
+   first frame that is not whole or whose length is over cap.  Record
+   i is rec[9 i .. 9 i + 8]: the body's start and end in buf; its op,
+   0 tree, 1 one_to_many, 2 isochrone, or -1 when the body is not a
+   sweep request of the subset below (declined); and for a sweep
+   request its id's JSON text's start and end in buf, its source, its
+   targets' start and end in targets (one_to_many) or its budget
+   (isochrone), and its timeout_ms (TIMEOUT_UNSET when absent,
+   TIMEOUT_NULL for null).  The subset: an ASCII JSON object whose keys
+   are "id", "op" and exactly the fields its op takes, plus an optional
+   "timeout_ms", each once; the id an integer or a string of printable
+   ASCII with no escapes; every integer canonical with at most 18
+   digits; vertices in [0, n), the budget >= 0 and timeout_ms an
+   integer or null.  A frame whose targets do not fit in the room left
+   is declined.  meta[0] is where the frames end, meta[1] the targets
+   written; returns the number of records. */
+int64_t repro_parse_requests(const unsigned char *buf, int64_t start,
+                             int64_t len, int64_t n, int64_t cap,
+                             int64_t *rec, int64_t max_records,
+                             int64_t *targets, int64_t room, int64_t *meta)
+{
+    int64_t count = 0, used = 0, at = start;
+    while (count < max_records && len - at >= 4) {
+        const unsigned char *h = buf + at;
+        int64_t length = (int64_t)((uint32_t)h[0] << 24 | (uint32_t)h[1] << 16
+                                   | (uint32_t)h[2] << 8 | h[3]);
+        if (length > cap || len - at - 4 < length) break;
+        int64_t *r = rec + RECORD * count++, before = used;
+        r[0] = at + 4;
+        r[1] = at = r[0] + length;
+        if (!sweep_request(buf + r[0], buf + r[1], buf, n, r, targets, &used,
+                           room)) {
+            r[2] = -1;
+            used = before;
+        }
+    }
+    meta[0] = at;
+    meta[1] = used;
+    return count;
+}
 """
 
 #: Compiler flags; part of the cache key.
@@ -475,6 +666,8 @@ _SIGNATURES = {
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
     "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
     "repro_answer_frames": ([_P, _N, _N, _N] + [_P] * 5, _N),
+    "repro_parse_requests": ([ctypes.c_char_p] + [_N] * 4 + [_P, _N, _P, _N, _P],
+                             _N),
 }
 
 _lock = threading.Lock()
@@ -725,6 +918,8 @@ class Trees:
             *(a.ctypes.data for a in self._arrays), self.n)
         self._at = ctypes.addressof(self._args)
         self._lanes = 0
+        self._prefixes: list[np.ndarray] = []
+        self._rows_at = 0
 
     def lanes(self, dist: np.ndarray, seed: np.ndarray, k: int) -> None:
         """Bind flat label and seed buffers of ``n * k`` entries (seeds
@@ -744,6 +939,19 @@ class Trees:
         args.mark_end = self._ends.ctypes.data
         self._lanes = k
 
+    def bind_rows(self, rows: np.ndarray) -> list[np.ndarray]:
+        """Bind a reused C-contiguous int64 ``(K, N)`` out buffer, ``N``
+        above every original ID, and return its prefixes ``rows[:k]``
+        for ``k = 0 .. K``.  Its address is taken here, once: :meth:`run`
+        into one of these prefixes reads no pointer per call."""
+        if (rows.ndim != 2 or rows.shape[1] < self._width
+                or not _fits(np.int64, rows)):
+            raise ValueError(f"rows {rows.shape} {rows.dtype} for "
+                             f"{self._width} vertices")
+        self._rows_at = rows.ctypes.data
+        self._prefixes = [rows[:k] for k in range(rows.shape[0] + 1)]
+        return self._prefixes
+
     def run(self, sources, out: np.ndarray | None = None) -> None:
         """``k = len(sources)`` lanes into the bound ``(n, k)`` labels.
 
@@ -758,8 +966,11 @@ class Trees:
         if not 0 < k <= self._lanes:
             raise ValueError(f"{k} lanes for buffers of {self._lanes}")
         self._source[:k] = sources
+        prefixes = self._prefixes
         if out is None:
             at, width = None, 0
+        elif k < len(prefixes) and out is prefixes[k]:
+            at, width = self._rows_at, out.shape[1]
         else:
             if out.ndim != 2 or out.shape[0] != k or out.shape[1] < self._width:
                 raise ValueError(f"out {out.shape} for {k} lanes of "
@@ -859,7 +1070,8 @@ def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | N
 
     ``rows`` is the batch's C-contiguous int64 ``(lanes, n)`` distance
     rows.  Each answer is ``(lane, op, arg, id_text)``: ``op`` is
-    ``tree``, ``one_to_many`` (``arg`` its targets, repeats kept) or
+    ``tree``, ``one_to_many`` (``arg`` its targets, a list or an
+    integer array, repeats kept) or
     ``isochrone`` (``arg`` its budget, any int ``>= 0``), and
     ``id_text`` the request id's JSON text.  Returns the frames back
     to back, as :func:`repro.server.protocol.encode_message` writes
@@ -879,7 +1091,10 @@ def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | N
         id_end += len(id_text)
         if kind == 1:
             start = len(targets)
-            targets.extend(arg)
+            if isinstance(arg, np.ndarray):
+                targets.frombytes(arg.astype(np.int64, copy=False).tobytes())
+            else:
+                targets.extend(arg)
             req += (lane, kind, start, len(targets), id_end)
             size += 64 + len(id_text) + 21 * len(arg)
         else:
@@ -900,6 +1115,70 @@ def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | N
     if length > size:
         raise RuntimeError(f"frame writer wrote {length} bytes into {size}")
     return text[:length], ends.tolist()
+
+
+# ---------------------------------------------------------------------------
+# Request intake
+
+
+#: Fields of one intake record (see :func:`parse_requests`).
+RECORD = 9
+#: A record's ``timeout_ms`` when the request has none, or ``null``.
+TIMEOUT_UNSET = -(2**63)
+TIMEOUT_NULL = TIMEOUT_UNSET + 1
+#: Most records one call writes.
+INTAKE_RECORDS = 1024
+#: Most targets one call keeps; a frame past them is declined.
+_INTAKE_TARGETS = 1 << 16
+
+
+def parse_requests(data: bytes, start: int, n: int,
+                   cap: int) -> tuple[list[int], int, np.ndarray | None] | None:
+    """The whole frames of ``data[start:]``, and the sweep requests
+    among them, in one call.
+
+    Reads frames (a 4-byte big-endian body length, then the body)
+    until one is not whole, announces more than ``cap`` bytes, or
+    :data:`INTAKE_RECORDS` have been read.  Returns the records, flat,
+    :data:`RECORD` ints each: the body's start and end in ``data``;
+    its op, ``0`` tree, ``1`` one_to_many, ``2`` isochrone, or ``-1``
+    when the body is *declined*; and for a sweep request the start and
+    end of its id's JSON text in ``data``, its source, the start and
+    end of its targets in the returned array (one_to_many) or its
+    budget (isochrone), and its ``timeout_ms`` (:data:`TIMEOUT_UNSET`,
+    :data:`TIMEOUT_NULL` or an int).  Then where the frames end, and
+    the requests' targets (an int64 array of this call's own, or
+    ``None`` when there are none).
+
+    A body is taken only in a strict subset of JSON that
+    ``json.loads`` and :func:`repro.server.protocol.validate_request`
+    read the same way: ASCII; an object whose keys are ``id``, ``op``,
+    the fields its op takes and an optional ``timeout_ms``, each once;
+    the id an integer or a string of printable ASCII with no escapes
+    (so its text is the id's JSON encoding); every integer canonical,
+    with at most 18 digits and not ``-0``; vertices in ``[0, n)``, the
+    budget ``>= 0`` and ``timeout_ms`` an integer or ``null``.
+    Everything else is declined and left to the caller.  ``None`` when
+    the kernels do not load.
+    """
+    lib = _load()
+    if not lib:
+        return None
+    intake = getattr(_threads, "intake", None)
+    if intake is None:
+        rec = np.empty(RECORD * INTAKE_RECORDS, dtype=np.int64)
+        targets = np.empty(_INTAKE_TARGETS, dtype=np.int64)
+        meta = (ctypes.c_int64 * 2)()
+        intake = _threads.intake = (rec, rec.ctypes.data, targets,
+                                    targets.ctypes.data, meta,
+                                    ctypes.addressof(meta))
+    rec, rec_at, targets, targets_at, meta, meta_at = intake
+    count = lib.repro_parse_requests(data, start, len(data), n, cap, rec_at,
+                                     INTAKE_RECORDS, targets_at,
+                                     _INTAKE_TARGETS, meta_at)
+    end, used = meta
+    return (rec[: RECORD * count].tolist(), end,
+            targets[:used].copy() if used else None)
 
 
 def _text_buffer(size: int) -> tuple[memoryview, int]:

@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import socket
 import struct
+import time
 from types import SimpleNamespace
 
 import numpy as np
@@ -145,3 +146,140 @@ def test_router_connection_answers_over_the_frame_cap_with_a_500(
             "code": protocol.INTERNAL,
             "message": f"message of {size} bytes exceeds the 1500-byte "
                        f"frame cap"}}]
+
+
+# ---------------------------------------------------------------------------
+# Reads split anywhere
+
+
+#: Pipelined frames of every kind: sweep requests the intake reads in C
+#: (reordered keys, whitespace), ones it declines to the decode path
+#: (float timeout, escaped op, a duplicate key, an alias), errors, and
+#: an admin op.
+MIXED = [
+    b'{"id":1,"op":"tree","source":7}',
+    b' {"source" : 33 ,"op":"one_to_many", "targets":[0, 7,7 ,399],'
+    b'"id":"a b"} ',
+    b'{"op":"isochrone","budget":900,"id":3,"source":150,"timeout_ms":null}',
+    b'{"id":4,"op":"tree","source":0,"timeout_ms":2500.0}',
+    b'{"id":"\\u00e9","op":"tr\\u0065e","source":211}',
+    b'{"id":6,"op":"isochrone","source":1,"source":2,"budget":0}',
+    b'{"id":7,"op":"tree","sources":3}',
+    b'{"id":8,"op":"tree","source":400}',
+    b'{"id":9,"op":"fly"}',
+    b'{"id":10,"op":"ping"}',
+]
+
+
+def _recv_frame(sock: socket.socket) -> bytes:
+    header = sock.recv(4, socket.MSG_WAITALL)
+    (length,) = struct.unpack(">I", header)
+    body = b""
+    while len(body) < length:
+        chunk = sock.recv(length - len(body))
+        assert chunk, "server closed the connection"
+        body += chunk
+    return header + body
+
+
+def _exchange(sock: socket.socket, parts: list[bytes]) -> list[bytes]:
+    """Send ``parts`` as separate writes; the response frames, sorted
+    (answers to one read may leave in any order)."""
+    for part in parts:
+        sock.sendall(part)
+        if len(parts) > 1:
+            time.sleep(0.0005)  # each part its own read
+    return sorted(_recv_frame(sock) for _ in MIXED)
+
+
+def test_a_stream_split_anywhere_gets_the_same_frames(front, reference):
+    """The same pipelined stream sent whole, one byte per write, and
+    split in two at every byte boundary gets the same response bytes."""
+    stream = b"".join(struct.pack(">I", len(b)) + b for b in MIXED)
+    with _connect(front) as sock:
+        sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
+        whole = _exchange(sock, [stream])
+        assert len(whole) == len(MIXED)
+        assert _exchange(sock, [stream[i:i + 1]
+                                for i in range(len(stream))]) == whole
+        for cut in range(1, len(stream)):
+            assert _exchange(sock, [stream[:cut], stream[cut:]]) == whole, cut
+    answers = {protocol.decode_body(f[4:])["id"]: protocol.decode_body(f[4:])
+               for f in whole}
+    assert [answers[i]["ok"] for i in (1, "a b", 3, 4, "é", 6, 7, 8, 9, 10)] \
+        == [True] * 6 + [False] * 3 + [True]
+    assert np.array_equal(answers["é"]["dist"], reference[211])
+    assert answers["a b"]["dist"] == reference[33][[0, 7, 7, 399]].tolist()
+
+
+def test_more_frames_in_a_read_than_one_parse_takes_are_all_answered(
+        front):
+    count = protocol.INTAKE_RECORDS + 100
+    with _connect(front) as sock:
+        sock.sendall(b"".join(protocol.encode_message(
+            {"id": i, "op": "ping"}) for i in range(count)))
+        ids = sorted(protocol.recv_message(sock)["id"] for _ in range(count))
+    assert ids == list(range(count))
+
+
+# ---------------------------------------------------------------------------
+# Back-pressure
+
+
+def test_reading_pauses_above_the_high_water_mark(front, reference,
+                                                  monkeypatch):
+    """Once the answers a client does not read fill the transport's
+    buffer past its high-water mark, the connection stops reading; it
+    reads again once the client has drained them, and every answer
+    arrives whole."""
+    events = []
+    pause_writing, resume_writing = (Connection.pause_writing,
+                                     Connection.resume_writing)
+
+    def pause(conn):
+        pause_writing(conn)
+        events.append(("pause", conn.transport.is_reading()))
+
+    def resume(conn):
+        resume_writing(conn)
+        events.append(("resume", conn.transport.is_reading()))
+
+    monkeypatch.setattr(Connection, "pause_writing", pause)
+    monkeypatch.setattr(Connection, "resume_writing", resume)
+    sources = [s for s in reference for _ in range(10)]  # < max_pending
+    sock = socket.socket()
+    sock.setsockopt(socket.SOL_SOCKET, socket.SO_RCVBUF, 4096)
+    sock.settimeout(30)
+    with sock:
+        sock.connect((front.host, front.port))
+        protocol.send_message(sock, {"id": -1, "op": "ping"})
+        assert protocol.recv_message(sock)["pong"] is True
+        server = front.server
+        (conn,) = server._conns
+
+        def shrink():
+            conn.transport.set_write_buffer_limits(high=4096)
+            conn.transport.get_extra_info("socket").setsockopt(
+                socket.SOL_SOCKET, socket.SO_SNDBUF, 4096)
+
+        front.loop.call_soon_threadsafe(shrink)
+        sock.sendall(b"".join(protocol.encode_message(
+            {"id": i, "op": "tree", "source": s})
+            for i, s in enumerate(sources)))
+        deadline = time.monotonic() + 20
+        while not events and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert events[:1] == [("pause", False)]
+        # Paused: a ping sent now is not read until the answers drain.
+        pings = server.metrics.requests.get("ping", 0)
+        protocol.send_message(sock, {"id": "late", "op": "ping"})
+        time.sleep(0.2)
+        assert server.metrics.requests.get("ping", 0) == pings
+        answers = {}
+        for _ in range(len(sources) + 1):
+            resp = protocol.recv_message(sock)
+            answers[resp["id"]] = resp
+    assert ("resume", True) in events
+    assert answers.pop("late")["pong"] is True
+    for i, s in enumerate(sources):
+        assert np.array_equal(answers[i]["dist"], reference[s])

@@ -222,7 +222,7 @@ def test_stop_during_open_window_ends_the_loop():
         stopper = loop.create_task(batcher.stop())
         await asyncio.sleep(0)  # stop() has queued its close sentinel
         late = _request(-1)
-        batcher._queue.put_nowait(late)  # slipped in behind the close
+        batcher._queue.append(late)  # slipped in behind the close
         await asyncio.wait_for(stopper, 10)
         await producer
         with pytest.raises(SchedulerStopped):
