@@ -1,6 +1,6 @@
 """Served-request cost in process: a batch's ``C(k)``, and the intake.
 
-The server's scheduler coalesces concurrent sweep-shaped requests
+The server's scheduler batches concurrent sweep-shaped requests
 (tree / one-to-many / isochrone) into one multi-source PHAST sweep.
 ``C(k)`` is the cost of one served batch of ``k`` tree requests for
 k = 1, 2, 3, 4, 8, 16, in process and on the path the server runs on

@@ -399,7 +399,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         )
         service.drain_on_signals()
         await service.wait_drained()
-        snap = service.admission.snapshot()
+        snap = service.admission()
         print(
             f"drained: {snap['admitted_total']} requests served, "
             f"rejected {snap['rejected']}",
@@ -899,7 +899,7 @@ def build_parser() -> argparse.ArgumentParser:
     sv.add_argument("--port", type=int, default=7171,
                     help="TCP port (0 = ephemeral)")
     sv.add_argument("--batch-max", type=int, default=16,
-                    help="max sources coalesced into one sweep")
+                    help="max requests per sweep batch")
     sv.add_argument("--max-wait-ms", type=float, default=2.0,
                     help="cap on the micro-batch window, ms")
     sv.add_argument("--max-pending", type=int, default=256,

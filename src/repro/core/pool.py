@@ -1,4 +1,4 @@
-"""Persistent shared-memory batch execution (the PHAST "server" layer).
+"""Persistent shared-memory batch execution (the PHAST batch layer).
 
 Sections V and VII of the paper share one shape: millions of
 independent shortest path trees over a single read-only hierarchy.
@@ -110,7 +110,7 @@ __all__ = [
 # published hierarchy (tens of MB at scale) pinned in /dev/shm forever.
 # Every live pool registers here; ``atexit`` covers normal interpreter
 # exits (including unhandled exceptions), and :func:`install_signal_guard`
-# covers hard interrupts for long-lived processes such as ``repro serve``.
+# covers hard interrupts for long-lived processes that install it.
 
 _LIVE_POOLS: "weakref.WeakSet[_BasePool]" = weakref.WeakSet()
 _GUARDED_SIGNALS: dict = {}
@@ -453,7 +453,7 @@ class _PublishedHierarchy:
         )
 
 
-def _engine(ctx: TaskContext, hier: tuple, search_cache: int,
+def _engine(ctx: TaskContext, hier: tuple,
             sel: tuple | None = None) -> PhastEngine | RPhastEngine:
     """The warm engine of the generation ``hier``, from ``ctx``'s memo:
     PHAST over its full sweep structure, or RPHAST over the published
@@ -462,12 +462,10 @@ def _engine(ctx: TaskContext, hier: tuple, search_cache: int,
 
     def phast(h):
         ch = _PublishedHierarchy(h)
-        return PhastEngine(ch, sweep=SweepStructure.from_arrays(h, ch.n),
-                           search_cache=search_cache)
+        return PhastEngine(ch, sweep=SweepStructure.from_arrays(h, ch.n))
 
     def rphast(h, s):
-        return RPhastEngine.from_arrays(_PublishedHierarchy(h), s,
-                                        search_cache=search_cache)
+        return RPhastEngine.from_arrays(_PublishedHierarchy(h), s)
 
     if sel is None:
         return ctx.memo("phast", (hier,), phast)
@@ -505,8 +503,7 @@ def _run_chunk(ctx: TaskContext, k: int, batch: dict, start: int,
         return {
             start + j: fn(ctx, common, item) for j, item in enumerate(chunk)
         }
-    engine = _engine(ctx, batch["hier"], batch["search_cache"],
-                     batch.get("sel"))
+    engine = _engine(ctx, batch["hier"], batch.get("sel"))
     out = _output(ctx, batch["out"]) if mode == "dist" else None
     reducer: TreeReducer | None = batch.get("reducer")
     fn: Callable | None = batch.get("fn")
@@ -1208,14 +1205,6 @@ class _BasePool:
         )
         return base
 
-    def capacity_fraction(self) -> float:
-        """Live workers / configured workers, in [0, 1] (serial: 1.0)."""
-        if self._closed:
-            return 0.0
-        if self._serial:
-            return 1.0
-        return min(1.0, self._supervisor.alive_count() / max(1, self.num_workers))
-
     @property
     def supervisor(self) -> WorkerSupervisor | None:
         """The worker supervisor (``None`` on the serial path)."""
@@ -1249,11 +1238,6 @@ class PhastPool(_BasePool):
     arrays:
         Named auxiliary NumPy arrays to publish (e.g. a partition's
         cell assignment).
-    search_cache:
-        Capacity of each engine's LRU cache of upward CH search
-        spaces (0 disables, the default).  Worth enabling for serving
-        workloads where sources repeat — the per-source scalar search
-        is then paid once per distinct origin.
     chunk_size:
         Sources per work-queue chunk; default balances ~4 chunks per
         worker, rounded to a multiple of ``sources_per_sweep``.
@@ -1291,7 +1275,6 @@ class PhastPool(_BasePool):
         graphs: Mapping[str, StaticGraph] | None = None,
         arrays: Mapping[str, np.ndarray] | None = None,
         chunk_size: int | None = None,
-        search_cache: int = 0,
         heartbeat_interval: float = 0.2,
         chunk_timeout: float | None = None,
         max_chunk_retries: int = 2,
@@ -1301,7 +1284,6 @@ class PhastPool(_BasePool):
         if sources_per_sweep < 1:
             raise ValueError("sources_per_sweep must be >= 1")
         self.ch = ch
-        self.search_cache = int(search_cache)
         boot: dict[str, np.ndarray] = {}
         for name, g in (graphs or {}).items():
             boot[f"g:{name}:first"] = g.first
@@ -1345,7 +1327,7 @@ class PhastPool(_BasePool):
         if old is not None:
             self.retire_publication(old[0])
         if self._serial:
-            _engine(self._ctx, self._hier, self.search_cache)
+            _engine(self._ctx, self._hier)
 
     @property
     def metric_generation(self) -> int:
@@ -1370,7 +1352,7 @@ class PhastPool(_BasePool):
         dropped.
 
         Must be called with no batch in flight — the caller provides
-        the quiesce point (the server does it between micro-batches).
+        the quiesce point (between its batches).
         Restricted-selection publications embed copied arc lengths, so
         callers holding :meth:`publish_arrays` selection handles must
         retire and republish them after a swap.
@@ -1431,8 +1413,7 @@ class PhastPool(_BasePool):
 
     def _batch(self, mode: str, **fields) -> dict:
         """A batch over the current generation, snapshotted by name."""
-        return {"mode": mode, "hier": self._hier,
-                "search_cache": self.search_cache, **fields}
+        return {"mode": mode, "hier": self._hier, **fields}
 
     def trees(
         self, sources: Sequence[int], *, out: np.ndarray | None = None
@@ -1489,7 +1470,6 @@ class PhastPool(_BasePool):
         sources: Sequence[int],
         *,
         selection: tuple,
-        search_cache: int = 0,
     ) -> np.ndarray:
         """Distance matrix rows over a published restricted selection.
 
@@ -1516,8 +1496,7 @@ class PhastPool(_BasePool):
         sources = [int(s) for s in sources]
         if not sources:
             return np.empty((0, 0), dtype=np.int64)
-        batch = self._batch("matrix", sel=selection,
-                            search_cache=int(search_cache))
+        batch = self._batch("matrix", sel=selection)
         return np.stack(_in_order(self._execute(batch, sources), len(sources)))
 
 

@@ -10,10 +10,9 @@ protocol on both sides, so every existing client (``ServerClient``,
 ``repro client``, the benchmarks) works unmodified against it.
 
 Why affinity routing: a replica's throughput depends on state that
-*accretes per process* — the MicroBatcher's same-source lane
-coalescing and the matrix op's
+*accretes per process* — the matrix op's
 :class:`~repro.core.rphast.SelectionCache` (with its per-selection
-upward search LRU).  Spraying requests uniformly would cold-miss both
+upward search LRU).  Spraying requests uniformly would cold-miss it
 on every replica.  The router therefore routes by consistent hashing on the
 query *source* (so a depot's repeat traffic lands on one replica) and
 on the *target-set hash* for ``matrix`` (so one replica keeps each

@@ -290,8 +290,8 @@ class PhastRouter(FrameServer):
         ``matrix`` keys on the (deduplicated, sorted) target set —
         the replica-side :class:`SelectionCache` is keyed the same
         way, so repeat target sets keep hitting their warm selection.
-        Everything else keys on the source vertex, which keeps a hot
-        origin's upward search space and batcher lane on one replica.
+        Everything else keys on the source vertex, which keeps each
+        origin's requests on one replica.
         """
         if op == "matrix":
             targets = msg.get("targets")

@@ -4,23 +4,21 @@ The batch layer (:mod:`repro.core.pool`) answers *offline* workloads:
 one caller, many sources, one call.  This package closes the remaining
 gap to the ROADMAP's north star — a resident process answering a
 *stream* of concurrent queries — by exploiting the same economics
-online: a PHAST sweep costs nearly the same for 1 or ``k`` sources, so
-coalescing concurrent tree-shaped requests into one k-lane sweep
-multiplies service rate exactly like dynamic batching in an inference
-server.
+online: a PHAST sweep costs less per tree for ``k`` sources than for
+1, so batching concurrent tree-shaped requests into one k-lane sweep,
+one lane each, raises the service rate like dynamic batching in an
+inference server.
 
 Modules
 -------
 :mod:`~repro.server.protocol`
     Length-prefixed JSON framing (stdlib only) shared by the asyncio
     server and the blocking client.
-:mod:`~repro.server.admission`
-    Bounded-queue admission control with load shedding and drain mode.
 :mod:`~repro.server.scheduler`
-    The dynamic micro-batching scheduler: coalesce up to ``batch_max``
+    The dynamic micro-batching scheduler: gather up to ``batch_max``
     sweep requests while each event-loop turn brings more (capped at
-    ``max_wait_ms``), dispatch one multi-source sweep,
-    hand each result to its request's reply callback.
+    ``max_wait_ms``), dispatch one multi-source sweep with one lane per
+    request, hand each result to its request's reply callback.
 :mod:`~repro.server.metrics`
     Request counters plus batch-size / wait / latency histograms.
 :mod:`~repro.server.listener`
@@ -28,13 +26,14 @@ Modules
 :mod:`~repro.server.service`
     The asyncio TCP service tying it together: five query types
     (point-to-point, one-to-many, full tree, isochrone, travel-time
-    matrix), deadlines, graceful drain on SIGINT/SIGTERM.
+    matrix), admission against the answers owed (load shedding with
+    429, 503 while draining), deadlines, graceful drain on
+    SIGINT/SIGTERM.
 :mod:`~repro.server.client`
     Blocking client library used by ``repro client``, the tests and
     the closed-loop load generator.
 """
 
-from .admission import AdmissionController
 from .client import ServerClient, ServerError
 from .metrics import ServerMetrics
 from .protocol import ProtocolError
@@ -42,7 +41,6 @@ from .scheduler import DeadlineExceeded, MicroBatcher, SweepRequest
 from .service import PhastService, ServerConfig, serve_in_thread
 
 __all__ = [
-    "AdmissionController",
     "DeadlineExceeded",
     "MicroBatcher",
     "PhastService",

@@ -185,12 +185,8 @@ class FrameServer:
     async def _monitor(self) -> None:
         """Background work while serving (optional)."""
 
-    def _begin_drain(self) -> None:
-        """First drain step, before the listener closes (optional)."""
-
     async def _drain_impl(self) -> None:
         self._draining = True
-        self._begin_drain()
         if self._monitor_task is not None:
             self._monitor_task.cancel()
             try:

@@ -28,10 +28,9 @@ it saves 19–43% of a request's cost.  The policy:
   distance row): it closes on the first turn that brings nothing, at
   ``batch_max`` lanes, or after ``max_wait_ms`` total, whichever
   comes first;
-* the batch runs as one multi-source sweep on the engine — requests
-  sharing a source share one lane (singleflight-style coalescing) —
-  and one ``answer_fn`` call answers all its sweep requests from the
-  rows right after the sweep;
+* the batch runs as one multi-source sweep on the engine, one lane
+  per sweep request, and one ``answer_fn`` call answers all its sweep
+  requests from the rows right after the sweep;
 * each exclusive request's reply callback gets its payload, and any
   request its error.
 
@@ -132,7 +131,7 @@ _CLOSE = _Close()
 
 
 class MicroBatcher:
-    """Coalesce sweep requests into multi-source dispatches.
+    """Batch sweep requests into multi-source dispatches.
 
     Parameters
     ----------
@@ -299,18 +298,20 @@ class MicroBatcher:
         if not live:
             return
         waits = [now - req.enqueued_at for req in live]
+        sweeps = [req for req in live if req.execute is None]
         try:
-            if all(req.execute is None for req in live):
-                lane, rows, outcomes, run_s = self._execute(live)
+            if len(sweeps) == len(live):
+                rows, outcomes, run_s = self._execute(live, sweeps)
             else:
-                lane, rows, outcomes, run_s = await loop.run_in_executor(
-                    self.executor, self._execute, live
+                rows, outcomes, run_s = await loop.run_in_executor(
+                    self.executor, self._execute, live, sweeps
                 )
             t0 = time.monotonic()
-            sweeps = [req for req in live if req.execute is None and req.live]
-            if sweeps:
-                self.answer_fn(sweeps, [lane[req.source] for req in sweeps],
-                               rows)
+            # Lane i is sweep request i; one that died meanwhile (its
+            # client went away during an executor batch) is skipped.
+            lanes = [i for i, req in enumerate(sweeps) if req.live]
+            if lanes:
+                self.answer_fn([sweeps[i] for i in lanes], lanes, rows)
         except Exception as exc:  # sweep failure: fail the whole batch
             if self.metrics is not None:
                 self.metrics.record_batch_failure()
@@ -321,29 +322,20 @@ class MicroBatcher:
             return
         if self.metrics is not None:
             self.metrics.record_batch(len(live), waits,
-                                      run_s + time.monotonic() - t0,
-                                      lanes=len(lane))
+                                      run_s + time.monotonic() - t0)
         for req, outcome in outcomes:
             if req.live:
                 req.reply(outcome)
 
-    def _execute(self, live: list) -> tuple[dict, object, list, float]:
-        """One multi-source sweep, then each exclusive request.
-
-        Requests sharing a source share one sweep lane (singleflight-
-        style coalescing): a batch of k requests from u distinct
-        origins costs a u-lane sweep, so hot origins — depots, hubs,
-        popular tiles — get cheaper the more concurrently they are
-        asked about.  Returns each source's lane, the rows, each
+    def _execute(self, live: list,
+                 sweeps: list) -> tuple[object, list, float]:
+        """One multi-source sweep, lane ``i`` for ``sweeps[i]``, then
+        each exclusive request of ``live``.  Returns the rows, each
         exclusive request's payload or exception, and the seconds
         taken.
         """
         t0 = time.monotonic()
-        lane: dict[int, int] = {}
-        for req in live:
-            if req.execute is None:
-                lane.setdefault(req.source, len(lane))
-        rows = self.sweep_fn(list(lane)) if lane else None
+        rows = self.sweep_fn([req.source for req in sweeps]) if sweeps else None
         outcomes: list = []
         for req in live:
             if req.execute is not None:
@@ -351,4 +343,4 @@ class MicroBatcher:
                     outcomes.append((req, req.execute()))
                 except Exception as exc:
                     outcomes.append((req, exc))
-        return lane, rows, outcomes, time.monotonic() - t0
+        return rows, outcomes, time.monotonic() - t0

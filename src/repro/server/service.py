@@ -61,7 +61,6 @@ from ..core.phast import PhastEngine
 from ..core.rphast import SelectionCache
 from ..graph.csr import INF
 from . import protocol
-from .admission import AdmissionController
 from .listener import FrameHandle, FrameServer, run_in_thread
 from .metrics import ServerMetrics
 from .scheduler import (
@@ -104,6 +103,8 @@ class ServerConfig:
             raise ValueError("batch_max must be >= 1")
         if self.max_wait_ms < 0:
             raise ValueError("max_wait_ms must be >= 0")
+        if self.max_pending < 1:
+            raise ValueError("max_pending must be >= 1")
         if self.selection_cache < 1:
             raise ValueError("selection_cache must be >= 1")
 
@@ -150,7 +151,11 @@ class PhastService(FrameServer):
         self.n = int(ch.n)
         self.intake_vertices = self.n
         self.graph = graph
-        self.admission = AdmissionController(self.config.max_pending)
+        # Admission: the requests admitted and not yet answered are the
+        # answers owed (``FrameServer._owed``), refused over
+        # ``max_pending`` and while draining.  These count the rest.
+        self.admitted_total = 0
+        self.rejected = {"overloaded": 0, "draining": 0}
         self.engine = PhastEngine(ch)
         # One reused output buffer: each batch's rows are answered
         # before the next batch overwrites them.  The engine takes its
@@ -185,11 +190,6 @@ class PhastService(FrameServer):
         # buffer allocation.
         self.engine.trees([0], out=self._row_views[1])
         self.batcher.start()
-
-    def _begin_drain(self) -> None:
-        # Refused at admission from here on, so the drain's wait for
-        # in-flight requests terminates.
-        self.admission.start_draining()
 
     async def _release(self) -> None:
         await self.batcher.stop()
@@ -258,7 +258,6 @@ class PhastService(FrameServer):
         # target set; re-map to the request's column order.
         cols = np.searchsorted(engine.targets, t_arr)
         mat = rows[:, cols]
-        self.metrics.record_matrix(mat.size)
         return {
             "matrix": protocol.int_array(mat),
             "rows": int(mat.shape[0]),
@@ -276,7 +275,7 @@ class PhastService(FrameServer):
         arrived at once, so they share one arrival time."""
         now = time.monotonic()
         counts = [0, 0, 0]
-        acquire, submit = self.admission.try_acquire, self.batcher.submit
+        refusal, submit = self._refusal, self.batcher.submit
         encoded, step = protocol.encoded, protocol.RECORD
         unset, null = protocol.TIMEOUT_UNSET, protocol.TIMEOUT_NULL
         timeout_ms = self.config.default_timeout_ms
@@ -292,7 +291,7 @@ class PhastService(FrameServer):
                     continue
                 counts[code] += 1
                 req_id = encoded(data[id_start:id_end])
-                reason = acquire()
+                reason = refusal()
                 if reason is not None:
                     self._reject(conn, req_id, reason)
                     continue
@@ -317,9 +316,33 @@ class PhastService(FrameServer):
                 if count:
                     self.metrics.record_request(op, count)
 
+    def _refusal(self) -> str | None:
+        """Admit one work request (``None``) or count and return why it
+        is refused: the server is draining, or ``max_pending`` answers
+        are owed.  The request's reply then owes its answer."""
+        if self._draining:
+            reason = "draining"
+        elif self._owed >= self.config.max_pending:
+            reason = "overloaded"
+        else:
+            self.admitted_total += 1
+            return None
+        self.rejected[reason] += 1
+        return reason
+
+    def admission(self) -> dict:
+        """The admission ledger, as ``metrics`` and ``health`` report it."""
+        return {
+            "max_pending": self.config.max_pending,
+            "pending": self._owed,
+            "draining": self._draining,
+            "admitted_total": self.admitted_total,
+            "rejected": dict(self.rejected),
+        }
+
     def _reject(self, conn, req_id, reason: str) -> None:
         """Answer a request admission refused."""
-        code = (protocol.UNAVAILABLE if reason == AdmissionController.DRAINING
+        code = (protocol.UNAVAILABLE if reason == "draining"
                 else protocol.OVERLOADED)
         conn.send(self._error(req_id, code, f"request rejected: {reason}"))
 
@@ -338,7 +361,7 @@ class PhastService(FrameServer):
         # work and control ops both pass admission: control mutates
         # serving state and must be refused while draining exactly
         # like work, and counting it keeps the drain loop exact.
-        reason = self.admission.try_acquire()
+        reason = self._refusal()
         if reason is not None:
             self._reject(conn, req_id, reason)
             return
@@ -388,8 +411,8 @@ class PhastService(FrameServer):
         return protocol.ok_response(
             req_id,
             metrics=self.metrics.snapshot(
-                admission=self.admission.snapshot(),
-                selection_cache=self.selections.snapshot(),
+                self.admission(), self.selections.snapshot(),
+                self.metric_generation,
             ),
         )
 
@@ -413,7 +436,7 @@ class PhastService(FrameServer):
             "uptime_seconds": self.metrics.uptime_seconds(),
             "address": f"{self.host}:{self.port}",
             "pid": os.getpid(),
-            "admission": self.admission.snapshot(),
+            "admission": self.admission(),
         }
 
     def _deadline(self, fields: dict) -> float | None:
@@ -511,7 +534,6 @@ class PhastService(FrameServer):
         # whole cache is stale.
         self.selections.clear()
         t3 = time.monotonic()
-        self.metrics.record_swap(self.metric_generation)
         return {
             "metric_generation": self.metric_generation,
             "customize_seconds": t1 - t0,
@@ -524,13 +546,14 @@ class PhastService(FrameServer):
 class _Reply:
     """The answer an admitted request owes its connection.
 
-    Called once, on the event-loop thread, with the request's payload
-    or the exception that ended it: it releases the admission slot,
-    records the latency and writes the response frame.  A sweep batch
-    writes its requests' frames itself and calls :meth:`answered`.  A
-    dropped connection cancels it instead, which releases the slot at
-    once and turns a queued sweep request dead, so its lane is dropped.
-    Either way the slot is released exactly once.
+    Owing it takes the request's admission slot.  Called once, on the
+    event-loop thread, with the request's payload or the exception
+    that ended it: it settles the answer, which frees the slot, records
+    the latency and writes the response frame.  A sweep batch writes
+    its requests' frames itself and calls :meth:`answered`.  A dropped
+    connection cancels it instead, which frees the slot at once and
+    turns a queued sweep request dead, so its lane is dropped.  Either
+    way the answer is settled exactly once.
     """
 
     __slots__ = ("service", "conn", "req_id", "op", "t0", "done")
@@ -552,6 +575,9 @@ class _Reply:
         if isinstance(outcome, BaseException):
             response = self.service._failure(self.req_id, outcome)
         else:
+            if self.op == "matrix":
+                self.service.metrics.record_matrix(
+                    outcome["rows"] * outcome["cols"])
             response = protocol.ok_response(self.req_id, **outcome)
         self.conn.send(response)
 
@@ -567,7 +593,6 @@ class _Reply:
 
     def _finish(self) -> None:
         self.done = True
-        self.service.admission.release()
         self.conn.settle(self)
 
 

@@ -322,11 +322,12 @@ def test_supervisor_persistent_spawn_failure_drains_budget():
 
 
 def test_capacity_fraction_tracks_lifecycle(road_ch):
+    """Live workers over the pool's lifecycle, as ``health()`` reports."""
     with PhastPool(road_ch, num_workers=2, force_pool=True) as pool:
-        assert pool.capacity_fraction() == 1.0
-    assert pool.capacity_fraction() == 0.0
+        assert pool.health()["workers_alive"] == 2
+    assert pool.health()["workers_alive"] == 0
     with PhastPool(road_ch, num_workers=1) as pool:  # serial path
-        assert pool.capacity_fraction() == 1.0
+        assert pool.health()["workers_alive"] == 1
         assert pool.health()["serial"] is True
 
 

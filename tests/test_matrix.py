@@ -8,6 +8,7 @@ to full-PHAST slices — and nothing leaks shared memory.
 
 from __future__ import annotations
 
+import asyncio
 import glob
 import os
 
@@ -237,7 +238,7 @@ def test_pool_matrix_bit_identical(road_ch, reference, pool_kwargs):
         )
         # Second call rides the worker-side engine cache.
         assert np.array_equal(
-            pool.matrix(SOURCES, selection=pub, search_cache=8), reference
+            pool.matrix(SOURCES, selection=pub), reference
         )
         assert np.array_equal(
             pool.matrix([], selection=pub),
@@ -397,20 +398,31 @@ def test_server_matrix_degraded_admission(matrix_server, matrix_client,
                                           road_ch):
     """Matrix requests shed with 429 like any work op once
     ``max_pending`` requests are in flight."""
-    admission = matrix_server.service.admission
-    # Occupy every slot so the next matrix request is deterministically
-    # shed.
-    held = 0
-    while admission.try_acquire() is None:
-        held += 1
-    assert held == admission.max_pending
+    service = matrix_server.service
+
+    def on_loop(fn):
+        async def call():
+            return fn()
+        return asyncio.run_coroutine_threadsafe(
+            call(), matrix_server.loop).result(10)
+
+    def hold() -> int:
+        held = 0
+        while service._refusal() is None:
+            service._owe()
+            held += 1
+        return held
+
+    # Occupy every slot, on the loop thread that owns them, so the next
+    # matrix request is deterministically shed.
+    held = on_loop(hold)
+    assert held == service.config.max_pending
     try:
         with pytest.raises(ServerError) as exc_info:
             matrix_client.matrix(SOURCES, TARGETS)
         assert exc_info.value.code == 429
     finally:
-        for _ in range(held):
-            admission.release()
+        on_loop(lambda: [service._settle() for _ in range(held)])
     assert np.array_equal(
         matrix_client.matrix(SOURCES[:2], TARGETS),
         many_to_many_buckets(road_ch, SOURCES[:2], TARGETS),

@@ -150,7 +150,7 @@ def test_staggered_arrivals_keep_the_window_open():
     assert recorder.batches == [[0, 1, 2, 3, 4]]
 
 
-def test_same_source_requests_share_one_lane():
+def test_same_source_requests_take_one_lane_each():
     sources = [5, 5, 7, 5, 7, 9]
 
     async def scenario(batcher, recorder):
@@ -161,7 +161,7 @@ def test_same_source_requests_share_one_lane():
 
     rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", s) for s in sources]
-    assert recorder.batches == [[5, 7, 9]]
+    assert recorder.batches == [sources]
 
 
 async def _trickle(batcher, reqs: list, until) -> None:
@@ -252,6 +252,38 @@ def test_dropped_request_loses_its_lane():
     rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", 1), ("row", 3)]
     assert recorder.batches == [[1, 3]]
+
+
+def test_request_that_dies_during_an_executor_batch_is_skipped():
+    """Lane ``i`` is the batch's ``i``-th sweep request: one whose
+    client left while the batch ran on the executor is not answered,
+    and the others keep their lanes."""
+    answered = []
+
+    def answer(requests, lanes, rows):
+        answered.append(([req.source for req in requests], list(lanes)))
+        _answer(requests, lanes, rows)
+
+    async def scenario(batcher, recorder):
+        reqs = [_request(s) for s in (4, 6, 8)]
+
+        def drop_one():
+            reqs[1].reply.done = True  # its connection went away
+            return "payload"
+
+        exclusive = SweepRequest("matrix", -1, None, _Reply(),
+                                 execute=drop_one)
+        batcher.submit(exclusive)
+        for req in reqs:
+            batcher.submit(req)
+        assert await exclusive.reply.result() == "payload"
+        return [await reqs[0].reply.result(), await reqs[2].reply.result()]
+
+    rows, recorder = _run(scenario, answer=answer, batch_max=16,
+                          max_wait_ms=1000)
+    assert rows == [("row", 4), ("row", 8)]
+    assert recorder.batches == [[4, 6, 8]]
+    assert answered == [([4, 8], [0, 2])]
 
 
 class _ThreadRecorder(_Recorder):
