@@ -16,6 +16,16 @@ Two claims are measured:
   answer must match exactly one metric generation (old or new, never a
   mixture), and p50/p99 are recorded before / during / after the swap.
 
+A third section, ``trees_by_k``, prices PHAST's upward phase on the
+customized hierarchy: microseconds per tree of ``PhastEngine.trees``
+at k = 1, 4 and 16 lanes, in three setups over one network — the
+customized hierarchy, whose searches walk the elimination tree; the
+same hierarchy with its parent withheld, so its searches run the
+heap; and the witness CH.  It runs on the swap-scale instance, and on
+the 10^5-vertex acceptance instance only when that instance's
+topology is already cached (its witness contraction takes minutes);
+the record names the instances that ran.
+
 The topology build is the expensive one-time step (it dwarfs witness
 contraction — that is the point of the split: you pay it once per
 *structure*, not per metric), so the built artifact is cached under
@@ -30,6 +40,7 @@ n = 99 856: the 10^5-vertex acceptance instance),
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import os
 import threading
@@ -49,6 +60,7 @@ from repro.server import (
     ServerConfig,
     serve_in_thread,
 )
+from repro.utils.hotloop import bulk_compute
 from repro.utils.timing import LatencyHistogram
 
 CACHE_DIR = Path(__file__).resolve().parent / ".cache"
@@ -176,6 +188,108 @@ def bench_customize(quiet: bool = False) -> dict:
             f"{record['speedup_vs_recontraction']}x; "
             f"bit-identical on {sample.size} sources: {bit_identical}"
         )
+    return record
+
+
+#: Lane counts, sources per timed round and rounds of ``trees_by_k``.
+TREES_KS = (1, 4, 16)
+TREES_SOURCES = 512
+TREES_ROUNDS = 7
+#: The 10^5-vertex acceptance instance of :func:`bench_customize`.
+LARGE = (316, 4)
+
+
+def _trees_by_k_on(graph, topo, rng) -> dict:
+    """µs per tree at each k for the three setups over one network.
+
+    Setups take turns within each round, so a phase of a shared host
+    lands on all three; a round times ``TREES_SOURCES`` trees per
+    setup and k, and the median over ``TREES_ROUNDS`` rounds is
+    reported.  Rows of the three setups are checked equal first.
+    """
+    custom = topo.instantiate(customize(topo, graph.arc_len))
+    setups = {
+        "customized_walk": PhastEngine(custom),
+        "customized_heap": PhastEngine(
+            dataclasses.replace(custom, elimination_parent=None)),
+        "witness": PhastEngine(contract_graph(graph)),
+    }
+    walks = setups["customized_walk"].kernel._native
+    sources = rng.choice(graph.n, size=TREES_SOURCES)
+    rows = [e.trees(sources[:16]) for e in setups.values()]
+    identical = all(np.array_equal(rows[0], r) for r in rows[1:])
+    samples: dict = {name: {k: [] for k in TREES_KS} for name in setups}
+    with bulk_compute():
+        for _ in range(TREES_ROUNDS):
+            for k in TREES_KS:
+                out = np.empty((k, graph.n), dtype=np.int64)
+                for name, engine in setups.items():
+                    t0 = time.perf_counter()
+                    for i in range(0, TREES_SOURCES, k):
+                        engine.trees(sources[i:i + k], out=out)
+                    samples[name][k].append(
+                        (time.perf_counter() - t0) / TREES_SOURCES)
+    us = {name: {str(k): round(float(np.median(v)) * 1e6, 2)
+                 for k, v in by_k.items()}
+          for name, by_k in samples.items()}
+    return {
+        "n": int(graph.n),
+        "upward_arcs": {"customized": int(custom.upward.m),
+                        "witness": int(setups["witness"].ch.upward.m)},
+        "walks": bool(walks is not None and walks.walks),
+        "rows_identical": bool(identical),
+        "us_per_tree": us,
+        "walk_over_heap": {
+            str(k): round(us["customized_walk"][str(k)]
+                          / us["customized_heap"][str(k)], 3)
+            for k in TREES_KS},
+        "walk_over_witness": {
+            str(k): round(us["customized_walk"][str(k)]
+                          / us["witness"][str(k)], 3)
+            for k in TREES_KS},
+    }
+
+
+def bench_trees_by_k(quiet: bool = False) -> dict:
+    """Upward phase on the customized hierarchy: walk vs heap vs witness."""
+    rng = np.random.default_rng(31)
+    scale = _swap_scale()
+    graph = europe_like(scale, seed=9)
+    instances = {f"europe-{scale}": _trees_by_k_on(
+        graph, build_topology(graph), rng)}
+    skipped = {}
+    large_scale, large_seed = LARGE
+    path = CACHE_DIR / f"topology-europe-{large_scale}-{large_seed}.npz"
+    name = f"europe-{large_scale}"
+    if path.exists():
+        graph = europe_like(large_scale, seed=large_seed)
+        topo, _ = _cached_topology(graph, large_scale, large_seed)
+        instances[name] = _trees_by_k_on(graph, topo, rng)
+    else:
+        skipped[name] = "no cached topology"
+    record = {
+        "what": "PhastEngine.trees(sources, out=) per tree: each lane's "
+                "upward search, the k-lane sweep and the scatter; median "
+                f"of {TREES_ROUNDS} rounds of {TREES_SOURCES} trees per "
+                "setup and k, setups alternating within a round",
+        "nproc": len(os.sched_getaffinity(0)),
+        "instances": instances,
+        "skipped": skipped,
+    }
+    if not quiet:
+        for name, inst in instances.items():
+            print_table(
+                f"trees by k on {name} (n={inst['n']}), us per tree",
+                ["k", "customized walk", "customized heap", "witness",
+                 "walk / heap"],
+                [[k, fmt(inst["us_per_tree"]["customized_walk"][str(k)], 2),
+                  fmt(inst["us_per_tree"]["customized_heap"][str(k)], 2),
+                  fmt(inst["us_per_tree"]["witness"][str(k)], 2),
+                  fmt(inst["walk_over_heap"][str(k)], 3)]
+                 for k in TREES_KS],
+            )
+        for name, why in skipped.items():
+            print(f"trees by k: {name} skipped ({why})")
     return record
 
 
@@ -321,6 +435,7 @@ def run(quiet: bool = False) -> dict:
         "bench": "customize",
         "customization": bench_customize(quiet=quiet),
         "swap_under_load": bench_swap_under_load(quiet=quiet),
+        "trees_by_k": bench_trees_by_k(quiet=quiet),
     }
     with open(OUTPUT, "w") as f:
         json.dump(record, f, indent=2)

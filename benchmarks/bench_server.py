@@ -54,6 +54,7 @@ BATCH_COST_KS = (1, 2, 3, 4, 8, 16)
 BATCH_COST_REPS = 200
 INTAKE_FRAMES = 16
 INTAKE_READS = 300
+INTAKE_ROUNDS = 10
 
 
 def _batch_cost(ch, n: int) -> dict:
@@ -120,10 +121,14 @@ def _intake_cost(ch, n: int) -> dict:
     connection of an unstarted service as one ``data_received`` call:
     the frames are split, parsed, admitted and queued to the batcher.
     Timed per read and divided by the frames, with the kernels and on
-    the ``json.loads`` + ``validate_request`` fallback; the medians and
-    quartiles over ``INTAKE_READS`` reads (after a warm-up pass) are
-    reported, with ``json.loads`` + ``validate_request`` alone on the
-    same frames for reference.
+    the ``json.loads`` + ``validate_request`` fallback.  The two
+    backends take turns over ``INTAKE_ROUNDS`` rounds of
+    ``INTAKE_READS`` reads each (after a warm-up pass of both), the
+    first backend alternating by round, so a phase of the shared host
+    lands on both: each round's median is recorded, and per backend the
+    median and quartiles of the round medians.  ``json.loads`` +
+    ``validate_request`` alone on the same frames is reported for
+    reference.
     """
     rng = np.random.default_rng(13)
     budget = int(np.median(PhastEngine(ch).tree(0).dist)) // 2
@@ -151,25 +156,39 @@ def _intake_cost(ch, n: int) -> dict:
                 "one_to_many with 64 targets), one data_received call per "
                 "read, per request",
         "frames_per_read": INTAKE_FRAMES,
-        "reads": INTAKE_READS,
+        "reads_per_round": INTAKE_READS,
+        "rounds": INTAKE_ROUNDS,
     }
+
+    def one_pass(backend: str) -> float:
+        """The median per-request cost of one pass over the reads."""
+        per_request = []
+        with patch.object(native, "_lib", False) if backend == "fallback" \
+                else nullcontext():
+            for data in reads:
+                t0 = time.perf_counter()
+                conn.data_received(data)
+                t1 = time.perf_counter()
+                # Free the slots, and drop the queued requests as a
+                # batch would.
+                conn.connection_lost(None)
+                service.batcher._queue.clear()
+                per_request.append((t1 - t0) / INTAKE_FRAMES)
+        return float(np.median(per_request)) * 1e6
+
+    backends = ("native", "fallback")
     with bulk_compute():
-        for backend in ("native", "fallback"):
-            with patch.object(native, "_lib", False) if backend == "fallback" \
-                    else nullcontext():
-                per_request = []
-                for rep in range(2):  # the first pass warms up
-                    for data in reads:
-                        t0 = time.perf_counter()
-                        conn.data_received(data)
-                        t1 = time.perf_counter()
-                        # Free the slots, and drop the queued requests
-                        # as a batch would.
-                        conn.connection_lost(None)
-                        service.batcher._queue.clear()
-                        if rep:
-                            per_request.append((t1 - t0) / INTAKE_FRAMES)
-            q25, q50, q75 = np.percentile(per_request, [25, 50, 75]) * 1e6
+        for backend in backends:  # warm-up
+            one_pass(backend)
+        rounds = []
+        for r in range(INTAKE_ROUNDS):
+            order = backends if r % 2 == 0 else backends[::-1]
+            medians = {b: one_pass(b) for b in order}
+            rounds.append({b: round(medians[b], 2) for b in backends})
+        record["round_medians_us"] = rounds
+        for backend in backends:
+            q25, q50, q75 = np.percentile(
+                [r[backend] for r in rounds], [25, 50, 75])
             record[f"{backend}_us"] = {"median": round(float(q50), 2),
                                        "q25": round(float(q25), 2),
                                        "q75": round(float(q75), 2)}
@@ -223,7 +242,8 @@ def run(quiet: bool = False) -> dict:
         intake = record["intake_cost"]
         print_table(
             f"intake: read bytes to queued request "
-            f"({intake['frames_per_read']} frames per read)",
+            f"({intake['frames_per_read']} frames per read; median and "
+            f"quartiles of {intake['rounds']} alternating rounds' medians)",
             ["backend", "median us", "q25 us", "q75 us"],
             [[backend, fmt(intake[f"{backend}_us"]["median"], 2),
               fmt(intake[f"{backend}_us"]["q25"], 2),

@@ -57,6 +57,17 @@ lower ones are relaxed through it.  Closure arcs are numbered by
 gathers of a level's triangle slice land in one contiguous block of
 the weight array — the sweeps are memory-bound, and that locality is
 most of their speed.
+
+Upward searches.  The closure is the fill-in of an elimination game,
+so the lowest-ranked up-neighbour of ``v`` is its parent in the
+elimination tree, and every other up-neighbour of ``v`` is an
+up-neighbour of that parent.  By induction, all that ``G↑`` reaches
+from ``s`` lies among ``s``'s ancestors, which the tree lists in rank
+order: an upward search can walk ``s, parent[s], …`` and relax each
+reached vertex's arcs once, with no queue (CCH's elimination-tree
+search).  :attr:`CHTopology.elimination_parent` derives the tree once
+per topology and checks that property; :meth:`CHTopology.instantiate`
+hands it to every hierarchy it makes.
 """
 
 from __future__ import annotations
@@ -64,6 +75,7 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -148,6 +160,37 @@ class CHTopology:
     def num_triangles(self) -> int:
         return int(self.tri_target.size)
 
+    @cached_property
+    def elimination_parent(self) -> np.ndarray | None:
+        """Per vertex its lowest-ranked closure up-neighbour (``-1`` for
+        none), or ``None`` unless every other closure up-neighbour of a
+        vertex is one of its parent's too.
+
+        Derived on first use and kept for the topology's life, never
+        saved: a loaded topology derives it again.  Read-only, since
+        every hierarchy :meth:`instantiate` makes shares it.
+        """
+        tail = self.arc_tail[self.up_sel]
+        head = self.arc_head[self.up_sel]
+        n = self.n
+        by_rank = np.empty(n, dtype=np.int64)
+        by_rank[self.rank] = np.arange(n, dtype=np.int64)
+        low = np.full(n, n, dtype=np.int64)
+        np.minimum.at(low, tail, self.rank[head])
+        parent = np.full(n, -1, dtype=np.int64)
+        has = low < n
+        parent[has] = by_rank[low[has]]
+        # Each other up-arc (v, w) needs the arc (parent[v], w).
+        up = parent[tail]
+        other = head != up
+        keys = np.sort(tail * n + head)
+        want = up[other] * n + head[other]
+        at = np.minimum(np.searchsorted(keys, want), keys.size - 1)
+        if want.size and not np.array_equal(keys[at], want):
+            return None
+        parent.flags.writeable = False
+        return parent
+
     # -- (de)materialization (save_topology / load_topology) -------------
 
     _ARRAY_KEYS = (
@@ -207,7 +250,10 @@ class CHTopology:
         Emits only the kept arcs, gathered through the precomputed CSR
         plans (no sorting, no dedup), and recomputes the levels over
         the kept downward arcs — so each metric gets its own arc set
-        and sweep layout over the topology's fixed ``rank``.  A serving
+        and sweep layout over the topology's fixed ``rank``.  The
+        kept upward arcs are closure arcs, so the topology's
+        :attr:`elimination_parent` holds for every metric and goes
+        along (``None`` if the closure fails its check).  A serving
         pool republishes the whole structure on every swap, so nothing
         else has to match.  Takes milliseconds, which keeps hot swaps
         cheap.
@@ -273,6 +319,7 @@ class CHTopology:
             downward_via=np.ascontiguousarray(metric.via[down]),
             num_shortcuts=int(np.count_nonzero(shortcuts)),
             preprocessing_stats=stats,
+            elimination_parent=self.elimination_parent,
         )
 
 

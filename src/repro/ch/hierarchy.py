@@ -10,7 +10,10 @@ A :class:`ContractionHierarchy` holds, for the input graph ``G``:
   graph ``G↓`` stored reversed (in-adjacency: for each vertex, the
   incoming arcs from higher-ranked tails — exactly what PHAST's sweep
   scans),
-* per-arc ``via`` vertices for shortcut unpacking (-1 = original arc).
+* per-arc ``via`` vertices for shortcut unpacking (-1 = original arc),
+* on a customized hierarchy, the elimination-tree ``parent`` of its
+  topology, which lets upward searches walk ancestors instead of
+  running a heap.
 """
 
 from __future__ import annotations
@@ -164,6 +167,14 @@ class ContractionHierarchy:
         downward dedup).
     preprocessing_stats:
         Free-form counters (witness searches run, time, etc.).
+    elimination_parent:
+        ``None``, or per vertex its parent in an elimination tree whose
+        ancestors of every ``s`` include all that ``G↑`` reaches from
+        ``s`` (``-1`` at a root; each parent ranks above its child).
+        :meth:`CHTopology.instantiate
+        <repro.ch.customize.CHTopology.instantiate>` sets it; the
+        compiled batch of trees then searches by walking ``s``'s
+        ancestors in rank order instead of running a heap.
     """
 
     n: int
@@ -175,6 +186,7 @@ class ContractionHierarchy:
     downward_via: np.ndarray
     num_shortcuts: int
     preprocessing_stats: dict
+    elimination_parent: np.ndarray | None = None
 
     @property
     def num_levels(self) -> int:
@@ -191,7 +203,10 @@ class ContractionHierarchy:
         * ``rank`` is a permutation;
         * every upward arc goes rank-increasing, every (reversed)
           downward arc rank-decreasing;
-        * levels strictly decrease along downward arcs (Lemma 4.1).
+        * levels strictly decrease along downward arcs (Lemma 4.1);
+        * with an ``elimination_parent``, each parent ranks above its
+          child and the head of every upward arc is an ancestor of its
+          tail.
         """
         assert np.array_equal(np.sort(self.rank), np.arange(self.n))
         up_tails = self.upward.arc_tails()
@@ -206,3 +221,19 @@ class ContractionHierarchy:
         assert bool(
             np.all(self.level[down_tails] > self.level[down_heads])
         ), "downward arc not strictly level-decreasing"
+        parent = self.elimination_parent
+        if parent is None:
+            return
+        child = np.flatnonzero(parent >= 0)
+        assert parent.shape == (self.n,) and bool(
+            np.all(self.rank[parent[child]] > self.rank[child])
+        ), "elimination parent does not rank above its child"
+        # Climb every arc's tail towards the root while it ranks below
+        # the arc's head: the head must be on the way.
+        at, head = up_tails, self.upward.arc_head
+        below = self.rank[at] < self.rank[head]
+        while below.any():
+            at = np.where(below, parent[at], at)
+            assert bool(np.all(at >= 0)), "upward arc head is no ancestor"
+            below = self.rank[at] < self.rank[head]
+        assert np.array_equal(at, head), "upward arc head is no ancestor"

@@ -423,17 +423,22 @@ class TaskContext:
 
 
 def _hierarchy_arrays(ch: ContractionHierarchy) -> dict[str, np.ndarray]:
-    """One hierarchy generation as a publication: sweep structure + ``G↑``."""
-    return {
+    """One hierarchy generation as a publication: sweep structure +
+    ``G↑``, with its elimination tree as ``up:parent`` when it has one."""
+    arrays = {
         **SweepStructure(ch).arrays(),
         "up:first": ch.upward.first,
         "up:arc_head": ch.upward.arc_head,
         "up:arc_len": ch.upward.arc_len,
     }
+    if ch.elimination_parent is not None:
+        arrays["up:parent"] = ch.elimination_parent
+    return arrays
 
 
 class _PublishedHierarchy:
-    """The slice of a hierarchy a pooled engine needs (``n`` + ``G↑``).
+    """The slice of a hierarchy a pooled engine needs (``n``, ``G↑``
+    and its elimination tree, if any).
 
     The downward graph and preprocessing metadata are not part of a
     generation's publication; touching them raises instead of
@@ -445,11 +450,12 @@ class _PublishedHierarchy:
             views["up:first"], views["up:arc_head"], views["up:arc_len"]
         )
         self.n = self.upward.n
+        self.elimination_parent = views.get("up:parent")
 
     def __getattr__(self, name: str):
         raise AttributeError(
             f"hierarchy field {name!r} is not published to pool workers "
-            "(only n and the upward graph are)"
+            "(only n, the upward graph and its elimination tree are)"
         )
 
 

@@ -196,7 +196,7 @@ class LevelSweep:
     ----------
     ch:
         Hierarchy whose upward graph :meth:`search` runs on (only
-        ``n`` and ``upward`` are touched).
+        ``n``, ``upward`` and ``elimination_parent`` are touched).
     sweep:
         The :class:`SweepStructure` to sweep, full or restricted.
     search_cache:
@@ -214,9 +214,10 @@ class LevelSweep:
 
     Batches run the compiled kernel of :mod:`repro.utils.native`
     when it loads and the arc arrays are 32-bit: one call searches
-    each lane, seeds it, sweeps (one pass over the positions, no level
-    loop), writes the rows by original ID (:meth:`trees`) and puts the
-    seeds back.  Lanes with marks in hand (:meth:`run`, cache hits)
+    each lane (walking the elimination tree when ``ch`` has one, else
+    with the heap), seeds it, sweeps (one pass over the positions, no
+    level loop), writes the rows by original ID (:meth:`trees`) and
+    puts the seeds back.  Lanes with marks in hand (:meth:`run`, cache hits)
     are seeded here and skip the search.  Otherwise (no compiler,
     ``REPRO_NO_NATIVE``, arcs too wide, or a ``relax=`` hook) each
     lane goes through :meth:`search`, and the sweep relaxes one level
@@ -252,7 +253,8 @@ class LevelSweep:
         self.level_first = sweep.level_first
         self._native = native.trees_kernel(ch.upward, self.pos_of, arc_first,
                                            arc_tail_pos, arc_len,
-                                           self.vertex_at)
+                                           self.vertex_at,
+                                           ch.elimination_parent)
         # Flat label and seed buffers for the widest k so far; k lanes
         # reshape a prefix, which keeps every lane row contiguous.
         self._lanes = 0
@@ -500,8 +502,9 @@ class LevelSweep:
         """The cache's side of a compiled sweep, lane by lane as
         :meth:`search` would have done it: a source in the cache is a
         hit, any other a miss whose marks (the cached ones it was
-        seeded from, or those the kernel found) become the newest
-        entry."""
+        seeded from, or those the kernel found, in its search's order:
+        rank order for a walk, settling order for the heap) become the
+        newest entry."""
         cache, cap = self._cache, self._cache_cap
         found, ends = self._native.marks(len(sources))
         lo = 0

@@ -15,8 +15,11 @@ Four families of kernels live in one C source, built into one library:
   call (:class:`Trees`; one tree is ``k = 1``): each lane's search
   writes its marks into its seed column, one sweep serves all lanes,
   each lane is written to its row by original vertex ID, and the seeds
-  go back to ∞.  Lanes the caller seeds (cached searches, a given
-  search space) skip the search.  The fallbacks are
+  go back to ∞.  On a hierarchy with an elimination tree (a customized
+  one) a lane's search walks the source's ancestors in rank order
+  instead of running the heap: the same marks and labels, in rank
+  order rather than settling order.  Lanes the caller seeds (cached
+  searches, a given search space) skip the search.  The fallbacks are
   :func:`repro.ch.query.upward_search`'s ``heapq`` loop and
   :class:`repro.core.sweep.LevelSweep`'s per-level NumPy code.
   :func:`thread_searcher` keeps one searcher per thread and graph, so
@@ -71,7 +74,11 @@ overflow (both legs are below ``inf = 2**62``).  The query kernels are
 identical to their fallbacks by construction: the search's heap orders
 entries as ``heapq`` orders ``(dist, vertex)`` tuples, so vertices
 settle in the same order with the same parents, and the sweep takes
-the same minimum of the same candidates per position.
+the same minimum of the same candidates per position.  The walk ends
+with the heap's labels: it visits every vertex the search can reach in
+rank order, a topological order of ``G↑``, so each label is final
+before its arcs are relaxed, and it keeps the heap's rule that a
+candidate of ``inf`` or more reaches nothing.
 """
 
 from __future__ import annotations
@@ -238,6 +245,44 @@ static int64_t settle(const int64_t *first, const int64_t *head,
     return count;
 }
 
+/* The upward search without a heap, on a graph whose every vertex
+   reachable from source is an ancestor of source in the elimination
+   tree parent (-1 at a root; a parent ranks above its child).  The
+   walk source, parent[source], ... meets those vertices in rank order,
+   a topological order of the graph, so each label is final when the
+   walk gets there; a reached vertex relaxes its arcs under settle's
+   rule (a candidate of inf or more reaches nothing), so the labels
+   and the vertices written are settle's, in rank order.  Each vertex
+   walked is stamped done, and the walk stops at one already done, so
+   a parent array with a cycle cannot overrun settled. */
+static int64_t climb(const int64_t *first, const int64_t *head,
+                     const int64_t *len, const int64_t *parent,
+                     int64_t source, int64_t *stamp, int64_t gen,
+                     int64_t *label, int64_t *settled, int64_t inf)
+{
+    const int64_t reached = 2 * gen, done = 2 * gen + 1;
+    int64_t count = 0;
+    stamp[source] = reached;
+    label[source] = 0;
+    for (int64_t v = source; v >= 0 && stamp[v] != done; v = parent[v]) {
+        int64_t was = stamp[v];
+        stamp[v] = done;
+        if (was != reached) continue;
+        int64_t dv = label[v];
+        settled[count++] = v;
+        for (int64_t i = first[v]; i < first[v + 1]; i++) {
+            int64_t w = head[i];
+            if (stamp[w] == done) continue;
+            int64_t nd = dv + len[i];
+            if (nd < (stamp[w] == reached ? label[w] : inf)) {
+                stamp[w] = reached;
+                label[w] = nd;
+            }
+        }
+    }
+    return count;
+}
+
 /* The search space in settling order: vertices, labels, parents. */
 int64_t repro_upward_search(const int64_t *first, const int64_t *head,
                             const int64_t *len, int64_t source,
@@ -287,12 +332,13 @@ static inline void sweep(int64_t *dist, const int64_t *seed,
     }
 }
 
-/* One query engine's arrays: the upward graph's CSR and its search
-   scratch (see settle; settled has room for every vertex), the swept
-   set (pos_of, vertex_at), the sweep's 32-bit arcs over n positions,
-   and the lane buffers of the widest k so far. */
+/* One query engine's arrays: the upward graph's CSR, its elimination
+   tree or NULL (see climb), its search scratch (see settle; settled
+   has room for every vertex), the swept set (pos_of, vertex_at), the
+   sweep's 32-bit arcs over n positions, and the lane buffers of the
+   widest k so far. */
 struct trees {
-    const int64_t *first, *head, *len;
+    const int64_t *first, *head, *len, *parent;
     int64_t *stamp, *label, *heap, *settled;
     const int64_t *pos_of, *vertex_at;
     const int32_t *arc_first, *arc_tail, *arc_len;
@@ -302,10 +348,12 @@ struct trees {
 };
 
 /* PHAST's k trees in one call (Sections III and IV-B).  Lane j with
-   source[j] >= 0 runs its upward search under generation gen + j and
-   writes its marks (the swept vertices' positions, pos_of[v] >= 0,
-   and labels), in settling order, to mark_pos/mark_val from the
-   previous lane's mark_end up to its own, and into its seed column.
+   source[j] >= 0 runs its upward search under generation gen + j, a
+   walk up the elimination tree when there is one and else the heap,
+   and writes its marks (the swept vertices' positions, pos_of[v] >= 0,
+   and labels), in the search's order (rank or settling), to
+   mark_pos/mark_val from the previous lane's mark_end up to its own,
+   and into its seed column.
    A lane with source -1 starts from what the caller put in its seed
    column.  Then the sweep, which also writes row j of out by original
    ID unless out is NULL, and last inf back at every seed written
@@ -315,7 +363,9 @@ void repro_trees(const struct trees *t, int64_t k, int64_t gen,
 {
     int64_t *seed = t->seed, marks = 0;
     for (int64_t j = 0; j < k; j++) {
-        int64_t count = t->source[j] < 0 ? 0 : settle(
+        int64_t count = t->source[j] < 0 ? 0 : t->parent ? climb(
+            t->first, t->head, t->len, t->parent, t->source[j], t->stamp,
+            gen + j, t->label, t->settled, inf) : settle(
             t->first, t->head, t->len, t->source[j], t->stamp, gen + j,
             t->label, NULL, t->heap, t->settled, inf);
         for (int64_t i = 0; i < count; i++) {
@@ -886,7 +936,8 @@ class _TreesArgs(ctypes.Structure):
     """C's ``struct trees``."""
 
     _fields_ = [(name, _P) for name in (
-        "first", "head", "len", "stamp", "label", "heap", "settled",
+        "first", "head", "len", "parent", "stamp", "label", "heap",
+        "settled",
         "pos_of", "vertex_at", "arc_first", "arc_tail", "arc_len")] + [
         ("n", _N)] + [(name, _P) for name in (
             "source", "dist", "seed", "mark_pos", "mark_val", "mark_end")]
@@ -897,25 +948,30 @@ class Trees:
     and the scatter to original IDs in one call (see
     :func:`trees_kernel`).
 
-    Searches ``G↑`` on its own stamped scratch, maps vertices to sweep
-    positions through ``pos_of`` (``-1`` outside the swept set), and
-    sweeps one structure's 32-bit ``arc_first``, ``arc_tail_pos`` and
-    ``arc_len``; ``vertex_at`` gives each position's original ID.  The
-    caller owns the ``(n, k)`` label and seed buffers (:meth:`lanes`);
-    the marks buffer is sized here, for the same widest ``k``.
+    Searches ``G↑`` on its own stamped scratch, by walking the
+    elimination tree ``parent`` when one is given (:attr:`walks`) and
+    with the heap otherwise, maps vertices to sweep positions through
+    ``pos_of`` (``-1`` outside the swept set), and sweeps one
+    structure's 32-bit ``arc_first``, ``arc_tail_pos`` and ``arc_len``;
+    ``vertex_at`` gives each position's original ID.  The caller owns
+    the ``(n, k)`` label and seed buffers (:meth:`lanes`); the marks
+    buffer is sized here, for the same widest ``k``.
     """
 
     def __init__(self, lib, graph, pos_of, arc_first, arc_tail_pos,
-                 arc_len, vertex_at) -> None:
+                 arc_len, vertex_at, parent=None) -> None:
         self._lib = lib
         self._searcher = searcher = UpwardSearch(lib, graph)
         self._arrays = (pos_of, vertex_at, arc_first, arc_tail_pos, arc_len)
+        self._parent = parent  # kept alive
+        self.walks = parent is not None
         self.n = int(arc_first.size) - 1
         self._width = int(vertex_at.max(initial=-1)) + 1  # of an out row
+        first, head, length = searcher._csr
         self._args = _TreesArgs(
-            *searcher._csr, searcher._stamp, searcher._label,
-            searcher._heap, searcher._rows[0],
-            *(a.ctypes.data for a in self._arrays), self.n)
+            first, head, length, None if parent is None else parent.ctypes.data,
+            searcher._stamp, searcher._label, searcher._heap,
+            searcher._rows[0], *(a.ctypes.data for a in self._arrays), self.n)
         self._at = ctypes.addressof(self._args)
         self._lanes = 0
         self._prefixes: list[np.ndarray] = []
@@ -986,7 +1042,8 @@ class Trees:
         lanes, found: a ``(2, total)`` view of their positions and
         labels, and the end of each lane's run in it (lane ``j``'s run
         starts where lane ``j - 1``'s ends; a seeded lane's is empty).
-        Each run is in settling order; the view is valid until the next
+        Each run is in its search's order, rank order for a walk and
+        settling order for the heap; the view is valid until the next
         run."""
         ends = self._ends[:k].tolist()
         return self._marks[:, : ends[-1]], ends
@@ -994,18 +1051,29 @@ class Trees:
 
 def trees_kernel(graph, pos_of: np.ndarray, arc_first: np.ndarray,
                  arc_tail_pos: np.ndarray, arc_len: np.ndarray,
-                 vertex_at: np.ndarray) -> Trees | None:
+                 vertex_at: np.ndarray,
+                 parent: np.ndarray | None = None) -> Trees | None:
     """The compiled queries over ``graph`` (``G↑``) and these sweep
     arrays, or ``None`` when the kernels do not load, the graph's CSR
     arrays, ``pos_of`` or ``vertex_at`` are not C-contiguous int64, or
-    the arcs not C-contiguous int32."""
+    the arcs not C-contiguous int32.
+
+    ``parent``, an elimination tree of ``graph`` (see
+    :attr:`~repro.ch.hierarchy.ContractionHierarchy.elimination_parent`),
+    makes the searches walk it; one that is not C-contiguous int64 of
+    ``graph.n`` entries in ``-1 .. n - 1`` is refused (``ValueError``).
+    """
     lib = _load()
     if (not lib or not _fits(np.int64, graph.first, graph.arc_head,
                              graph.arc_len, pos_of, vertex_at)
             or not _fits(np.int32, arc_first, arc_tail_pos, arc_len)):
         return None
+    if parent is not None and (
+            parent.shape != (graph.n,) or not _fits(np.int64, parent)
+            or (graph.n and (parent.min() < -1 or parent.max() >= graph.n))):
+        raise ValueError("elimination parent is not a vertex per vertex")
     return Trees(lib, graph, pos_of, arc_first, arc_tail_pos, arc_len,
-                 vertex_at)
+                 vertex_at, parent)
 
 
 _threads = threading.local()
