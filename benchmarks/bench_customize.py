@@ -18,7 +18,7 @@ Two claims are measured:
 
 A third section, ``trees_by_k``, prices PHAST's upward phase on the
 customized hierarchy: microseconds per tree of ``PhastEngine.trees``
-at k = 1, 4 and 16 lanes, in three setups over one network — the
+at k = 1 to 16 lanes, in three setups over one network — the
 customized hierarchy, whose searches walk the elimination tree; the
 same hierarchy with its parent withheld, so its searches run the
 heap; and the witness CH.  It runs on the swap-scale instance, and on
@@ -192,8 +192,8 @@ def bench_customize(quiet: bool = False) -> dict:
 
 
 #: Lane counts, sources per timed round and rounds of ``trees_by_k``.
-TREES_KS = (1, 4, 16)
-TREES_SOURCES = 512
+TREES_KS = tuple(range(1, 17))
+TREES_SOURCES = 720
 TREES_ROUNDS = 7
 #: The 10^5-vertex acceptance instance of :func:`bench_customize`.
 LARGE = (316, 4)
@@ -203,9 +203,10 @@ def _trees_by_k_on(graph, topo, rng) -> dict:
     """µs per tree at each k for the three setups over one network.
 
     Setups take turns within each round, so a phase of a shared host
-    lands on all three; a round times ``TREES_SOURCES`` trees per
-    setup and k, and the median over ``TREES_ROUNDS`` rounds is
-    reported.  Rows of the three setups are checked equal first.
+    lands on all three; a round times ``TREES_SOURCES`` trees (rounded
+    down to a multiple of k) per setup and k, and the median over
+    ``TREES_ROUNDS`` rounds is reported.  Rows of the three setups are
+    checked equal first.
     """
     custom = topo.instantiate(customize(topo, graph.arc_len))
     setups = {
@@ -223,12 +224,13 @@ def _trees_by_k_on(graph, topo, rng) -> dict:
         for _ in range(TREES_ROUNDS):
             for k in TREES_KS:
                 out = np.empty((k, graph.n), dtype=np.int64)
+                count = TREES_SOURCES - TREES_SOURCES % k
                 for name, engine in setups.items():
                     t0 = time.perf_counter()
-                    for i in range(0, TREES_SOURCES, k):
+                    for i in range(0, count, k):
                         engine.trees(sources[i:i + k], out=out)
                     samples[name][k].append(
-                        (time.perf_counter() - t0) / TREES_SOURCES)
+                        (time.perf_counter() - t0) / count)
     us = {name: {str(k): round(float(np.median(v)) * 1e6, 2)
                  for k, v in by_k.items()}
           for name, by_k in samples.items()}

@@ -269,7 +269,10 @@ class LevelSweep:
         self.search_cache_misses = 0
 
     def _grow(self, k: int) -> None:
-        """Label and seed buffers (and the kernel's marks) for k lanes."""
+        """Label and seed buffers (and the kernel's marks) for k lanes,
+        at the kernel's width for k."""
+        if self._native is not None:
+            k = self._native.width(k)
         self._lanes = k
         self._labels = np.empty(self.size * k, dtype=np.int64)
         self._seeds = np.full(self.size * k, INF, dtype=np.int64)
@@ -442,11 +445,9 @@ class LevelSweep:
         """``sources`` as ints, each a vertex of the hierarchy: checked
         before any lane is searched or seeded."""
         sources = (sources.tolist() if isinstance(sources, np.ndarray)
-                   else [int(s) for s in sources])
-        n = self.ch.n
-        for s in sources:
-            if not 0 <= s < n:
-                raise ValueError("source out of range")
+                   else list(map(int, sources)))
+        if sources and not 0 <= min(sources) <= max(sources) < self.ch.n:
+            raise ValueError("source out of range")
         return sources
 
     def _sweep(self, sources: list[int], marks: list | None = None, *,
@@ -463,11 +464,16 @@ class LevelSweep:
         searched through :meth:`search` and the NumPy levels sweep.
         """
         k, n = len(sources), self.size
-        if k > self._lanes:
-            self._grow(k)
-        dist = self._labels[: n * k].reshape(n, k)
-        seed = self._seeds[: n * k].reshape(n, k)
         kernel = self._native if relax is None else None
+        # The kernel may sweep padding lanes past k (Trees.width): the
+        # labels and seeds are then the first k columns of w.
+        w = k if kernel is None else kernel.width(k)
+        if w > self._lanes:
+            self._grow(w)
+        dist = self._labels[: n * w].reshape(n, w)
+        seed = self._seeds[: n * w].reshape(n, w)
+        if w > k:
+            dist, seed = dist[:, :k], seed[:, :k]
         if marks is None:
             if kernel is None:
                 marks = [self.search(s) for s in sources]

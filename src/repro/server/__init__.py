@@ -16,9 +16,10 @@ Modules
     server and the blocking client.
 :mod:`~repro.server.scheduler`
     The dynamic micro-batching scheduler: gather up to ``batch_max``
-    sweep requests while each event-loop turn brings more (capped at
-    ``max_wait_ms``), dispatch one multi-source sweep with one lane per
-    request, hand each result to its request's reply callback.
+    sweep requests, queued as chunks of the intake's records, while
+    each event-loop turn brings more (capped at ``max_wait_ms``),
+    dispatch one multi-source sweep with one lane per request, and
+    answer the batch from its records in one call.
 :mod:`~repro.server.metrics`
     Request counters plus batch-size / wait / latency histograms.
 :mod:`~repro.server.listener`
@@ -37,11 +38,17 @@ Modules
 from .client import ServerClient, ServerError
 from .metrics import ServerMetrics
 from .protocol import ProtocolError
-from .scheduler import DeadlineExceeded, MicroBatcher, SweepRequest
+from .scheduler import (
+    DeadlineExceeded,
+    ExclusiveRequest,
+    MicroBatcher,
+    SweepChunk,
+)
 from .service import PhastService, ServerConfig, serve_in_thread
 
 __all__ = [
     "DeadlineExceeded",
+    "ExclusiveRequest",
     "MicroBatcher",
     "PhastService",
     "ProtocolError",
@@ -49,6 +56,6 @@ __all__ = [
     "ServerConfig",
     "ServerError",
     "ServerMetrics",
-    "SweepRequest",
+    "SweepChunk",
     "serve_in_thread",
 ]

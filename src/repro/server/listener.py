@@ -6,11 +6,11 @@
 connection is an :class:`asyncio.Protocol` (a :class:`Connection`):
 every read is split into whole frames in one pass
 (:func:`protocol.parse_requests`, one native call), and the frames are
-answered in order, all within that read's callback.  A frame the
-intake read as a sweep request goes to the subclass's ``_take``
-without becoming a dict; any other frame is decoded and handed to
-``_answer``.  What is left of a frame waits in the connection's buffer
-until the rest arrives.  Every response goes out whole through the
+answered in order, all within that read's callback.  The subclass's
+``_take`` gets each parse's records whole: the sweep requests the
+intake read stay records, never dicts; any other frame is decoded and
+handed to ``_answer``.  What is left of a frame waits in the
+connection's buffer until the rest arrives.  Every response goes out whole through the
 transport, so answers finishing in any order never interleave and need
 no lock; while the transport's write buffer is above its high-water
 mark the connection stops reading.  A dropped connection cancels the
@@ -37,10 +37,12 @@ class Connection(asyncio.Protocol):
     """One client connection: reads frames, writes whole frames, tracks
     owed answers.
 
-    ``owed`` holds the connection's unfinished answers — anything with
-    a ``cancel()`` — between :meth:`owe` and :meth:`settle`, so a
-    dropped connection can cancel them; the server counts them all, so
-    the drain can wait for the last one.
+    ``owed`` holds what the connection is owed answers by — anything
+    with a ``cancel()``, owing one answer or, for a chunk of sweep
+    requests, several — between :meth:`owe` and the :meth:`settle` of
+    its last answer, so a dropped connection can cancel them; the
+    server counts every owed answer, so the drain can wait for the
+    last one.
     """
 
     __slots__ = ("transport", "owed", "_server", "_pending", "_need")
@@ -55,14 +57,16 @@ class Connection(asyncio.Protocol):
         self._pending = bytearray()
         self._need = 0
 
-    def owe(self, answer) -> None:
+    def owe(self, answer, count: int = 1) -> None:
         self.owed.add(answer)
-        self._server._owe()
+        self._server._owe(count)
 
-    def settle(self, answer) -> None:
-        if answer in self.owed:
+    def settle(self, answer, count: int = 1, last: bool = True) -> None:
+        """``count`` of the answers owed by ``answer`` are finished;
+        ``last`` when none of its answers is left."""
+        if last:
             self.owed.discard(answer)
-            self._server._settle()
+        self._server._settle(count)
 
     def send(self, response: dict) -> None:
         """Write one response frame (event-loop thread only).
@@ -132,7 +136,7 @@ class FrameServer:
     response at once or registers something with ``conn.owe`` that
     sends it later and then calls ``conn.settle``.  A subclass that
     sets ``intake_vertices`` also answers, in ``_take``, the sweep
-    requests the intake read without decoding them.  It supplies the
+    requests the intake read, from their records.  It supplies the
     steps that differ: ``_prepare()`` before the port is bound,
     ``_monitor()`` while serving (optional; cancelled when the drain
     begins), and ``_release()`` once every owed answer has finished.
@@ -204,13 +208,13 @@ class FrameServer:
             conn.transport.close()
         self._drained.set()
 
-    def _owe(self) -> None:
-        self._owed += 1
-        if self._owed == 1:
+    def _owe(self, count: int = 1) -> None:
+        if not self._owed:
             self._settled.clear()
+        self._owed += count
 
-    def _settle(self) -> None:
-        self._owed -= 1
+    def _settle(self, count: int = 1) -> None:
+        self._owed -= count
         if not self._owed:
             self._settled.set()
 
@@ -257,7 +261,7 @@ class FrameServer:
         except protocol.ProtocolError:
             return -1, None
 
-    def _take(self, conn: Connection, data: bytes, records: list[int],
+    def _take(self, conn: Connection, data: bytes, records,
               targets) -> bool:
         """Answer one parse's frames in order (see
         :func:`protocol.parse_requests`); False when one is malformed.

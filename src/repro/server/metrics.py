@@ -49,19 +49,22 @@ class ServerMetrics:
         key = str(code)
         self.errors[key] = self.errors.get(key, 0) + 1
 
-    def record_latency(self, op: str, seconds: float) -> None:
+    def record_latency(self, op: str, seconds: float,
+                       count: int = 1) -> None:
+        """``count`` answers of ``op`` that took ``seconds`` each."""
         hist = self.latency.get(op)
         if hist is None:
             hist = self.latency[op] = LatencyHistogram()
-        hist.observe(seconds)
+        hist.observe(seconds, count)
 
-    def record_batch(self, size: int, waits_s: list[float],
+    def record_batch(self, size: int, waits_s: list[tuple[float, int]],
                      sweep_s: float) -> None:
-        """One dispatched micro-batch: its size, per-request queueing
-        delays and the sweep's execution time."""
+        """One dispatched micro-batch: its size, its requests' queueing
+        delays as ``(seconds, count)`` pairs (requests that arrived
+        together waited alike) and the sweep's execution time."""
         self.batch_sizes[size] = self.batch_sizes.get(size, 0) + 1
-        for w in waits_s:
-            self.batch_wait.observe(max(0.0, w))
+        for wait, count in waits_s:
+            self.batch_wait.observe(max(0.0, wait), count)
         self.sweep_time.observe(sweep_s)
 
     def record_batch_failure(self) -> None:

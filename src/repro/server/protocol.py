@@ -26,6 +26,7 @@ import asyncio
 import json
 import socket
 import struct
+from array import array
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -57,6 +58,7 @@ __all__ = [
     "sweep_frames",
     "decode_body",
     "encoded",
+    "id_text",
     "frame_length",
     "parse_requests",
     "read_message",
@@ -178,7 +180,7 @@ def frame_too_large(length: int) -> str | None:
 encoded = _Fragment
 
 
-def _json_id(req_id) -> bytes:
+def id_text(req_id) -> bytes:
     """The JSON text of a request id, as :func:`encode_message` writes it."""
     if type(req_id) is _Fragment:
         return req_id.text
@@ -187,41 +189,46 @@ def _json_id(req_id) -> bytes:
 
 
 def sweep_frames(rows: np.ndarray,
-                 answers) -> tuple[bytes | memoryview, list[int]]:
+                 segments) -> tuple[bytes | memoryview, list[int]]:
     """The response frames of one sweep batch, back to back.
 
     ``rows`` holds the batch's distance rows by original ID.  Each
-    answer is ``(lane, op, arg, req_id)``: the request's row is
-    ``rows[lane]``, and its payload is ``{"dist": row}`` for ``tree``,
-    ``{"dist": row[arg]}`` (``arg`` the targets, repeats kept) for
-    ``one_to_many``, and ``{"vertices": np.flatnonzero(row <= arg),
-    "count": ...}`` (``arg`` the budget) for ``isochrone``.  Returns
-    the frames as one bytes-like object and the end of each.  With the
+    segment is ``(records, data, targets, lo, hi, lane)``: intake
+    records ``lo`` to ``hi`` (see :func:`parse_requests`) of the read
+    ``data``, whose targets are ``targets``, answered from
+    ``rows[lane]`` onwards, one row each.  A record's payload is
+    ``{"dist": row}`` for ``tree``, ``{"dist": row[targets]}`` (repeats
+    kept) for ``one_to_many``, and ``{"vertices":
+    np.flatnonzero(row <= budget), "count": ...}`` for ``isochrone``;
+    its id is its text in ``data``.  Returns the frames as one
+    bytes-like object and the end of each segment's frames.  With the
     kernels one native call writes them all
     (:func:`repro.utils.native.answer_frames`; the view is valid until
     the thread's next batch); without, each is :func:`encode_message`
-    of its payload with lists: the bytes are the same.  Frame sizes are
-    not checked (:func:`frame_too_large`).
+    of its payload with lists: the bytes are the same.  Frame sizes
+    are not checked (:func:`frame_too_large`).
     """
-    answers = [(lane, op, arg, _json_id(req_id))
-               for lane, op, arg, req_id in answers]
-    made = native.answer_frames(rows, answers)
+    made = native.answer_frames(rows, segments)
     if made is not None:
         return made
     frames, ends, end = [], [], 0
-    for lane, op, arg, id_text in answers:
-        row = rows[lane]
-        if op == "isochrone":
-            vertices = np.flatnonzero(row <= arg)
-            payload = {"vertices": vertices.tolist(),
-                       "count": int(vertices.size)}
-        else:
-            payload = {"dist": (row if op == "tree" else row[arg]).tolist()}
-        # ok_response's key order: the id, "ok", then the payload.
-        body = b'{"id":%s,"ok":true,%s' % (id_text,
-                                           _dumps(payload)[1:].encode())
-        frames += (_HEADER.pack(len(body)), body)
-        end += _HEADER.size + len(body)
+    for records, data, targets, lo, hi, lane in segments:
+        for i in range(lo, hi):
+            _, _, code, id_start, id_end, _, a, b, _ = records[
+                RECORD * i:RECORD * (i + 1)]
+            row = rows[lane + i - lo]
+            if code == 2:
+                vertices = np.flatnonzero(row <= a)
+                payload = {"vertices": vertices.tolist(),
+                           "count": int(vertices.size)}
+            else:
+                payload = {"dist": (row if code == 0 else
+                                    row[np.asarray(targets[a:b])]).tolist()}
+            # ok_response's key order: the id, "ok", then the payload.
+            body = b'{"id":%s,"ok":true,%s' % (
+                data[id_start:id_end], _dumps(payload)[1:].encode())
+            frames += (_HEADER.pack(len(body)), body)
+            end += _HEADER.size + len(body)
         ends.append(end)
     return b"".join(frames), ends
 
@@ -235,7 +242,7 @@ TIMEOUT_NULL = native.TIMEOUT_NULL
 
 
 def parse_requests(data: bytes, start: int,
-                   n: int) -> tuple[list[int], int, np.ndarray | None]:
+                   n: int) -> tuple[array, int, array | None]:
     """The whole frames of ``data[start:]`` as intake records, in one
     call (:func:`repro.utils.native.parse_requests`, which also reads
     the sweep requests of its subset, over vertex count ``n``).
@@ -244,19 +251,20 @@ def parse_requests(data: bytes, start: int,
     body goes through :func:`decode_body`.  Reading stops at a frame
     that is not whole or whose length is over the cap, or after
     :data:`INTAKE_RECORDS` frames.  Returns the records, where the
-    frames end, and the sweep requests' targets.
+    frames end, and the sweep requests' targets.  Records and targets
+    are ``array("q")``.
     """
     made = native.parse_requests(data, start, n, MAX_MESSAGE_BYTES)
     if made is not None:
         return made
-    records: list[int] = []
+    records = array("q")
     end = len(data)
     while end - start >= HEADER_BYTES and len(records) < RECORD * INTAKE_RECORDS:
         (length,) = _HEADER.unpack_from(data, start)
         body = start + HEADER_BYTES
         if length > MAX_MESSAGE_BYTES or end - body < length:
             break
-        records += (body, body + length, -1, 0, 0, 0, 0, 0, 0)
+        records.extend((body, body + length, -1, 0, 0, 0, 0, 0, 0))
         start = body + length
     return records, start, None
 

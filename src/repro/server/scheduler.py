@@ -1,28 +1,31 @@
 """The dynamic micro-batching scheduler.
 
 PHAST amortizes the cost of a sweep over the ``k`` trees of one
-multi-source sweep (Section IV-B).  On the serving path, with the
-native kernels, that amortization is small.  ``C(k)`` is the cost of
-one served batch of ``k`` tree requests: each lane's upward search,
-the sweep, and the batch's answer frames.
-``benchmarks/bench_server.py`` measures it in process
-(``BENCH_server.json``, ``batch_cost``; 4096 vertices, 2 vCPUs) as
-``C(k) = -0.011 + 0.042 k`` ms; seven runs on the same host gave
-``alpha`` of -0.040–0.051 ms, no different from zero, and ``beta`` of
-0.041–0.072 ms: the searches, the sweep and the scatter of all k
-lanes are one native call, and all k answer frames one more.  Per
-request, a batch costs 0.05–0.11 ms at k = 1 and 0.04–0.07 ms at
-k = 16, and within each run a k-lane batch costs less than k lone
-ones at every k.  Batching is kept because under load it costs
-nothing — requests that arrive during one batch form the next — and
-it saves 19–43% of a request's cost.  The policy:
+multi-source sweep (Section IV-B).  ``C(k)`` is the cost of one served
+batch of ``k`` tree requests: each lane's upward search, the sweep,
+and the batch's answer frames.  ``benchmarks/bench_server.py``
+measures it in process (``BENCH_server.json``, ``batch_cost``; 4096
+vertices, 2 vCPUs, ten alternating rounds) as ``C(k) = 0.030 +
+0.054 k`` ms, the rounds' alphas 0.020–0.039 ms and betas
+0.054–0.055 ms (quartiles): the searches, the sweep and the scatter of
+all k lanes are one native call, and all k answer frames one more.
+Per request, a batch costs 0.095 ms at k = 1, 0.059 ms at k = 4 and
+0.053–0.057 ms at k = 8 and 16, whose sweeps run at a constant lane
+width.  Batching is kept because under load it costs nothing —
+requests that arrive during one batch form the next — and it saves
+up to 44% of a request's cost.
+
+A sweep request is queued as a record, not an object: each read's run
+of sweep requests is one :class:`SweepChunk` of the intake's records,
+and a batch takes lanes from the chunks at the front of the queue.
+The policy:
 
 * the first queued request opens a *batch window*;
 * everything queued behind it joins immediately — dispatches are
   serialized, so requests arriving during the previous batch have
   already piled up (continuous batching);
 * the window then yields one event-loop turn at a time, so reads the
-  connections have received can reach ``submit``, and
+  connections have received can reach the queue, and
   stays open only while each turn brings more sweep-shaped requests
   (tree / one-to-many / isochrone — anything needing one source's
   distance row): it closes on the first turn that brings nothing, at
@@ -30,7 +33,9 @@ it saves 19–43% of a request's cost.  The policy:
   comes first;
 * the batch runs as one multi-source sweep on the engine, one lane
   per sweep request, and one ``answer_fn`` call answers all its sweep
-  requests from the rows right after the sweep;
+  requests from the rows right after the sweep, reading them from
+  their records; a request whose deadline passed in the queue is
+  answered by ``fail_fn`` instead and takes no lane;
 * each exclusive request's reply callback gets its payload, and any
   request its error.
 
@@ -54,7 +59,10 @@ import time
 from collections import deque
 from typing import Callable
 
-__all__ = ["DeadlineExceeded", "SchedulerStopped", "SweepRequest", "MicroBatcher"]
+from .protocol import RECORD
+
+__all__ = ["DeadlineExceeded", "SchedulerStopped", "SweepChunk",
+           "ExclusiveRequest", "MicroBatcher"]
 
 
 class DeadlineExceeded(Exception):
@@ -65,62 +73,87 @@ class SchedulerStopped(Exception):
     """The scheduler shut down with this request still queued."""
 
 
-class SweepRequest:
-    """One queued sweep-shaped request.
+class SweepChunk:
+    """Sweep requests that arrived together, queued as one item.
 
-    ``op`` and ``arg`` say what its answer is made of: the batcher does
-    not look at them, it hands the request, its lane and the batch's
-    rows to the batcher's ``answer_fn``, which answers every sweep
-    request of a batch at once, right after the sweep, on the
-    event-loop thread, before the reused rows are overwritten by the
-    next batch.
+    The requests are records ``lo`` to ``hi`` of one intake parse
+    (:func:`repro.server.protocol.parse_requests`): ``records`` is its
+    ``array("q")``, ``data`` the read its ids are offsets into and
+    ``targets`` its targets (or ``None``).  They are consecutive in
+    one read of ``conn``, arrived at ``at`` (``time.monotonic``) and
+    share one ``deadline`` (``None`` for none).  No request becomes an
+    object of its own: the batcher takes records from the front
+    (``lo`` moves up, and a batch may end inside a chunk), reads each
+    one's source in place, and the batcher's ``answer_fn`` writes the
+    answers from the records.
+
+    ``conn`` owes the chunk once, for ``owed`` answers (``conn.owe``),
+    from construction until :meth:`settle` has counted the last of
+    them.  A dropped connection cancels it (:meth:`cancel`), which
+    frees its owed answers at once and marks it ``dead``, so its
+    records are not swept.
+    """
+
+    __slots__ = ("conn", "records", "data", "targets", "lo", "hi", "at",
+                 "deadline", "owed", "dead")
+
+    def __init__(self, conn, records, data: bytes, targets, lo: int,
+                 hi: int, at: float, deadline: float | None) -> None:
+        self.conn = conn
+        self.records = records
+        self.data = data
+        self.targets = targets
+        self.lo = lo
+        self.hi = hi
+        self.at = at
+        self.deadline = deadline
+        self.owed = hi - lo
+        self.dead = False
+        conn.owe(self, hi - lo)
+
+    def sources(self, lo: int, hi: int):
+        """The sources of records ``lo`` to ``hi``."""
+        return self.records[RECORD * lo + 5:RECORD * hi:RECORD]
+
+    def settle(self, count: int) -> None:
+        """``count`` more of the chunk's requests are answered."""
+        self.owed -= count
+        self.conn.settle(self, count, not self.owed)
+
+    def cancel(self) -> None:
+        """The connection went away: nothing more is owed or swept."""
+        self.dead = True
+        if self.owed:
+            self.settle(self.owed)
+
+
+class ExclusiveRequest:
+    """One queued request that runs alone on the executor.
+
+    ``execute`` is a no-argument callable returning the payload, run on
+    the executor thread after the batch's shared sweep (matrix requests
+    sweep a restricted selection, not a lane of the full one; a metric
+    swap replaces the engine).  Routing them through the batcher keeps
+    every engine access serialized by the one dispatch loop while they
+    still get deadline checks.
 
     ``reply(outcome)`` takes the payload, or the exception that ended
     the request, on the event-loop thread.  ``reply.done`` turns true
     once the request needs no answer (it was answered, or its client
     went away); the batcher then drops it and never calls ``reply``.
-
-    *Exclusive* requests pass ``execute`` instead: a no-argument
-    callable returning the payload, run on the executor thread after
-    the batch's shared sweep (matrix requests use this — they sweep a
-    restricted selection, not a lane of the full one).  Routing them
-    through the batcher keeps every engine access serialized by the
-    one dispatch loop while they still get deadline checks and ride the
-    same admission accounting.
-
     ``now`` is the request's arrival on the ``time.monotonic`` clock
     (default: the time of construction).
     """
 
-    __slots__ = ("op", "source", "arg", "reply", "enqueued_at",
-                 "deadline", "execute")
+    __slots__ = ("execute", "reply", "deadline", "enqueued_at")
 
-    def __init__(
-        self,
-        op: str,
-        source: int,
-        arg,
-        reply: Callable,
-        deadline: float | None = None,
-        now: float | None = None,
-        *,
-        execute: Callable | None = None,
-    ) -> None:
-        self.op = op
-        self.source = int(source)
-        self.arg = arg
-        self.reply = reply
-        self.enqueued_at = time.monotonic() if now is None else now
-        self.deadline = deadline
+    def __init__(self, execute: Callable, reply: Callable,
+                 deadline: float | None = None,
+                 now: float | None = None) -> None:
         self.execute = execute
-
-    def expired(self, now: float) -> bool:
-        return self.deadline is not None and now >= self.deadline
-
-    @property
-    def live(self) -> bool:
-        """Still owed an answer (not answered, client still there)."""
-        return not self.reply.done
+        self.reply = reply
+        self.deadline = deadline
+        self.enqueued_at = time.monotonic() if now is None else now
 
 
 class _Close:
@@ -128,6 +161,11 @@ class _Close:
 
 
 _CLOSE = _Close()
+
+
+def _late(now: float, at: float) -> DeadlineExceeded:
+    return DeadlineExceeded(f"deadline exceeded before dispatch "
+                            f"(queued {1e3 * (now - at):.1f} ms)")
 
 
 class MicroBatcher:
@@ -142,10 +180,16 @@ class MicroBatcher:
         concurrently with itself.  Sweep batches (the sweep and the
         answers) run on the event-loop thread.
     answer_fn:
-        ``answer_fn(requests, lanes, rows)`` answers a batch's live
-        sweep requests at once, request ``i`` from ``rows[lanes[i]]``,
-        on the event-loop thread; the batcher fails any it leaves
-        unanswered by raising.
+        ``answer_fn(segments, rows)`` answers a batch's live sweep
+        requests at once, on the event-loop thread: each segment is
+        ``(chunk, lo, hi, lane)``, records ``lo`` to ``hi`` of a
+        :class:`SweepChunk`, answered from ``rows[lane]`` onwards.  It
+        settles what it answers, or raises before answering any; the
+        batcher then fails them all.
+    fail_fn:
+        ``fail_fn(chunk, lo, hi, exc)`` answers records ``lo`` to
+        ``hi`` of a chunk with the exception that ended them (a passed
+        deadline, a failed sweep, a stopped scheduler).
     executor:
         Where batches holding an exclusive request run.
     batch_max:
@@ -161,6 +205,7 @@ class MicroBatcher:
         self,
         sweep_fn: Callable,
         answer_fn: Callable,
+        fail_fn: Callable,
         *,
         executor,
         batch_max: int = 16,
@@ -173,12 +218,13 @@ class MicroBatcher:
             raise ValueError("max_wait_ms must be >= 0")
         self.sweep_fn = sweep_fn
         self.answer_fn = answer_fn
+        self.fail_fn = fail_fn
         self.executor = executor
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
         self.metrics = metrics
-        # Queued requests, and the dispatch loop's wake-up while it
-        # waits on an empty queue.
+        # Queued chunks and exclusive requests, and the dispatch loop's
+        # wake-up while it waits on an empty queue.
         self._queue: deque = deque()
         self._waiter: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
@@ -208,11 +254,12 @@ class MicroBatcher:
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, request: SweepRequest) -> None:
-        """Queue one request (event-loop thread only)."""
+    def submit(self, item: SweepChunk | ExclusiveRequest) -> None:
+        """Queue a chunk of sweep requests or an exclusive request
+        (event-loop thread only)."""
         if self._stopped:
             raise SchedulerStopped("scheduler is stopped")
-        self._put(request)
+        self._put(item)
 
     def _put(self, item) -> None:
         self._queue.append(item)
@@ -221,11 +268,6 @@ class MicroBatcher:
             self._waiter = None
             if not waiter.done():
                 waiter.set_result(None)
-
-    @property
-    def depth(self) -> int:
-        """Requests queued but not yet claimed by a batch."""
-        return len(self._queue)
 
     # -- dispatch loop -----------------------------------------------------
 
@@ -237,110 +279,142 @@ class MicroBatcher:
             if not queue:
                 self._waiter = loop.create_future()
                 await self._waiter
-            item = queue.popleft()
-            if item is _CLOSE:
-                break
-            batch = [item]
-            closing = await self._fill_window(batch)
-            await self._dispatch(loop, batch)
+            segments: list = []
+            exclusives: list = []
+            closing = await self._fill_window(segments, exclusives)
+            if segments or exclusives:
+                await self._dispatch(loop, segments, exclusives)
             # A sweep batch held the loop: give the connections a turn
             # to take in what arrived meanwhile, or to see that a
             # client left, before the next batch forms.
             await asyncio.sleep(0)
         # Fail anything that slipped in after the close sentinel.
+        stopped = SchedulerStopped("server stopped")
         while queue:
             item = queue.popleft()
-            if isinstance(item, SweepRequest) and item.live:
-                item.reply(SchedulerStopped("server stopped"))
+            if type(item) is SweepChunk:
+                if not item.dead:
+                    self.fail_fn(item, item.lo, item.hi, stopped)
+            elif item is not _CLOSE and not item.reply.done:
+                item.reply(stopped)
 
-    async def _fill_window(self, batch: list) -> bool:
+    async def _fill_window(self, segments: list, exclusives: list) -> bool:
         """Fill the batch window; True when _CLOSE was seen.
 
-        Everything already queued joins immediately (under steady
-        load, frames arrive while the previous batch runs, so batches
-        form for free — continuous batching).  The window then yields
-        one event-loop turn and drains again, for as long as each turn
-        brings new arrivals: each connection submits the frames of a
-        read as it takes the read in, so a turn lets frames that have
-        already arrived reach ``submit``.  The first turn that brings nothing
-        closes the window, as do ``batch_max`` lanes and
-        ``max_wait_ms`` total.  No turn waits on a timer, so a
-        lone request is not held back waiting for company that is not
-        on its way.
+        Everything already queued joins immediately, a record a lane
+        and an exclusive request a lane, up to ``batch_max`` (under
+        steady load, frames arrive while the previous batch runs, so
+        batches form for free — continuous batching); a chunk longer
+        than the room left is split, its rest staying at the front of
+        the queue.  The window then yields one event-loop turn and
+        drains again, for as long as each turn brings new arrivals:
+        each connection queues the frames of a read as it takes the
+        read in, so a turn lets frames that have already arrived reach
+        the queue.  The first turn that brings nothing closes the
+        window, as do ``batch_max`` lanes and ``max_wait_ms`` total.
+        No turn waits on a timer, so a lone request is not held back
+        waiting for company that is not on its way.
         """
         queue = self._queue
+        batch_max = self.batch_max
         deadline = time.monotonic() + self.max_wait_ms / 1e3
+        lanes = 0
         while True:
-            while len(batch) < self.batch_max and queue:
-                item = queue.popleft()
+            while lanes < batch_max and queue:
+                item = queue[0]
+                if type(item) is SweepChunk:
+                    lo = item.lo
+                    hi = min(item.hi, lo + batch_max - lanes)
+                    segments.append((item, lo, hi))
+                    lanes += hi - lo
+                    item.lo = hi
+                    if hi == item.hi:
+                        queue.popleft()
+                    continue
+                queue.popleft()
                 if item is _CLOSE:
                     return True
-                batch.append(item)
-            if len(batch) >= self.batch_max or time.monotonic() >= deadline:
+                exclusives.append(item)
+                lanes += 1
+            if lanes >= batch_max or time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0)
             if not queue:
                 return False  # the turn brought nobody: dispatch now
 
-    async def _dispatch(self, loop, batch: list) -> None:
+    async def _dispatch(self, loop, segments: list, exclusives: list) -> None:
         now = time.monotonic()
-        live: list[SweepRequest] = []
-        for req in batch:
-            if not req.live:
-                continue  # client went away; drop the lane
-            if req.expired(now):
-                req.reply(DeadlineExceeded(
-                    f"deadline exceeded before dispatch "
-                    f"(queued {1e3 * (now - req.enqueued_at):.1f} ms)"
-                ))
+        # Records whose client went away are dropped, and expired ones
+        # answered; the rest take lanes in queue order.
+        live: list = []
+        waits: list = []
+        sources: list = []
+        lane = 0
+        for chunk, lo, hi in segments:
+            if chunk.dead:
                 continue
-            live.append(req)
-        if not live:
+            if chunk.deadline is not None and now >= chunk.deadline:
+                self.fail_fn(chunk, lo, hi, _late(now, chunk.at))
+                continue
+            live.append((chunk, lo, hi, lane))
+            waits.append((now - chunk.at, hi - lo))
+            sources += chunk.sources(lo, hi)
+            lane += hi - lo
+        jobs: list = []
+        for req in exclusives:
+            if req.reply.done:
+                continue
+            if req.deadline is not None and now >= req.deadline:
+                req.reply(_late(now, req.enqueued_at))
+                continue
+            jobs.append(req)
+            waits.append((now - req.enqueued_at, 1))
+        if not live and not jobs:
             return
-        waits = [now - req.enqueued_at for req in live]
-        sweeps = [req for req in live if req.execute is None]
         try:
-            if len(sweeps) == len(live):
-                rows, outcomes, run_s = self._execute(live, sweeps)
+            if not jobs:
+                rows, outcomes, run_s = self._execute(sources, jobs)
             else:
                 rows, outcomes, run_s = await loop.run_in_executor(
-                    self.executor, self._execute, live, sweeps
+                    self.executor, self._execute, sources, jobs
                 )
             t0 = time.monotonic()
-            # Lane i is sweep request i; one that died meanwhile (its
-            # client went away during an executor batch) is skipped.
-            lanes = [i for i, req in enumerate(sweeps) if req.live]
-            if lanes:
-                self.answer_fn([sweeps[i] for i in lanes], lanes, rows)
+            # A chunk whose client left while an executor batch ran is
+            # skipped; the others keep their lanes.
+            answered = [seg for seg in live if not seg[0].dead]
+            if answered:
+                self.answer_fn(answered, rows)
         except Exception as exc:  # sweep failure: fail the whole batch
             if self.metrics is not None:
                 self.metrics.record_batch_failure()
             failure = RuntimeError(f"sweep failed: {exc}")
-            for req in live:
-                if req.live:
+            for chunk, lo, hi, _ in live:
+                if not chunk.dead:
+                    self.fail_fn(chunk, lo, hi, failure)
+            for req in jobs:
+                if not req.reply.done:
                     req.reply(failure)
             return
         if self.metrics is not None:
-            self.metrics.record_batch(len(live), waits,
+            self.metrics.record_batch(lane + len(jobs), waits,
                                       run_s + time.monotonic() - t0)
         for req, outcome in outcomes:
-            if req.live:
+            if not req.reply.done:
                 req.reply(outcome)
 
-    def _execute(self, live: list,
-                 sweeps: list) -> tuple[object, list, float]:
-        """One multi-source sweep, lane ``i`` for ``sweeps[i]``, then
-        each exclusive request of ``live``.  Returns the rows, each
+    def _execute(self, sources: list,
+                 jobs: list) -> tuple[object, list, float]:
+        """One multi-source sweep, lane ``i`` from ``sources[i]``, then
+        each exclusive request of ``jobs``.  Returns the rows, each
         exclusive request's payload or exception, and the seconds
         taken.
         """
         t0 = time.monotonic()
-        rows = self.sweep_fn([req.source for req in sweeps]) if sweeps else None
+        rows = self.sweep_fn(sources) if sources else None
         outcomes: list = []
-        for req in live:
-            if req.execute is not None:
-                try:
-                    outcomes.append((req, req.execute()))
-                except Exception as exc:
-                    outcomes.append((req, exc))
+        for req in jobs:
+            try:
+                outcomes.append((req, req.execute()))
+            except Exception as exc:
+                outcomes.append((req, exc))
         return rows, outcomes, time.monotonic() - t0

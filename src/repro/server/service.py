@@ -23,16 +23,25 @@ One process, one preprocessed hierarchy, four query types:
 
 The event loop parses frames and answers each without a task of its
 own.  One native call per socket read splits the frames and reads the
-sweep requests among them (:func:`protocol.parse_requests`), which go
-to the batcher without becoming dicts; every other frame is decoded
-by ``json.loads``.  Admin ops reply at once, batcher ops carry a reply
-callback, and ``query`` replies from its executor future's
-done-callback.  The
-batcher runs each sweep batch on the loop thread as well — the k-lane
-sweep (one native call), then every answer frame of the batch (one
-native call, :func:`protocol.sweep_frames`), each connection's frames
-in one transport write — because handing a batch to another thread
-costs more than it overlaps when both threads contend for one GIL.
+sweep requests among them (:func:`protocol.parse_requests`) into
+records, an ``array("q")`` of ints per request.  A sweep request
+stays a record of that array from its read until its answer is
+written: each run of consecutive sweep records of a read is admitted
+as a prefix and queued as one
+:class:`~repro.server.scheduler.SweepChunk` (its records, the read's
+bytes its ids are offsets into, its targets and its arrival time),
+which its connection owes once, with a count.  Every other frame is
+decoded by ``json.loads``; a sweep request among them (one the intake
+declined, or any without the kernels) becomes a one-record chunk of
+its own, so every sweep request is answered the same way.  Admin ops
+reply at once, ``matrix`` and ``swap_metric`` carry a reply callback
+through the batcher, and ``query`` replies from its executor future's
+done-callback.  The batcher runs each sweep batch on the loop thread
+as well — the k-lane sweep (one native call), then every answer frame
+of the batch, written from the records in place (one native call,
+:func:`protocol.sweep_frames`), each connection's frames in one
+transport write — because handing a batch to another thread costs
+more than it overlaps when both threads contend for one GIL.
 Point-to-point queries and batches holding an exclusive request run
 on a small thread pool.
 Sweeps are serialized by the batcher (the engine is single-caller);
@@ -51,6 +60,7 @@ from __future__ import annotations
 import asyncio
 import os
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -65,9 +75,10 @@ from .listener import FrameHandle, FrameServer, run_in_thread
 from .metrics import ServerMetrics
 from .scheduler import (
     DeadlineExceeded,
+    ExclusiveRequest,
     MicroBatcher,
     SchedulerStopped,
-    SweepRequest,
+    SweepChunk,
 )
 
 __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
@@ -76,8 +87,12 @@ __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).
 MATRIX_SEARCH_CACHE = 256
-#: The sweep ops by intake op code.
+#: The sweep ops by intake op code, and the codes by op.
 _SWEEP_OPS = ("tree", "one_to_many", "isochrone")
+_SWEEP_CODES = {op: code for code, op in enumerate(_SWEEP_OPS)}
+#: A record's budget is an int64; row values are at most INF, so a
+#: larger budget clamped to this answers the same.
+_I64_MAX = 2**63 - 1
 
 
 @dataclass
@@ -177,6 +192,7 @@ class PhastService(FrameServer):
         self.batcher = MicroBatcher(
             self._sweep,
             self._answer_sweeps,
+            self._fail_sweeps,
             executor=self._executor,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
@@ -208,38 +224,92 @@ class PhastService(FrameServer):
         self.trees_computed += len(sources)
         return rows
 
-    def _answer_sweeps(self, requests: list, lanes: list[int],
-                       rows: np.ndarray) -> None:
+    def _answer_sweeps(self, segments: list, rows: np.ndarray) -> None:
         """Answer one batch's sweep requests (the batcher's
-        ``answer_fn``, on the loop).
+        ``answer_fn``, on the loop): segment ``(chunk, lo, hi, lane)``
+        answers records ``lo`` to ``hi`` of its chunk from
+        ``rows[lane]`` onwards.
 
         Every frame is written by one call
-        (:func:`protocol.sweep_frames`), with each connection's frames
-        side by side, and each connection gets them in one write.  A
-        frame over the cap is replaced by a 500 error naming its size.
+        (:func:`protocol.sweep_frames`) from the records as the intake
+        left them, with each connection's segments side by side, and
+        each connection gets its frames in one write, a copy of the
+        writer's reused buffer.  A frame over the cap is replaced by a
+        500 error naming its size.  Latency is observed once per
+        segment and op.
         """
         by_conn: dict = {}
-        for req, lane in zip(requests, lanes):
-            by_conn.setdefault(req.reply.conn, []).append((req, lane))
+        for seg in segments:
+            by_conn.setdefault(seg[0].conn, []).append(seg)
+        ordered = segments if len(by_conn) == 1 else [
+            seg for group in by_conn.values() for seg in group]
         frames, ends = protocol.sweep_frames(rows, [
-            (lane, req.op, req.arg, req.reply.req_id)
-            for group in by_conn.values() for req, lane in group])
-        i = end = 0
+            (chunk.records, chunk.data, chunk.targets, lo, hi, lane)
+            for chunk, lo, hi, lane in ordered])
+        start = i = 0
         for conn, group in by_conn.items():
-            parts, start = [], end
-            for req, _ in group:
-                begin, end = end, ends[i]
-                i += 1
-                # The body is the frame less its 4-byte length header.
-                too_large = protocol.frame_too_large(end - begin - 4)
+            i += len(group)
+            end = ends[i - 1]
+            # Only a run longer than the cap can hold a frame over it.
+            if end - start > protocol.MAX_MESSAGE_BYTES:
+                conn.write(self._capped(frames, start, group))
+            else:
+                conn.write(bytes(frames[start:end]))
+            start = end
+        now = time.monotonic()
+        for chunk, lo, hi, _ in segments:
+            chunk.settle(hi - lo)
+            self._observe(chunk, lo, hi, now)
+
+    def _capped(self, frames, start: int, group: list) -> bytes:
+        """One connection's frames from ``start``, those of ``group``'s
+        records, each over the cap replaced by a 500 error."""
+        parts = []
+        for chunk, lo, hi, _ in group:
+            for i in range(lo, hi):
+                length = int.from_bytes(frames[start:start + 4], "big")
+                end = start + protocol.HEADER_BYTES + length
+                too_large = protocol.frame_too_large(length)
                 if too_large:
-                    parts += (frames[start:begin], protocol.encode_message(
-                        self._error(req.reply.req_id, protocol.INTERNAL,
-                                    too_large)))
-                    start = end
-                req.reply.answered()
-            parts.append(frames[start:end])
-            conn.write(b"".join(parts))
+                    parts.append(protocol.encode_message(self._error(
+                        self._id(chunk.data, chunk.records, i),
+                        protocol.INTERNAL, too_large)))
+                else:
+                    parts.append(frames[start:end])
+                start = end
+        return b"".join(parts)
+
+    def _fail_sweeps(self, chunk: SweepChunk, lo: int, hi: int,
+                     exc: BaseException) -> None:
+        """Answer records ``lo`` to ``hi`` of ``chunk`` with the error
+        ``exc`` ended them in (the batcher's ``fail_fn``)."""
+        for i in range(lo, hi):
+            chunk.conn.send(self._failure(
+                self._id(chunk.data, chunk.records, i), exc))
+        chunk.settle(hi - lo)
+        self._observe(chunk, lo, hi, time.monotonic())
+
+    @staticmethod
+    def _id(data: bytes, records, i: int):
+        """Record ``i``'s id, as the JSON text it came in."""
+        at = protocol.RECORD * i
+        return protocol.encoded(data[records[at + 3]:records[at + 4]])
+
+    def _observe(self, chunk: SweepChunk, lo: int, hi: int,
+                 now: float) -> None:
+        """The latency of records ``lo`` to ``hi`` of ``chunk``,
+        answered at ``now``: one observation per op."""
+        step = protocol.RECORD
+        seconds = now - chunk.at
+        if hi - lo == 1:
+            self.metrics.record_latency(
+                _SWEEP_OPS[chunk.records[step * lo + 2]], seconds)
+            return
+        codes = chunk.records[step * lo + 2:step * hi:step]
+        for code, op in enumerate(_SWEEP_OPS):
+            count = codes.count(code)
+            if count:
+                self.metrics.record_latency(op, seconds, count)
 
     def _matrix_payload(self, sources: list[int], targets: list[int]) -> dict:
         """Compute one k×m matrix (executor thread, exclusive dispatch).
@@ -267,68 +337,107 @@ class PhastService(FrameServer):
 
     # -- request processing ------------------------------------------------
 
-    def _take(self, conn, data: bytes, records: list[int], targets) -> bool:
-        """Answer one parse's frames in order: a sweep request the
-        intake read becomes its :class:`SweepRequest` at once (its id
-        kept as the JSON text it came in, targets as int64), and any
-        other frame goes through ``_frame``.  Every frame of a read
-        arrived at once, so they share one arrival time."""
+    def _take(self, conn, data: bytes, records, targets) -> bool:
+        """Answer one parse's frames in order: each run of consecutive
+        sweep requests the intake read is admitted and queued as it
+        stands (:meth:`_queue_run`), and any other frame goes through
+        ``_frame``.  Every frame of a read arrived at once, so they
+        share one arrival time."""
         now = time.monotonic()
-        counts = [0, 0, 0]
-        refusal, submit = self._refusal, self.batcher.submit
-        encoded, step = protocol.encoded, protocol.RECORD
-        unset, null = protocol.TIMEOUT_UNSET, protocol.TIMEOUT_NULL
-        timeout_ms = self.config.default_timeout_ms
-        default_deadline = (None if timeout_ms is None
-                            else now + timeout_ms / 1e3)
-        try:
-            for i in range(0, len(records), step):
-                start, end, code, id_start, id_end, source, a, b, timeout = \
-                    records[i:i + step]
-                if code < 0:
-                    if not self._frame(conn, data[start:end]):
-                        return False
+        step = protocol.RECORD
+        codes = records[2::step]
+        declined = codes.count(-1)
+        if declined < len(codes):
+            # The chunks keep the read for their ids until answered: a
+            # copy of its own, not the bytes the socket's receive
+            # buffer was shrunk to, which held across batches fragment
+            # the heap (+5 MB peak RSS under serve-sweep's load).
+            data = bytes(memoryview(data))
+        lo = 0
+        if declined:
+            for i, code in enumerate(codes):
+                if code >= 0:
                     continue
-                counts[code] += 1
-                req_id = encoded(data[id_start:id_end])
-                reason = refusal()
-                if reason is not None:
-                    self._reject(conn, req_id, reason)
-                    continue
-                op = _SWEEP_OPS[code]
-                reply = _Reply(self, conn, req_id, op, now)
-                if timeout == unset:
-                    deadline = default_deadline
-                elif timeout == null:
-                    deadline = None
-                else:
-                    deadline = now + timeout / 1e3
-                try:
-                    submit(SweepRequest(
-                        op, source,
-                        targets[a:b] if code == 1 else a if code == 2 else None,
-                        reply, deadline, now))
-                except Exception as exc:
-                    reply(exc)
-            return True
-        finally:
-            for op, count in zip(_SWEEP_OPS, counts):
+                if lo < i:
+                    self._queue_run(conn, data, records, targets, lo, i, now)
+                lo = i + 1
+                if not self._frame(conn, data[records[step * i]:
+                                              records[step * i + 1]]):
+                    return False
+        if lo < len(codes):
+            self._queue_run(conn, data, records, targets, lo, len(codes), now)
+        return True
+
+    def _queue_run(self, conn, data: bytes, records, targets, lo: int,
+                   hi: int, now: float) -> None:
+        """Admit and queue records ``lo`` to ``hi``, consecutive sweep
+        requests of one read: admission takes a prefix, queued as one
+        :class:`SweepChunk` per run of equal ``timeout_ms``, and the
+        rest are refused in order."""
+        step = protocol.RECORD
+        if hi - lo == 1:
+            self.metrics.record_request(_SWEEP_OPS[records[step * lo + 2]])
+        else:
+            codes = records[step * lo + 2:step * hi:step]
+            for code, op in enumerate(_SWEEP_OPS):
+                count = codes.count(code)
                 if count:
                     self.metrics.record_request(op, count)
+        stop = lo + self._admit(hi - lo)
+        start = lo
+        while start < stop:
+            # A chunk has one deadline: the run is cut where timeout_ms
+            # changes, which it seldom does.
+            timeout, end = records[step * start + 8], stop
+            if records[step * start + 8:step * stop:step].count(
+                    timeout) < stop - start:
+                end = start + 1
+                while end < stop and records[step * end + 8] == timeout:
+                    end += 1
+            self._queue(SweepChunk(conn, records, data, targets, start, end,
+                                   now, self._deadline_of(now, timeout)))
+            start = end
+        for i in range(stop, hi):
+            self._reject(conn, self._id(data, records, i), self._why())
+
+    def _deadline_of(self, now: float, timeout: int) -> float | None:
+        """The deadline of a record's ``timeout_ms``."""
+        if timeout == protocol.TIMEOUT_NULL:
+            return None
+        if timeout == protocol.TIMEOUT_UNSET:
+            timeout = self.config.default_timeout_ms
+            if timeout is None:
+                return None
+        return now + timeout / 1e3
+
+    def _queue(self, chunk: SweepChunk) -> None:
+        try:
+            self.batcher.submit(chunk)
+        except SchedulerStopped as exc:
+            self._fail_sweeps(chunk, chunk.lo, chunk.hi, exc)
+
+    def _admit(self, count: int) -> int:
+        """Admit the first of ``count`` work requests that fit, and
+        count the rest as refused (see :meth:`_refusal`): how many are
+        admitted.  Each admitted request then owes its answer."""
+        if self._draining:
+            admitted = 0
+        else:
+            room = self.config.max_pending - self._owed
+            admitted = max(0, min(count, room))
+        self.admitted_total += admitted
+        if admitted < count:
+            self.rejected[self._why()] += count - admitted
+        return admitted
 
     def _refusal(self) -> str | None:
         """Admit one work request (``None``) or count and return why it
         is refused: the server is draining, or ``max_pending`` answers
-        are owed.  The request's reply then owes its answer."""
-        if self._draining:
-            reason = "draining"
-        elif self._owed >= self.config.max_pending:
-            reason = "overloaded"
-        else:
-            self.admitted_total += 1
-            return None
-        self.rejected[reason] += 1
-        return reason
+        are owed."""
+        return None if self._admit(1) else self._why()
+
+    def _why(self) -> str:
+        return "draining" if self._draining else "overloaded"
 
     def admission(self) -> dict:
         """The admission ledger, as ``metrics`` and ``health`` report it."""
@@ -365,10 +474,14 @@ class PhastService(FrameServer):
         if reason is not None:
             self._reject(conn, req_id, reason)
             return
-        reply = _Reply(self, conn, req_id, op, time.monotonic())
+        now = time.monotonic()
+        if op in _SWEEP_CODES:
+            self._run_sweep(conn, req_id, spec, msg, now)
+            return
+        reply = _Reply(self, conn, req_id, op, now)
         try:
             fields = protocol.validate_request(spec, msg, self.n)
-            getattr(self, spec.handler)(reply, op, fields)
+            getattr(self, spec.handler)(reply, fields)
         except Exception as exc:
             reply(exc)
 
@@ -439,33 +552,48 @@ class PhastService(FrameServer):
             "admission": self.admission(),
         }
 
-    def _deadline(self, fields: dict) -> float | None:
-        """Absolute deadline of a request from its validated
-        ``timeout_ms`` (``"unset"`` means the config default)."""
-        timeout_ms = fields["timeout_ms"]
+    def _deadline(self, now: float, timeout_ms) -> float | None:
+        """Absolute deadline of a request that arrived at ``now``, from
+        its validated ``timeout_ms`` (``"unset"`` means the config
+        default)."""
         if timeout_ms == "unset":
             timeout_ms = self.config.default_timeout_ms
         if timeout_ms is None:
             return None
-        return time.monotonic() + float(timeout_ms) / 1e3
+        return now + float(timeout_ms) / 1e3
 
-    def _run_sweep(self, reply, op: str, fields: dict) -> None:
-        # What the answer needs besides the row (see sweep_frames).
-        arg = {"tree": None, "one_to_many": fields.get("targets"),
-               "isochrone": fields.get("budget")}[op]
-        self.batcher.submit(SweepRequest(
-            op, fields["source"], arg, reply, deadline=self._deadline(fields)))
+    def _run_sweep(self, conn, req_id, spec, msg: dict, now: float) -> None:
+        """Queue a sweep request that came through ``json.loads`` (the
+        intake declined it, or there are no kernels) as a one-record
+        :class:`SweepChunk`: its id's JSON text is the chunk's data, so
+        from here it goes the way an intake-read request goes."""
+        try:
+            fields = protocol.validate_request(spec, msg, self.n)
+        except protocol.RequestValidationError as exc:
+            self.metrics.record_latency(spec.name, time.monotonic() - now)
+            conn.send(self._failure(req_id, exc))
+            return
+        code = _SWEEP_CODES[spec.name]
+        text = protocol.id_text(req_id)
+        targets, a, b = None, 0, 0
+        if code == 1:
+            targets = array("q", fields["targets"])
+            b = len(targets)
+        elif code == 2:
+            a = min(fields["budget"], _I64_MAX)
+        records = array("q", (0, 0, code, 0, len(text), fields["source"],
+                              a, b, 0))
+        self._queue(SweepChunk(conn, records, text, targets, 0, 1, now,
+                               self._deadline(now, fields["timeout_ms"])))
 
-    def _run_matrix(self, reply, op: str, fields: dict) -> None:
-        deadline = self._deadline(fields)
+    def _run_matrix(self, reply, fields: dict) -> None:
         sources, targets = fields["sources"], fields["targets"]
-        self.batcher.submit(SweepRequest(
-            "matrix", -1, None, reply, deadline=deadline,
-            execute=lambda: self._matrix_payload(sources, targets),
-        ))
+        self.batcher.submit(ExclusiveRequest(
+            lambda: self._matrix_payload(sources, targets), reply,
+            self._deadline(reply.t0, fields["timeout_ms"]), reply.t0))
 
-    def _run_query(self, reply, op: str, fields: dict) -> None:
-        deadline = self._deadline(fields)
+    def _run_query(self, reply, fields: dict) -> None:
+        deadline = self._deadline(reply.t0, fields["timeout_ms"])
         source, target = fields["source"], fields["target"]
         stall = fields["stall"]
         if deadline is not None and time.monotonic() >= deadline:
@@ -482,8 +610,7 @@ class PhastService(FrameServer):
 
     # -- metric hot swap ---------------------------------------------------
 
-    def _run_swap(self, reply, op: str, fields: dict) -> None:
-        deadline = self._deadline(fields)
+    def _run_swap(self, reply, fields: dict) -> None:
         weights, path = fields["weights"], fields["path"]
         if (weights is None) == (path is None):
             raise _BadRequest(
@@ -499,10 +626,9 @@ class PhastService(FrameServer):
         # Exclusive batcher request: runs alone on an executor thread,
         # strictly between micro-batches.  Queued sweeps before it
         # finish on the old metric; sweeps after it run on the new one.
-        self.batcher.submit(SweepRequest(
-            "swap_metric", -1, None, reply, deadline=deadline,
-            execute=lambda: self._swap_payload(weights, path),
-        ))
+        self.batcher.submit(ExclusiveRequest(
+            lambda: self._swap_payload(weights, path), reply,
+            self._deadline(reply.t0, fields["timeout_ms"]), reply.t0))
 
     def _swap_payload(self, weights, path) -> dict:
         """Customize + instantiate + engine swap (executor thread, exclusive)."""
@@ -544,16 +670,16 @@ class PhastService(FrameServer):
 
 
 class _Reply:
-    """The answer an admitted request owes its connection.
+    """The answer an admitted ``query``, ``matrix`` or ``swap_metric``
+    request owes its connection.
 
     Owing it takes the request's admission slot.  Called once, on the
     event-loop thread, with the request's payload or the exception
     that ended it: it settles the answer, which frees the slot, records
-    the latency and writes the response frame.  A sweep batch writes
-    its requests' frames itself and calls :meth:`answered`.  A dropped
-    connection cancels it instead, which frees the slot at once and
-    turns a queued sweep request dead, so its lane is dropped.  Either
-    way the answer is settled exactly once.
+    the latency and writes the response frame.  A dropped connection
+    cancels it instead, which frees the slot at once and turns a
+    queued exclusive request dead.  Either way the answer is settled
+    exactly once.
     """
 
     __slots__ = ("service", "conn", "req_id", "op", "t0", "done")
@@ -571,7 +697,9 @@ class _Reply:
     def __call__(self, outcome) -> None:
         if self.done:
             return
-        self.answered()
+        self.cancel()
+        self.service.metrics.record_latency(self.op,
+                                            time.monotonic() - self.t0)
         if isinstance(outcome, BaseException):
             response = self.service._failure(self.req_id, outcome)
         else:
@@ -581,19 +709,10 @@ class _Reply:
             response = protocol.ok_response(self.req_id, **outcome)
         self.conn.send(response)
 
-    def answered(self) -> None:
-        """Finish the answer; the caller writes its frame."""
-        self._finish()
-        self.service.metrics.record_latency(self.op,
-                                            time.monotonic() - self.t0)
-
     def cancel(self) -> None:
         if not self.done:
-            self._finish()
-
-    def _finish(self) -> None:
-        self.done = True
-        self.conn.settle(self)
+            self.done = True
+            self.conn.settle(self)
 
 
 def _query_outcome(future) -> dict | BaseException:

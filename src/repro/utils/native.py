@@ -13,7 +13,9 @@ Four families of kernels live in one C source, built into one library:
   Dijkstra over ``G↑`` (:class:`UpwardSearch`), and the linear sweep
   over a sweep structure's 32-bit arcs.  A batch of ``k`` trees is one
   call (:class:`Trees`; one tree is ``k = 1``): each lane's search
-  writes its marks into its seed column, one sweep serves all lanes,
+  writes its marks into its seed column, one sweep serves all lanes
+  (5 to 8 and 9 to 16 lanes sweep a constant 8 and 16, padded with
+  lanes that start from ∞),
   each lane is written to its row by original vertex ID, and the seeds
   go back to ∞.  On a hierarchy with an elimination tree (a customized
   one) a lane's search walks the source's ancestors in rank order
@@ -25,11 +27,13 @@ Four families of kernels live in one C source, built into one library:
   :func:`thread_searcher` keeps one searcher per thread and graph, so
   repeated searches reuse their scratch.
 * **Formatting.**  Whole answer frames of a served sweep batch in one
-  call (:func:`answer_frames`): for each request its length header,
-  its id (JSON text made by the caller) and its payload — the row, the
-  row at its targets, or the vertices within its budget — written
+  call (:func:`answer_frames`), read from the intake's records in
+  place: for each request its length header, its id (the JSON text it
+  came in, an offset pair into its read) and its payload — the row,
+  the row at its targets, or the vertices within its budget — written
   from the batch's rows as ``json.dumps`` writes them, so the server
-  makes no Python int per entry and no dict per answer.  The same
+  makes no Python object per request, no Python int per entry and no
+  dict per answer.  The same
   integer writer gives an int64 array's JSON text
   (:func:`format_ints`, the bytes ``json.dumps`` gives for its
   ``tolist()``; the matrix op's array).  Both write into one reused
@@ -306,13 +310,13 @@ int64_t repro_upward_search(const int64_t *first, const int64_t *head,
    in-arcs.  Every tail precedes its head, so one pass in position
    order needs no level loop, and a candidate through an unreached
    tail (inf + len) never beats a seed, so labels stay at most inf.
-   Unless out is NULL, lane j of position p is also written to
-   out[j][vertex_at[p]], rows of out_n. */
+   Unless out is NULL, lanes j < rows of position p are also written
+   to out[j][vertex_at[p]], rows of out_n. */
 static inline void sweep(int64_t *dist, const int64_t *seed,
                          const int32_t *arc_first, const int32_t *arc_tail,
                          const int32_t *arc_len, int64_t n, int64_t k,
-                         const int64_t *vertex_at, int64_t *out,
-                         int64_t out_n)
+                         int64_t rows, const int64_t *vertex_at,
+                         int64_t *out, int64_t out_n)
 {
     for (int64_t p = 0; p < n; p++) {
         int64_t *row = dist + p * k;
@@ -327,7 +331,39 @@ static inline void sweep(int64_t *dist, const int64_t *seed,
         }
         if (out) {
             int64_t *col = out + vertex_at[p];
-            for (int64_t j = 0; j < k; j++) col[j * out_n] = row[j];
+            for (int64_t j = 0; j < rows; j++) col[j * out_n] = row[j];
+        }
+    }
+}
+
+/* The sweep at a constant width of w <= 16 lanes (see sweep).  A
+   position's labels are built in a local array, which no label the
+   arcs read can alias, and the buffers are restrict, so the lane loops
+   vectorize whole, with no alias check or remainder loop per arc. */
+static inline void sweep_wide(int64_t *restrict dist,
+                              const int64_t *restrict seed,
+                              const int32_t *arc_first,
+                              const int32_t *arc_tail,
+                              const int32_t *arc_len, int64_t n,
+                              const int64_t w, int64_t rows,
+                              const int64_t *vertex_at,
+                              int64_t *restrict out, int64_t out_n)
+{
+    int64_t acc[16];
+    for (int64_t p = 0; p < n; p++) {
+        for (int64_t j = 0; j < w; j++) acc[j] = seed[p * w + j];
+        for (int32_t i = arc_first[p]; i < arc_first[p + 1]; i++) {
+            const int64_t *tail = dist + (int64_t)arc_tail[i] * w;
+            int64_t len = arc_len[i];
+            for (int64_t j = 0; j < w; j++) {
+                int64_t c = tail[j] + len;
+                acc[j] = c < acc[j] ? c : acc[j];
+            }
+        }
+        for (int64_t j = 0; j < w; j++) dist[p * w + j] = acc[j];
+        if (out) {
+            int64_t *col = out + vertex_at[p];
+            for (int64_t j = 0; j < rows; j++) col[j * out_n] = acc[j];
         }
     }
 }
@@ -347,18 +383,20 @@ struct trees {
     int64_t *dist, *seed, *mark_pos, *mark_val, *mark_end;
 };
 
-/* PHAST's k trees in one call (Sections III and IV-B).  Lane j with
-   source[j] >= 0 runs its upward search under generation gen + j, a
-   walk up the elimination tree when there is one and else the heap,
-   and writes its marks (the swept vertices' positions, pos_of[v] >= 0,
-   and labels), in the search's order (rank or settling), to
-   mark_pos/mark_val from the previous lane's mark_end up to its own,
-   and into its seed column.
+/* PHAST's k trees in one call (Sections III and IV-B), over w >= k
+   lanes.  Lane j < k with source[j] >= 0 runs its upward search under
+   generation gen + j, a walk up the elimination tree when there is
+   one and else the heap, and writes its marks (the swept vertices'
+   positions, pos_of[v] >= 0, and labels), in the search's order (rank
+   or settling), to mark_pos/mark_val from the previous lane's mark_end
+   up to its own, and into its seed column.
    A lane with source -1 starts from what the caller put in its seed
-   column.  Then the sweep, which also writes row j of out by original
-   ID unless out is NULL, and last inf back at every seed written
-   here.  The lane loop gets a constant count for small k. */
-void repro_trees(const struct trees *t, int64_t k, int64_t gen,
+   column, as do the padding lanes k .. w - 1, whose seeds stay inf.
+   Then the sweep of all w lanes, which also writes row j < k of out by
+   original ID unless out is NULL, and last inf back at every seed
+   written here.  The lane loop gets a constant count for w of 1 to 4,
+   8 and 16. */
+void repro_trees(const struct trees *t, int64_t k, int64_t w, int64_t gen,
                  int64_t *out, int64_t out_n, int64_t inf)
 {
     int64_t *seed = t->seed, marks = 0;
@@ -372,23 +410,25 @@ void repro_trees(const struct trees *t, int64_t k, int64_t gen,
             int64_t v = t->settled[i], p = t->pos_of[v];
             if (p >= 0) {
                 t->mark_pos[marks] = p;
-                t->mark_val[marks++] = seed[p * k + j] = t->label[v];
+                t->mark_val[marks++] = seed[p * w + j] = t->label[v];
             }
         }
         t->mark_end[j] = marks;
     }
-#define SWEEP(lanes) sweep(t->dist, seed, t->arc_first, t->arc_tail, \
-                           t->arc_len, t->n, lanes, t->vertex_at, out, out_n)
-    switch (k) {
-    case 1: SWEEP(1); break;
-    case 2: SWEEP(2); break;
-    case 3: SWEEP(3); break;
-    case 4: SWEEP(4); break;
-    default: SWEEP(k);
+#define SWEEP(body, lanes, rows) body(t->dist, seed, t->arc_first, \
+        t->arc_tail, t->arc_len, t->n, lanes, rows, t->vertex_at, out, out_n)
+    switch (w) {
+    case 1: SWEEP(sweep, 1, 1); break;
+    case 2: SWEEP(sweep, 2, 2); break;
+    case 3: SWEEP(sweep, 3, 3); break;
+    case 4: SWEEP(sweep, 4, 4); break;
+    case 8: SWEEP(sweep_wide, 8, k); break;
+    case 16: SWEEP(sweep_wide, 16, k); break;
+    default: SWEEP(sweep, w, k);
     }
 #undef SWEEP
     for (int64_t j = 0, i = 0; j < k; j++)
-        for (; i < t->mark_end[j]; i++) seed[t->mark_pos[i] * k + j] = inf;
+        for (; i < t->mark_end[j]; i++) seed[t->mark_pos[i] * w + j] = inf;
 }
 
 static const char pairs[] =
@@ -458,68 +498,83 @@ int64_t repro_format_ints(const int64_t *val, int64_t rows, int64_t cols,
     return p - out;
 }
 
+/* Fields of one intake record (see repro_parse_requests). */
+enum { RECORD = 9 };
+
 /* One sweep batch's answer frames, back to back from out.  rows holds
-   the batch's lanes distance rows, n entries each by original ID.
-   Request i is req[5 i .. 5 i + 4]: the lane of its row; its op, 0
-   tree, 1 one_to_many, 2 isochrone; two arguments, the start and end
-   of its targets in targets (one_to_many) or its budget (isochrone);
-   and the end of its JSON-encoded id in ids, which starts where the
-   previous request's ends.  Its frame is the body's length as 4
-   big-endian bytes, then the body json.dumps writes (with "," and ":"
-   separators) for {"id": id, "ok": true, ...}: "dist", the row (tree)
-   or the row at each target in order (one_to_many), or "vertices", the
-   IDs whose distance is at most the budget, then "count", their number
-   (isochrone).  out holds 64 bytes per request, its id, and 21 per
-   value (n for tree and isochrone, one per target).  ends[i] is the end
-   of frame i; returns the total length, or -1, with nothing written,
-   when a lane is not in [0, lanes) or a target not in [0, n). */
+   the batch's lanes distance rows, n entries each by original ID.  The
+   requests are intake records (see repro_parse_requests) in segments:
+   segment s is seg[5 s .. 5 s + 4], the index in rec of its first
+   record, its record count, where its read starts in data and its
+   read's targets in targets, and the lane of its first record (each
+   next record takes the next lane).  A record's op is its field 2, 0
+   tree, 1 one_to_many, 2 isochrone; its id is its read's text from
+   field 3 to field 4; fields 6 and 7 are its targets' start and end
+   (one_to_many) or field 6 its budget (isochrone).  Its frame is the
+   body's length as 4 big-endian bytes, then the body json.dumps writes
+   (with "," and ":" separators) for {"id": id, "ok": true, ...}:
+   "dist", the row (tree) or the row at each target in order
+   (one_to_many), or "vertices", the IDs whose distance is at most the
+   budget, then "count", their number (isochrone).  out holds 64 bytes
+   per request, its id, and 21 per value (n for tree and isochrone, one
+   per target).  ends[s] is the end of segment s's frames; returns the
+   total length, or -1, with nothing written, when a lane is not in
+   [0, lanes), an op not 0 to 2 or a target not in [0, n). */
 int64_t repro_answer_frames(const int64_t *rows, int64_t lanes, int64_t n,
-                            int64_t count, const int64_t *req,
-                            const int64_t *targets, const char *ids,
-                            char *out, int64_t *ends)
+                            int64_t segments, const int64_t *seg,
+                            const int64_t *rec, const char *data,
+                            const int64_t *targets, char *out, int64_t *ends)
 {
-    for (int64_t i = 0; i < count; i++) {
-        const int64_t *r = req + 5 * i;
-        if (r[0] < 0 || r[0] >= lanes) return -1;
-        if (r[1] == 1)
-            for (int64_t t = r[2]; t < r[3]; t++)
-                if (targets[t] < 0 || targets[t] >= n) return -1;
+    for (int64_t s = 0; s < segments; s++) {
+        const int64_t *g = seg + 5 * s;
+        if (g[1] < 0 || g[4] < 0 || g[4] > lanes - g[1]) return -1;
+        for (int64_t i = 0; i < g[1]; i++) {
+            const int64_t *r = rec + RECORD * (g[0] + i);
+            if (r[2] < 0 || r[2] > 2) return -1;
+            if (r[2] == 1)
+                for (int64_t t = g[3] + r[6]; t < g[3] + r[7]; t++)
+                    if (targets[t] < 0 || targets[t] >= n) return -1;
+        }
     }
     char *p = out;
-    for (int64_t i = 0, id = 0; i < count; i++, req += 5) {
-        const int64_t *row = rows + req[0] * n;
-        char *body = p + 4;
-        p = PUT(body, "{\"id\":");
-        memcpy(p, ids + id, req[4] - id);
-        p += req[4] - id;
-        id = req[4];
-        if (req[1] == 2) {
-            int64_t found = 0;
-            p = PUT(p, ",\"ok\":true,\"vertices\":[");
-            for (int64_t v = 0; v < n; v++) {
-                if (row[v] > req[2]) continue;
-                if (found++) *p++ = ',';
-                p = put_int(p, v);
-            }
-            p = PUT(p, "],\"count\":");
-            p = put_int(p, found);
-        } else {
-            p = PUT(p, ",\"ok\":true,\"dist\":[");
-            if (req[1] == 0) {
-                p = put_ints(p, row, n);
-            } else {
-                for (int64_t t = req[2]; t < req[3]; t++) {
-                    if (t > req[2]) *p++ = ',';
-                    p = put_int(p, row[targets[t]]);
+    for (int64_t s = 0; s < segments; s++, seg += 5) {
+        const char *text = data + seg[2];
+        const int64_t *tgt = targets + seg[3];
+        for (int64_t i = 0; i < seg[1]; i++) {
+            const int64_t *r = rec + RECORD * (seg[0] + i);
+            const int64_t *row = rows + (seg[4] + i) * n;
+            char *body = p + 4;
+            p = PUT(body, "{\"id\":");
+            memcpy(p, text + r[3], r[4] - r[3]);
+            p += r[4] - r[3];
+            if (r[2] == 2) {
+                int64_t found = 0;
+                p = PUT(p, ",\"ok\":true,\"vertices\":[");
+                for (int64_t v = 0; v < n; v++) {
+                    if (row[v] > r[6]) continue;
+                    if (found++) *p++ = ',';
+                    p = put_int(p, v);
                 }
+                p = PUT(p, "],\"count\":");
+                p = put_int(p, found);
+            } else {
+                p = PUT(p, ",\"ok\":true,\"dist\":[");
+                if (r[2] == 0) {
+                    p = put_ints(p, row, n);
+                } else {
+                    for (int64_t t = r[6]; t < r[7]; t++) {
+                        if (t > r[6]) *p++ = ',';
+                        p = put_int(p, row[tgt[t]]);
+                    }
+                }
+                *p++ = ']';
             }
-            *p++ = ']';
+            *p++ = '}';
+            uint64_t length = (uint64_t)(p - body);
+            for (int b = 0; b < 4; b++)
+                body[b - 4] = (char)(length >> (24 - 8 * b));
         }
-        *p++ = '}';
-        uint64_t length = (uint64_t)(p - body);
-        for (int b = 0; b < 4; b++)
-            body[b - 4] = (char)(length >> (24 - 8 * b));
-        ends[i] = p - out;
+        ends[s] = p - out;
     }
     return p - out;
 }
@@ -582,7 +637,6 @@ static const char *const sweep_ops[] = {"tree", "one_to_many", "isochrone"};
 /* The keys each op takes besides timeout_ms (bit i: request_keys[i]). */
 static const unsigned op_keys[] = {007, 017, 027};
 
-enum { RECORD = 9 };
 #define TIMEOUT_UNSET INT64_MIN
 #define TIMEOUT_NULL (INT64_MIN + 1)
 
@@ -712,10 +766,11 @@ _N = ctypes.c_int64
 _SIGNATURES = {
     "repro_customize_pass": ([_P] * 6 + [_N, _N], None),
     "repro_perfect_pass": ([_P] * 7 + [_N, _P, _N], None),
-    "repro_trees": ([_P, _N, _N, _P, _N, _N], None),
+    "repro_trees": ([_P, _N, _N, _N, _P, _N, _N], None),
     "repro_upward_search": ([_P] * 3 + [_N, _P, _N] + [_P] * 6 + [_N], _N),
     "repro_format_ints": ([_P, _N, _N, _N, _P], _N),
-    "repro_answer_frames": ([_P, _N, _N, _N] + [_P] * 5, _N),
+    "repro_answer_frames": ([_P, _N, _N, _N, _P] + [ctypes.c_char_p] * 3
+                            + [_P, _P], _N),
     "repro_parse_requests": ([ctypes.c_char_p] + [_N] * 4 + [_P, _N, _P, _N, _P],
                              _N),
 }
@@ -954,9 +1009,17 @@ class Trees:
     ``pos_of`` (``-1`` outside the swept set), and sweeps one
     structure's 32-bit ``arc_first``, ``arc_tail_pos`` and ``arc_len``;
     ``vertex_at`` gives each position's original ID.  The caller owns
-    the ``(n, k)`` label and seed buffers (:meth:`lanes`); the marks
-    buffer is sized here, for the same widest ``k``.
+    the label and seed buffers (:meth:`lanes`), ``(n, w)`` for ``k``
+    lanes of width ``w = width(k)``; the marks buffer is sized here, for
+    the same widest ``w``.
     """
+
+    @staticmethod
+    def width(k: int) -> int:
+        """The lanes a run of ``k`` sweeps: ``k`` up to 4 and past 16,
+        else ``k`` rounded up to 8 or 16, which sweep at a constant
+        width; the padding lanes start from ∞ and are not written out."""
+        return k if k <= 4 or k > 16 else 8 if k <= 8 else 16
 
     def __init__(self, lib, graph, pos_of, arc_first, arc_tail_pos,
                  arc_len, vertex_at, parent=None) -> None:
@@ -979,7 +1042,8 @@ class Trees:
 
     def lanes(self, dist: np.ndarray, seed: np.ndarray, k: int) -> None:
         """Bind flat label and seed buffers of ``n * k`` entries (seeds
-        ∞ at rest) for up to ``k`` lanes, and size the marks to match."""
+        ∞ at rest) for runs of width up to ``k``, and size the marks to
+        match."""
         if dist.size != self.n * k or seed.size != dist.size:
             raise ValueError(f"lane buffers {dist.size} and {seed.size} "
                              f"for {self.n} positions")
@@ -1009,7 +1073,8 @@ class Trees:
         return self._prefixes
 
     def run(self, sources, out: np.ndarray | None = None) -> None:
-        """``k = len(sources)`` lanes into the bound ``(n, k)`` labels.
+        """``k = len(sources)`` lanes into the bound ``(n, w)`` labels,
+        ``w = width(k)``, lane ``j`` in column ``j``.
 
         Lane ``j`` searches from ``sources[j]``, which must be a vertex
         (not checked here), or, at ``-1``, starts from what the caller
@@ -1019,23 +1084,24 @@ class Trees:
         wrote is ∞ again on return.
         """
         k = len(sources)
-        if not 0 < k <= self._lanes:
+        w = self.width(k)
+        if not 0 < w <= self._lanes:
             raise ValueError(f"{k} lanes for buffers of {self._lanes}")
         self._source[:k] = sources
         prefixes = self._prefixes
         if out is None:
-            at, width = None, 0
+            at, row = None, 0
         elif k < len(prefixes) and out is prefixes[k]:
-            at, width = self._rows_at, out.shape[1]
+            at, row = self._rows_at, out.shape[1]
         else:
             if out.ndim != 2 or out.shape[0] != k or out.shape[1] < self._width:
                 raise ValueError(f"out {out.shape} for {k} lanes of "
                                  f"{self._width} vertices")
-            at, width = _ptr(out, np.int64), out.shape[1]
+            at, row = _ptr(out, np.int64), out.shape[1]
         searcher = self._searcher
         gen = searcher._gen + 1
         searcher._gen += k  # one generation per lane
-        self._lib.repro_trees(self._at, k, gen, at, width, _INF)
+        self._lib.repro_trees(self._at, k, w, gen, at, row, _INF)
 
     def marks(self, k: int) -> tuple[np.ndarray, list[int]]:
         """The marks the searches of the last :meth:`run`, of ``k``
@@ -1128,22 +1194,21 @@ def format_ints(arr: np.ndarray) -> bytes | None:
     return bytes(text[:length])
 
 
-#: The op codes of ``repro_answer_frames``.
-_ANSWER_OPS = {"tree": 0, "one_to_many": 1, "isochrone": 2}
-_I64_MAX = int(np.iinfo(np.int64).max)
-
-
-def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | None:
+def answer_frames(rows: np.ndarray,
+                  segments) -> tuple[memoryview, list[int]] | None:
     """Whole response frames for one sweep batch, in one call.
 
     ``rows`` is the batch's C-contiguous int64 ``(lanes, n)`` distance
-    rows.  Each answer is ``(lane, op, arg, id_text)``: ``op`` is
-    ``tree``, ``one_to_many`` (``arg`` its targets, a list or an
-    integer array, repeats kept) or
-    ``isochrone`` (``arg`` its budget, any int ``>= 0``), and
-    ``id_text`` the request id's JSON text.  Returns the frames back
-    to back, as :func:`repro.server.protocol.encode_message` writes
-    them for the same payloads with lists, and the end of each; the
+    rows.  Each segment is ``(records, data, targets, lo, hi, lane)``:
+    records ``lo`` to ``hi`` of an intake parse (``records``, an
+    ``array("q")`` as :func:`parse_requests` returns them, ``data`` the
+    read and ``targets`` its targets or ``None``), answered from rows
+    ``lane`` onwards.  A record's op is ``0`` tree, ``1`` one_to_many
+    (its targets, repeats kept) or ``2`` isochrone (its budget, an
+    int64 ``>= 0``), and its id the JSON text ``data[id_start:id_end]``.
+    Returns the frames back to back, as
+    :func:`repro.server.protocol.encode_message` writes them for the
+    same payloads with lists, and the end of each segment's frames; the
     view is valid until this thread's next call.  ``None`` when the
     kernels do not load.  Frame sizes are not checked against the
     protocol's cap.
@@ -1151,35 +1216,38 @@ def answer_frames(rows: np.ndarray, answers) -> tuple[memoryview, list[int]] | N
     lib = _load()
     if not lib:
         return None
-    req: list[int] = []
-    targets = array("q")
-    size = id_end = 0
-    for lane, op, arg, id_text in answers:
-        kind = _ANSWER_OPS[op]
-        id_end += len(id_text)
-        if kind == 1:
-            start = len(targets)
-            if isinstance(arg, np.ndarray):
-                targets.frombytes(arg.astype(np.int64, copy=False).tobytes())
-            else:
-                targets.extend(arg)
-            req += (lane, kind, start, len(targets), id_end)
-            size += 64 + len(id_text) + 21 * len(arg)
-        else:
-            # Row values are at most INF, so clamping the budget to
-            # int64 keeps every comparison as it was.
-            budget = min(arg, _I64_MAX) if kind == 2 else 0
-            req += (lane, kind, budget, 0, id_end)
-            size += 64 + len(id_text) + 21 * rows.shape[1]
-    spec = array("q", req)
-    ends = array("q", bytes(8 * len(answers)))
+    width = 64 + 21 * rows.shape[1]
+    spec = array("q")
+    reads: list = []
+    texts: list = []
+    lists: list = []
+    size = at_rec = at_text = at_targets = 0
+    last = None
+    for records, data, targets, lo, hi, lane in segments:
+        if records is not last:
+            # A parse not yet joined: its records, read and targets go
+            # after the previous one's.
+            last = records
+            base = (at_rec, at_text, at_targets)
+            reads.append(records)
+            texts.append(data)
+            at_rec += len(records) // RECORD
+            at_text += len(data)
+            if targets is not None:
+                lists.append(targets)
+                at_targets += len(targets)
+            # Ids are within the read, and each target adds one value.
+            size += len(data) + 21 * (len(targets) if targets else 0)
+        spec.extend((base[0] + lo, hi - lo, base[1], base[2], lane))
+        size += (hi - lo) * width
+    ends = array("q", bytes(8 * len(segments)))
     text, at = _text_buffer(size)
     length = lib.repro_answer_frames(
-        _ptr(rows, np.int64), *rows.shape, len(answers),
-        spec.buffer_info()[0], targets.buffer_info()[0],
-        b"".join(a[3] for a in answers), at, ends.buffer_info()[0])
+        _ptr(rows, np.int64), *rows.shape, len(segments),
+        spec.buffer_info()[0], b"".join(reads), b"".join(texts),
+        b"".join(lists), at, ends.buffer_info()[0])
     if length < 0:
-        raise ValueError(f"a lane or target outside rows {rows.shape}")
+        raise ValueError(f"a lane, op or target outside rows {rows.shape}")
     if length > size:
         raise RuntimeError(f"frame writer wrote {length} bytes into {size}")
     return text[:length], ends.tolist()
@@ -1201,21 +1269,21 @@ _INTAKE_TARGETS = 1 << 16
 
 
 def parse_requests(data: bytes, start: int, n: int,
-                   cap: int) -> tuple[list[int], int, np.ndarray | None] | None:
+                   cap: int) -> tuple[array, int, array | None] | None:
     """The whole frames of ``data[start:]``, and the sweep requests
     among them, in one call.
 
     Reads frames (a 4-byte big-endian body length, then the body)
     until one is not whole, announces more than ``cap`` bytes, or
-    :data:`INTAKE_RECORDS` have been read.  Returns the records, flat,
-    :data:`RECORD` ints each: the body's start and end in ``data``;
-    its op, ``0`` tree, ``1`` one_to_many, ``2`` isochrone, or ``-1``
-    when the body is *declined*; and for a sweep request the start and
-    end of its id's JSON text in ``data``, its source, the start and
-    end of its targets in the returned array (one_to_many) or its
-    budget (isochrone), and its ``timeout_ms`` (:data:`TIMEOUT_UNSET`,
-    :data:`TIMEOUT_NULL` or an int).  Then where the frames end, and
-    the requests' targets (an int64 array of this call's own, or
+    :data:`INTAKE_RECORDS` have been read.  Returns the records, an
+    ``array("q")`` of :data:`RECORD` ints each: the body's start and
+    end in ``data``; its op, ``0`` tree, ``1`` one_to_many, ``2``
+    isochrone, or ``-1`` when the body is *declined*; and for a sweep
+    request the start and end of its id's JSON text in ``data``, its
+    source, the start and end of its targets in the returned array
+    (one_to_many) or its budget (isochrone), and its ``timeout_ms``
+    (:data:`TIMEOUT_UNSET`, :data:`TIMEOUT_NULL` or an int).  Then where the frames end, and
+    the requests' targets (an ``array("q")`` of this call's own, or
     ``None`` when there are none).
 
     A body is taken only in a strict subset of JSON that
@@ -1233,20 +1301,26 @@ def parse_requests(data: bytes, start: int, n: int,
     if not lib:
         return None
     intake = getattr(_threads, "intake", None)
-    if intake is None:
+    if intake is None or len(intake[3]) != 8 * _INTAKE_TARGETS:
+        # Uninitialized, so only the pages the parses write are resident.
         rec = np.empty(RECORD * INTAKE_RECORDS, dtype=np.int64)
         targets = np.empty(_INTAKE_TARGETS, dtype=np.int64)
         meta = (ctypes.c_int64 * 2)()
-        intake = _threads.intake = (rec, rec.ctypes.data, targets,
-                                    targets.ctypes.data, meta,
-                                    ctypes.addressof(meta))
-    rec, rec_at, targets, targets_at, meta, meta_at = intake
+        intake = _threads.intake = (
+            rec.ctypes.data, memoryview(rec).cast("B"), targets.ctypes.data,
+            memoryview(targets).cast("B"), ctypes.addressof(meta), meta)
+    rec_at, rec, targets_at, targets, meta_at, meta = intake
     count = lib.repro_parse_requests(data, start, len(data), n, cap, rec_at,
                                      INTAKE_RECORDS, targets_at,
                                      _INTAKE_TARGETS, meta_at)
     end, used = meta
-    return (rec[: RECORD * count].tolist(), end,
-            targets[:used].copy() if used else None)
+    records = array("q")
+    records.frombytes(rec[: 8 * RECORD * count])
+    if not used:
+        return records, end, None
+    found = array("q")
+    found.frombytes(targets[: 8 * used])
+    return records, end, found
 
 
 def _text_buffer(size: int) -> tuple[memoryview, int]:

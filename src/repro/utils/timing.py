@@ -94,14 +94,15 @@ class LatencyHistogram:
         self.min = math.inf
         self.max = 0.0
 
-    def observe(self, seconds: float) -> None:
-        """Record one sample (non-negative seconds)."""
+    def observe(self, seconds: float, count: int = 1) -> None:
+        """Record ``count`` samples of the same value (non-negative
+        seconds)."""
         seconds = float(seconds)
         if seconds < 0:
             raise ValueError("latency samples must be non-negative")
-        self._counts[bisect_left(self._bounds, seconds)] += 1
-        self.count += 1
-        self.total += seconds
+        self._counts[bisect_left(self._bounds, seconds)] += count
+        self.count += count
+        self.total += seconds * count
         if seconds < self.min:
             self.min = seconds
         if seconds > self.max:

@@ -13,6 +13,7 @@ import json
 import socket
 import struct
 import threading
+from array import array
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.server import protocol
 from repro.utils import native
 
 I64 = np.iinfo(np.int64)
+RECORD = protocol.RECORD
 
 needs_native = pytest.mark.skipif(
     not native.native_available(), reason="no compiled kernels here"
@@ -135,19 +137,44 @@ ids = (st.none() | st.booleans() | st.integers(-2**70, 2**70)
        | st.sampled_from(['"', "\\", "\n\t", "é", "\u2028", "\U0001f600"]))
 
 
+SWEEP_CODES = {"tree": 0, "one_to_many": 1, "isochrone": 2}
+
+
+def _parse(requests: list, prefix: bytes = b"") -> tuple:
+    """``(records, data, targets)``: ``requests`` of ``(op, arg,
+    req_id)`` as one intake parse would record them, their ids' text
+    after ``prefix`` in ``data``."""
+    records, data, targets = array("q"), bytearray(prefix), array("q")
+    for op, arg, req_id in requests:
+        text = protocol.id_text(req_id)
+        a = b = 0
+        if op == "one_to_many":
+            a = len(targets)
+            targets.extend(arg)
+            b = len(targets)
+        elif op == "isochrone":
+            a = min(arg, int(I64.max))
+        records.extend((0, 0, SWEEP_CODES[op], len(data),
+                        len(data) + len(text), 0, a, b, 0))
+        data += text
+    return records, bytes(data), targets or None
+
+
 @st.composite
 def sweep_batches(draw):
-    """``(rows, answers)``: 1-16 answers over 1-16 lanes of rows that
-    hold 0, INF and values between, several answers sharing a lane."""
-    k = draw(st.integers(1, 16))
-    lanes = draw(st.integers(1, k))
+    """``(rows, segments, answers)``: 1-16 requests recorded by one or
+    two intake parses, cut into segments taken in any order, each
+    answered from a run of rows that fits (runs may overlap), over
+    rows that hold 0, INF and values between; ``answers`` are
+    ``(lane, op, arg, req_id)`` in frame order."""
+    lanes = draw(st.integers(1, 16))
     n = draw(st.integers(1, 30))
     values = st.sampled_from([0, 1, int(INF) - 1, int(INF)]) | st.integers(
         0, int(INF))
     flat = draw(st.lists(values, min_size=lanes * n, max_size=lanes * n))
     rows = np.array(flat, dtype=np.int64).reshape(lanes, n)
-    answers = []
-    for _ in range(k):
+    requests = []
+    for _ in range(draw(st.integers(1, 16))):
         op = draw(st.sampled_from(["tree", "one_to_many", "isochrone"]))
         if op == "one_to_many":
             arg = draw(st.lists(st.integers(0, n - 1), min_size=1,
@@ -157,9 +184,22 @@ def sweep_batches(draw):
             arg = draw(st.sampled_from(BUDGETS) | st.integers(0, int(INF)))
         else:
             arg = None
-        answers.append((draw(st.integers(0, lanes - 1)), op, arg,
-                        draw(ids)))
-    return rows, answers
+        requests.append((op, arg, draw(ids)))
+    split = draw(st.integers(0, len(requests)))
+    parses = [(_parse(requests[:split], b"xy"), requests[:split]),
+              (_parse(requests[split:]), requests[split:])]
+    runs = []
+    for (records, data, targets), reqs in parses:
+        lo = 0
+        while lo < len(reqs):
+            hi = draw(st.integers(lo + 1, min(len(reqs), lo + lanes)))
+            lane = draw(st.integers(0, lanes - (hi - lo)))
+            runs.append(((records, data, targets, lo, hi, lane),
+                         [(lane + i, *reqs[lo + i]) for i in range(hi - lo)]))
+            lo = hi
+    runs = draw(st.permutations(runs))
+    return (rows, [segment for segment, _ in runs],
+            [answer for _, answers in runs for answer in answers])
 
 
 def _payload(row: list[int], op: str, arg) -> dict:
@@ -176,30 +216,44 @@ def _payload(row: list[int], op: str, arg) -> dict:
 @given(batch=sweep_batches())
 @settings(max_examples=200, deadline=None)
 def test_sweep_frames_equal_encode_message(backend, batch):
-    """One call writes a batch's frames: on both backends, the bytes
-    encode_message gives each answer's payload with lists."""
-    rows, answers = batch
+    """One call writes a batch's frames from the intake's records: on
+    both backends, the bytes encode_message gives each answer's
+    payload with lists, and each segment's frames end where its last
+    answer's do."""
+    rows, segments, answers = batch
     with pytest.MonkeyPatch.context() as mp:
         _use(mp, backend)
-        frames, ends = protocol.sweep_frames(rows, answers)
+        frames, ends = protocol.sweep_frames(rows, segments)
     want = [protocol.encode_message(protocol.ok_response(
         req_id, **_payload(rows[lane].tolist(), op, arg)))
         for lane, op, arg, req_id in answers]
     assert bytes(frames) == b"".join(want)
-    assert ends == np.cumsum([len(w) for w in want]).tolist()
+    cuts = np.cumsum([hi - lo for _, _, _, lo, hi, _ in segments]) - 1
+    assert ends == np.cumsum([len(w) for w in want])[cuts].tolist()
 
 
 @needs_native
 @pytest.mark.parametrize("answer", [
-    (2, "tree", None, b"1"),
-    (-1, "tree", None, b"1"),
-    (0, "one_to_many", [0, 5], b"1"),
-    (0, "one_to_many", [-1], b"1"),
+    (2, "tree", None),
+    (-1, "tree", None),
+    (0, "one_to_many", [0, 5]),
+    (0, "one_to_many", [-1]),
+    (0, "nearest", None),
 ])
 def test_answer_frames_reject_lanes_and_targets_outside_the_rows(answer):
+    """A lane outside the rows, a target outside a row or an unknown
+    op fails the whole call, with nothing written."""
+    lane, op, arg = answer
+    records, data, targets = _parse([("tree", None, 0),
+                                     ("one_to_many", arg or [0], 1)])
+    if op == "nearest":
+        records[RECORD + 2] = 3
+    elif op == "tree":
+        records[RECORD + 2] = 0
     rows = np.zeros((2, 5), dtype=np.int64)
     with pytest.raises(ValueError):
-        native.answer_frames(rows, [(0, "tree", None, b"0"), answer])
+        native.answer_frames(rows, [(records, data, targets, 0, 1, 0),
+                                    (records, data, targets, 1, 2, lane)])
 
 
 @needs_native

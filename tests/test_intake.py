@@ -239,7 +239,7 @@ def test_a_frame_whose_targets_do_not_fit_is_declined(monkeypatch):
     records, _, targets = protocol.parse_requests(
         b"".join(map(_frame, bodies)), 0, N)
     codes = records[2::protocol.RECORD]
-    assert codes == [1, -1, 1]
+    assert codes.tolist() == [1, -1, 1]
     assert targets.tolist() == [1, 2, 3, 6]
 
 

@@ -351,6 +351,30 @@ def test_kernels_and_fallback_equal_dijkstra(g, picks):
             assert np.array_equal(matrix, ref[:, targets])
 
 
+@needs_native
+@given(g=multigraphs(), picks=st.lists(st.integers(0, 13), min_size=17,
+                                       max_size=17))
+@settings(max_examples=30, deadline=None)
+def test_every_lane_count_equals_dijkstra_on_both_hierarchies(g, picks):
+    """k = 1 to 17 trees in one call, on the witness CH and on the
+    customized one (whose searches walk the elimination tree): k of 5
+    to 8 and 9 to 16 sweep 8 and 16 lanes, the padding lanes starting
+    from ∞ and not written out, k = 17 sweeps 17; every row equals
+    Dijkstra's and every seed is ∞ again after."""
+    sources = np.array([p % g.n for p in picks], dtype=np.int64)
+    ref = np.stack([dijkstra(g, int(s), with_parents=False).dist
+                    for s in sources])
+    topo = build_topology(g)
+    for ch in (contract_graph(g), topo.instantiate(customize(topo,
+                                                             g.arc_len))):
+        engine = PhastEngine(ch)
+        for k in range(1, 18):
+            out = np.full((k, g.n), -1, dtype=np.int64)
+            engine.trees(sources[:k], out=out)
+            assert np.array_equal(out, ref[:k]), k
+            assert np.all(engine.kernel._seeds == INF), k
+
+
 # ---------------------------------------------------------------------------
 # The per-host library cache
 

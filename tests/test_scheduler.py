@@ -1,12 +1,13 @@
 """Tests for the micro-batching window (`repro.server.scheduler`).
 
 A :class:`MicroBatcher` is driven directly with a stub ``sweep_fn`` that
-records every dispatch, and each request with a stub reply that keeps
-its outcome, so each test sees exactly which requests shared a batch
-and when it left.  The window closes on the first event-loop
-turn that brings no new request, at ``batch_max`` lanes, or at the
-``max_wait_ms`` cap; ``stop()`` ends the loop from inside an open
-window.
+records every dispatch, and stub ``answer_fn`` and ``fail_fn`` that
+keep each request's outcome, so each test sees exactly which requests
+shared a batch and when it left.  Sweep requests are queued as
+:class:`SweepChunk` records, one chunk per request unless a test says
+otherwise.  The window closes on the first event-loop turn that brings
+no new request, at ``batch_max`` lanes, or at the ``max_wait_ms`` cap;
+``stop()`` ends the loop from inside an open window.
 """
 
 from __future__ import annotations
@@ -14,11 +15,18 @@ from __future__ import annotations
 import asyncio
 import threading
 import time
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from repro.server.scheduler import MicroBatcher, SchedulerStopped, SweepRequest
+from repro.server.scheduler import (
+    DeadlineExceeded,
+    ExclusiveRequest,
+    MicroBatcher,
+    SchedulerStopped,
+    SweepChunk,
+)
 
 
 class _Recorder:
@@ -39,20 +47,85 @@ class _Recorder:
             return [sources for _, sources in self.calls]
 
 
+class _Conn:
+    """Stub connection: the answers it is owed."""
+
+    def __init__(self) -> None:
+        self.owed = 0
+
+    def owe(self, chunk, count) -> None:
+        self.owed += count
+
+    def settle(self, chunk, count, last) -> None:
+        self.owed -= count
+        assert self.owed >= 0 and last == (chunk.owed == 0)
+
+
+def _chunk(sources, conn=None, deadline=None) -> SweepChunk:
+    """One read's tree requests from ``sources``, as intake records."""
+    records = array("q")
+    for source in sources:
+        records.extend((0, 0, 0, 0, 0, source, 0, 0, 0))
+    return SweepChunk(conn or _Conn(), records, b"", None, 0, len(sources),
+                      time.monotonic(), deadline)
+
+
+class _Answers:
+    """Stub ``answer_fn`` and ``fail_fn``: each request's outcome (its
+    row, or the exception that ended it), by chunk and record, and the
+    thread each batch was answered on."""
+
+    def __init__(self) -> None:
+        self.outcomes: dict = {}
+        self.threads: list[threading.Thread] = []
+        self.segments: list[list] = []
+        self._wake = asyncio.Event()
+
+    def answer(self, segments, rows) -> None:
+        self.threads.append(threading.current_thread())
+        self.segments.append([(chunk.sources(lo, hi).tolist(), lane)
+                              for chunk, lo, hi, lane in segments])
+        for chunk, lo, hi, lane in segments:
+            for i in range(lo, hi):
+                self._set(chunk, i, rows[lane + i - lo])
+            chunk.settle(hi - lo)
+
+    def fail(self, chunk, lo, hi, exc) -> None:
+        for i in range(lo, hi):
+            self._set(chunk, i, exc)
+        chunk.settle(hi - lo)
+
+    def _set(self, chunk, i, outcome) -> None:
+        key = (id(chunk), i)
+        assert key not in self.outcomes, "a request was answered twice"
+        self.outcomes[key] = outcome
+        self._wake.set()
+        self._wake = asyncio.Event()
+
+    def answered(self, chunk, i: int = 0) -> bool:
+        return (id(chunk), i) in self.outcomes
+
+    async def result(self, chunk, i: int = 0):
+        while not self.answered(chunk, i):
+            await self._wake.wait()
+        outcome = self.outcomes[(id(chunk), i)]
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
 class _Reply:
-    """Stub reply: keeps the request's outcome for ``await result()``."""
+    """Stub reply of an exclusive request: keeps its outcome."""
 
     def __init__(self) -> None:
         self.done = False
         self.outcome = None
-        self.thread = None
         self._arrived = asyncio.Event()
 
     def __call__(self, outcome) -> None:
         assert not self.done, "a request was answered twice"
         self.done = True
         self.outcome = outcome
-        self.thread = threading.current_thread()
         self._arrived.set()
 
     async def result(self):
@@ -62,45 +135,42 @@ class _Reply:
         return self.outcome
 
 
-def _request(source: int) -> SweepRequest:
-    return SweepRequest("tree", source, None, _Reply())
-
-
-def _answer(requests, lanes, rows) -> None:
-    """Stub ``answer_fn``: each request's outcome is its row."""
-    for req, lane in zip(requests, lanes):
-        req.reply(rows[lane])
-
-
-def _run(coro_fn, recorder=None, answer=_answer, **kwargs):
-    """Run ``coro_fn(batcher, recorder)`` on a fresh loop and batcher."""
+def _run(coro_fn, recorder=None, **kwargs):
+    """Run ``coro_fn(batcher, recorder, answers)`` on a fresh loop and
+    batcher; returns its value, the recorder and the answers."""
     recorder = recorder or _Recorder()
 
     async def main():
+        answers = _Answers()
         with ThreadPoolExecutor(max_workers=1) as executor:
-            batcher = MicroBatcher(recorder, answer, executor=executor,
-                                   **kwargs)
+            batcher = MicroBatcher(recorder, answers.answer, answers.fail,
+                                   executor=executor, **kwargs)
             batcher.start()
             try:
-                return await asyncio.wait_for(coro_fn(batcher, recorder), 30)
+                value = await asyncio.wait_for(
+                    coro_fn(batcher, recorder, answers), 30)
             finally:
                 await batcher.stop()
+        return value, answers
 
-    return asyncio.run(main()), recorder
+    (value, answers) = asyncio.run(main())
+    return value, recorder, answers
 
 
 def test_lone_request_is_dispatched_without_waiting():
     """A lone request must not sit out a timed window (old gap: 125 ms)."""
 
-    async def scenario(batcher, recorder):
-        req = _request(3)
+    async def scenario(batcher, recorder, answers):
+        chunk = _chunk([3])
         t0 = time.monotonic()
-        batcher.submit(req)
-        row = await req.reply.result()
-        return row, time.monotonic() - t0
+        batcher.submit(chunk)
+        row = await answers.result(chunk)
+        return row, time.monotonic() - t0, chunk.conn.owed
 
-    (row, elapsed), recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    (row, elapsed, owed), recorder, _ = _run(scenario, batch_max=16,
+                                             max_wait_ms=1000)
     assert row == ("row", 3)
+    assert owed == 0
     assert recorder.batches == [[3]]
     assert elapsed < 0.050, f"lone request took {1e3 * elapsed:.1f} ms"
 
@@ -110,18 +180,18 @@ def test_burst_joins_one_batch(n):
     """Frames decoded in one loop iteration share one dispatch."""
     batch_max = 4
 
-    async def scenario(batcher, recorder):
+    async def scenario(batcher, recorder, answers):
         async def respond(source):
             # One task per submitter, standing in for connection readers.
-            req = _request(source)
-            batcher.submit(req)
-            return await req.reply.result()
+            chunk = _chunk([source])
+            batcher.submit(chunk)
+            return await answers.result(chunk)
 
         loop = asyncio.get_running_loop()
         tasks = [loop.create_task(respond(s)) for s in range(n)]
         return await asyncio.gather(*tasks)
 
-    rows, recorder = _run(scenario, batch_max=batch_max, max_wait_ms=1000)
+    rows, recorder, _ = _run(scenario, batch_max=batch_max, max_wait_ms=1000)
     assert rows == [("row", s) for s in range(n)]
     sizes = [len(b) for b in recorder.batches]
     assert sizes[0] == min(n, batch_max)
@@ -130,22 +200,42 @@ def test_burst_joins_one_batch(n):
         assert sizes == [batch_max, n - batch_max]
 
 
+def test_a_chunk_longer_than_the_room_left_is_split():
+    """One read's run of requests fills the batch and the rest of it
+    leads the next; every record is answered from its own lane."""
+
+    async def scenario(batcher, recorder, answers):
+        first, second = _chunk([1, 2]), _chunk(range(10, 17))
+        batcher.submit(first)
+        batcher.submit(second)
+        return ([await answers.result(first, i) for i in range(2)]
+                + [await answers.result(second, i) for i in range(7)],
+                second.conn.owed)
+
+    (rows, owed), recorder, answers = _run(scenario, batch_max=4,
+                                           max_wait_ms=1000)
+    assert rows == [("row", s) for s in [1, 2, *range(10, 17)]]
+    assert owed == 0
+    assert recorder.batches == [[1, 2, 10, 11], [12, 13, 14, 15], [16]]
+    assert answers.segments[0] == [([1, 2], 0), ([10, 11], 2)]
+
+
 def test_staggered_arrivals_keep_the_window_open():
     """Each turn that brings a request extends the window by a turn."""
 
-    async def scenario(batcher, recorder):
+    async def scenario(batcher, recorder, answers):
         async def respond(source, turns):
             for _ in range(turns):
                 await asyncio.sleep(0)
-            req = _request(source)
-            batcher.submit(req)
-            return await req.reply.result()
+            chunk = _chunk([source])
+            batcher.submit(chunk)
+            return await answers.result(chunk)
 
         loop = asyncio.get_running_loop()
         tasks = [loop.create_task(respond(s, s)) for s in range(5)]
         return await asyncio.gather(*tasks)
 
-    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    rows, recorder, _ = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", s) for s in range(5)]
     assert recorder.batches == [[0, 1, 2, 3, 4]]
 
@@ -153,27 +243,26 @@ def test_staggered_arrivals_keep_the_window_open():
 def test_same_source_requests_take_one_lane_each():
     sources = [5, 5, 7, 5, 7, 9]
 
-    async def scenario(batcher, recorder):
-        reqs = [_request(s) for s in sources]
-        for req in reqs:
-            batcher.submit(req)
-        return await asyncio.gather(*(r.reply.result() for r in reqs))
+    async def scenario(batcher, recorder, answers):
+        chunk = _chunk(sources)
+        batcher.submit(chunk)
+        return [await answers.result(chunk, i) for i in range(len(sources))]
 
-    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    rows, recorder, _ = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", s) for s in sources]
     assert recorder.batches == [sources]
 
 
-async def _trickle(batcher, reqs: list, until) -> None:
+async def _trickle(batcher, chunks: list, until) -> None:
     """Submit one request per loop turn until ``until()`` or stop."""
     source = 0
     while not until():
-        req = _request(source)
+        chunk = _chunk([source])
         try:
-            batcher.submit(req)
+            batcher.submit(chunk)
         except SchedulerStopped:
             return
-        reqs.append(req)
+        chunks.append(chunk)
         source += 1
         await asyncio.sleep(0)
 
@@ -186,18 +275,18 @@ def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
     ``batch_max=1`` is strict dispatch-one: every dispatch has one lane.
     """
 
-    async def scenario(batcher, recorder):
-        reqs: list[SweepRequest] = []
+    async def scenario(batcher, recorder, answers):
+        chunks: list[SweepChunk] = []
         t0 = time.monotonic()
-        await _trickle(batcher, reqs, lambda: bool(recorder.calls)
+        await _trickle(batcher, chunks, lambda: bool(recorder.calls)
                        or time.monotonic() - t0 > 10)
         assert recorder.calls, "window never closed under a steady trickle"
         first_at = recorder.calls[0][0]
-        await asyncio.gather(*(r.reply.result() for r in reqs))
-        return first_at - reqs[0].enqueued_at
+        await asyncio.gather(*(answers.result(c) for c in chunks))
+        return first_at - chunks[0].at
 
-    waited, recorder = _run(scenario, batch_max=batch_max,
-                            max_wait_ms=max_wait_ms)
+    waited, recorder, _ = _run(scenario, batch_max=batch_max,
+                               max_wait_ms=max_wait_ms)
     first = recorder.batches[0]
     if batch_max == 1:
         assert recorder.batches == [[s] for s in range(len(recorder.batches))]
@@ -212,78 +301,114 @@ def test_steady_trickle_is_dispatched_at_the_cap(batch_max, max_wait_ms):
 def test_stop_during_open_window_ends_the_loop():
     """stop() closes an open window; later requests fail fast."""
 
-    async def scenario(batcher, recorder):
-        reqs: list[SweepRequest] = []
+    async def scenario(batcher, recorder, answers):
+        chunks: list[SweepChunk] = []
         loop = asyncio.get_running_loop()
-        producer = loop.create_task(_trickle(batcher, reqs, lambda: False))
-        while len(reqs) < 20:
+        producer = loop.create_task(_trickle(batcher, chunks, lambda: False))
+        while len(chunks) < 20:
             await asyncio.sleep(0)
         assert not recorder.calls  # the window is still open
         stopper = loop.create_task(batcher.stop())
         await asyncio.sleep(0)  # stop() has queued its close sentinel
-        late = _request(-1)
+        late = _chunk([-1])
         batcher._queue.append(late)  # slipped in behind the close
         await asyncio.wait_for(stopper, 10)
         await producer
         with pytest.raises(SchedulerStopped):
-            await late.reply.result()
+            await answers.result(late)
+        assert late.conn.owed == 0
         with pytest.raises(SchedulerStopped):
-            batcher.submit(_request(0))
-        return await asyncio.gather(*(r.reply.result() for r in reqs))
+            batcher.submit(_chunk([0]))
+        return await asyncio.gather(*(answers.result(c) for c in chunks))
 
-    rows, recorder = _run(scenario, batch_max=100_000, max_wait_ms=60_000)
+    rows, recorder, _ = _run(scenario, batch_max=100_000, max_wait_ms=60_000)
     n = len(rows)
     assert rows == [("row", s) for s in range(n)]
     assert recorder.batches == [list(range(n))]
 
 
 def test_dropped_request_loses_its_lane():
-    """A request whose client went away is not swept or answered."""
+    """A request whose client went away is not swept or answered, and
+    its owed answers are freed when it is dropped."""
 
-    async def scenario(batcher, recorder):
-        reqs = [_request(s) for s in (1, 2, 3)]
-        reqs[1].reply.done = True  # the connection dropped it
-        for req in reqs:
-            batcher.submit(req)
-        rows = [await reqs[0].reply.result(), await reqs[2].reply.result()]
-        assert reqs[1].reply.outcome is None
+    async def scenario(batcher, recorder, answers):
+        chunks = [_chunk([s]) for s in (1, 2, 3)]
+        chunks[1].cancel()  # the connection dropped it
+        assert chunks[1].conn.owed == 0
+        for chunk in chunks:
+            batcher.submit(chunk)
+        rows = [await answers.result(chunks[0]),
+                await answers.result(chunks[2])]
+        assert not answers.answered(chunks[1])
         return rows
 
-    rows, recorder = _run(scenario, batch_max=16, max_wait_ms=1000)
+    rows, recorder, _ = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", 1), ("row", 3)]
     assert recorder.batches == [[1, 3]]
+
+
+def test_expired_requests_are_answered_and_not_swept():
+    """A chunk whose deadline passed in the queue is answered with
+    DeadlineExceeded and takes no lane."""
+
+    async def scenario(batcher, recorder, answers):
+        late = _chunk([1, 2], deadline=time.monotonic() - 1)
+        on_time = _chunk([3], deadline=time.monotonic() + 60)
+        batcher.submit(late)
+        batcher.submit(on_time)
+        row = await answers.result(on_time)
+        for i in range(2):
+            with pytest.raises(DeadlineExceeded):
+                await answers.result(late, i)
+        return row, late.conn.owed
+
+    (row, owed), recorder, _ = _run(scenario, batch_max=16, max_wait_ms=1000)
+    assert row == ("row", 3) and owed == 0
+    assert recorder.batches == [[3]]
+
+
+def test_a_failed_sweep_fails_every_request_of_its_batch():
+    def broken(sources):
+        raise OSError("no engine")
+
+    async def scenario(batcher, recorder, answers):
+        chunks = [_chunk([1, 2]), _chunk([3])]
+        for chunk in chunks:
+            batcher.submit(chunk)
+        for chunk, count in zip(chunks, (2, 1)):
+            for i in range(count):
+                with pytest.raises(RuntimeError, match="no engine"):
+                    await answers.result(chunk, i)
+        return [chunk.conn.owed for chunk in chunks]
+
+    owed, _, _ = _run(scenario, broken, batch_max=16, max_wait_ms=1000)
+    assert owed == [0, 0]
 
 
 def test_request_that_dies_during_an_executor_batch_is_skipped():
     """Lane ``i`` is the batch's ``i``-th sweep request: one whose
     client left while the batch ran on the executor is not answered,
     and the others keep their lanes."""
-    answered = []
 
-    def answer(requests, lanes, rows):
-        answered.append(([req.source for req in requests], list(lanes)))
-        _answer(requests, lanes, rows)
-
-    async def scenario(batcher, recorder):
-        reqs = [_request(s) for s in (4, 6, 8)]
+    async def scenario(batcher, recorder, answers):
+        chunks = [_chunk([s]) for s in (4, 6, 8)]
 
         def drop_one():
-            reqs[1].reply.done = True  # its connection went away
+            chunks[1].cancel()  # its connection went away
             return "payload"
 
-        exclusive = SweepRequest("matrix", -1, None, _Reply(),
-                                 execute=drop_one)
+        exclusive = ExclusiveRequest(drop_one, _Reply())
         batcher.submit(exclusive)
-        for req in reqs:
-            batcher.submit(req)
+        for chunk in chunks:
+            batcher.submit(chunk)
         assert await exclusive.reply.result() == "payload"
-        return [await reqs[0].reply.result(), await reqs[2].reply.result()]
+        return [await answers.result(chunks[0]),
+                await answers.result(chunks[2])]
 
-    rows, recorder = _run(scenario, answer=answer, batch_max=16,
-                          max_wait_ms=1000)
+    rows, recorder, answers = _run(scenario, batch_max=16, max_wait_ms=1000)
     assert rows == [("row", 4), ("row", 8)]
     assert recorder.batches == [[4, 6, 8]]
-    assert answered == [([4, 8], [0, 2])]
+    assert answers.segments == [[([4], 0), ([8], 2)]]
 
 
 class _ThreadRecorder(_Recorder):
@@ -304,34 +429,26 @@ def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
     (it goes to the executor, its sweep lanes with it), and the next
     sweep batch is back on the loop."""
     recorder = _ThreadRecorder()
-    finalized = []
 
-    def answer(requests, lanes, rows):
-        finalized.append(threading.current_thread())
-        _answer(requests, lanes, rows)
-
-    async def scenario(batcher, recorder):
+    async def scenario(batcher, recorder, answers):
         loop_thread = threading.current_thread()
-        req = _request(4)
-        batcher.submit(req)
-        assert await req.reply.result() == ("row", 4)
-        exclusive = SweepRequest(
-            "matrix", -1, None, _Reply(),
-            execute=lambda: threading.current_thread(),
-        )
+        chunk = _chunk([4])
+        batcher.submit(chunk)
+        assert await answers.result(chunk) == ("row", 4)
+        exclusive = ExclusiveRequest(threading.current_thread, _Reply())
         batcher.submit(exclusive)
-        batcher.submit(_request(5))
+        batcher.submit(_chunk([5]))
         ran_on = await exclusive.reply.result()
-        last = _request(6)
+        last = _chunk([6])
         batcher.submit(last)
-        assert await last.reply.result() == ("row", 6)
+        assert await answers.result(last) == ("row", 6)
         return loop_thread, ran_on
 
-    (loop_thread, ran_on), recorder = _run(
-        scenario, recorder, answer, batch_max=16, max_wait_ms=1000)
+    (loop_thread, ran_on), recorder, answers = _run(
+        scenario, recorder, batch_max=16, max_wait_ms=1000)
     assert recorder.batches == [[4], [5], [6]]
     assert recorder.threads[0] is loop_thread
-    assert finalized == [loop_thread] * 3
+    assert answers.threads == [loop_thread] * 3
     assert ran_on is not loop_thread
     assert recorder.threads[1] is ran_on  # the sweep rode the same batch
     assert recorder.threads[2] is loop_thread

@@ -14,6 +14,7 @@ import socket
 import struct
 import threading
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -29,6 +30,8 @@ from repro.server import (
     serve_in_thread,
 )
 from repro.server import protocol
+from repro.server.listener import Connection
+from repro.sssp import dijkstra
 
 
 # ---------------------------------------------------------------------------
@@ -592,6 +595,123 @@ def test_health_pipelined_behind_a_full_batch_is_answered(road_ch,
     assert answers["h"]["ok"] and answers["h"]["ready"] is True
     for i in range(16):
         assert np.array_equal(answers[i]["dist"], reference[i])
+
+
+def _sink(written: list):
+    """A transport that keeps what it is written."""
+    return SimpleNamespace(is_closing=lambda: False, write=written.append,
+                           close=lambda: None)
+
+
+def _frames(stream: bytes) -> list[bytes]:
+    """A response stream cut into its frames, headers included."""
+    frames, at = [], 0
+    while at < len(stream):
+        end = at + 4 + protocol.frame_length(stream, at)
+        frames.append(stream[at:end])
+        at = end
+    return frames
+
+
+def test_one_read_takes_the_record_path_byte_for_byte(road, road_ch):
+    """One read of pipelined frames: sweep requests the intake reads
+    (queued as records, a run of them cut where ``timeout_ms``
+    changes), ones it declines (an escaped id, a float timeout: queued
+    as one-record chunks), pings, a request that
+    expires in the queue (504) and more work than ``max_pending``
+    (429).  The connection gets the bytes ``encode_message`` gives the
+    Dijkstra rows, in the order the loop answers them: the immediate
+    answers while the read is taken in, then the queue in order, 4
+    lanes a batch.  Without the kernels every frame is declined and
+    the bytes are the same."""
+    service = PhastService(road_ch, config=ServerConfig(
+        batch_max=4, max_wait_ms=1.0, max_pending=8))
+    rows = {s: dijkstra(road, s, with_parents=False).dist
+            for s in (3, 11, 17, 23, 42, 77, 150)}
+    targets = [0, 9, 9, 399]
+    budget = int(np.median(rows[17]))
+    bodies = [
+        b'{"id":0,"op":"tree","source":3}',
+        b'{"id":1,"op":"one_to_many","source":11,"targets":[0,9,9,399],'
+        b'"timeout_ms":60000}',
+        b'{"id":2,"op":"isochrone","source":17,"budget":%d}' % budget,
+        b'{"id":"\\u0061b","op":"tree","source":23}',
+        b'{"id":"p","op":"ping"}',
+        b'{"id":5,"op":"tree","source":42,"timeout_ms":0}',
+        b'{"id":6,"op":"isochrone","source":150,"budget":%d}' % budget,
+        b'{"id":7,"op":"one_to_many","source":77,"targets":[0,9,9,399],'
+        b'"timeout_ms":30000.5}',
+        b'{"id":8,"op":"tree","source":3}',
+        b'{"id":9,"op":"tree","source":11}',
+        b'{"id":10,"op":"one_to_many","source":11,"targets":[1]}',
+        b'{"id":"q","op":"ping"}',
+    ]
+    read = b"".join(struct.pack(">I", len(b)) + b for b in bodies)
+    ok = protocol.ok_response
+
+    def iso(row):
+        vertices = np.flatnonzero(row <= budget).tolist()
+        return {"vertices": vertices, "count": len(vertices)}
+
+    refused = "request rejected: overloaded"
+    want = [ok("p", pong=True),
+            protocol.error_response(9, protocol.OVERLOADED, refused),
+            protocol.error_response(10, protocol.OVERLOADED, refused),
+            ok("q", pong=True),
+            ok(0, dist=rows[3].tolist()),
+            ok(1, dist=rows[11][targets].tolist()),
+            ok(2, **iso(rows[17])),
+            ok("ab", dist=rows[23].tolist()),
+            None,  # 504, its message naming the time it queued
+            ok(6, **iso(rows[150])),
+            ok(7, dist=rows[77][targets].tolist()),
+            ok(8, dist=rows[3].tolist())]
+    written: list = []
+    with serve_in_thread(service) as handle:
+        conn = Connection(_sink(written), service)
+        _on_loop(handle, lambda: conn.data_received(read))
+        deadline = time.monotonic() + 10
+        while _pending(handle) and time.monotonic() < deadline:
+            time.sleep(0.01)
+        assert _pending(handle) == 0
+        admission = _on_loop(handle, service.admission)
+    got = _frames(b"".join(written))
+    assert len(got) == len(want)
+    for frame, msg in zip(got, want):
+        if msg is not None:
+            assert frame == protocol.encode_message(msg)
+    late = protocol.decode_body(got[8][4:])
+    assert late["id"] == 5 and late["error"]["code"] == protocol.DEADLINE
+    assert admission["admitted_total"] == 8
+    assert admission["rejected"]["overloaded"] == 2
+    assert all(type(w) is bytes for w in written)
+
+
+def test_a_dropped_connection_frees_its_queued_records(road_ch, reference):
+    """Records still queued when their connection goes away free their
+    admission slots at once, and their lanes are never swept."""
+    service = PhastService(road_ch, config=ServerConfig(
+        batch_max=4, max_wait_ms=1.0, max_pending=16))
+    read = b"".join(protocol.encode_message(
+        {"id": i, "op": "tree", "source": i}) for i in range(10))
+    written: list = []
+    with serve_in_thread(service) as handle:
+        swept = _on_loop(handle, lambda: service.trees_computed)
+        conn = Connection(_sink(written), service)
+
+        def take_and_drop() -> int:
+            conn.data_received(read)
+            owed = service.admission()["pending"]
+            conn.connection_lost(None)
+            return owed
+
+        assert _on_loop(handle, take_and_drop) == 10
+        assert _pending(handle) == 0
+        assert not conn.owed
+        with ServerClient(handle.host, handle.port) as c:
+            assert np.array_equal(c.tree(5), reference[5])
+        assert _on_loop(handle, lambda: service.trees_computed) == swept + 1
+    assert written == []
 
 
 def test_the_loop_owns_serving_state(topo_metric, reference):
