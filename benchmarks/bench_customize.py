@@ -14,7 +14,10 @@ Two claims are measured:
 * **Swap availability** — a server under closed-loop load takes a
   ``swap_metric`` mid-burst.  Every request must be answered, every
   answer must match exactly one metric generation (old or new, never a
-  mixture), and p50/p99 are recorded before / during / after the swap.
+  mixture), and p50/p99 are recorded before / during / after the swap,
+  with the count of requests that started and finished inside it
+  (``answered_during_swap``): sweeps go on being answered from the old
+  engine while the new metric is customized.
 
 A third section, ``trees_by_k``, prices PHAST's upward phase on the
 customized hierarchy: microseconds per tree of ``PhastEngine.trees``
@@ -325,9 +328,10 @@ def bench_swap_under_load(quiet: bool = False) -> dict:
     swap_done = threading.Event()
     failures: list[str] = []
     mixed: list[str] = []
-    # (phase, latency_s, generation_matched) per answered request.
+    # (phase, latency_s, generation_matched, inside) per answered
+    # request; inside: it started and finished while the swap ran.
     lock = threading.Lock()
-    samples: list[tuple[str, float, int]] = []
+    samples: list[tuple[str, float, int, bool]] = []
 
     def phase() -> str:
         if not swap_started.is_set():
@@ -352,8 +356,9 @@ def bench_swap_under_load(quiet: bool = False) -> dict:
                         mixed.append(f"source {s}: answer matches no "
                                      "generation")
                         return
+                    inside = ph == "during" and not swap_done.is_set()
                     with lock:
-                        samples.append((ph, dt, gen))
+                        samples.append((ph, dt, gen, inside))
         except Exception as exc:  # any lost request fails the bench
             failures.append(f"loader {tid}: {exc}")
 
@@ -380,7 +385,7 @@ def bench_swap_under_load(quiet: bool = False) -> dict:
     for name in ("before", "during", "after"):
         hist = LatencyHistogram()
         gens = set()
-        for ph, dt, gen in samples:
+        for ph, dt, gen, _ in samples:
             if ph == name:
                 hist.observe(dt)
                 gens.add(gen)
@@ -406,6 +411,7 @@ def bench_swap_under_load(quiet: bool = False) -> dict:
         "mixed_metric_answers": len(mixed),
         "atomic": bool(atomic),
         "swap_wall_s": round(swap_s, 4),
+        "answered_during_swap": sum(inside for *_, inside in samples),
         "server_swap_s": report.get("swap_seconds"),
         "server_customize_s": report.get("customize_seconds"),
         "metric_generation_after": final_gen,
@@ -425,7 +431,8 @@ def bench_swap_under_load(quiet: bool = False) -> dict:
             ],
         )
         print(
-            f"swap wall time {swap_s * 1e3:.1f} ms; "
+            f"swap wall time {swap_s * 1e3:.1f} ms, "
+            f"{record['answered_during_swap']} answered inside it; "
             f"{len(samples)} requests, {len(failures)} lost, "
             f"{len(mixed)} mixed-metric; atomic: {atomic}"
         )

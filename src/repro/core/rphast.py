@@ -236,8 +236,9 @@ class SelectionCache:
     Keys are target-set hashes (:meth:`key_of`), values are whatever
     the caller stores; :meth:`engine` stores frozen engines.
 
-    Not thread-safe by itself; the server funnels every access through
-    exclusive MicroBatcher requests, which run one at a time.
+    Not thread-safe by itself; the server touches it only on its one
+    exclusive thread, where matrices and metric swaps run one at a
+    time.
     """
 
     def __init__(self, capacity: int = 32) -> None:

@@ -386,9 +386,9 @@ class PhastRouter(FrameServer):
         """Apply a control op (swap_metric) to every replica, rolling.
 
         Replicas are updated **one at a time, sequentially**: while one
-        replica quiesces and swaps, the others keep answering on
-        whatever metric they hold, so the fleet never stops serving and
-        every individual answer is single-metric.  Cross-replica skew
+        replica customizes and swaps, it and the others keep answering
+        on whatever metric they hold, so the fleet never stops serving
+        and every individual answer is single-metric.  Cross-replica skew
         during the roll is inherent to rolling updates; affinity
         routing keeps a client's repeat keys pinned to one replica,
         which bounds how visible the skew is.

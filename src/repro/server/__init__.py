@@ -40,7 +40,6 @@ from .metrics import ServerMetrics
 from .protocol import ProtocolError
 from .scheduler import (
     DeadlineExceeded,
-    ExclusiveRequest,
     MicroBatcher,
     SweepChunk,
 )
@@ -48,7 +47,6 @@ from .service import PhastService, ServerConfig, serve_in_thread
 
 __all__ = [
     "DeadlineExceeded",
-    "ExclusiveRequest",
     "MicroBatcher",
     "PhastService",
     "ProtocolError",

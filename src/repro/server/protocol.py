@@ -431,9 +431,10 @@ class OpSpec:
         Read-only introspection.  Answered even while draining;
         answered at the router (or proxied) without admission.
     ``control``
-        Mutates serving state (``swap_metric``).  Runs as an exclusive
-        batcher request on the server; the router broadcasts it to
-        every replica with rolling semantics.
+        Mutates serving state (``swap_metric``).  Runs on the server's
+        exclusive thread, in arrival order with matrices, while sweeps
+        go on on the old metric; the router broadcasts it to every
+        replica with rolling semantics.
     """
 
     name: str

@@ -35,16 +35,14 @@ The policy:
   per sweep request, and one ``answer_fn`` call answers all its sweep
   requests from the rows right after the sweep, reading them from
   their records; a request whose deadline passed in the queue is
-  answered by ``fail_fn`` instead and takes no lane;
-* each exclusive request's reply callback gets its payload, and any
-  request its error.
+  answered by ``fail_fn`` instead and takes no lane.
 
-A sweep batch runs on the event-loop thread itself.  A batch of this
-cost gains nothing from an executor thread: the loop has little to do
-meanwhile, and the two threads contend for one GIL, so the handoff
-costs more than it overlaps.  Only batches holding an exclusive
-request (matrix, swap_metric) go to the executor, so the loop goes on
-reading while they do their long work.
+The batcher queues sweep requests and nothing else, since only they
+share work: a matrix or a metric swap shares nothing with a sweep, and
+the service runs those on a thread of their own.  Every batch runs on
+the event-loop thread itself — the sweep, then the answers.  A batch of this cost gains nothing from an executor
+thread: the loop has little to do meanwhile, and the two threads
+contend for one GIL, so the handoff costs more than it overlaps.
 
 No turn of the window waits on a timer (the poller rounds a timed
 wait up to whole milliseconds), so a lone request pays one loop turn
@@ -62,11 +60,18 @@ from typing import Callable
 from .protocol import RECORD
 
 __all__ = ["DeadlineExceeded", "SchedulerStopped", "SweepChunk",
-           "ExclusiveRequest", "MicroBatcher"]
+           "MicroBatcher"]
 
 
 class DeadlineExceeded(Exception):
-    """The request's deadline passed before its batch was dispatched."""
+    """The request's deadline passed before its work started."""
+
+    @classmethod
+    def queued(cls, now: float, at: float) -> "DeadlineExceeded":
+        """The error of a request that arrived at ``at`` and was still
+        waiting at ``now``, past its deadline."""
+        return cls(f"deadline exceeded before dispatch "
+                   f"(queued {1e3 * (now - at):.1f} ms)")
 
 
 class SchedulerStopped(Exception):
@@ -127,45 +132,11 @@ class SweepChunk:
             self.settle(self.owed)
 
 
-class ExclusiveRequest:
-    """One queued request that runs alone on the executor.
-
-    ``execute`` is a no-argument callable returning the payload, run on
-    the executor thread after the batch's shared sweep (matrix requests
-    sweep a restricted selection, not a lane of the full one; a metric
-    swap replaces the engine).  Routing them through the batcher keeps
-    every engine access serialized by the one dispatch loop while they
-    still get deadline checks.
-
-    ``reply(outcome)`` takes the payload, or the exception that ended
-    the request, on the event-loop thread.  ``reply.done`` turns true
-    once the request needs no answer (it was answered, or its client
-    went away); the batcher then drops it and never calls ``reply``.
-    ``now`` is the request's arrival on the ``time.monotonic`` clock
-    (default: the time of construction).
-    """
-
-    __slots__ = ("execute", "reply", "deadline", "enqueued_at")
-
-    def __init__(self, execute: Callable, reply: Callable,
-                 deadline: float | None = None,
-                 now: float | None = None) -> None:
-        self.execute = execute
-        self.reply = reply
-        self.deadline = deadline
-        self.enqueued_at = time.monotonic() if now is None else now
-
-
 class _Close:
     pass
 
 
 _CLOSE = _Close()
-
-
-def _late(now: float, at: float) -> DeadlineExceeded:
-    return DeadlineExceeded(f"deadline exceeded before dispatch "
-                            f"(queued {1e3 * (now - at):.1f} ms)")
 
 
 class MicroBatcher:
@@ -177,8 +148,7 @@ class MicroBatcher:
         ``sweep_fn(sources) -> rows`` computing one distance row per
         source (a :class:`~repro.core.phast.PhastEngine` ``trees``
         call).  Dispatches are serialized, so ``sweep_fn`` never runs
-        concurrently with itself.  Sweep batches (the sweep and the
-        answers) run on the event-loop thread.
+        concurrently with itself; it runs on the event-loop thread.
     answer_fn:
         ``answer_fn(segments, rows)`` answers a batch's live sweep
         requests at once, on the event-loop thread: each segment is
@@ -190,8 +160,6 @@ class MicroBatcher:
         ``fail_fn(chunk, lo, hi, exc)`` answers records ``lo`` to
         ``hi`` of a chunk with the exception that ended them (a passed
         deadline, a failed sweep, a stopped scheduler).
-    executor:
-        Where batches holding an exclusive request run.
     batch_max:
         Lane cap per dispatch.
     max_wait_ms:
@@ -207,7 +175,6 @@ class MicroBatcher:
         answer_fn: Callable,
         fail_fn: Callable,
         *,
-        executor,
         batch_max: int = 16,
         max_wait_ms: float = 2.0,
         metrics=None,
@@ -219,12 +186,11 @@ class MicroBatcher:
         self.sweep_fn = sweep_fn
         self.answer_fn = answer_fn
         self.fail_fn = fail_fn
-        self.executor = executor
         self.batch_max = int(batch_max)
         self.max_wait_ms = float(max_wait_ms)
         self.metrics = metrics
-        # Queued chunks and exclusive requests, and the dispatch loop's
-        # wake-up while it waits on an empty queue.
+        # Queued chunks, and the dispatch loop's wake-up while it waits
+        # on an empty queue.
         self._queue: deque = deque()
         self._waiter: asyncio.Future | None = None
         self._task: asyncio.Task | None = None
@@ -254,12 +220,11 @@ class MicroBatcher:
 
     # -- intake ------------------------------------------------------------
 
-    def submit(self, item: SweepChunk | ExclusiveRequest) -> None:
-        """Queue a chunk of sweep requests or an exclusive request
-        (event-loop thread only)."""
+    def submit(self, chunk: SweepChunk) -> None:
+        """Queue a chunk of sweep requests (event-loop thread only)."""
         if self._stopped:
             raise SchedulerStopped("scheduler is stopped")
-        self._put(item)
+        self._put(chunk)
 
     def _put(self, item) -> None:
         self._queue.append(item)
@@ -280,40 +245,36 @@ class MicroBatcher:
                 self._waiter = loop.create_future()
                 await self._waiter
             segments: list = []
-            exclusives: list = []
-            closing = await self._fill_window(segments, exclusives)
-            if segments or exclusives:
-                await self._dispatch(loop, segments, exclusives)
-            # A sweep batch held the loop: give the connections a turn
-            # to take in what arrived meanwhile, or to see that a
-            # client left, before the next batch forms.
+            closing = await self._fill_window(segments)
+            if segments:
+                self._dispatch(segments)
+            # A batch held the loop: give the connections a turn to take
+            # in what arrived meanwhile, or to see that a client left,
+            # before the next batch forms.
             await asyncio.sleep(0)
         # Fail anything that slipped in after the close sentinel.
         stopped = SchedulerStopped("server stopped")
         while queue:
-            item = queue.popleft()
-            if type(item) is SweepChunk:
-                if not item.dead:
-                    self.fail_fn(item, item.lo, item.hi, stopped)
-            elif item is not _CLOSE and not item.reply.done:
-                item.reply(stopped)
+            chunk = queue.popleft()
+            if chunk is not _CLOSE and not chunk.dead:
+                self.fail_fn(chunk, chunk.lo, chunk.hi, stopped)
 
-    async def _fill_window(self, segments: list, exclusives: list) -> bool:
+    async def _fill_window(self, segments: list) -> bool:
         """Fill the batch window; True when _CLOSE was seen.
 
-        Everything already queued joins immediately, a record a lane
-        and an exclusive request a lane, up to ``batch_max`` (under
-        steady load, frames arrive while the previous batch runs, so
-        batches form for free — continuous batching); a chunk longer
-        than the room left is split, its rest staying at the front of
-        the queue.  The window then yields one event-loop turn and
-        drains again, for as long as each turn brings new arrivals:
-        each connection queues the frames of a read as it takes the
-        read in, so a turn lets frames that have already arrived reach
-        the queue.  The first turn that brings nothing closes the
-        window, as do ``batch_max`` lanes and ``max_wait_ms`` total.
-        No turn waits on a timer, so a lone request is not held back
-        waiting for company that is not on its way.
+        Everything already queued joins immediately, a record a lane,
+        up to ``batch_max`` (under steady load, frames arrive while the
+        previous batch runs, so batches form for free — continuous
+        batching); a chunk longer than the room left is split, its rest
+        staying at the front of the queue.  The window then yields one
+        event-loop turn and drains again, for as long as each turn
+        brings new arrivals: each connection queues the frames of a
+        read as it takes the read in, so a turn lets frames that have
+        already arrived reach the queue.  The first turn that brings
+        nothing closes the window, as do ``batch_max`` lanes and
+        ``max_wait_ms`` total.  No turn waits on a timer, so a lone
+        request is not held back waiting for company that is not on its
+        way.
         """
         queue = self._queue
         batch_max = self.batch_max
@@ -321,31 +282,28 @@ class MicroBatcher:
         lanes = 0
         while True:
             while lanes < batch_max and queue:
-                item = queue[0]
-                if type(item) is SweepChunk:
-                    lo = item.lo
-                    hi = min(item.hi, lo + batch_max - lanes)
-                    segments.append((item, lo, hi))
-                    lanes += hi - lo
-                    item.lo = hi
-                    if hi == item.hi:
-                        queue.popleft()
-                    continue
-                queue.popleft()
-                if item is _CLOSE:
+                chunk = queue[0]
+                if chunk is _CLOSE:
+                    queue.popleft()
                     return True
-                exclusives.append(item)
-                lanes += 1
+                lo = chunk.lo
+                hi = min(chunk.hi, lo + batch_max - lanes)
+                segments.append((chunk, lo, hi))
+                lanes += hi - lo
+                chunk.lo = hi
+                if hi == chunk.hi:
+                    queue.popleft()
             if lanes >= batch_max or time.monotonic() >= deadline:
                 return False
             await asyncio.sleep(0)
             if not queue:
                 return False  # the turn brought nobody: dispatch now
 
-    async def _dispatch(self, loop, segments: list, exclusives: list) -> None:
-        now = time.monotonic()
-        # Records whose client went away are dropped, and expired ones
-        # answered; the rest take lanes in queue order.
+    def _dispatch(self, segments: list) -> None:
+        """Sweep and answer one batch, on the loop: records whose client
+        went away are dropped and expired ones failed; the rest take
+        lanes in queue order."""
+        t0 = time.monotonic()
         live: list = []
         waits: list = []
         sources: list = []
@@ -353,68 +311,25 @@ class MicroBatcher:
         for chunk, lo, hi in segments:
             if chunk.dead:
                 continue
-            if chunk.deadline is not None and now >= chunk.deadline:
-                self.fail_fn(chunk, lo, hi, _late(now, chunk.at))
+            if chunk.deadline is not None and t0 >= chunk.deadline:
+                self.fail_fn(chunk, lo, hi, DeadlineExceeded.queued(
+                    t0, chunk.at))
                 continue
             live.append((chunk, lo, hi, lane))
-            waits.append((now - chunk.at, hi - lo))
+            waits.append((t0 - chunk.at, hi - lo))
             sources += chunk.sources(lo, hi)
             lane += hi - lo
-        jobs: list = []
-        for req in exclusives:
-            if req.reply.done:
-                continue
-            if req.deadline is not None and now >= req.deadline:
-                req.reply(_late(now, req.enqueued_at))
-                continue
-            jobs.append(req)
-            waits.append((now - req.enqueued_at, 1))
-        if not live and not jobs:
+        if not live:
             return
+        t1 = time.monotonic()
         try:
-            if not jobs:
-                rows, outcomes, run_s = self._execute(sources, jobs)
-            else:
-                rows, outcomes, run_s = await loop.run_in_executor(
-                    self.executor, self._execute, sources, jobs
-                )
-            t0 = time.monotonic()
-            # A chunk whose client left while an executor batch ran is
-            # skipped; the others keep their lanes.
-            answered = [seg for seg in live if not seg[0].dead]
-            if answered:
-                self.answer_fn(answered, rows)
+            self.answer_fn(live, self.sweep_fn(sources))
         except Exception as exc:  # sweep failure: fail the whole batch
             if self.metrics is not None:
                 self.metrics.record_batch_failure()
             failure = RuntimeError(f"sweep failed: {exc}")
             for chunk, lo, hi, _ in live:
-                if not chunk.dead:
-                    self.fail_fn(chunk, lo, hi, failure)
-            for req in jobs:
-                if not req.reply.done:
-                    req.reply(failure)
+                self.fail_fn(chunk, lo, hi, failure)
             return
         if self.metrics is not None:
-            self.metrics.record_batch(lane + len(jobs), waits,
-                                      run_s + time.monotonic() - t0)
-        for req, outcome in outcomes:
-            if not req.reply.done:
-                req.reply(outcome)
-
-    def _execute(self, sources: list,
-                 jobs: list) -> tuple[object, list, float]:
-        """One multi-source sweep, lane ``i`` from ``sources[i]``, then
-        each exclusive request of ``jobs``.  Returns the rows, each
-        exclusive request's payload or exception, and the seconds
-        taken.
-        """
-        t0 = time.monotonic()
-        rows = self.sweep_fn(sources) if sources else None
-        outcomes: list = []
-        for req in jobs:
-            try:
-                outcomes.append((req, req.execute()))
-            except Exception as exc:
-                outcomes.append((req, exc))
-        return rows, outcomes, time.monotonic() - t0
+            self.metrics.record_batch(lane, waits, time.monotonic() - t1)

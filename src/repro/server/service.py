@@ -4,8 +4,9 @@ One process, one preprocessed hierarchy, four query types:
 
 ``query``
     Point-to-point distance via the bidirectional CH search — already
-    sub-millisecond alone, so these bypass the batcher and run straight
-    on the executor.
+    sub-millisecond alone, so these bypass the batcher and run on a
+    small thread pool, concurrently: they touch only their own heaps
+    and dicts.
 ``tree`` / ``one_to_many`` / ``isochrone``
     All sweep-shaped (each needs one source's full distance row); they
     enter the :class:`~repro.server.scheduler.MicroBatcher` and ride a
@@ -14,9 +15,13 @@ One process, one preprocessed hierarchy, four query types:
 ``matrix``
     k×m travel-time matrices.  The restricted (RPHAST) selection for
     the target set is built once, cached in an LRU keyed by target-set
-    hash, and swept in multi-source lane groups.  Rides the batcher as
-    an *exclusive* request, so the selection cache is touched by one
-    dispatch at a time.
+    hash, and swept in multi-source lane groups.  Runs on the
+    *exclusive* thread, one matrix or metric swap at a time in arrival
+    order, so the selection cache is touched by one job at a time.
+``swap_metric``
+    Customizes new weights over the resident topology and installs the
+    new engine, on the exclusive thread, while sweeps go on being
+    answered from the old engine.
 ``ping`` / ``info`` / ``metrics`` / ``health``
     Liveness, instance facts, serving statistics, and readiness
     (draining or not, admission pressure, generation signals).
@@ -34,20 +39,19 @@ which its connection owes once, with a count.  Every other frame is
 decoded by ``json.loads``; a sweep request among them (one the intake
 declined, or any without the kernels) becomes a one-record chunk of
 its own, so every sweep request is answered the same way.  Admin ops
-reply at once, ``matrix`` and ``swap_metric`` carry a reply callback
-through the batcher, and ``query`` replies from its executor future's
-done-callback.  The batcher runs each sweep batch on the loop thread
+reply at once.  The batcher runs each sweep batch on the loop thread
 as well — the k-lane sweep (one native call), then every answer frame
 of the batch, written from the records in place (one native call,
 :func:`protocol.sweep_frames`), each connection's frames in one
 transport write — because handing a batch to another thread costs
-more than it overlaps when both threads contend for one GIL.
-Point-to-point queries and batches holding an exclusive request run
-on a small thread pool.
-Sweeps are serialized by the batcher (the engine is single-caller);
-point-to-point queries run concurrently — they touch only their own
-heaps and dicts.  More cores serve through replicas behind
-``repro route``.
+more than it overlaps when both threads contend for one GIL.  Sweeps
+are serialized by the batcher (the engine is single-caller).
+``query``, ``matrix`` and ``swap_metric`` leave the loop one way
+(:meth:`PhastService._offload`): a job on their pool that, when it
+starts, skips a request whose client left, answers one past its
+deadline with 504, and otherwise computes the payload and answers it
+through a reply callback on the loop.  More cores serve through
+replicas behind ``repro route``.
 
 Connections and shutdown follow the shared
 :class:`~repro.server.listener.FrameServer`: the drain refuses new work
@@ -75,7 +79,6 @@ from .listener import FrameHandle, FrameServer, run_in_thread
 from .metrics import ServerMetrics
 from .scheduler import (
     DeadlineExceeded,
-    ExclusiveRequest,
     MicroBatcher,
     SchedulerStopped,
     SweepChunk,
@@ -83,7 +86,7 @@ from .scheduler import (
 
 __all__ = ["ServerConfig", "PhastService", "ServerHandle", "serve_in_thread"]
 
-#: Threads for point-to-point queries and exclusive requests.
+#: Threads for point-to-point queries.
 EXECUTOR_THREADS = 4
 #: Per-engine upward search cache for matrix sources (entries).
 MATRIX_SEARCH_CACHE = 256
@@ -171,45 +174,57 @@ class PhastService(FrameServer):
         # ``max_pending`` and while draining.  These count the rest.
         self.admitted_total = 0
         self.rejected = {"overloaded": 0, "draining": 0}
-        self.engine = PhastEngine(ch)
         # One reused output buffer: each batch's rows are answered
         # before the next batch overwrites them.  The engine takes its
         # address once; a batch of k writes the prefix view of k rows.
         self._rows = np.empty((self.config.batch_max, self.n), dtype=np.int64)
-        self._row_views = self.engine.bind_rows(self._rows)
+        engine = PhastEngine(ch)
+        # The engine sweeps run on and its views of the buffer, which a
+        # swap replaces as one, so a batch reads both of one metric.
+        self._serving = (engine, engine.bind_rows(self._rows))
         #: Monotone counter bumped by every ``swap_metric``.
         self.metric_generation = 0
         #: Distance rows the batcher's sweeps have computed.
         self.trees_computed = 0
         # RPHAST selections for the matrix op, keyed by target-set
-        # hash.  Touched only by exclusive batcher requests, which run
-        # one at a time, so no locking is needed.
+        # hash.  Touched only on the exclusive thread, so no locking is
+        # needed.
         self.selections = SelectionCache(self.config.selection_cache)
         self._executor = ThreadPoolExecutor(
             max_workers=EXECUTOR_THREADS,
             thread_name_prefix="phast-serve",
         )
+        # Matrices and metric swaps, one at a time in arrival order: a
+        # matrix queued behind a swap runs on the new metric.
+        self._exclusive = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="phast-exclusive")
         self.batcher = MicroBatcher(
             self._sweep,
             self._answer_sweeps,
             self._fail_sweeps,
-            executor=self._executor,
             batch_max=self.config.batch_max,
             max_wait_ms=self.config.max_wait_ms,
             metrics=self.metrics,
         )
+
+    @property
+    def engine(self) -> PhastEngine:
+        """The engine sweeps run on now."""
+        return self._serving[0]
 
     # -- lifecycle (the FrameServer steps) ---------------------------------
 
     async def _prepare(self) -> None:
         # Warm the sweep path so the first client doesn't pay for lazy
         # buffer allocation.
-        self.engine.trees([0], out=self._row_views[1])
+        engine, views = self._serving
+        engine.trees([0], out=views[1])
         self.batcher.start()
 
     async def _release(self) -> None:
         await self.batcher.stop()
         self._executor.shutdown(wait=True)
+        self._exclusive.shutdown(wait=True)
         self.selections.clear()
 
     # -- sweeps and matrices -----------------------------------------------
@@ -217,10 +232,12 @@ class PhastService(FrameServer):
     def _sweep(self, sources: list[int]) -> np.ndarray:
         """One batch's rows (the batcher's ``sweep_fn``, on the loop).
 
-        Reads ``self.engine`` per call, so a batch after a swap runs
-        on the new metric's engine.
+        Reads ``self._serving`` once per call, so a batch runs whole on
+        one metric's engine: the old one while a swap customizes, the
+        new one once the swap has installed it.
         """
-        rows = self.engine.trees(sources, out=self._row_views[len(sources)])
+        engine, views = self._serving
+        rows = engine.trees(sources, out=views[len(sources)])
         self.trees_computed += len(sources)
         return rows
 
@@ -299,24 +316,16 @@ class PhastService(FrameServer):
                  now: float) -> None:
         """The latency of records ``lo`` to ``hi`` of ``chunk``,
         answered at ``now``: one observation per op."""
-        step = protocol.RECORD
         seconds = now - chunk.at
-        if hi - lo == 1:
-            self.metrics.record_latency(
-                _SWEEP_OPS[chunk.records[step * lo + 2]], seconds)
-            return
-        codes = chunk.records[step * lo + 2:step * hi:step]
-        for code, op in enumerate(_SWEEP_OPS):
-            count = codes.count(code)
-            if count:
-                self.metrics.record_latency(op, seconds, count)
+        for op, count in _op_counts(chunk.records, lo, hi):
+            self.metrics.record_latency(op, seconds, count)
 
     def _matrix_payload(self, sources: list[int], targets: list[int]) -> dict:
-        """Compute one k×m matrix (executor thread, exclusive dispatch).
+        """Compute one k×m matrix (on the exclusive thread).
 
         The selection embeds copied arc weights; ``swap_metric`` clears
-        the cache, and both run as exclusive requests, so a cached
-        selection always belongs to the current metric.
+        the cache on the same thread, so a cached selection always
+        belongs to the current metric.
         """
         hits_before = self.selections.hits
         t_arr = np.asarray(targets, dtype=np.int64)
@@ -375,14 +384,8 @@ class PhastService(FrameServer):
         :class:`SweepChunk` per run of equal ``timeout_ms``, and the
         rest are refused in order."""
         step = protocol.RECORD
-        if hi - lo == 1:
-            self.metrics.record_request(_SWEEP_OPS[records[step * lo + 2]])
-        else:
-            codes = records[step * lo + 2:step * hi:step]
-            for code, op in enumerate(_SWEEP_OPS):
-                count = codes.count(code)
-                if count:
-                    self.metrics.record_request(op, count)
+        for op, count in _op_counts(records, lo, hi):
+            self.metrics.record_request(op, count)
         stop = lo + self._admit(hi - lo)
         start = lo
         while start < stop:
@@ -395,20 +398,21 @@ class PhastService(FrameServer):
                 while end < stop and records[step * end + 8] == timeout:
                     end += 1
             self._queue(SweepChunk(conn, records, data, targets, start, end,
-                                   now, self._deadline_of(now, timeout)))
+                                   now, self._deadline(now, timeout)))
             start = end
         for i in range(stop, hi):
             self._reject(conn, self._id(data, records, i), self._why())
 
-    def _deadline_of(self, now: float, timeout: int) -> float | None:
-        """The deadline of a record's ``timeout_ms``."""
-        if timeout == protocol.TIMEOUT_NULL:
+    def _deadline(self, now: float, timeout_ms) -> float | None:
+        """The deadline of a request that arrived at ``now``, from its
+        ``timeout_ms`` as validated or as its record holds it: a number,
+        none (``None``, ``TIMEOUT_NULL``) or the config default
+        (``"unset"``, ``TIMEOUT_UNSET``)."""
+        if timeout_ms == "unset" or timeout_ms == protocol.TIMEOUT_UNSET:
+            timeout_ms = self.config.default_timeout_ms
+        if timeout_ms is None or timeout_ms == protocol.TIMEOUT_NULL:
             return None
-        if timeout == protocol.TIMEOUT_UNSET:
-            timeout = self.config.default_timeout_ms
-            if timeout is None:
-                return None
-        return now + timeout / 1e3
+        return now + timeout_ms / 1e3
 
     def _queue(self, chunk: SweepChunk) -> None:
         try:
@@ -552,16 +556,6 @@ class PhastService(FrameServer):
             "admission": self.admission(),
         }
 
-    def _deadline(self, now: float, timeout_ms) -> float | None:
-        """Absolute deadline of a request that arrived at ``now``, from
-        its validated ``timeout_ms`` (``"unset"`` means the config
-        default)."""
-        if timeout_ms == "unset":
-            timeout_ms = self.config.default_timeout_ms
-        if timeout_ms is None:
-            return None
-        return now + float(timeout_ms) / 1e3
-
     def _run_sweep(self, conn, req_id, spec, msg: dict, now: float) -> None:
         """Queue a sweep request that came through ``json.loads`` (the
         intake declined it, or there are no kernels) as a one-record
@@ -586,27 +580,53 @@ class PhastService(FrameServer):
         self._queue(SweepChunk(conn, records, text, targets, 0, 1, now,
                                self._deadline(now, fields["timeout_ms"])))
 
+    def _offload(self, pool, reply, fields: dict, compute, *args) -> None:
+        """Answer ``reply`` with ``compute(*args)``, run on ``pool``: the
+        one way a request leaves the loop.
+
+        When the job starts it skips a reply no longer owed (its client
+        went away) and answers one past its deadline with 504; otherwise
+        ``compute``'s payload, or the exception it raised, is answered
+        through ``reply`` on the loop.
+        """
+        deadline = self._deadline(reply.t0, fields["timeout_ms"])
+
+        def job():
+            if reply.done:
+                return None
+            now = time.monotonic()
+            if deadline is not None and now >= deadline:
+                return DeadlineExceeded.queued(now, reply.t0)
+            try:
+                return compute(*args)
+            except Exception as exc:
+                return exc
+
+        future = asyncio.get_running_loop().run_in_executor(pool, job)
+        future.add_done_callback(lambda f: reply(f.result()))
+
     def _run_matrix(self, reply, fields: dict) -> None:
-        sources, targets = fields["sources"], fields["targets"]
-        self.batcher.submit(ExclusiveRequest(
-            lambda: self._matrix_payload(sources, targets), reply,
-            self._deadline(reply.t0, fields["timeout_ms"]), reply.t0))
+        self._offload(self._exclusive, reply, fields, self._matrix_payload,
+                      fields["sources"], fields["targets"])
 
     def _run_query(self, reply, fields: dict) -> None:
-        deadline = self._deadline(reply.t0, fields["timeout_ms"])
-        source, target = fields["source"], fields["target"]
-        stall = fields["stall"]
-        if deadline is not None and time.monotonic() >= deadline:
-            raise DeadlineExceeded("deadline exceeded on arrival")
-        # Capture the hierarchy once: a concurrent swap_metric replaces
-        # self.ch, and reading it exactly once pins this answer to a
-        # single metric generation (old or new, never a mix).
-        ch = self.ch
-        future = asyncio.get_running_loop().run_in_executor(
-            self._executor,
-            lambda: ch_query(ch, source, target, stall=stall),
-        )
-        future.add_done_callback(lambda f: reply(_query_outcome(f)))
+        self._offload(self._executor, reply, fields, self._query_payload,
+                      fields["source"], fields["target"], fields["stall"])
+
+    def _query_payload(self, source: int, target: int, stall: bool) -> dict:
+        """One point-to-point distance (on a query thread).
+
+        Reads ``self.ch`` once: a swap replaces it, and one read pins
+        the answer to a single metric generation (old or new, never a
+        mix).
+        """
+        result = ch_query(self.ch, source, target, stall=stall)
+        distance = int(result.distance)
+        return {
+            "distance": distance,
+            "reachable": distance < int(INF),
+            "settled": int(result.settled_forward + result.settled_backward),
+        }
 
     # -- metric hot swap ---------------------------------------------------
 
@@ -623,21 +643,28 @@ class PhastService(FrameServer):
                 "topology + metric (repro serve --topology ...) to enable "
                 "swap_metric"
             )
-        # Exclusive batcher request: runs alone on an executor thread,
-        # strictly between micro-batches.  Queued sweeps before it
-        # finish on the old metric; sweeps after it run on the new one.
-        self.batcher.submit(ExclusiveRequest(
-            lambda: self._swap_payload(weights, path), reply,
-            self._deadline(reply.t0, fields["timeout_ms"]), reply.t0))
+        self._offload(self._exclusive, reply, fields, self._swap_payload,
+                      weights, path)
 
     def _swap_payload(self, weights, path) -> dict:
-        """Customize + instantiate + engine swap (executor thread, exclusive)."""
+        """Customize, instantiate and install a new metric's engine (on
+        the exclusive thread).
+
+        Sweeps go on being answered on the loop from the old engine
+        meanwhile.  Everything is installed here, before the ack is
+        written on the loop, so every answer written after the ack comes
+        from the new metric.
+        """
         from ..ch.customize import customize
         from ..graph.serialize import load_metric
 
         t0 = time.monotonic()
         if path is not None:
-            metric = load_metric(path, topology=self.topology)
+            try:
+                metric = load_metric(path, topology=self.topology)
+            except (OSError, ValueError) as exc:
+                raise _BadRequest(
+                    f"cannot load metric {path!r}: {exc}") from exc
         else:
             w = np.asarray(weights, dtype=np.int64)
             if w.shape != (self.topology.num_base_arcs,):
@@ -650,12 +677,11 @@ class PhastService(FrameServer):
         new_ch = self.topology.instantiate(metric)
         t2 = time.monotonic()
         engine = PhastEngine(new_ch)
-        self._row_views = engine.bind_rows(self._rows)
-        self.engine = engine
-        self.metric_generation += 1
-        # Point-to-point queries capture self.ch per request; from here
-        # on every new capture sees the new metric.
+        self._serving = (engine, engine.bind_rows(self._rows))
+        # Point-to-point queries read self.ch once each; from here on
+        # every new read sees the new metric.
         self.ch = new_ch
+        self.metric_generation += 1
         # Cached RPHAST selections embed copied arc lengths, so the
         # whole cache is stale.
         self.selections.clear()
@@ -677,8 +703,8 @@ class _Reply:
     event-loop thread, with the request's payload or the exception
     that ended it: it settles the answer, which frees the slot, records
     the latency and writes the response frame.  A dropped connection
-    cancels it instead, which frees the slot at once and turns a
-    queued exclusive request dead.  Either way the answer is settled
+    cancels it instead, which frees the slot at once, and a job not yet
+    started then skips its work.  Either way the answer is settled
     exactly once.
     """
 
@@ -715,17 +741,14 @@ class _Reply:
             self.conn.settle(self)
 
 
-def _query_outcome(future) -> dict | BaseException:
-    exc = future.exception()
-    if exc is not None:
-        return exc
-    result = future.result()
-    distance = int(result.distance)
-    return {
-        "distance": distance,
-        "reachable": distance < int(INF),
-        "settled": int(result.settled_forward + result.settled_backward),
-    }
+def _op_counts(records, lo: int, hi: int) -> list[tuple[str, int]]:
+    """Each sweep op among records ``lo`` to ``hi``, with its count."""
+    step = protocol.RECORD
+    if hi - lo == 1:
+        return [(_SWEEP_OPS[records[step * lo + 2]], 1)]
+    codes = records[step * lo + 2:step * hi:step]
+    return [(op, codes.count(code)) for code, op in enumerate(_SWEEP_OPS)
+            if code in codes]
 
 
 # ---------------------------------------------------------------------------

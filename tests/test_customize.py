@@ -441,6 +441,28 @@ def test_swap_requires_weights_xor_path(swap_server):
         assert exc.value.code == protocol.BAD_REQUEST
 
 
+def test_swap_from_a_bad_metric_path_is_a_bad_request(swap_server, topo,
+                                                      small_road, tmp_path):
+    """A path to no file, to a file that is not a metric, or to another
+    topology's metric is the client's error (400), and nothing swaps."""
+    text = tmp_path / "hostname"
+    text.write_text("not a metric\n")
+    topology_file = tmp_path / "topology.npz"
+    save_topology(topo, topology_file)
+    other = build_topology(small_road)
+    other_metric = tmp_path / "other.npz"
+    save_metric(customize(other, small_road.arc_len), other_metric)
+    with ServerClient(swap_server.host, swap_server.port) as c:
+        generation = c.info()["metric_generation"]
+        for path in (tmp_path / "missing.npz", text, topology_file,
+                     other_metric):
+            with pytest.raises(ServerError) as exc:
+                c.swap_metric(path=str(path))
+            assert exc.value.code == protocol.BAD_REQUEST, exc.value
+            assert str(path) in exc.value.message
+            assert c.info()["metric_generation"] == generation
+
+
 def test_swap_rejected_without_topology(road, road_ch):
     """A hierarchy-only server cannot customize; swap is a clean 400."""
     service = PhastService(

@@ -13,16 +13,13 @@ no new request, at ``batch_max`` lanes, or at the ``max_wait_ms`` cap;
 from __future__ import annotations
 
 import asyncio
-import threading
 import time
 from array import array
-from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
 from repro.server.scheduler import (
     DeadlineExceeded,
-    ExclusiveRequest,
     MicroBatcher,
     SchedulerStopped,
     SweepChunk,
@@ -34,17 +31,14 @@ class _Recorder:
 
     def __init__(self) -> None:
         self.calls: list[tuple[float, list[int]]] = []
-        self._lock = threading.Lock()
 
     def __call__(self, sources):
-        with self._lock:
-            self.calls.append((time.monotonic(), list(sources)))
+        self.calls.append((time.monotonic(), list(sources)))
         return [("row", s) for s in sources]
 
     @property
     def batches(self) -> list[list[int]]:
-        with self._lock:
-            return [sources for _, sources in self.calls]
+        return [sources for _, sources in self.calls]
 
 
 class _Conn:
@@ -72,17 +66,14 @@ def _chunk(sources, conn=None, deadline=None) -> SweepChunk:
 
 class _Answers:
     """Stub ``answer_fn`` and ``fail_fn``: each request's outcome (its
-    row, or the exception that ended it), by chunk and record, and the
-    thread each batch was answered on."""
+    row, or the exception that ended it), by chunk and record."""
 
     def __init__(self) -> None:
         self.outcomes: dict = {}
-        self.threads: list[threading.Thread] = []
         self.segments: list[list] = []
         self._wake = asyncio.Event()
 
     def answer(self, segments, rows) -> None:
-        self.threads.append(threading.current_thread())
         self.segments.append([(chunk.sources(lo, hi).tolist(), lane)
                               for chunk, lo, hi, lane in segments])
         for chunk, lo, hi, lane in segments:
@@ -114,27 +105,6 @@ class _Answers:
         return outcome
 
 
-class _Reply:
-    """Stub reply of an exclusive request: keeps its outcome."""
-
-    def __init__(self) -> None:
-        self.done = False
-        self.outcome = None
-        self._arrived = asyncio.Event()
-
-    def __call__(self, outcome) -> None:
-        assert not self.done, "a request was answered twice"
-        self.done = True
-        self.outcome = outcome
-        self._arrived.set()
-
-    async def result(self):
-        await self._arrived.wait()
-        if isinstance(self.outcome, BaseException):
-            raise self.outcome
-        return self.outcome
-
-
 def _run(coro_fn, recorder=None, **kwargs):
     """Run ``coro_fn(batcher, recorder, answers)`` on a fresh loop and
     batcher; returns its value, the recorder and the answers."""
@@ -142,15 +112,14 @@ def _run(coro_fn, recorder=None, **kwargs):
 
     async def main():
         answers = _Answers()
-        with ThreadPoolExecutor(max_workers=1) as executor:
-            batcher = MicroBatcher(recorder, answers.answer, answers.fail,
-                                   executor=executor, **kwargs)
-            batcher.start()
-            try:
-                value = await asyncio.wait_for(
-                    coro_fn(batcher, recorder, answers), 30)
-            finally:
-                await batcher.stop()
+        batcher = MicroBatcher(recorder, answers.answer, answers.fail,
+                               **kwargs)
+        batcher.start()
+        try:
+            value = await asyncio.wait_for(
+                coro_fn(batcher, recorder, answers), 30)
+        finally:
+            await batcher.stop()
         return value, answers
 
     (value, answers) = asyncio.run(main())
@@ -383,72 +352,3 @@ def test_a_failed_sweep_fails_every_request_of_its_batch():
 
     owed, _, _ = _run(scenario, broken, batch_max=16, max_wait_ms=1000)
     assert owed == [0, 0]
-
-
-def test_request_that_dies_during_an_executor_batch_is_skipped():
-    """Lane ``i`` is the batch's ``i``-th sweep request: one whose
-    client left while the batch ran on the executor is not answered,
-    and the others keep their lanes."""
-
-    async def scenario(batcher, recorder, answers):
-        chunks = [_chunk([s]) for s in (4, 6, 8)]
-
-        def drop_one():
-            chunks[1].cancel()  # its connection went away
-            return "payload"
-
-        exclusive = ExclusiveRequest(drop_one, _Reply())
-        batcher.submit(exclusive)
-        for chunk in chunks:
-            batcher.submit(chunk)
-        assert await exclusive.reply.result() == "payload"
-        return [await answers.result(chunks[0]),
-                await answers.result(chunks[2])]
-
-    rows, recorder, answers = _run(scenario, batch_max=16, max_wait_ms=1000)
-    assert rows == [("row", 4), ("row", 8)]
-    assert recorder.batches == [[4, 6, 8]]
-    assert answers.segments == [[([4], 0), ([8], 2)]]
-
-
-class _ThreadRecorder(_Recorder):
-    """Also logs the thread each sweep ran on."""
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.threads: list[threading.Thread] = []
-
-    def __call__(self, sources):
-        self.threads.append(threading.current_thread())
-        return super().__call__(sources)
-
-
-def test_on_loop_sweeps_run_on_the_loop_and_exclusive_batches_do_not():
-    """Sweep batches (sweep, answers) always run on the event-loop
-    thread; a batch holding an exclusive request never sweeps there
-    (it goes to the executor, its sweep lanes with it), and the next
-    sweep batch is back on the loop."""
-    recorder = _ThreadRecorder()
-
-    async def scenario(batcher, recorder, answers):
-        loop_thread = threading.current_thread()
-        chunk = _chunk([4])
-        batcher.submit(chunk)
-        assert await answers.result(chunk) == ("row", 4)
-        exclusive = ExclusiveRequest(threading.current_thread, _Reply())
-        batcher.submit(exclusive)
-        batcher.submit(_chunk([5]))
-        ran_on = await exclusive.reply.result()
-        last = _chunk([6])
-        batcher.submit(last)
-        assert await answers.result(last) == ("row", 6)
-        return loop_thread, ran_on
-
-    (loop_thread, ran_on), recorder, answers = _run(
-        scenario, recorder, batch_max=16, max_wait_ms=1000)
-    assert recorder.batches == [[4], [5], [6]]
-    assert recorder.threads[0] is loop_thread
-    assert answers.threads == [loop_thread] * 3
-    assert ran_on is not loop_thread
-    assert recorder.threads[1] is ran_on  # the sweep rode the same batch
-    assert recorder.threads[2] is loop_thread

@@ -12,8 +12,10 @@ import asyncio
 import os
 import socket
 import struct
+import sys
 import threading
 import time
+from concurrent.futures import ThreadPoolExecutor
 from types import SimpleNamespace
 
 import numpy as np
@@ -782,6 +784,213 @@ def test_the_loop_owns_serving_state(topo_metric, reference):
     off_loop = sorted({name for name, ident in calls
                        if ident != handle.thread.ident})
     assert not off_loop, f"called off the event-loop thread: {off_loop}"
+
+
+# ---------------------------------------------------------------------------
+# Matrices and metric swaps leave the batcher for one exclusive thread
+
+
+class _HeldCustomize:
+    """``customize`` held at its start until ``release``: a swap in
+    flight for as long as a test needs one."""
+
+    def __init__(self, monkeypatch) -> None:
+        module = sys.modules["repro.ch.customize"]
+        real = module.customize
+        self.entered = threading.Event()
+        self.released = threading.Event()
+        self.calls = 0
+
+        def held(*args, **kwargs):
+            self.calls += 1
+            self.entered.set()
+            assert self.released.wait(60), "the swap was never released"
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "customize", held)
+
+
+@pytest.fixture(scope="module")
+def new_metric(road, topo_metric):
+    """Other weights for a swap, and an engine over them."""
+    topo = topo_metric[0]
+    new_w = np.random.default_rng(31).integers(1, 5_000, size=road.m)
+    return new_w, PhastEngine(topo.instantiate(customize(topo, new_w)))
+
+
+def _swap_service(topo_metric) -> PhastService:
+    topo, metric, _ = topo_metric
+    return PhastService(topology=topo, metric=metric, config=ServerConfig(
+        batch_max=4, max_wait_ms=1.0, max_pending=64))
+
+
+def _swap_in_background(pool, handle, new_w):
+    """A swap to ``new_w`` sent from a thread of ``pool``; its future."""
+
+    def swap() -> dict:
+        with ServerClient(handle.host, handle.port, max_retries=0) as c:
+            return c.swap_metric(weights=new_w, timeout=60)
+
+    return pool.submit(swap)
+
+
+def test_sweeps_are_answered_on_the_old_metric_while_a_swap_customizes(
+        topo_metric, reference, new_metric, monkeypatch):
+    """A tree sent while a swap customizes is answered at once, on the
+    old metric; a tree sent after the swap's ack is on the new one."""
+    new_w, new_engine = new_metric
+    service = _swap_service(topo_metric)
+    held = _HeldCustomize(monkeypatch)
+    with serve_in_thread(service) as handle, \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        swap = _swap_in_background(pool, handle, new_w)
+        try:
+            assert held.entered.wait(30)
+            with ServerClient(handle.host, handle.port, timeout=10,
+                              max_retries=0) as c:
+                assert np.array_equal(c.tree(17), reference[17])
+                assert np.array_equal(c.one_to_many(5, [0, 9]),
+                                      reference[5][[0, 9]])
+            assert not swap.done()
+        finally:
+            held.released.set()
+        assert swap.result(60)["metric_generation"] == 1
+        with ServerClient(handle.host, handle.port) as c:
+            assert np.array_equal(c.tree(17), new_engine.tree(17).dist)
+
+
+def test_a_matrix_pipelined_behind_a_swap_is_on_the_new_metric(
+        topo_metric, reference, new_metric):
+    """One write holding a swap and then a matrix over a target set
+    whose selection is cached: the matrix runs after the swap, on the
+    new metric's selection."""
+    new_w, new_engine = new_metric
+    sources, targets = [3, 9, 27], [5, 50, 100, 200]
+    want = np.stack([new_engine.tree(s).dist[targets] for s in sources])
+    service = _swap_service(topo_metric)
+    with serve_in_thread(service) as handle:
+        with ServerClient(handle.host, handle.port) as c:
+            assert np.array_equal(c.matrix(sources, targets),
+                                  reference[np.ix_(sources, targets)])
+        with _pipeline(handle, [
+                {"id": "s", "op": "swap_metric", "weights": new_w.tolist()},
+                {"id": "m", "op": "matrix", "sources": sources,
+                 "targets": targets}]) as sock:
+            answers = {}
+            for _ in range(2):
+                msg = protocol.recv_message(sock)
+                answers[msg["id"]] = msg
+    assert answers["s"]["ok"] and answers["s"]["metric_generation"] == 1
+    assert np.array_equal(answers["m"]["matrix"], want)
+
+
+def test_a_swap_queued_past_its_deadline_never_runs(topo_metric,
+                                                     new_metric,
+                                                     monkeypatch):
+    """A swap queued behind a swap in flight, with a deadline that
+    passes while it waits, is answered 504 and never customizes."""
+    new_w, _ = new_metric
+    service = _swap_service(topo_metric)
+    held = _HeldCustomize(monkeypatch)
+    with serve_in_thread(service) as handle, \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        swap = _swap_in_background(pool, handle, new_w)
+        try:
+            assert held.entered.wait(30)
+            sock = _pipeline(handle, [{
+                "id": 2, "op": "swap_metric", "weights": new_w.tolist(),
+                "timeout_ms": 50}])
+            time.sleep(0.2)
+        finally:
+            held.released.set()
+        with sock:
+            late = protocol.recv_message(sock)
+        assert swap.result(60)["metric_generation"] == 1
+        with ServerClient(handle.host, handle.port) as c:
+            generation = c.info()["metric_generation"]
+    assert not late["ok"] and late["error"]["code"] == protocol.DEADLINE
+    assert "before dispatch" in late["error"]["message"]
+    assert generation == 1 and held.calls == 1
+
+
+def test_a_queued_matrix_whose_client_left_is_never_computed(
+        topo_metric, new_metric, monkeypatch):
+    """A matrix queued behind a swap in flight frees its admission slot
+    when its client goes away, and is skipped when its turn comes."""
+    new_w, new_engine = new_metric
+    service = _swap_service(topo_metric)
+    held = _HeldCustomize(monkeypatch)
+    computed: list = []
+    matrix_payload = service._matrix_payload
+
+    def counted(sources, targets):
+        computed.append(sources)
+        return matrix_payload(sources, targets)
+
+    service._matrix_payload = counted
+    with serve_in_thread(service) as handle, \
+            ThreadPoolExecutor(max_workers=1) as pool:
+        swap = _swap_in_background(pool, handle, new_w)
+        try:
+            assert held.entered.wait(30)
+            sock = _pipeline(handle, [{"id": 1, "op": "matrix",
+                                       "sources": [1, 2],
+                                       "targets": [5, 7]}])
+            deadline = time.monotonic() + 10
+            while _pending(handle) < 2 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _pending(handle) == 2  # the swap and the matrix
+            sock.close()
+            while _pending(handle) > 1 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert _pending(handle) == 1
+        finally:
+            held.released.set()
+        assert swap.result(60)["metric_generation"] == 1
+        with ServerClient(handle.host, handle.port) as c:
+            got = c.matrix([3], [5, 7])
+    assert computed == [[3]]
+    assert np.array_equal(got[0], new_engine.tree(3).dist[[5, 7]])
+
+
+def test_every_sweep_batch_runs_on_the_loop_while_a_swap_is_in_flight(
+        topo_metric, reference, new_metric, monkeypatch):
+    """Trees pipelined right behind a swap, and trees sent while it
+    customizes, are all swept on the event-loop thread."""
+    new_w, _ = new_metric
+    service = _swap_service(topo_metric)
+    held = _HeldCustomize(monkeypatch)
+    sweep = service.batcher.sweep_fn
+    seen: list[tuple[threading.Thread, bool]] = []
+
+    def watched_sweep(sources):
+        in_flight = held.entered.is_set() and not held.released.is_set()
+        seen.append((threading.current_thread(), in_flight))
+        return sweep(sources)
+
+    service.batcher.sweep_fn = watched_sweep
+    with serve_in_thread(service) as handle:
+        sock = _pipeline(handle, [
+            {"id": "s", "op": "swap_metric", "weights": new_w.tolist()},
+            *({"id": i, "op": "tree", "source": i} for i in range(6))])
+        try:
+            assert held.entered.wait(30)
+            with ServerClient(handle.host, handle.port, timeout=10,
+                              max_retries=0) as c:
+                for s in (10, 11, 12):
+                    assert np.array_equal(c.tree(s), reference[s])
+        finally:
+            held.released.set()
+        with sock:
+            answers = {}
+            for _ in range(7):
+                msg = protocol.recv_message(sock)
+                answers[msg["id"]] = msg
+    assert answers["s"]["ok"]
+    for i in range(6):
+        assert answers[i]["dist"] == reference[i].tolist()
+    assert {thread for thread, _ in seen} == {handle.thread}
+    assert any(in_flight for _, in_flight in seen)
 
 
 # ---------------------------------------------------------------------------
